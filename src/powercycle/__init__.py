@@ -9,7 +9,6 @@ from .graph_core import (
     complete_graph,
     complete_multipartite,
     count_canonical_cliques,
-    density,
     empty_graph,
     enumerate_canonical_cliques,
     min_degree,

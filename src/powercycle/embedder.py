@@ -11,9 +11,14 @@ layer. A reserve tuple drawn at the start is spent at the end to close the
 path into a cycle through an anchor clique that was chosen, back at step one,
 to expand well both forward and backward.
 
+The extend rounds and the closing share one seeded draw-with-redraws loop for
+their target tuples, and the anchor and closing share one test of a single
+clique's reach against the success fraction of the reference count.
+
 Failures (an expander coming up empty after redraws, pools running dry) are
 reported as data, not exceptions: an EmbedFailure names the first failing
-stage and carries the live set sizes and reach fractions.
+stage and carries the live set sizes and reach fractions. Broken invariants
+of the induction itself raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "ReducedGraph",
     "ClusterCycle",
     "EmbedParams",
-    "EmbeddingState",
     "PowerCycle",
     "EmbedFailure",
     "build_reduced",
@@ -124,29 +128,6 @@ class EmbedParams:
 
     def expansion(self) -> ExpansionParams:
         return ExpansionParams(k=self.k, delta=self.delta, alpha=self.d, p=self.p)
-
-
-@dataclass
-class EmbeddingState:
-    """Live induction state: per-window reserve sets, used path vertices,
-    active targets, the anchor clique with its backward reach, and the step."""
-
-    step: int
-    reserve: list
-    targets: list
-    used: list
-    anchor: Optional[tuple] = None
-    anchor_back_reach: int = 0
-    frontier_size: int = 0
-
-    def sizes(self) -> dict:
-        return {
-            "step": self.step,
-            "reserve": [len(s) for s in self.reserve],
-            "targets": [len(t) for t in self.targets],
-            "used": [len(u) for u in self.used],
-            "frontier": self.frontier_size,
-        }
 
 
 @dataclass
@@ -240,7 +221,8 @@ def find_cluster_power_cycle(
     if found is None:
         return None
     cycle = ClusterCycle(tuple(found), k)
-    assert cycle.validate(reduced)
+    if not cycle.validate(reduced):
+        raise RuntimeError(f"cluster ordering {cycle.ordering} fails its own validation")
     return cycle
 
 
@@ -371,6 +353,7 @@ def embed_power_cycle(
     n_prime = len(pools[0])
     n_tilde = max(k, int(params.xi * n_prime))
     exp_params = params.expansion()
+    threshold = exp_params.success_fraction
     rng = stream(params.seed, 41)
 
     # The induction runs while every window pool can still supply a reserve
@@ -383,52 +366,74 @@ def embed_power_cycle(
             sizes={"t": t, "n_prime": n_prime, "n_tilde": n_tilde},
         )
 
-    state = EmbeddingState(
-        step=0,
-        reserve=[np.empty(0, dtype=np.int64)] * t,
-        targets=[np.empty(0, dtype=np.int64)] * t,
-        used=[set() for _ in range(t)],
-    )
-    state.reserve = [_draw(rng, pools[m], [], n_tilde) for m in range(t)]
-    state.targets = [_draw(rng, pools[m], [state.reserve[m]], n_tilde) for m in range(t)]
-    threshold = exp_params.success_fraction
+    # Live induction state: per-window reserve sets, live targets and used
+    # path vertices, the frontier of canonical k-cliques, and the path.
+    reserve = [_draw(rng, pools[m], [], n_tilde) for m in range(t)]
+    targets = [_draw(rng, pools[m], [reserve[m]], n_tilde) for m in range(t)]
+    used = [set() for _ in range(t)]
+    frontier = frozenset()
+    path: list = []
+
+    def failure(stage: str, step: Optional[int], detail: str, fraction=None) -> EmbedFailure:
+        sizes = {
+            "step": 0 if step is None else step,
+            "reserve": [len(r) for r in reserve],
+            "targets": [len(x) for x in targets],
+            "used": [len(u) for u in used],
+            "frontier": len(frontier),
+        }
+        return EmbedFailure(stage=stage, step=step, detail=detail, sizes=sizes, fraction=fraction)
+
+    def expands_well(clique: tuple, view: TupleView, to_window: int):
+        """The trace of ``clique`` expanded to ``to_window`` when its reach
+        there is at least the success fraction of the reference count, else
+        None."""
+        trace = expand_through(
+            CliqueSet(0, k, frozenset([clique])), view, to_window, exp_params, keep_bp=True
+        )
+        x_ref, _ = reference_count(view, to_window, k, params.d, params.p)
+        return trace if trace.counts[-1] >= threshold * x_ref else None
+
+    def target_draws(labels: tuple, tail: list):
+        """Up to retries + 1 fresh target tuples, window m drawn from
+        stream(seed, *labels, attempt, m) outside its reserve, path and live
+        targets; each comes with the view of the last k live targets, the
+        fresh tuple and ``tail``. Yields (None, None) and stops when a window
+        pool runs dry."""
+        for attempt in range(params.retries + 1):
+            fresh = [
+                _draw(
+                    stream(params.seed, *labels, attempt, m),
+                    pools[m],
+                    [reserve[m], used[m], targets[m]],
+                    n_tilde,
+                )
+                for m in range(t)
+            ]
+            if any(f is None for f in fresh):
+                yield None, None
+                return
+            yield fresh, TupleView(graph, [targets[t - k + j] for j in range(k)] + fresh + tail)
 
     # Anchor: one clique expanding forward to the last target block and
     # backward through the reserve tuple.
-    fwd_view = TupleView(graph, state.targets)
-    bwd_parts = [state.targets[k - 1 - j] for j in range(k)] + [
-        state.reserve[t - 1 - j] for j in range(t)
-    ]
+    fwd_view = TupleView(graph, targets)
+    bwd_parts = [targets[k - 1 - j] for j in range(k)] + [reserve[t - 1 - j] for j in range(t)]
     bwd_view = TupleView(graph, bwd_parts)
-    anchor = None
     for cand in enumerate_canonical_cliques(fwd_view, 0, k).sorted():
-        fwd = expand_through(
-            CliqueSet(0, k, frozenset([cand])), fwd_view, t - k, exp_params, keep_bp=True
-        )
-        x_fwd, _ = reference_count(fwd_view, t - k, k, params.d, params.p)
-        if fwd.counts[-1] < threshold * x_fwd:
+        fwd = expands_well(cand, fwd_view, t - k)
+        if fwd is None:
             continue
-        rev = tuple(reversed(cand))
-        bwd = expand_through(
-            CliqueSet(0, k, frozenset([rev])), bwd_view, t, exp_params, keep_bp=True
-        )
-        x_bwd, _ = reference_count(bwd_view, t, k, params.d, params.p)
-        if bwd.counts[-1] >= threshold * x_bwd:
-            anchor = cand
+        bwd = expands_well(tuple(reversed(cand)), bwd_view, t)
+        if bwd is not None:
             break
-    if anchor is None:
-        return EmbedFailure(stage="anchor", detail="no clique expands both ways", sizes=state.sizes())
+    else:
+        return failure("anchor", None, "no clique expands both ways")
 
-    state.anchor = anchor
-    state.anchor_back_reach = bwd.counts[-1]
     # Backward reach, reoriented as canonical copies of the first k reserves.
     kstar_back = {tuple(reversed(c)) for c in bwd.final.members}
-    bwd_bp = bwd.back_pointers
     frontier = fwd.final.members
     bp_prev = fwd.back_pointers
-    path: list = []
-    state.step = 1
-    state.frontier_size = len(frontier)
 
     def append_round(chosen: tuple, skip: int) -> None:
         """Realize the round ending at ``chosen`` from the stored predecessor
@@ -439,137 +444,73 @@ def embed_power_cycle(
         if len(new) != t:
             raise RuntimeError(f"round realized {len(new)} vertices, expected {t}")
         for m, v in enumerate(new):
-            if v in state.used[m]:
+            if v in used[m]:
                 raise RuntimeError(f"vertex {v} reused in window {m}")
-            state.used[m].add(v)
+            used[m].add(v)
         path.extend(new)
 
-    def audit() -> None:
+    def audit(step: int) -> None:
         for m in range(t):
-            res, tgt, usd = set(state.reserve[m]), set(state.targets[m]), state.used[m]
+            res, tgt, usd = set(reserve[m]), set(targets[m]), used[m]
             if res & tgt or res & usd or tgt & usd:
-                raise RuntimeError(f"window {m}: reserve/targets/path overlap at step {state.step}")
-            if len(usd) != state.step - 1:
-                raise RuntimeError(
-                    f"window {m}: {len(usd)} path vertices at step {state.step}"
-                )
+                raise RuntimeError(f"window {m}: reserve/targets/path overlap at step {step}")
+            if len(usd) != step - 1:
+                raise RuntimeError(f"window {m}: {len(usd)} path vertices at step {step}")
 
     for s in range(1, s_final):
-        audit()
-        result = None
-        for attempt in range(params.retries + 1):
-            fresh = [
-                _draw(
-                    stream(params.seed, 43, s, attempt, m),
-                    pools[m],
-                    [state.reserve[m], state.used[m], state.targets[m]],
-                    n_tilde,
-                )
-                for m in range(t)
-            ]
-            if any(f is None for f in fresh):
-                return EmbedFailure(
-                    stage="extend",
-                    step=s,
-                    detail="window pool exhausted",
-                    sizes=state.sizes(),
-                )
-            windows = [state.targets[t - k + j] for j in range(k)] + fresh
-            view = TupleView(graph, windows)
+        audit(s)
+        for fresh, view in target_draws((43, s), []):
+            if fresh is None:
+                return failure("extend", s, "window pool exhausted")
             try:
                 res = find_expander(
                     CliqueSet(0, k, frozenset(frontier)), view, k + t, exp_params, keep_bp=True
                 )
             except ValueError as err:
-                return EmbedFailure(
-                    stage="extend", step=s, detail=str(err), sizes=state.sizes()
-                )
+                return failure("extend", s, str(err))
             if res.found:
-                result = (res, fresh)
                 break
-        if result is None:
-            return EmbedFailure(
-                stage="extend",
-                step=s,
-                detail=f"no expander after {params.retries + 1} target draws",
-                sizes=state.sizes(),
-                fraction=res.best_fraction,
+        else:
+            return failure(
+                "extend", s, f"no expander after {params.retries + 1} target draws", res.best_fraction
             )
-        res, fresh = result
         append_round(res.clique, 0 if s == 1 else k)
-        state.targets = fresh
+        targets = fresh
         frontier = res.reach.members
         bp_prev = res.back_pointers
-        state.step = s + 1
-        state.frontier_size = len(frontier)
 
     # Closing: connect the frontier through a fresh tuple into the reserves
     # and splice with the anchor's backward reach.
-    audit()
+    audit(s_final)
     closing = None
-    for attempt in range(params.retries + 1):
-        fresh = [
-            _draw(
-                stream(params.seed, 47, attempt, m),
-                pools[m],
-                [state.reserve[m], state.used[m], state.targets[m]],
-                n_tilde,
-            )
-            for m in range(t)
-        ]
-        if any(f is None for f in fresh):
-            return EmbedFailure(
-                stage="closing", step=s_final, detail="window pool exhausted", sizes=state.sizes()
-            )
-        windows = (
-            [state.targets[t - k + j] for j in range(k)]
-            + fresh
-            + [state.reserve[j] for j in range(k)]
-        )
-        view = TupleView(graph, windows)
-        x_close, _ = reference_count(view, t + k, k, params.d, params.p)
+    for fresh, view in target_draws((47,), reserve[:k]):
+        if fresh is None:
+            return failure("closing", s_final, "window pool exhausted")
         for cand in sorted(frontier):
-            trace = expand_through(
-                CliqueSet(0, k, frozenset([cand])), view, t + k, exp_params, keep_bp=True
-            )
-            if trace.counts[-1] < threshold * x_close:
-                continue
-            meet = sorted(trace.final.members & kstar_back)
+            trace = expands_well(cand, view, t + k)
+            meet = [] if trace is None else sorted(trace.final.members & kstar_back)
             if meet:
                 closing = (cand, meet[0], trace)
                 break
         if closing is not None:
             break
     if closing is None:
-        return EmbedFailure(
-            stage="closing",
-            step=s_final,
-            detail="no frontier clique reaches the anchor's backward set",
-            sizes=state.sizes(),
-        )
+        return failure("closing", s_final, "no frontier clique reaches the anchor's backward set")
 
     chosen, q, trace = closing
     append_round(chosen, 0 if s_final == 1 else k)
     close_verts = reconstruct_path(0, trace.back_pointers, q)
     path.extend(close_verts[k:])  # one vertex per fresh window, then q itself
-    back_verts = reconstruct_path(0, bwd_bp, tuple(reversed(q)))
+    back_verts = reconstruct_path(0, bwd.back_pointers, tuple(reversed(q)))
     tail = back_verts[k : k + (t - k)]
     path.extend(reversed(tail))
 
     cycle_out = PowerCycle(tuple(int(v) for v in path), k)
     ok, violation = verify_power_cycle(graph, cycle_out)
     if not ok:
-        return EmbedFailure(
-            stage="verify",
-            step=s_final,
-            detail=f"violating pair {violation}",
-            sizes=state.sizes(),
-        )
+        return failure("verify", s_final, f"violating pair {violation}")
     if len(cycle_out) < (1 - params.eps) * graph.n:
-        return EmbedFailure(
-            stage="length",
-            step=s_final,
-            detail=f"cycle on {len(cycle_out)} of {graph.n} vertices misses (1-eps)N",
-            sizes=state.sizes(),
+        return failure(
+            "length", s_final, f"cycle on {len(cycle_out)} of {graph.n} vertices misses (1-eps)N"
         )
     return cycle_out

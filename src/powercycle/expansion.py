@@ -8,7 +8,9 @@ extends it to a canonical K_{k+1} on the (k+1)-window. Frontiers are stored as
 maps from (k-1)-suffixes to head bitmasks, so one step is a batch of bitset
 intersections; only the current frontier is kept, with an optional
 one-predecessor-per-copy layer for reconstructing a single connecting k-path
-on demand.
+on demand. One frontier-advance loop serves both ``expand_through``, which
+records per-window counts, and the bisection rounds of ``find_expander``,
+which need only the reach count at one window.
 
 Reach fractions are reported against two normalizations of the reference
 count for a window block: the measured one (product of window sizes and
@@ -28,6 +30,7 @@ from .graph_core import (
     bit_indices,
     count_canonical_cliques,
     enumerate_canonical_cliques,
+    expected_clique_count,
 )
 from .models import stream
 from .typicality import TypicalityParams, check_super_typical
@@ -44,8 +47,6 @@ __all__ = [
     "halving_audit",
     "reference_count",
     "reconstruct_path",
-    "encode_frontier",
-    "decode_frontier",
 ]
 
 
@@ -101,15 +102,11 @@ def reference_count(
     """(measured, nominal) reference counts for the K_k block at a window.
     Measured multiplies window sizes by measured pair densities; nominal uses
     (alpha p)^{e(K_k)} and is None unless both alpha and p are given."""
-    measured = 1.0
-    for d in range(k):
-        measured *= view.sizes[window_start + d]
-    nominal = measured if (alpha is not None and p is not None) else None
-    for a in range(k):
-        for b in range(a + 1, k):
-            measured *= float(view.density(window_start + a, window_start + b))
-    if nominal is not None:
-        nominal *= (alpha * p) ** (k * (k - 1) // 2)
+    measured = expected_clique_count(view, range(window_start, window_start + k))
+    nominal = None
+    if alpha is not None and p is not None:
+        edges = k * (k - 1) // 2
+        nominal = math.prod(view.sizes[window_start : window_start + k]) * (alpha * p) ** edges
     return measured, nominal
 
 
@@ -149,6 +146,21 @@ def _expand_once(rows, frontier: dict, next_mask: int, bp: Optional[dict] = None
     return new
 
 
+def _advance(
+    view: TupleView, frontier: dict, first: int, to_window: int, k: int, bps: Optional[list] = None
+):
+    """Step a frontier anchored at window ``first`` one window at a time up to
+    ``to_window``, yielding (window, frontier) after each step. When ``bps``
+    is a list, one predecessor layer per step is appended to it."""
+    rows = view.graph.rows
+    for w in range(first, to_window):
+        bp: Optional[dict] = None if bps is None else {}
+        frontier = _expand_once(rows, frontier, view.part_mask(w + k), bp)
+        if bps is not None:
+            bps.append(bp)
+        yield w + 1, frontier
+
+
 def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
     """Exact one-window expansion of a clique set."""
     k = start.order
@@ -183,21 +195,6 @@ class ExpansionTrace:
     def final_fraction(self) -> float:
         return self.fractions[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "powercycle/expansion-trace-v1",
-            "start_window": self.start_window,
-            "to_window": self.to_window,
-            "order": self.order,
-            "start_size": self.start_size,
-            "counts": [int(c) for c in self.counts],
-            "fractions": [float(f) for f in self.fractions],
-            "fractions_nominal": None
-            if self.fractions_nominal is None
-            else [float(f) for f in self.fractions_nominal],
-            "warn_short_ell": self.warn_short_ell,
-        }
-
 
 def _short_ell(view: TupleView, k: int, ell: int) -> bool:
     n_host = view.graph.n
@@ -227,14 +224,9 @@ def expand_through(
     fractions = [counts[0] / measured if measured > 0 else 0.0]
     fractions_nom = None if nominal is None else [counts[0] / nominal if nominal else 0.0]
     bps: Optional[list] = [] if keep_bp else None
-    rows = view.graph.rows
-    for w in range(i, to_window):
-        bp: Optional[dict] = {} if keep_bp else None
-        frontier = _expand_once(rows, frontier, view.part_mask(w + k), bp)
-        if keep_bp:
-            bps.append(bp)
+    for w, frontier in _advance(view, frontier, i, to_window, k, bps):
         counts.append(_frontier_size(frontier))
-        measured, nominal = reference_count(view, w + 1, k, alpha, p)
+        measured, nominal = reference_count(view, w, k, alpha, p)
         fractions.append(counts[-1] / measured if measured > 0 else 0.0)
         if fractions_nom is not None:
             fractions_nom.append(counts[-1] / nominal if nominal else 0.0)
@@ -288,7 +280,6 @@ def find_expander(
     ell: int,
     params: ExpansionParams,
     keep_bp: bool = False,
-    scan_cap: Optional[int] = None,
 ) -> ExpanderResult:
     """Search ``start`` for a single clique that expands to at least
     (1 - 20 k delta) of the reference count at the final block of an
@@ -321,9 +312,8 @@ def find_expander(
 
     def reach_count_at(members, to_window) -> int:
         frontier = _frontier_of(members, k)
-        rows = view.graph.rows
-        for w in range(ws, to_window):
-            frontier = _expand_once(rows, frontier, view.part_mask(w + k))
+        for _, frontier in _advance(view, frontier, ws, to_window, k):
+            pass
         return _frontier_size(frontier)
 
     candidates = start.sorted()
@@ -345,8 +335,6 @@ def find_expander(
         block += 1
 
     ordered = candidates + [c for c in start.sorted() if c not in set(candidates)]
-    if scan_cap is not None:
-        ordered = ordered[:scan_cap]
     best_clique, best_fraction = None, -1.0
     scanned = 0
     for cand in ordered:
@@ -458,62 +446,3 @@ def halving_audit(
         "all_ok": all(s["ok"] for s in splits),
     }
 
-
-def encode_frontier(cliques: CliqueSet, n: int) -> bytes:
-    """Compact run-length dump of a clique set for debugging: cliques are
-    ranked lexicographically in the full n-ary tuple space and the sorted
-    rank gaps are varint-encoded."""
-    ranks = []
-    for c in cliques.sorted():
-        r = 0
-        for v in c:
-            r = r * n + v
-        ranks.append(r)
-    out = bytearray()
-    out += len(cliques).to_bytes(4, "big")
-    out += cliques.order.to_bytes(2, "big")
-    out += cliques.window_start.to_bytes(2, "big")
-    out += n.to_bytes(4, "big")
-    prev = 0
-    for r in ranks:
-        gap = r - prev
-        prev = r
-        while True:
-            byte = gap & 0x7F
-            gap >>= 7
-            if gap:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return bytes(out)
-
-
-def decode_frontier(blob: bytes) -> CliqueSet:
-    count = int.from_bytes(blob[0:4], "big")
-    order = int.from_bytes(blob[4:6], "big")
-    window_start = int.from_bytes(blob[6:8], "big")
-    n = int.from_bytes(blob[8:12], "big")
-    pos = 12
-    ranks = []
-    prev = 0
-    for _ in range(count):
-        gap = 0
-        shift = 0
-        while True:
-            byte = blob[pos]
-            pos += 1
-            gap |= (byte & 0x7F) << shift
-            shift += 7
-            if not byte & 0x80:
-                break
-        prev += gap
-        ranks.append(prev)
-    members = []
-    for r in ranks:
-        c = []
-        for _ in range(order):
-            c.append(r % n)
-            r //= n
-        members.append(tuple(reversed(c)))
-    return CliqueSet(window_start, order, frozenset(members))

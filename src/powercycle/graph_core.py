@@ -33,9 +33,9 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "complete_multipartite",
-    "density",
     "enumerate_canonical_cliques",
     "count_canonical_cliques",
+    "expected_clique_count",
     "common_neighborhood",
     "min_degree",
     "bit_indices",
@@ -107,9 +107,6 @@ class Graph:
                 int.from_bytes(packed[v].tobytes(), "little") for v in range(self.n)
             )
         return self._rows
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
@@ -232,11 +229,6 @@ class TupleView:
         return f"TupleView(t={self.t}, sizes={self.sizes})"
 
 
-def density(view: TupleView, i: int, j: int) -> Fraction:
-    """Exact density of the pair (V_i, V_j) of a view."""
-    return view.density(i, j)
-
-
 @dataclass(frozen=True)
 class CliqueSet:
     """A set of canonical cliques sharing a window of a TupleView."""
@@ -273,22 +265,11 @@ def _window_masks(view: TupleView, window_start: int, order: int) -> list:
     return [view.part_mask(window_start + d) for d in range(order)]
 
 
-def enumerate_canonical_cliques(
-    view: TupleView,
-    window_start: int,
-    order: int,
-    first_part_subset: Optional[Iterable[int]] = None,
-) -> CliqueSet:
+def enumerate_canonical_cliques(view: TupleView, window_start: int, order: int) -> CliqueSet:
     """Exactly enumerate canonical copies of K_order in the window starting at
-    ``window_start``.
-
-    Intersects adjacency bitsets front to back over the window order.
-    ``first_part_subset`` restricts the first coordinate, which lets callers
-    split the enumeration for data parallelism.
-    """
+    ``window_start``, intersecting adjacency bitsets front to back over the
+    window order."""
     masks = _window_masks(view, window_start, order)
-    if first_part_subset is not None:
-        masks[0] &= mask_of(first_part_subset)
     rows = view.graph.rows
     out = []
 
@@ -332,6 +313,20 @@ def count_canonical_cliques(view: TupleView, window_start: int, order: int) -> i
     return total
 
 
+def expected_clique_count(view: TupleView, indices: Sequence[int]) -> float:
+    """Canonical-clique count on the parts ``indices`` that the measured
+    densities predict: the product of the part sizes, then of the pair
+    densities for a < b. Callers compare these floats bit for bit, so the
+    multiplication order is fixed."""
+    expected = 1.0
+    for i in indices:
+        expected *= view.sizes[i]
+    for a in range(len(indices)):
+        for b in range(a + 1, len(indices)):
+            expected *= float(view.density(indices[a], indices[b]))
+    return expected
+
+
 def common_neighborhood(graph: Graph, seed_vertices, target) -> np.ndarray:
     """Vertices of ``target`` adjacent to every vertex of ``seed_vertices``.
 
@@ -361,14 +356,43 @@ def save_graph(graph: Graph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _int_pair(tokens: list, where: str) -> tuple:
+    if len(tokens) == 2:
+        try:
+            return int(tokens[0]), int(tokens[1])
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: expected two integers, got {' '.join(tokens)!r}")
+
+
 def load_graph(path) -> Graph:
+    """Read a file written by ``save_graph``. Raises ValueError naming the line
+    for a malformed header or edge line, a duplicate edge, or an edge count
+    that differs from the header's."""
     with open(path) as fh:
-        header = fh.readline().split()
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for _ in range(m):
-            u, v = fh.readline().split()
-            edges.append((int(u), int(v)))
+        lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header 'n m'")
+    header_no, header = lines[0]
+    n, m = _int_pair(header, f"{path} line {header_no} (header)")
+    if n < 0 or m < 0:
+        raise ValueError(f"{path} line {header_no} (header): n and m must be non-negative")
+    edges = []
+    seen = set()
+    no = header_no
+    for no, tokens in lines[1:]:
+        if len(edges) == m:
+            raise ValueError(f"{path} line {no}: more edge lines than the header's m={m}")
+        u, v = _int_pair(tokens, f"{path} line {no}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"{path} line {no}: duplicate edge {key}")
+        seen.add(key)
+        edges.append((u, v))
+    if len(edges) < m:
+        raise ValueError(
+            f"{path} line {no + 1}: file ends after {len(edges)} of the header's m={m} edges"
+        )
     return Graph.from_edges(n, edges)
 
 

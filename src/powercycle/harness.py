@@ -24,7 +24,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
 
-from . import graph_core, models, regularity, typicality, expansion, embedder
+from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
 
 TRIAL_SCHEMA = "powercycle/trial-v1"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
@@ -172,12 +172,7 @@ def _run_count_audit(params: dict, seed: int) -> tuple:
         pattern = graph_core.complete_graph(t)
         _, view = models.gen_blowup(pattern, n, p, seed)
         count = graph_core.count_canonical_cliques(view, 0, t)
-        expected = 1.0
-        for i in range(t):
-            expected *= view.sizes[i]
-        for i in range(t):
-            for j in range(i + 1, t):
-                expected *= float(view.density(i, j))
+        expected = graph_core.expected_clique_count(view, range(t))
         ratio = count / expected if expected else math.inf
         ok = (1 - delta) <= ratio <= (1 + delta)
         return {"count": count, "expected": expected, "ratio": ratio}, ok
@@ -251,12 +246,26 @@ def _run_typicality_audit(params: dict, seed: int) -> tuple:
     return measured, report.super_typical
 
 
+def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> graph_core.CliqueSet:
+    """Random start set of max(least, ceil(fraction * x)) canonical K_k copies
+    in the first window, x its measured reference count; drawn from
+    stream(seed, 59)."""
+    all_start = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
+    x_start, _ = expansion.reference_count(view, 0, k)
+    m = max(least, math.ceil(fraction * x_start))
+    rng = models.stream(seed, 59)
+    picks = rng.choice(len(all_start), size=min(m, len(all_start)), replace=False)
+    return graph_core.CliqueSet(0, k, frozenset(all_start[int(i)] for i in picks))
+
+
 def _run_expansion_audit(params: dict, seed: int) -> tuple:
     mode = params.get("mode", "one-step")
+    if mode not in ("one-step", "main", "halving"):
+        raise ValueError(f"params.mode: unknown expansion-audit mode {mode!r}")
     k, n, p = params["k"], params["n"], params["p"]
     delta = params["delta"]
+    exp = expansion.ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
     if mode == "one-step":
-        exp = expansion.ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
         typ = typicality.TypicalityParams(
             epsilon=params.get("cert_epsilon", 0.45),
             delta=params.get("cert_delta", 0.45),
@@ -272,16 +281,9 @@ def _run_expansion_audit(params: dict, seed: int) -> tuple:
             return {"refused": True, "failing": err.failing}, False
         bound = kappa - 3 * kappa * delta - 6 * delta
         return {"fraction": frac, "bound": bound}, frac >= bound
+    _, view = models.gen_blowup(_path_power_pattern(2 * k, k), n, p, seed)
     if mode == "main":
-        exp = expansion.ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
-        pattern = _path_power_pattern(2 * k, k)
-        _, view = models.gen_blowup(pattern, n, p, seed)
-        all_start = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
-        x_start, _ = expansion.reference_count(view, 0, k)
-        m = max(1, math.ceil(delta * x_start))
-        rng = models.stream(seed, 59)
-        picks = rng.choice(len(all_start), size=min(m, len(all_start)), replace=False)
-        start = graph_core.CliqueSet(0, k, frozenset(all_start[int(i)] for i in picks))
+        start = _sample_start(view, k, delta, 1, seed)
         trace = expansion.expand_through(start, view, k, exp)
         bound = 1 - 10 * delta
         return {
@@ -289,25 +291,15 @@ def _run_expansion_audit(params: dict, seed: int) -> tuple:
             "final_fraction": trace.final_fraction,
             "bound": bound,
         }, trace.final_fraction >= bound
-    if mode == "halving":
-        exp = expansion.ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
-        pattern = _path_power_pattern(2 * k, k)
-        _, view = models.gen_blowup(pattern, n, p, seed)
-        all_start = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
-        x_start, _ = expansion.reference_count(view, 0, k)
-        m = max(2, math.ceil(params.get("start_fraction", delta) * x_start))
-        rng = models.stream(seed, 59)
-        picks = rng.choice(len(all_start), size=min(m, len(all_start)), replace=False)
-        start = graph_core.CliqueSet(0, k, frozenset(all_start[int(i)] for i in picks))
-        audit = expansion.halving_audit(start, view, exp, params.get("n_splits", 3), seed)
-        ok = (not audit["start_qualifies"]) or audit["all_ok"]
-        return {
-            "start_qualifies": audit["start_qualifies"],
-            "start_fraction": audit["start_fraction"],
-            "splits_ok": audit["all_ok"],
-            "best_half_fractions": [s["best_half_fraction"] for s in audit["splits"]],
-        }, ok
-    raise ValueError(f"params.mode: unknown expansion-audit mode {mode!r}")
+    start = _sample_start(view, k, params.get("start_fraction", delta), 2, seed)
+    audit = expansion.halving_audit(start, view, exp, params.get("n_splits", 3), seed)
+    ok = (not audit["start_qualifies"]) or audit["all_ok"]
+    return {
+        "start_qualifies": audit["start_qualifies"],
+        "start_fraction": audit["start_fraction"],
+        "splits_ok": audit["all_ok"],
+        "best_half_fractions": [s["best_half_fraction"] for s in audit["splits"]],
+    }, ok
 
 
 def _path_power_pattern(length: int, k: int) -> graph_core.Graph:
@@ -419,7 +411,7 @@ def _run_oracle_compare(params: dict, seed: int) -> tuple:
                 view.graph, [view.parts[i][: sizes[i]] for i in range(t)]
             )
             fast = graph_core.count_canonical_cliques(view, 0, t)
-            slow = len(_naive_canonical(view, 0, t))
+            slow = len(oracles.naive_canonical_cliques(view, 0, t))
             checks += 1
             mismatches += fast != slow
         return {"checks": checks, "mismatches": mismatches}, mismatches == 0
@@ -440,33 +432,11 @@ def _run_oracle_compare(params: dict, seed: int) -> tuple:
             picks = rng.choice(len(full), size=take, replace=False)
             start = graph_core.CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
             fast = expansion.expand_step(start, view).members
-            slow = _naive_expand(view, start)
+            slow = oracles.naive_expand_step(view, start)
             checks += 1
             mismatches += fast != slow
         return {"checks": checks, "mismatches": mismatches}, mismatches == 0
     raise ValueError(f"params.mode: unknown oracle-compare mode {mode!r}")
-
-
-def _naive_canonical(view, window_start: int, order: int) -> list:
-    """Nested-loop enumeration oracle, independent of the bitset path."""
-    import itertools
-
-    out = []
-    parts = [view.parts[window_start + d].tolist() for d in range(order)]
-    adj = view.graph.adj
-    for combo in itertools.product(*parts):
-        if all(adj[combo[a], combo[b]] for a in range(order) for b in range(a + 1, order)):
-            out.append(tuple(combo))
-    return out
-
-
-def _naive_expand(view, start) -> frozenset:
-    """Brute-force expansion oracle: enumerate canonical K_{k+1} copies on the
-    (k+1)-window and project those whose prefix lies in the start set."""
-    k = start.order
-    i = start.window_start
-    bigger = _naive_canonical(view, i, k + 1)
-    return frozenset(c[1:] for c in bigger if c[:-1] in start.members)
 
 
 _RUNNERS = {
@@ -604,11 +574,18 @@ def resilience_sweep(config: ExperimentConfig, out_dir=None) -> dict:
     if config.kind != "resilience-sweep":
         raise ValueError(f"kind: expected resilience-sweep, got {config.kind!r}")
     summary = run_experiment(config, out_dir=out_dir)
-    curve = {}
-    for r in config.params["r_grid"]:
-        subset = [rec for rec in summary.records if rec["measured"].get("r") == r]
-        curve[r] = sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0
+    curve = {r: frac for r, frac, _ in _ok_curve(config, summary.records)}
     return {"curve": curve, "summary": summary}
+
+
+def _ok_curve(config: ExperimentConfig, records: list) -> list:
+    """(r, ok fraction, trials) for each r of a sweep's grid, in grid order."""
+    curve = []
+    for r in config.params["r_grid"]:
+        subset = [rec for rec in records if rec["measured"].get("r") == r]
+        frac = sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0
+        curve.append((r, frac, len(subset)))
+    return curve
 
 
 def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path) -> None:
@@ -628,10 +605,8 @@ def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path
     if config.kind == "resilience-sweep":
         with open(out_dir / f"{stem}.curve.tsv", "w") as fh:
             fh.write("r\tok_fraction\tn\n")
-            for r in config.params["r_grid"]:
-                subset = [rec for rec in summary.records if rec["measured"].get("r") == r]
-                frac = sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0
-                fh.write(f"{r}\t{frac}\t{len(subset)}\n")
+            for r, frac, n in _ok_curve(config, summary.records):
+                fh.write(f"{r}\t{frac}\t{n}\n")
 
 
 def load_records(path) -> list:

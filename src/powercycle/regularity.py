@@ -235,7 +235,6 @@ class RegularPartition:
     regular_pairs: frozenset = frozenset()
     useful_pairs: frozenset = frozenset()
     partner_ok: Optional[bool] = None
-    expected_regular: frozenset = frozenset()
     parent: Optional[list] = None
 
     @property
@@ -401,9 +400,8 @@ def chunk_partition(
     partition: RegularPartition, q: int, seed: int, eps_prime: Optional[float] = None
 ) -> RegularPartition:
     """Split every class uniformly at random into floor(size/q) chunks of size
-    exactly q; leftovers below q join the exceptional class. Chunk pairs whose
-    parent pair was useful are tagged expected-regular (density within
-    (1 +/- eps') of the parent's)."""
+    exactly q; leftovers below q join the exceptional class. ``parent`` maps
+    each chunk to the class it came from."""
     if q > partition.class_size:
         raise ValueError(f"chunk size {q} exceeds class size {partition.class_size}")
     if eps_prime is None:
@@ -420,14 +418,6 @@ def chunk_partition(
             parent.append(i)
         leftovers.append(shuffled[nfull * q :])
     exceptional = np.sort(np.concatenate(leftovers))
-
-    expected = set()
-    for a in range(len(chunks)):
-        for b in range(a + 1, len(chunks)):
-            if parent[a] != parent[b]:
-                pp = (min(parent[a], parent[b]), max(parent[a], parent[b]))
-                if pp in partition.useful_pairs:
-                    expected.add((a, b))
     return RegularPartition(
         exceptional=exceptional,
         classes=chunks,
@@ -438,7 +428,6 @@ def chunk_partition(
         regular_pairs=frozenset(),
         useful_pairs=frozenset(),
         partner_ok=None,
-        expected_regular=frozenset(expected),
         parent=parent,
     )
 

@@ -24,6 +24,7 @@ from .graph_core import (
     bit_indices,
     count_canonical_cliques,
     enumerate_canonical_cliques,
+    expected_clique_count,
 )
 from .regularity import check_regular_sampled
 
@@ -220,16 +221,6 @@ def is_typical_clique(
     )
 
 
-def _expected_count(view: TupleView, indices: Sequence[int]) -> float:
-    expected = 1.0
-    for i in indices:
-        expected *= view.sizes[i]
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            expected *= float(view.density(indices[a], indices[b]))
-    return expected
-
-
 def check_super_typical(
     view: TupleView, params: TypicalityParams, seed: int = 0
 ) -> TypicalityReport:
@@ -253,9 +244,9 @@ def check_super_typical(
         "right": count_canonical_cliques(view.subview(right), 0, t - 1),
     }
     expected_counts = {
-        "middle": _expected_count(view, middle),
-        "left": _expected_count(view, left),
-        "right": _expected_count(view, right),
+        "middle": expected_clique_count(view, middle),
+        "left": expected_clique_count(view, left),
+        "right": expected_clique_count(view, right),
     }
     verdicts = {
         name: _within(clique_counts[name], expected_counts[name], delta)

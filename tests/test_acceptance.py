@@ -45,7 +45,7 @@ from powercycle.expansion import (
 from powercycle.embedder import exact_longest_power_cycle
 from powercycle.harness import ExperimentConfig, TrialRecord, replay, run_experiment
 
-from oracles import naive_canonical_cliques, naive_expand_step
+from powercycle.oracles import naive_canonical_cliques, naive_expand_step
 
 WORKERS = max(1, min(2, os.cpu_count() or 1))
 

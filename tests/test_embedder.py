@@ -23,7 +23,7 @@ from powercycle.embedder import (
     verify_power_cycle,
 )
 
-from oracles import naive_canonical_cliques
+from powercycle.oracles import naive_canonical_cliques
 
 
 def circulant(N, k):
@@ -90,6 +90,12 @@ class TestClusterCycleSearch:
     def test_cap_refusal(self):
         red = ReducedGraph(t0=20, edges=frozenset(), density={})
         with pytest.raises(ValueError, match="cap"):
+            find_cluster_power_cycle(red, 2)
+
+    def test_invalid_result_raises(self, monkeypatch):
+        monkeypatch.setattr(ClusterCycle, "validate", lambda self, reduced: False)
+        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)), density={})
+        with pytest.raises(RuntimeError, match="fails its own validation"):
             find_cluster_power_cycle(red, 2)
 
 

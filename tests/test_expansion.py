@@ -16,8 +16,6 @@ from powercycle.typicality import TypicalityParams
 from powercycle.expansion import (
     ExpansionParams,
     PreconditionError,
-    decode_frontier,
-    encode_frontier,
     expand_step,
     expand_through,
     find_expander,
@@ -27,7 +25,7 @@ from powercycle.expansion import (
     reference_count,
 )
 
-from oracles import naive_expand_step
+from powercycle.oracles import naive_expand_step
 
 
 def path_power_blowup(windows, k, n, p, seed):
@@ -294,20 +292,3 @@ class TestParamsAndFormats:
         assert measured == 20.0 and nominal == 20.0
         measured, nominal = reference_count(view, 0, 2)
         assert nominal is None
-
-    def test_frontier_roundtrip(self):
-        _, view = gen_blowup(complete_graph(3), 9, 0.5, seed=3)
-        cliques = enumerate_canonical_cliques(view, 0, 3)
-        blob = encode_frontier(cliques, view.graph.n)
-        back = decode_frontier(blob)
-        assert back.members == cliques.members
-        assert back.order == cliques.order and back.window_start == cliques.window_start
-
-    def test_trace_serializes(self):
-        import json
-
-        _, view = complete_multipartite([3, 3, 3])
-        start = enumerate_canonical_cliques(view, 0, 2)
-        trace = expand_through(start, view, 1)
-        blob = json.loads(json.dumps(trace.to_dict()))
-        assert blob["counts"] == [9, 9]

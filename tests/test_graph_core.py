@@ -10,7 +10,6 @@ from powercycle.graph_core import (
     complete_graph,
     complete_multipartite,
     count_canonical_cliques,
-    density,
     empty_graph,
     enumerate_canonical_cliques,
     load_graph,
@@ -21,7 +20,7 @@ from powercycle.graph_core import (
 )
 from powercycle.models import ModelParams, gen_blowup, gen_gnp, stream
 
-from oracles import naive_canonical_cliques
+from powercycle.oracles import naive_canonical_cliques
 
 
 def random_multipartite(rng, t, sizes, p):
@@ -68,17 +67,17 @@ class TestGraph:
 class TestDensity:
     def test_complete_bipartite_density_one(self):
         _, view = complete_multipartite([3, 4])
-        assert density(view, 0, 1) == 1
+        assert view.density(0, 1) == 1
 
     def test_no_edges_density_zero(self):
         g = empty_graph(7)
         view = TupleView(g, [range(3), range(3, 7)])
-        assert density(view, 0, 1) == 0
+        assert view.density(0, 1) == 0
 
     def test_single_edge_exact_quarter(self):
         g = Graph.from_edges(4, [(0, 2)])
         view = TupleView(g, [[0, 1], [2, 3]])
-        assert density(view, 0, 1) == Fraction(1, 4)
+        assert view.density(0, 1) == Fraction(1, 4)
 
     def test_symmetric_and_relabel_invariant(self):
         rng = stream(11)
@@ -139,7 +138,7 @@ class TestEnumeration:
         assert expected == 6
         assert count_canonical_cliques(trimmed, 0, 3) == expected
 
-    def test_matches_naive_oracle(self):
+    def test_matches_brute_force_oracle(self):
         rng = stream(17)
         for _ in range(25):
             t = int(rng.integers(2, 5))
@@ -149,15 +148,6 @@ class TestEnumeration:
             slow = naive_canonical_cliques(view, 0, t)
             assert fast.members == frozenset(slow)
             assert count_canonical_cliques(view, 0, t) == len(slow)
-
-    def test_first_part_split_partitions_enumeration(self):
-        rng = stream(19)
-        view = random_multipartite(rng, 3, [8, 6, 6], 0.5)
-        full = enumerate_canonical_cliques(view, 0, 3).members
-        first = view.parts[0]
-        lo = enumerate_canonical_cliques(view, 0, 3, first_part_subset=first[:4]).members
-        hi = enumerate_canonical_cliques(view, 0, 3, first_part_subset=first[4:]).members
-        assert lo | hi == full and not (lo & hi)
 
     def test_window_out_of_range(self):
         _, view = complete_multipartite([2, 2])
@@ -233,3 +223,30 @@ class TestSerialization:
         save_graph(g, p1)
         save_graph(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("3\n0 1\n", 1, "two integers"),
+            ("3 -1\n", 1, "non-negative"),
+            ("4 x\n0 1\n", 1, "two integers"),
+            ("4 3\n0 1\n1 2\n", 4, "file ends after 2"),
+            ("4 1\n0 1\n1 2\n", 3, "more edge lines"),
+            ("4 2\n0 1\n1 2 3\n", 3, "two integers"),
+            ("4 2\n0 1\n1 0\n", 3, "duplicate edge"),
+        ],
+        ids=[
+            "header-one-field",
+            "header-negative",
+            "header-not-int",
+            "too-few-edges",
+            "too-many-edges",
+            "edge-not-two-ints",
+            "duplicate-edge",
+        ],
+    )
+    def test_malformed_file_names_line(self, tmp_path, text, line, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}\\b.*{reason}"):
+            load_graph(path)

@@ -22,7 +22,7 @@ from powercycle.models import (
     stream,
 )
 
-from oracles import triangles_at
+from powercycle.oracles import triangles_at
 
 
 class TestParams:

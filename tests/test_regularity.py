@@ -15,7 +15,7 @@ from powercycle.regularity import (
     inheritance_stats,
 )
 
-from oracles import naive_density, naive_max_deviation
+from powercycle.oracles import naive_density, naive_max_deviation
 
 
 def half_dense_pair(n):

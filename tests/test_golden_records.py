@@ -91,6 +91,20 @@ GOLDEN = {
         {True: 2},
         "11030dd1d1478023768422c8796a5be05ab074fd4572fa10a242d238d9bd21bd",
     ),
+    "regularity-partition": (
+        "regularity-audit",
+        {"mode": "partition", "N": 80, "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4, "trials": 30},
+        [0, 1],
+        {True: 1, False: 1},
+        "604786f52090207d56a407616f58d993e495382409cb06a3f5324c4cb3a9186a",
+    ),
+    "regularity-inheritance": (
+        "regularity-audit",
+        {"mode": "inheritance", "n": 40, "p": 0.5, "q": 16, "eps_prime": 0.3, "samples": 20, "min_fraction": 0.5, "epsilon": 0.3, "d": 0.5},
+        [0, 1],
+        {True: 2},
+        "7628cc93f3acef185d63e4d5fc6c57f7688c50d5483bc1eb142b12342db361a3",
+    ),
     "typicality": (
         "typicality-audit",
         {"t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4, "trials": 20},

@@ -21,6 +21,7 @@ from powercycle import (
     complete_multipartite,
     gen_gnp,
     inheritance_stats,
+    stream,
 )
 
 g, view = complete_multipartite([10, 10])
@@ -38,7 +39,7 @@ print(
     f"half-dense pair: {verdict.status}, deviation {verdict.deviation:.3f}, "
     f"witness sizes ({len(w1)}, {len(w2)})"
 )
-sampled = check_regular_sampled(half, range(n), range(n, 2 * n), 0.4, 1.0, trials=10_000, seed=0)
+sampled = check_regular_sampled(half, range(n), range(n, 2 * n), 0.4, 1.0, trials=10_000, rng=stream(0, 7))
 print(f"same pair, sampled refuter with 10^4 trials: {sampled.status}")
 
 print()

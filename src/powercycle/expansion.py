@@ -70,7 +70,6 @@ class ExpansionParams:
 
     k: int
     delta: float
-    kappa: float = 0.5
     alpha: Optional[float] = None
     p: Optional[float] = None
 
@@ -266,7 +265,6 @@ class ExpanderResult:
     clique: Optional[tuple]
     reach: Optional[CliqueSet]
     fraction: float
-    best_clique: Optional[tuple]
     best_fraction: float
     bisection_rounds: int
     scanned: int
@@ -289,8 +287,8 @@ def find_expander(
     at least (1/2 - 5 k delta), preferring the lexicographically first half
     when both qualify - until the candidate set is a singleton or no window
     room remains, then scan candidates by exhaustive per-clique reach,
-    starting with the survivors. Not-found results carry the best clique seen
-    and its reach fraction.
+    starting with the survivors. Not-found results carry the best reach
+    fraction seen.
     """
     k = params.k
     params.require_search_regime()
@@ -316,7 +314,7 @@ def find_expander(
             pass
         return _frontier_size(frontier)
 
-    candidates = start.sorted()
+    members = candidates = start.sorted()
     rounds = 0
     max_block = ell // k - 2
     block = 1
@@ -334,8 +332,9 @@ def find_expander(
         rounds += 1
         block += 1
 
-    ordered = candidates + [c for c in start.sorted() if c not in set(candidates)]
-    best_clique, best_fraction = None, -1.0
+    survivors = set(candidates)
+    ordered = candidates + [c for c in members if c not in survivors]
+    best_fraction = -1.0
     scanned = 0
     for cand in ordered:
         scanned += 1
@@ -343,15 +342,13 @@ def find_expander(
             CliqueSet(ws, k, frozenset([cand])), view, final_window, params, keep_bp=keep_bp
         )
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
-        if fraction > best_fraction:
-            best_clique, best_fraction = cand, fraction
+        best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
             return ExpanderResult(
                 found=True,
                 clique=cand,
                 reach=trace.final,
                 fraction=fraction,
-                best_clique=cand,
                 best_fraction=fraction,
                 bisection_rounds=rounds,
                 scanned=scanned,
@@ -363,7 +360,6 @@ def find_expander(
         clique=None,
         reach=None,
         fraction=0.0,
-        best_clique=best_clique,
         best_fraction=best_fraction,
         bisection_rounds=rounds,
         scanned=scanned,

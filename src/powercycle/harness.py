@@ -26,7 +26,7 @@ from typing import Optional
 
 from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
 
-TRIAL_SCHEMA = "powercycle/trial-v1"
+TRIAL_SCHEMA = "powercycle/trial-v2"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
 
 KINDS = (
@@ -621,8 +621,13 @@ def load_records(path) -> list:
 
 def replay(config: ExperimentConfig, record: dict) -> tuple:
     """Re-run one stored trial and compare everything but timing, bit-exactly.
-    Raises on a config-hash mismatch (the stored record belongs to another
+    Raises on a record of another trial schema (its draws are not this code's)
+    and on a config-hash mismatch (the stored record belongs to another
     config)."""
+    if record.get("schema") != TRIAL_SCHEMA:
+        raise ValueError(
+            f"trial schema mismatch: record {record.get('schema')!r} vs this code's {TRIAL_SCHEMA!r}"
+        )
     if record["config_hash"] != config.hash:
         raise ValueError(
             f"config hash mismatch: record {record['config_hash']} vs config {config.hash}"

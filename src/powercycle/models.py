@@ -6,6 +6,27 @@ every platform and regardless of thread schedule. Sub-streams are derived by
 extending the entropy path rather than by drawing from a parent stream, which
 keeps parallel trials bit-identical to serial ones.
 
+Every draw of the package comes from ``stream(seed, tag, ...)`` with one tag
+per call site and no arithmetic on seeds:
+
+    0  gen_gnp                      37  typical_vertices (v, j, l)
+    1  gen_blowup                   41  embedder reserves, targets
+    2  adversary_partite            43  embedder extend draws (s, attempt, m)
+    3  adversary_random             47  embedder closing draws (attempt, m)
+   11  build_nice_partition         53  count-audit vertex sets
+   13  chunk_partition              59  expansion-audit start sets
+   17  inheritance_stats samples    61  oracle-compare instances
+   19  pair survey (round, i, j)    67  typical clique copy (*copy)
+   23  one-step audit start         71  super-typical tuple pair (i, j)
+   29  halving audit splits
+   31  inheritance_stats check (s)
+
+Paths that differ only by trailing zeros name the same stream (the entropy is
+a word list, so ``stream(5, 17) == stream(5, 17, 0)``), and an entry of 2^32 or
+more spills into a second word. Hence each tag keeps a fixed path length, its
+entries stay below 2^32, and the bare ``stream(seed)`` is never used: it is
+``gen_gnp``'s ``stream(seed, 0)``.
+
 Every adversary returns a spanning subgraph of its input together with an
 ``AdversaryReport`` recording what was deleted and whether a per-vertex
 deletion budget was respected.
@@ -180,24 +201,15 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     budget = np.floor(r * graph.degrees()).astype(np.int64)
     order = rng.permutation(len(edges))
     adj = graph.adj.copy()
-    used = np.zeros(graph.n, dtype=np.int64)
     bud = budget.tolist()
-    cnt = used.tolist()
+    cnt = [0] * graph.n
     for idx in order.tolist():
         u, v = edges[idx]
         if cnt[u] < bud[u] and cnt[v] < bud[v]:
             adj[u, v] = adj[v, u] = False
             cnt[u] += 1
             cnt[v] += 1
-    after = Graph(adj)
-    per_vertex = np.asarray(cnt, dtype=np.int64)
-    report = AdversaryReport(
-        deleted_edges=int(per_vertex.sum()) // 2,
-        per_vertex_deleted=per_vertex,
-        min_degree_after=min_degree(after),
-        budget=budget,
-    )
-    return after, report
+    return _report(graph, adj, budget)
 
 
 def partite_blocker_sizes(N: int, k: int) -> list:

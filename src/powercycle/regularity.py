@@ -39,30 +39,28 @@ __all__ = [
 EXACT_SIDE_CAP = 24
 EXACT_FULL_ENUM_CAP = 16
 EXACT_MISSING_CAP = 4
+# The sampled refuter draws subsets of this fraction of each side (and never
+# fewer than eps of it).
+SUBSET_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class RegularityParams:
     """Knobs shared by the partition pipeline: deviation scale eps*p, density
-    threshold d*p for a pair to count as useful, chunk size q, and the
-    partner-fraction mu with slack nu."""
+    threshold d*p for a pair to count as useful, the partner fraction mu, and
+    the trial budget of each sampled pair check."""
 
     epsilon: float
     p: float
     d: float = 0.5
-    q: int = 1
     mu: float = 0.5
-    nu: float = 0.05
     trials: int = 200
-    subset_fraction: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not (0.0 < self.d <= 1.0):
             raise ValueError(f"d must lie in (0,1], got {self.d}")
-        if self.q < 1:
-            raise ValueError(f"q must be at least 1, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -186,24 +184,23 @@ def check_regular_sampled(
     eps: float,
     p: float,
     trials: int,
-    subset_fraction: float = 0.5,
-    seed: int = 0,
+    rng: np.random.Generator,
     tol: float = 1e-12,
 ) -> RegularityVerdict:
     """One-sided Monte Carlo refuter: sample qualifying subset pairs of a
-    single size and report the first deviation beyond eps*p. Never certifies;
-    with no refuting sample the verdict is undetermined."""
+    single size from ``rng``, the caller's own named stream, and report the
+    first deviation beyond eps*p. Never certifies; with no refuting sample the
+    verdict is undetermined."""
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     n1, n2 = len(V1), len(V2)
     if trials <= 0:
         return RegularityVerdict("undetermined", 0.0, "sampled")
-    q1 = min(n1, max(math.ceil(subset_fraction * n1), math.ceil(eps * n1), 1))
-    q2 = min(n2, max(math.ceil(subset_fraction * n2), math.ceil(eps * n2), 1))
+    q1 = min(n1, max(math.ceil(SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
+    q2 = min(n2, max(math.ceil(SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
     A = graph.adj[np.ix_(V1, V2)].astype(np.float32)
     d = float(A.sum()) / (n1 * n2)
 
-    rng = stream(seed, 7)
     idx1 = np.argpartition(rng.random((trials, n1)), q1 - 1, axis=1)[:, :q1]
     idx2 = np.argpartition(rng.random((trials, n2)), q2 - 1, axis=1)[:, :q2]
     S1 = np.zeros((trials, n1), dtype=np.float32)
@@ -292,9 +289,11 @@ class RegularPartition:
 
 
 def _pair_survey(
-    graph: Graph, classes: list, params: RegularityParams, seed: int, tol: float = 1e-9
+    graph: Graph, classes: list, params: RegularityParams, seed: int, round_idx: int
 ) -> tuple:
-    """Refute pairs with the sampled checker and record exact densities."""
+    """Refute pairs with the sampled checker, pair (i, j) of refinement round
+    ``round_idx`` drawing from stream(seed, 19, round_idx, i, j), and record
+    exact densities."""
     densities: dict = {}
     refuted: dict = {}
     regular = set()
@@ -311,14 +310,13 @@ def _pair_survey(
                 params.epsilon,
                 params.p,
                 trials=params.trials,
-                subset_fraction=params.subset_fraction,
-                seed=seed + 1_000_003 * (i * len(classes) + j),
+                rng=stream(seed, 19, round_idx, i, j),
             )
             if verdict.refuted:
                 refuted[(i, j)] = verdict
             else:
                 regular.add((i, j))
-                if float(dens) >= params.d * params.p - tol:
+                if float(dens) >= params.d * params.p - 1e-9:
                     useful.add((i, j))
     return densities, refuted, regular, useful
 
@@ -345,9 +343,7 @@ def build_nice_partition(
     exceptional = np.sort(perm[m * size :])
 
     for round_idx in range(max_rounds + 1):
-        densities, refuted, regular, useful = _pair_survey(
-            graph, classes, params, seed + 17 * round_idx
-        )
+        densities, refuted, regular, useful = _pair_survey(graph, classes, params, seed, round_idx)
         if not refuted or round_idx == max_rounds or 2 * len(classes) > class_cap:
             break
         # Witness split: cut each refuted class by its first witness, then
@@ -446,7 +442,8 @@ def inheritance_stats(
     tol: float = 1e-12,
 ) -> float:
     """Fraction of random (Q1, Q2) with |Qi| = qi that inherit regularity:
-    unrefuted at eps' and of density within (1 +/- eps') of the parent pair."""
+    unrefuted at eps' and of density within (1 +/- eps') of the parent pair.
+    Samples come from stream(seed, 17), the check of sample s from stream(seed, 31, s)."""
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     if q1 > len(V1) or q2 > len(V2):
@@ -463,7 +460,7 @@ def inheritance_stats(
         if not (lo <= d_sub <= hi):
             continue
         verdict = check_regular_sampled(
-            graph, Q1, Q2, eps_prime, p, trials=inner_trials, seed=seed + 7919 * (s + 1)
+            graph, Q1, Q2, eps_prime, p, trials=inner_trials, rng=stream(seed, 31, s)
         )
         if not verdict.refuted:
             good += 1

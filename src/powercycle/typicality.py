@@ -6,7 +6,8 @@ densities of the view rather than nominal model densities: that removes
 generator variance from verdicts, and the multiplicative tolerance windows
 absorb exactly the remaining per-vertex fluctuation. Regularity sub-checks use
 the sampled refuter with a fixed trial budget; "regular" here always means
-"not refuted within budget".
+"not refuted within budget". Each sub-check draws from its own named stream
+of the audit seed: tags 37 (vertex), 67 (clique copy) and 71 (tuple pair).
 
 All counts come from graph_core enumeration; nothing in this module counts
 cliques on its own.
@@ -26,6 +27,7 @@ from .graph_core import (
     enumerate_canonical_cliques,
     expected_clique_count,
 )
+from .models import stream
 from .regularity import check_regular_sampled
 
 __all__ = [
@@ -48,7 +50,6 @@ class TypicalityParams:
     delta: float
     p: float
     trials: int = 200
-    subset_fraction: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -92,19 +93,11 @@ def _within(value: float, center: float, rel: float, tol: float = 1e-9) -> bool:
     return (1 - rel) * center - tol <= value <= (1 + rel) * center + tol
 
 
-def _fold(vertices: tuple) -> int:
-    """Deterministic integer label for a vertex tuple, used to split seeds."""
-    h = 0
-    for v in vertices:
-        h = (h * 1_000_003 + int(v) + 1) % (1 << 31)
-    return h
-
-
 def _pair_ok(
-    graph, ids_a, ids_b, eps: float, params: TypicalityParams, center: float, seed: int
+    graph, ids_a, ids_b, eps: float, params: TypicalityParams, center: float, path: tuple
 ) -> bool:
-    """Sampled check that a neighbourhood pair is unrefuted at (eps, p) and has
-    density within (1 +/- eps) of the given centre."""
+    """Sampled check, drawn from stream(*path), that a neighbourhood pair is
+    unrefuted at (eps, p) and has density within (1 +/- eps) of the given centre."""
     if len(ids_a) == 0 or len(ids_b) == 0:
         # Degenerate pair: density 0; acceptable only when nothing is expected.
         return _within(0.0, center, eps)
@@ -112,14 +105,7 @@ def _pair_ok(
     if not _within(d, center, eps):
         return False
     verdict = check_regular_sampled(
-        graph,
-        ids_a,
-        ids_b,
-        eps,
-        params.p,
-        trials=params.trials,
-        subset_fraction=params.subset_fraction,
-        seed=seed,
+        graph, ids_a, ids_b, eps, params.p, trials=params.trials, rng=stream(*path)
     )
     return not verdict.refuted
 
@@ -161,10 +147,7 @@ def typical_vertices(
                     nj = np.fromiter(bit_indices(row & view.part_mask(j)), dtype=np.int64)
                     nl = np.fromiter(bit_indices(row & view.part_mask(l)), dtype=np.int64)
                     center = float(view.density(j, l))
-                    if not _pair_ok(
-                        graph, nj, nl, eps, params, center,
-                        seed + 1_000_003 * v + 97 * j + l,
-                    ):
+                    if not _pair_ok(graph, nj, nl, eps, params, center, (seed, 37, v, j, l)):
                         ok = False
                         break
                 if not ok:
@@ -203,7 +186,7 @@ def _typical_copy(
     ids_a = np.fromiter(bit_indices(nbr_masks[0]), dtype=np.int64)
     ids_b = np.fromiter(bit_indices(nbr_masks[1]), dtype=np.int64)
     center = float(view.density(target_idx[0], target_idx[1]))
-    return _pair_ok(graph, ids_a, ids_b, rel, params, center, seed)
+    return _pair_ok(graph, ids_a, ids_b, rel, params, center, (seed, 67, *copy))
 
 
 def is_typical_clique(
@@ -256,9 +239,7 @@ def check_super_typical(
     middle_copies = enumerate_canonical_cliques(view.subview(middle), 0, t - 2)
     n_typ = 0
     for copy in middle_copies.sorted():
-        if _typical_copy(
-            view, copy, middle, (0, t - 1), delta, params, seed + _fold(copy)
-        ):
+        if _typical_copy(view, copy, middle, (0, t - 1), delta, params, seed):
             n_typ += 1
     typ_expected = expected_counts["middle"]
     verdicts["typical_cliques"] = n_typ >= (1 - delta) * typ_expected - 1e-9
@@ -276,8 +257,7 @@ def check_super_typical(
                     params.epsilon,
                     params.p,
                     trials=params.trials,
-                    subset_fraction=params.subset_fraction,
-                    seed=seed + 7919 * (i * t + j),
+                    rng=stream(seed, 71, i, j),
                 )
                 if verdict.refuted:
                     tuple_ok = False

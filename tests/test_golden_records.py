@@ -95,29 +95,29 @@ GOLDEN = {
         "regularity-audit",
         {"mode": "partition", "N": 80, "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4, "trials": 30},
         [0, 1],
-        {True: 1, False: 1},
-        "604786f52090207d56a407616f58d993e495382409cb06a3f5324c4cb3a9186a",
+        {False: 2},
+        "e86a18e533e5b7f076e4763562eaa1fcb47603727a99c4ab2e30ae3059e6f09f",
     ),
     "regularity-inheritance": (
         "regularity-audit",
         {"mode": "inheritance", "n": 40, "p": 0.5, "q": 16, "eps_prime": 0.3, "samples": 20, "min_fraction": 0.5, "epsilon": 0.3, "d": 0.5},
         [0, 1],
         {True: 2},
-        "7628cc93f3acef185d63e4d5fc6c57f7688c50d5483bc1eb142b12342db361a3",
+        "c43d3cb9414b48d116412252e343966526eda04a20e51642de5253c95f728d36",
     ),
     "typicality": (
         "typicality-audit",
         {"t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4, "trials": 20},
         [0, 1],
         {True: 2},
-        "5976681943a6ef3ea04cc875e67fead8383ce24080249f6ea6f7f82a2345f0dd",
+        "c4f5c827339bf5f730b0c76e62cc21236af883a2e2eef47293d9b10b062247e8",
     ),
     "typicality-four-parts": (
         "typicality-audit",
         {"t": 4, "n": 10, "p": 0.7, "epsilon": 0.4, "delta": 0.4, "trials": 20},
         [0, 1],
         {False: 2},
-        "d927cb7be1b7e183278044d6ca2105bfcc577a295bae9a5f5d58a9f02f2701bd",
+        "e69a45f06d28e6a6226ac9ad9d328d22b7ccac6fb47f39ef1e7f4f230636865d",
     ),
 }
 

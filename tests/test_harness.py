@@ -178,6 +178,12 @@ class TestReplay:
         with pytest.raises(ValueError, match="hash"):
             replay(drifted, records[0])
 
+    def test_other_schema_raises(self):
+        cfg, records = self._config_and_records()
+        stale = {**records[0], "schema": "powercycle/trial-v1"}
+        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v2"):
+            replay(cfg, stale)
+
 
 class TestResilienceSweep:
     def test_r_zero_matches_no_adversary_baseline(self):

@@ -74,23 +74,23 @@ class TestExact:
 class TestSampled:
     def test_complete_bipartite_never_refuted(self):
         g, view = complete_multipartite([20, 20])
-        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=500, seed=1)
+        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=500, rng=stream(1, 7))
         assert verdict.status == "undetermined"
 
     def test_zero_trials_undetermined(self):
         g, view = complete_multipartite([10, 10])
-        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=0, seed=1)
+        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=0, rng=stream(1, 7))
         assert verdict.status == "undetermined"
 
     def test_half_dense_refuted_reliably(self):
         g, V1, V2 = half_dense_pair(8)
         for seed in range(5):
-            verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, seed=seed)
+            verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, rng=stream(seed, 7))
             assert verdict.refuted
 
     def test_witness_is_qualifying_and_violating(self):
         g, V1, V2 = half_dense_pair(8)
-        verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, seed=3)
+        verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, rng=stream(3, 7))
         w1, w2 = verdict.witness
         assert len(w1) >= math.ceil(0.4 * 8) and len(w2) >= math.ceil(0.4 * 8)
         dev = abs(naive_density(g, w1.tolist(), w2.tolist()) - naive_density(g, V1, V2))
@@ -103,7 +103,7 @@ class TestSampled:
             g = gen_gnp(ModelParams(N=2 * n, p=float(rng.uniform(0.3, 0.7)), seed=trial + 50))
             V1, V2 = list(range(n)), list(range(n, 2 * n))
             eps = 0.4
-            sampled = check_regular_sampled(g, V1, V2, eps, 1.0, trials=5000, seed=trial)
+            sampled = check_regular_sampled(g, V1, V2, eps, 1.0, trials=5000, rng=stream(trial, 7))
             if sampled.refuted:
                 assert check_regular_exact(g, V1, V2, eps, 1.0).refuted
 
@@ -250,7 +250,7 @@ class TestChunking:
             for _ in range(3):
                 q1 = view.parts[0][rng.permutation(120)[:40]]
                 q2 = view.parts[1][rng.permutation(120)[:40]]
-                verdict = check_regular_sampled(g, q1, q2, 0.25, 0.5, trials=300, seed=seed)
+                verdict = check_regular_sampled(g, q1, q2, 0.25, 0.5, trials=300, rng=stream(seed, 7))
                 total += 1
                 refuted += verdict.refuted
         assert refuted / total <= 0.05

@@ -10,6 +10,7 @@ from powercycle.graph_core import (
     empty_graph,
     enumerate_canonical_cliques,
 )
+from powercycle import typicality
 from powercycle.models import ModelParams, gen_blowup, gen_gnp, stream
 from powercycle.typicality import (
     TypicalityParams,
@@ -133,6 +134,25 @@ class TestSuperTypical:
         report = check_super_typical(view, params(p=1.0), seed=1)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert "super_typical" in blob
+
+    def test_every_sampled_check_has_its_own_stream(self, monkeypatch):
+        # Two consecutive audit seeds must never hand two regularity checks
+        # the same stream: record each check's entropy path and Philox key.
+        paths, keys = [], []
+        original = typicality.check_regular_sampled
+
+        def recording(*args, rng, **kwargs):
+            paths.append(tuple(rng.bit_generator.seed_seq.entropy))
+            keys.append(tuple(rng.bit_generator.state["state"]["key"]))
+            return original(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(typicality, "check_regular_sampled", recording)
+        for seed in (0, 1):
+            _, view = gen_blowup(complete_graph(4), 40, 0.5, seed)
+            check_super_typical(view, params(), seed=seed)
+        assert len(paths) > 1000
+        assert len(set(paths)) == len(paths)
+        assert len(set(keys)) == len(keys)
 
 
 class TestCountUpperCheck:

@@ -21,6 +21,13 @@ GOLDEN = {
         {"ok": 3},
         "efc8ac588a699900ace2cad4e3acb4fc6e7bdf9af31f097d07a01455d5d17a8e",
     ),
+    "embed-random-knee": (
+        "embed",
+        {**TOY, "N": 400, "p": 0.5, "adversary": {"kind": "random", "r": 0.45}},
+        [0, 1],
+        {"cluster-cycle": 2},
+        "b293bb53cd4c84b12520a729b79b1dcdb6d3e9441fdb153b2f49ec4b96abca6f",
+    ),
     "embed-chunked": (
         "embed",
         {**TOY, "r_chunks": 2},

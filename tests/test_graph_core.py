@@ -217,6 +217,14 @@ class TestSerialization:
         back = load_parts(view.graph, path)
         assert all(np.array_equal(a, b) for a, b in zip(back.parts, view.parts))
 
+    def test_save_text_is_pinned(self, tmp_path):
+        g = Graph.from_edges(6, [(3, 1), (0, 4), (5, 2), (1, 2), (0, 1), (4, 5)])
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        assert path.read_bytes() == b"6 6\n0 1\n0 4\n1 2\n1 3\n2 5\n4 5\n"
+        save_graph(empty_graph(3), path)
+        assert path.read_bytes() == b"3 0\n"
+
     def test_save_is_byte_stable(self, tmp_path):
         g = gen_gnp(ModelParams(N=30, p=0.5, seed=2))
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -194,6 +195,33 @@ class TestAdversaryRandom:
         b, _ = adversary_random(g, 0.3, seed=7)
         assert a == b
         assert not (a.adj & ~g.adj).any()
+
+    # sha256 of the thinned adjacency bytes and of per_vertex_deleted, and the
+    # report, at the acceptance size; these pin the deletion order exactly.
+    PINNED = {
+        0.1: (
+            "0384e5b603f37128b504d851a16c6d85a78cd0f31d7d0c29748cf65d2d5c6f03",
+            "589d97a8cf57ce782c773b701828d8e80d8a26caeca6ebf8f1088c56d0a869e3",
+            {"deleted_edges": 156708, "min_degree_after": 877, "max_vertex_deleted": 113, "budget_respected": True},
+        ),
+        0.45: (
+            "e4cc4731544fc4a495b810059f6dd5c9fff58b722e8ca5cb78e9eafc210fc470",
+            "0e01a872e5f1628ad5e0d8040c3a56104ace69ac593b70287092e5ffc42e3669",
+            {"deleted_edges": 707510, "min_degree_after": 536, "max_vertex_deleted": 511, "budget_respected": True},
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def acceptance_host(self):
+        return gen_gnp(ModelParams(N=3000, p=0.35, seed=0))
+
+    @pytest.mark.parametrize("r", sorted(PINNED))
+    def test_pinned_at_acceptance_size(self, acceptance_host, r):
+        adj_sha, per_vertex_sha, report_dict = self.PINNED[r]
+        thinned, report = adversary_random(acceptance_host, r, seed=0)
+        assert hashlib.sha256(thinned.adj.tobytes()).hexdigest() == adj_sha
+        assert hashlib.sha256(report.per_vertex_deleted.tobytes()).hexdigest() == per_vertex_sha
+        assert report.to_dict() == report_dict
 
 
 class TestExtremalBlocker:

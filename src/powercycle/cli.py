@@ -84,6 +84,8 @@ def main(argv=None) -> int:
                 "kind": summary.kind,
                 "trials": summary.n_trials,
                 "ok_fraction": summary.ok_fraction,
+                "stages": summary.stats["stages"],
+                "errors": summary.stats["errors"],
                 "assertions_passed": summary.assertions_passed,
             },
             indent=2,

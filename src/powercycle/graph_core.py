@@ -120,10 +120,10 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def edges(self) -> list:
-        """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        iu, iv = np.nonzero(np.triu(self.adj, 1))
-        return list(zip(iu.tolist(), iv.tolist()))
+    def edges(self) -> np.ndarray:
+        """All edges as an (m, 2) int64 array of rows (u, v) with u < v, in
+        lexicographic order."""
+        return np.argwhere(np.triu(self.adj, 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(
@@ -351,7 +351,7 @@ def min_degree(graph: Graph) -> int:
 
 def save_graph(graph: Graph, path) -> None:
     lines = [f"{graph.n} {graph.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
+    lines.extend(f"{u} {v}" for u, v in graph.edges().tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

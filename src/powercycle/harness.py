@@ -19,6 +19,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -477,20 +478,28 @@ def _run_trial(args: tuple) -> dict:
 class ExperimentSummary:
     config_hash: str
     kind: str
-    n_trials: int
-    ok_fraction: float
-    metrics: dict
+    stats: dict  # summarize_records(records)
     assertions_passed: bool
     records: list
+
+    @property
+    def n_trials(self) -> int:
+        return self.stats["n_trials"]
+
+    @property
+    def ok_fraction(self) -> float:
+        return self.stats["ok_fraction"]
+
+    @property
+    def metrics(self) -> dict:
+        return self.stats["metrics"]
 
     def to_dict(self) -> dict:
         return {
             "schema": SUMMARY_SCHEMA,
             "config_hash": self.config_hash,
             "kind": self.kind,
-            "n_trials": self.n_trials,
-            "ok_fraction": self.ok_fraction,
-            "metrics": self.metrics,
+            **self.stats,
             "assertions_passed": self.assertions_passed,
         }
 
@@ -509,11 +518,19 @@ def _numeric_metrics(records: list) -> dict:
 
 
 def summarize_records(records: list) -> dict:
-    """Per-metric mean/min/max and the ok fraction, recomputable from any
-    JSONL stream of trial records."""
+    """Per-metric mean/min/max, the ok fraction, the tally of embed stages
+    (``measured["stage"]``) and the number of crashed trials (records with an
+    ``error``), recomputable from any JSONL stream of trial records."""
     n = len(records)
     ok_fraction = sum(1 for r in records if r["ok"]) / n if n else 0.0
-    return {"n_trials": n, "ok_fraction": ok_fraction, "metrics": _numeric_metrics(records)}
+    stages = Counter(r["measured"]["stage"] for r in records if "stage" in r["measured"])
+    return {
+        "n_trials": n,
+        "ok_fraction": ok_fraction,
+        "metrics": _numeric_metrics(records),
+        "stages": dict(sorted(stages.items())),
+        "errors": sum(1 for r in records if "error" in r["measured"]),
+    }
 
 
 def _check_assertions(config: ExperimentConfig, records: list) -> bool:
@@ -553,15 +570,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     else:
         records = [_run_trial(task) for task in tasks]
 
-    stats = summarize_records(records)
-    passed = _check_assertions(config, records)
     summary = ExperimentSummary(
         config_hash=chash,
         kind=config.kind,
-        n_trials=stats["n_trials"],
-        ok_fraction=stats["ok_fraction"],
-        metrics=stats["metrics"],
-        assertions_passed=passed,
+        stats=summarize_records(records),
+        assertions_passed=_check_assertions(config, records),
         records=records,
     )
     if out_dir is not None:

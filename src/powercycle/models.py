@@ -131,7 +131,7 @@ def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
     N = t * n
     adj = np.zeros((N, N), dtype=bool)
     # Fixed pattern-edge order makes the draw order part of the contract.
-    for i, j in pattern.edges():
+    for i, j in pattern.edges().tolist():
         block = rng.random((n, n)) < p
         adj[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
         adj[j * n : (j + 1) * n, i * n : (i + 1) * n] = block.T
@@ -190,26 +190,72 @@ def adversary_triangle_killer(graph: Graph, victims: Sequence[int]) -> tuple:
     return _report(graph, adj)
 
 
+# Segments at or below this many live edges are settled by the sequential rule.
+_LEAF_EDGES = 256
+
+
 def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     """Delete edges in uniformly random order, skipping any edge whose
     endpoints' budgets floor(r * d_G(v)) are exhausted. Deletion never exceeds
-    the budget at any vertex, by construction."""
+    the budget at any vertex, by construction.
+
+    The rule is greedy and order-dependent, but most of it is settled on
+    arrays (``_settle``) with exactly the sequential outcome, using two facts.
+    Deletion counts only rise, so an edge with an exhausted endpoint stays
+    undeletable. And within a segment of the order, a vertex whose count plus
+    its live edges in the segment is at most its budget ("safe") cannot run
+    out there, so a live edge with two safe endpoints is deleted whatever the
+    order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0,1], got {r}")
     rng = stream(seed, 3)
     edges = graph.edges()
     budget = np.floor(r * graph.degrees()).astype(np.int64)
     order = rng.permutation(len(edges))
+    us, vs = np.take(edges[:, 0], order), np.take(edges[:, 1], order)
+    deleted: list = []
+    _settle(us, vs, np.zeros(graph.n, dtype=np.int64), budget, deleted)
+    du, dv = (np.concatenate(side) for side in zip(*deleted))
     adj = graph.adj.copy()
-    bud = budget.tolist()
-    cnt = [0] * graph.n
-    for idx in order.tolist():
-        u, v = edges[idx]
-        if cnt[u] < bud[u] and cnt[v] < bud[v]:
-            adj[u, v] = adj[v, u] = False
-            cnt[u] += 1
-            cnt[v] += 1
+    adj[du, dv] = False
+    adj[dv, du] = False
     return _report(graph, adj, budget)
+
+
+def _settle(us, vs, cnt, budget, deleted: list) -> None:
+    """Apply the greedy budgeted rule to the edges (us[i], vs[i]) in order,
+    given the deletion counts ``cnt`` of all edges before them: append the
+    deleted edges to ``deleted`` as (u array, v array) and raise ``cnt``.
+
+    Deleting the safe-safe edges of a segment up front raises only safe
+    vertices' counts, and a safe vertex stays below its budget for every later
+    edge of the segment, so the rest of the segment and its halves see the
+    same decisions as the sequential rule."""
+    below = cnt < budget
+    live = below[us] & below[vs]
+    us, vs = us[live], vs[live]
+    if len(us) <= _LEAF_EDGES:
+        du, dv = [], []
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if cnt[u] < budget[u] and cnt[v] < budget[v]:
+                cnt[u] += 1
+                cnt[v] += 1
+                du.append(u)
+                dv.append(v)
+        deleted.append((np.array(du, dtype=np.int64), np.array(dv, dtype=np.int64)))
+        return
+    n = len(cnt)
+    safe = cnt + np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) <= budget
+    free = safe[us] & safe[vs]
+    if free.any():
+        fu, fv = us[free], vs[free]
+        cnt += np.bincount(fu, minlength=n) + np.bincount(fv, minlength=n)
+        deleted.append((fu, fv))
+        rest = ~free
+        us, vs = us[rest], vs[rest]
+    half = len(us) // 2
+    _settle(us[:half], vs[:half], cnt, budget, deleted)
+    _settle(us[half:], vs[half:], cnt, budget, deleted)
 
 
 def partite_blocker_sizes(N: int, k: int) -> list:

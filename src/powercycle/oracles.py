@@ -2,11 +2,16 @@
 
 These deliberately avoid the library's bitset paths: enumeration is nested
 loops over part products, expansion is projection of naively enumerated
-(k+1)-cliques, regularity is literal subset-pair enumeration. Keep them dumb.
+(k+1)-cliques, regularity is literal subset-pair enumeration, the random
+adversary is its greedy rule one edge at a time. Keep them dumb.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
+
+from .models import _report, stream
 
 
 def naive_canonical_cliques(view, window_start, order):
@@ -59,3 +64,22 @@ def triangles_at(graph, v):
             if graph.adj[nbrs[i], nbrs[j]]:
                 out.append((v, nbrs[i], nbrs[j]))
     return out
+
+
+def sequential_random_adversary(graph, r, seed):
+    """``models.adversary_random`` edge by edge: walk the permuted edge order
+    and delete each edge whose endpoints are both below budget."""
+    rng = stream(seed, 3)
+    edges = graph.edges().tolist()
+    budget = np.floor(r * graph.degrees()).astype(np.int64)
+    order = rng.permutation(len(edges))
+    adj = graph.adj.copy()
+    bud = budget.tolist()
+    cnt = [0] * graph.n
+    for idx in order.tolist():
+        u, v = edges[idx]
+        if cnt[u] < bud[u] and cnt[v] < bud[v]:
+            adj[u, v] = adj[v, u] = False
+            cnt[u] += 1
+            cnt[v] += 1
+    return _report(graph, adj, budget)

@@ -80,12 +80,26 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert summary.ok_fraction == 0.0
         assert "error" in summary.records[0]["measured"]
+        assert summary.to_dict()["errors"] == 1 and summary.to_dict()["stages"] == {}
+
+    def test_summary_tallies_stages_and_errors(self):
+        records = [
+            {"ok": True, "measured": {"stage": "ok", "coverage": 0.9}},
+            {"ok": False, "measured": {"stage": "extend", "coverage": 0.0}},
+            {"ok": False, "measured": {"stage": "extend"}},
+            {"ok": False, "measured": {"error": "RuntimeError: audit failed"}},
+        ]
+        stats = summarize_records(records)
+        assert stats["stages"] == {"extend": 2, "ok": 1}
+        assert stats["errors"] == 1
+        assert stats["n_trials"] == 4 and stats["ok_fraction"] == 0.25
 
     def test_embed_smoke_on_complete_host(self):
         cfg = ExperimentConfig(kind="embed", params=tiny_embed_params(), seeds=[0, 1])
         summary = run_experiment(cfg)
         assert summary.ok_fraction == 1.0
         assert all(r["measured"]["coverage"] >= 0.5 for r in summary.records)
+        assert summary.to_dict()["stages"] == {"ok": 2} and summary.to_dict()["errors"] == 0
 
     def test_assertions_drive_pass_flag(self):
         cfg = ExperimentConfig(
@@ -228,7 +242,9 @@ class TestCli:
         )
         code = cli_main(["count-audit", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "ok_fraction" in capsys.readouterr().out
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["ok_fraction"] == 1.0
+        assert printed["stages"] == {} and printed["errors"] == 0
 
     def test_seed_range_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

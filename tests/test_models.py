@@ -23,7 +23,7 @@ from powercycle.models import (
     stream,
 )
 
-from powercycle.oracles import triangles_at
+from powercycle.oracles import sequential_random_adversary, triangles_at
 
 
 class TestParams:
@@ -195,6 +195,29 @@ class TestAdversaryRandom:
         b, _ = adversary_random(g, 0.3, seed=7)
         assert a == b
         assert not (a.adj & ~g.adj).any()
+
+    @pytest.mark.parametrize(
+        "make, r",
+        [
+            (lambda: empty_graph(1), 0.5),
+            (lambda: empty_graph(12), 0.5),
+            (lambda: complete_graph(20), 1.0),
+            (lambda: gen_gnp(ModelParams(N=200, p=0.35, seed=8)), 0.0),
+            # Vertices 20..29 are isolated and the matching edges' ends have
+            # degree 1, so their budgets floor(0.5 * d) are 0.
+            (lambda: Graph.from_edges(30, [(u, u + 1) for u in range(0, 20, 2)] + [(0, 2), (1, 3)]), 0.5),
+            (lambda: gen_gnp(ModelParams(N=1200, p=0.35, seed=9)), 0.1),
+            (lambda: gen_gnp(ModelParams(N=1200, p=0.35, seed=9)), 0.45),
+        ],
+        ids=["one-vertex", "empty", "K20-r1", "r0", "budget-zero-vertices", "gnp1200-r0.1", "gnp1200-r0.45"],
+    )
+    def test_matches_sequential_oracle(self, make, r):
+        graph = make()
+        fast, fast_report = adversary_random(graph, r, seed=11)
+        slow, slow_report = sequential_random_adversary(graph, r, seed=11)
+        assert fast == slow
+        assert np.array_equal(fast_report.per_vertex_deleted, slow_report.per_vertex_deleted)
+        assert fast_report.to_dict() == slow_report.to_dict()
 
     # sha256 of the thinned adjacency bytes and of per_vertex_deleted, and the
     # report, at the acceptance size; these pin the deletion order exactly.

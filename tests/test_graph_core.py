@@ -53,7 +53,7 @@ class TestGraph:
 
     @pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (7, 0.0), (40, 0.3), (25, 1.0)])
     def test_edges_array_is_lexicographic(self, n, p):
-        g = gen_gnp(ModelParams(N=max(n, 1), p=p, seed=n)) if n else empty_graph(0)
+        g = gen_gnp(ModelParams(N=n, p=p, seed=n)) if n else empty_graph(0)
         edges = g.edges()
         assert edges.dtype == np.int64 and edges.shape == (g.edge_count(), 2)
         expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]

@@ -203,8 +203,8 @@ class TestAdversaryRandom:
             (lambda: empty_graph(12), 0.5),
             (lambda: complete_graph(20), 1.0),
             (lambda: gen_gnp(ModelParams(N=200, p=0.35, seed=8)), 0.0),
-            # Vertices 20..29 are isolated and the matching edges' ends have
-            # degree 1, so their budgets floor(0.5 * d) are 0.
+            # Vertices 4..19 have degree 1 and 20..29 are isolated, so their
+            # budgets floor(0.5 * d) are 0; vertices 0..3 have budget 1.
             (lambda: Graph.from_edges(30, [(u, u + 1) for u in range(0, 20, 2)] + [(0, 2), (1, 3)]), 0.5),
             (lambda: gen_gnp(ModelParams(N=1200, p=0.35, seed=9)), 0.1),
             (lambda: gen_gnp(ModelParams(N=1200, p=0.35, seed=9)), 0.45),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from powercycle.models import (
     gen_gnp,
     partite_blocker_sizes,
 )
+from powercycle import embedder, harness
 from powercycle.regularity import RegularityParams, build_nice_partition, chunk_partition
 from powercycle.embedder import (
     ClusterCycle,
@@ -235,6 +238,24 @@ class TestEmbed:
         assert isinstance(result, EmbedFailure)
         assert result.stage in ("layout", "anchor", "extend", "closing", "length")
         assert len(exact_longest_power_cycle(g, 2)) < (1 - 0.15) * 12
+
+    def test_acceptance_size_cycle_is_pinned(self, monkeypatch):
+        # The golden configs only reach windows of a few vertices; this pins
+        # the cycle of one trial at the acceptance size (N=3000, p=0.35, no
+        # adversary, trial seed 0), captured from the harness's own call.
+        params = {"N": 3000, "p": 0.35, "k": 2, "d": 2 / 3, "eps": 0.15, "clusters": 6,
+                  "xi": 0.045, "delta": 0.0225, "adversary": {"kind": "none"}}
+        results = []
+
+        def capture(*args, **kwargs):
+            results.append(embed_power_cycle(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(embedder, "embed_power_cycle", capture)
+        measured, ok = harness._run_embed(params, 0)
+        assert ok and measured["cycle_length"] == 2616
+        digest = hashlib.sha256(repr(results[0].vertices).encode()).hexdigest()
+        assert digest == "c243f78bde05fadccc20f61924a7397b169e057f42be8226bbc72c0e04fed329"
 
     def test_failure_report_serializes(self):
         import json

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -197,6 +198,42 @@ class TestFindExpander:
             assert not res.warn_short_ell
             hits += res.found and res.fraction >= 1 - 20 * k * delta
         assert hits == 3
+
+    # (windows, k, n, p, delta, seed) -> (clique, scanned, bisection_rounds,
+    # fraction, sha256 of repr(reach.sorted()), reconstructed path of the first
+    # reach member); a not-found case pins best_fraction in place of fraction.
+    PINNED = [
+        (
+            (8, 2, 22, 0.35, 0.006, 1),
+            ((0, 32), 6, 2, 0.7619047619047619,
+             "db12b233aace6b2d6a49acb70c0cffd12a50ed537df8f33cdef85af64eed8e05",
+             [0, 32, 53, 73, 108, 113, 132, 156]),
+        ),
+        (
+            (12, 3, 10, 0.6, 0.01, 1),
+            ((0, 11, 23), 1, 2, 0.6729056298474488,
+             "b35833d67be7f53725e0df2e9f135602d58950324d705ced718ed982d6faf866",
+             [0, 11, 23, 32, 41, 50, 66, 72, 81, 90, 101, 110]),
+        ),
+        ((12, 3, 10, 0.5, 0.01, 4), (None, 79, 1, 0.24707996406109609, None, None)),
+    ]
+
+    @pytest.mark.parametrize("config,expected", PINNED)
+    def test_pinned_search(self, config, expected):
+        windows, k, n, p, delta, seed = config
+        clique, scanned, rounds, fraction, digest, path = expected
+        _, view = path_power_blowup(windows, k, n, p, seed)
+        start = enumerate_canonical_cliques(view, 0, k)
+        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        res = find_expander(start, view, windows, params, keep_bp=True)
+        assert (res.clique, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
+        if clique is None:
+            assert not res.found and res.best_fraction == fraction
+            return
+        assert res.found and res.fraction == fraction
+        members = res.reach.sorted()
+        assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
+        assert reconstruct_path(0, res.back_pointers, members[0]) == path
 
     def test_requires_search_regime_delta(self):
         _, view = complete_multipartite([3] * 4)

@@ -300,13 +300,10 @@ def exact_longest_power_cycle(graph: Graph, k: int, cap: int = 12) -> PowerCycle
     return PowerCycle(tuple(best), k)
 
 
-def _draw(rng, pool: np.ndarray, exclude: list, count: int) -> Optional[np.ndarray]:
-    """Seeded draw of ``count`` vertices from pool minus the excluded sets."""
-    banned = [np.asarray(sorted(e), dtype=np.int64) for e in exclude if len(e)]
-    if banned:
-        cand = pool[~np.isin(pool, np.concatenate(banned))]
-    else:
-        cand = pool
+def _draw(rng, pool: np.ndarray, taken: np.ndarray, count: int) -> Optional[np.ndarray]:
+    """Seeded draw of ``count`` vertices from the pool's vertices that the
+    vertex-indexed mask ``taken`` leaves free, in pool order."""
+    cand = pool[~taken[pool]]
     if len(cand) < count:
         return None
     return np.sort(cand[rng.permutation(len(cand))[:count]])
@@ -368,8 +365,13 @@ def embed_power_cycle(
 
     # Live induction state: per-window reserve sets, live targets and used
     # path vertices, the frontier of canonical k-cliques, and the path.
-    reserve = [_draw(rng, pools[m], [], n_tilde) for m in range(t)]
-    targets = [_draw(rng, pools[m], [reserve[m]], n_tilde) for m in range(t)]
+    # ``taken`` marks reserve, path and live target vertices; the window pools
+    # are disjoint, so one vertex-indexed mask serves every window's draw.
+    taken = np.zeros(graph.n, dtype=bool)
+    reserve = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
+    taken[np.concatenate(reserve)] = True
+    targets = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
+    taken[np.concatenate(targets)] = True
     used = [set() for _ in range(t)]
     frontier = frozenset()
     path: list = []
@@ -402,12 +404,7 @@ def embed_power_cycle(
         pool runs dry."""
         for attempt in range(params.retries + 1):
             fresh = [
-                _draw(
-                    stream(params.seed, *labels, attempt, m),
-                    pools[m],
-                    [reserve[m], used[m], targets[m]],
-                    n_tilde,
-                )
+                _draw(stream(params.seed, *labels, attempt, m), pools[m], taken, n_tilde)
                 for m in range(t)
             ]
             if any(f is None for f in fresh):
@@ -447,6 +444,7 @@ def embed_power_cycle(
             if v in used[m]:
                 raise RuntimeError(f"vertex {v} reused in window {m}")
             used[m].add(v)
+            taken[v] = True
         path.extend(new)
 
     def audit(step: int) -> None:
@@ -474,8 +472,10 @@ def embed_power_cycle(
             return failure(
                 "extend", s, f"no expander after {params.retries + 1} target draws", res.best_fraction
             )
+        taken[np.concatenate(targets)] = False
         append_round(res.clique, 0 if s == 1 else k)
         targets = fresh
+        taken[np.concatenate(targets)] = True
         frontier = res.reach.members
         bp_prev = res.back_pointers
 

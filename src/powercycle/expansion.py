@@ -2,15 +2,22 @@
 multi-window reachability, and the bisection search for a single
 well-expanding clique.
 
-A frontier of canonical K_k copies anchored at window i expands to window
-i+1: the copy (v_{i+1}, ..., v_{i+k}) is reached when some v_i in the frontier
-extends it to a canonical K_{k+1} on the (k+1)-window. Frontiers are stored as
-maps from (k-1)-suffixes to head bitmasks, so one step is a batch of bitset
-intersections; only the current frontier is kept, with an optional
-one-predecessor-per-copy layer for reconstructing a single connecting k-path
-on demand. One frontier-advance loop serves both ``expand_through``, which
-records per-window counts, and the bisection rounds of ``find_expander``,
-which need only the reach count at one window.
+A frontier of canonical K_k copies anchored at window w expands to window
+w+1: the copy (v_{w+1}, ..., v_{w+k}) is reached when some v_w in the frontier
+extends it to a canonical K_{k+1} on the (k+1)-window. A frontier is a dense
+bool array of shape ``view.sizes[w:w+k]``, indexed by position in the view's
+sorted parts. One step to part j = w+k is a bool matrix product of the
+flattened frontier with the head block ``view.block(w, j)`` (numpy evaluates
+it as an OR of ANDs, exactly), then an AND with the broadcast block of each
+suffix part against j. Suffix adjacency is inherited from the frontier, not
+rechecked. Only the current frontier is kept, with an optional predecessor
+layer per step for reconstructing a single connecting k-path on demand: the
+parts of windows w..w+k and, for every copy at w+1, the position of its
+lowest valid head in part w (an argmax over the head axis), or -1 where the
+copy is not reached. Clique sets convert to and from the dense form only at
+the ``CliqueSet`` boundary. One frontier-advance loop serves ``expand_step``,
+``expand_through``, which records per-window counts, and the bisection
+rounds of ``find_expander``, which need only the reach count at one window.
 
 Reach fractions are reported against two normalizations of the reference
 count for a window block: the measured one (product of window sizes and
@@ -24,10 +31,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graph_core import (
     CliqueSet,
     TupleView,
-    bit_indices,
     count_canonical_cliques,
     enumerate_canonical_cliques,
     expected_clique_count,
@@ -109,54 +117,59 @@ def reference_count(
     return measured, nominal
 
 
-def _frontier_of(members, k: int) -> dict:
-    """Frontier form of a clique collection: (k-1)-suffix -> bitmask of heads."""
-    frontier: dict = {}
-    for c in members:
-        frontier[c[1:]] = frontier.get(c[1:], 0) | (1 << c[0])
+def _positions(parts, ids: np.ndarray) -> tuple:
+    """Per-axis positions of the vertices in ``ids`` (one row per copy, one
+    column per part) in the sorted ``parts``. A vertex outside its part is an
+    IndexError, like a window outside the view."""
+    pos = []
+    for a, (part, col) in enumerate(zip(parts, ids.T)):
+        idx = np.searchsorted(part, col)
+        if (part[np.minimum(idx, len(part) - 1)] != col).any():
+            raise IndexError(f"clique vertex outside its part (axis {a} of the window)")
+        pos.append(idx)
+    return tuple(pos)
+
+
+def _frontier_of(view: TupleView, members, window: int, k: int) -> np.ndarray:
+    """Dense frontier of a clique collection anchored at ``window``."""
+    frontier = np.zeros(view.sizes[window : window + k], dtype=bool)
+    ids = np.array(list(members), dtype=np.int64).reshape(-1, k)
+    frontier[_positions(view.parts[window : window + k], ids)] = True
     return frontier
 
 
-def _frontier_size(frontier: dict) -> int:
-    return sum(h.bit_count() for h in frontier.values())
+def _frontier_size(frontier: np.ndarray) -> int:
+    return int(np.count_nonzero(frontier))
 
 
-def _frontier_members(frontier: dict):
-    for suffix, heads in frontier.items():
-        for h in bit_indices(heads):
-            yield (h,) + suffix
-
-
-def _expand_once(rows, frontier: dict, next_mask: int, bp: Optional[dict] = None) -> dict:
-    """One window step on a frontier. When ``bp`` is a dict it receives one
-    predecessor clique per reached clique (lowest valid head)."""
-    new: dict = {}
-    for suffix, heads in frontier.items():
-        cand = next_mask
-        for v in suffix:
-            cand &= rows[v]
-        for w in bit_indices(cand):
-            valid = heads & rows[w]
-            if valid:
-                grown = suffix + (w,)
-                new[grown[1:]] = new.get(grown[1:], 0) | (1 << grown[0])
-                if bp is not None and grown not in bp:
-                    bp[grown] = ((valid & -valid).bit_length() - 1,) + suffix
-    return new
+def _frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> list:
+    """The copies of a dense frontier as tuples of vertex ids, in
+    lexicographic order."""
+    idx = np.nonzero(frontier)
+    return list(zip(*(view.parts[window + a][i].tolist() for a, i in enumerate(idx))))
 
 
 def _advance(
-    view: TupleView, frontier: dict, first: int, to_window: int, k: int, bps: Optional[list] = None
+    view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int, bps: Optional[list] = None
 ):
     """Step a frontier anchored at window ``first`` one window at a time up to
     ``to_window``, yielding (window, frontier) after each step. When ``bps``
     is a list, one predecessor layer per step is appended to it."""
-    rows = view.graph.rows
     for w in range(first, to_window):
-        bp: Optional[dict] = None if bps is None else {}
-        frontier = _expand_once(rows, frontier, view.part_mask(w + k), bp)
+        j = w + k
+        flat = frontier.reshape(frontier.shape[0], -1)
+        head_block = view.block(w, j)
+        reach = (flat.T @ head_block).reshape(frontier.shape[1:] + (view.sizes[j],))
+        for a in range(1, k):
+            shape = [1] * k
+            shape[a - 1], shape[-1] = view.sizes[w + a], view.sizes[j]
+            reach &= view.block(w + a, j).reshape(shape)
         if bps is not None:
-            bps.append(bp)
+            heads = np.argmax(flat[:, :, None] & head_block[:, None, :], axis=0)
+            heads = heads.reshape(reach.shape)
+            heads[~reach] = -1
+            bps.append((view.parts[w : j + 1], heads))
+        frontier = reach
         yield w + 1, frontier
 
 
@@ -168,9 +181,9 @@ def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
         raise IndexError(
             f"expansion from window {i} needs parts up to {i + k}, view has {view.t}"
         )
-    frontier = _frontier_of(start.members, k)
-    new = _expand_once(view.graph.rows, frontier, view.part_mask(i + k))
-    return CliqueSet(i + 1, k, frozenset(_frontier_members(new)))
+    frontier = _frontier_of(view, start.members, i, k)
+    _, new = next(_advance(view, frontier, i, i + 1, k))
+    return CliqueSet(i + 1, k, frozenset(_frontier_members(view, new, i + 1)))
 
 
 @dataclass
@@ -217,7 +230,7 @@ def expand_through(
         raise IndexError(f"target window {to_window} overflows view of {view.t} parts")
     alpha = params.alpha if params is not None else None
     p = params.p if params is not None else None
-    frontier = _frontier_of(start.members, k)
+    frontier = _frontier_of(view, start.members, i, k)
     counts = [_frontier_size(frontier)]
     measured, nominal = reference_count(view, i, k, alpha, p)
     fractions = [counts[0] / measured if measured > 0 else 0.0]
@@ -229,7 +242,7 @@ def expand_through(
         fractions.append(counts[-1] / measured if measured > 0 else 0.0)
         if fractions_nom is not None:
             fractions_nom.append(counts[-1] / nominal if nominal else 0.0)
-    final = CliqueSet(to_window, k, frozenset(_frontier_members(frontier)))
+    final = CliqueSet(to_window, k, frozenset(_frontier_members(view, frontier, to_window)))
     return ExpansionTrace(
         start_window=i,
         to_window=to_window,
@@ -250,8 +263,12 @@ def reconstruct_path(
     """Vertex sequence of one canonical k-path ending in ``final_clique``,
     walked back through the predecessor layers to the start window."""
     cliques = [tuple(final_clique)]
-    for bp in reversed(back_pointers):
-        cliques.append(bp[cliques[-1]])
+    for parts, heads in reversed(back_pointers):
+        clique = cliques[-1]
+        head = int(heads[_positions(parts[1:], np.array([clique], dtype=np.int64))][0])
+        if head < 0:
+            raise KeyError(f"{clique} was not reached in this layer")
+        cliques.append((int(parts[0][head]),) + clique[:-1])
     cliques.reverse()
     path = list(cliques[0])
     for c in cliques[1:]:
@@ -299,6 +316,8 @@ def find_expander(
     ws = start.window_start
     if ws + ell > view.t:
         raise IndexError(f"{ell} windows from {ws} overflow view of {view.t} parts")
+    # The scan may stop before it reaches a bad member: check them all here.
+    _frontier_of(view, start.members, ws, k)
     x_start, _ = reference_count(view, ws, k, params.alpha, params.p)
     if len(start) < params.delta * x_start:
         raise ValueError(
@@ -309,7 +328,7 @@ def find_expander(
     warn = _short_ell(view, k, ell)
 
     def reach_count_at(members, to_window) -> int:
-        frontier = _frontier_of(members, k)
+        frontier = _frontier_of(view, members, ws, k)
         for _, frontier in _advance(view, frontier, ws, to_window, k):
             pass
         return _frontier_size(frontier)

@@ -2,10 +2,12 @@
 enumeration.
 
 A ``Graph`` stores its adjacency twice: as a read-only numpy boolean matrix
-(for vectorized density and sampling work) and as one Python integer bitmask
-per vertex (for the tight intersection loops that clique enumeration and the
-expansion dynamic run millions of times). Vertex ids are dense integers fixed
-at construction, so every iteration order in this module is deterministic and
+(for vectorized density and sampling work, and the part-pair blocks
+``TupleView.block`` hands the expansion kernel) and as one Python integer
+bitmask per vertex, ``Graph.rows``, for the tight intersection loops of clique
+enumeration and counting, typicality and the exact searches. The expansion
+dynamic no longer uses the rows. Vertex ids are dense integers fixed at
+construction, so every iteration order in this module is deterministic and
 trials are replayable.
 
 A canonical clique is represented as a plain tuple ``(v_1, ..., v_k)`` with
@@ -172,7 +174,7 @@ class TupleView:
     stored as sorted id arrays so iteration order is deterministic.
     """
 
-    __slots__ = ("graph", "parts", "sizes", "_masks", "_density_cache")
+    __slots__ = ("graph", "parts", "sizes", "_masks", "_blocks", "_density_cache")
 
     def __init__(self, graph: Graph, parts: Sequence):
         arrays = []
@@ -192,6 +194,7 @@ class TupleView:
         self.parts = tuple(arrays)
         self.sizes = tuple(int(a.size) for a in arrays)
         self._masks: dict = {}
+        self._blocks: dict = {}
         self._density_cache: dict = {}
 
     @property
@@ -205,12 +208,21 @@ class TupleView:
             self._masks[i] = m
         return m
 
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Read-only bool adjacency block between parts i and j, rows and
+        columns in the parts' sorted order; built once per pair."""
+        b = self._blocks.get((i, j))
+        if b is None:
+            b = self.graph.adj[np.ix_(self.parts[i], self.parts[j])]
+            b.setflags(write=False)
+            self._blocks[(i, j)] = b
+        return b
+
     def cross_edges(self, i: int, j: int) -> int:
         """Exact number of edges between parts i and j."""
         if i == j:
             raise IndexError("pair density requires two distinct parts")
-        a, b = self.parts[i], self.parts[j]
-        return int(self.graph.adj[np.ix_(a, b)].sum())
+        return int(self.block(i, j).sum())
 
     def density(self, i: int, j: int) -> Fraction:
         """Exact pair density e(V_i, V_j) / (|V_i| |V_j|)."""

@@ -1,9 +1,13 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's bitset paths: enumeration is nested
+These deliberately avoid the library's fast paths: enumeration is nested
 loops over part products, expansion is projection of naively enumerated
 (k+1)-cliques, regularity is literal subset-pair enumeration, the random
-adversary is its greedy rule one edge at a time. Keep them dumb.
+adversary is its greedy rule one edge at a time. Keep them dumb. The one
+exception is ``bitset_expand_once``, the dict-and-bitmask expansion step that
+the dense kernel in ``expansion`` replaced: unlike the projection oracle it
+also yields the predecessor of every reached copy, so the tests hold the dense
+back pointers to it.
 """
 
 import itertools
@@ -11,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graph_core import bit_indices
 from .models import _report, stream
 
 
@@ -83,3 +88,30 @@ def sequential_random_adversary(graph, r, seed):
             cnt[u] += 1
             cnt[v] += 1
     return _report(graph, adj, budget)
+
+
+def bitset_expand_once(view, start):
+    """One window step of ``start`` with the frontier as a map from
+    (k-1)-suffix to bitmask of heads. Returns the reached copies and, for each,
+    its predecessor with the lowest valid head."""
+    k = start.order
+    frontier = {}
+    for c in start.members:
+        frontier[c[1:]] = frontier.get(c[1:], 0) | (1 << c[0])
+    rows = view.graph.rows
+    next_mask = view.part_mask(start.window_start + k)
+    new = {}
+    bp = {}
+    for suffix, heads in frontier.items():
+        cand = next_mask
+        for v in suffix:
+            cand &= rows[v]
+        for w in bit_indices(cand):
+            valid = heads & rows[w]
+            if valid:
+                grown = suffix + (w,)
+                new[grown[1:]] = new.get(grown[1:], 0) | (1 << grown[0])
+                if grown not in bp:
+                    bp[grown] = ((valid & -valid).bit_length() - 1,) + suffix
+    reached = frozenset((h,) + suffix for suffix, heads in new.items() for h in bit_indices(heads))
+    return reached, bp

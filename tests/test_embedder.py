@@ -10,6 +10,7 @@ from powercycle.models import (
     extremal_blocker,
     gen_gnp,
     partite_blocker_sizes,
+    stream,
 )
 from powercycle import embedder, harness
 from powercycle.regularity import RegularityParams, build_nice_partition, chunk_partition
@@ -19,6 +20,7 @@ from powercycle.embedder import (
     EmbedParams,
     PowerCycle,
     ReducedGraph,
+    _draw,
     build_reduced,
     embed_power_cycle,
     exact_longest_power_cycle,
@@ -264,6 +266,26 @@ class TestEmbed:
         blob = json.loads(json.dumps(failure.to_dict()))
         assert blob["stage"] == "anchor"
 
+
+class TestDraw:
+    def test_mask_draw_equals_set_difference_draw(self):
+        # The mask keeps the pool's order, so the same permutation picks the
+        # same vertices as drawing from the pool minus the excluded set.
+        rng = stream(73)
+        for trial in range(60):
+            n = int(rng.integers(1, 50))
+            pool = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            excluded = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+            taken = np.zeros(n, dtype=bool)
+            taken[list(excluded)] = True
+            count = int(rng.integers(0, len(pool) + 2))
+            cand = np.array([v for v in pool.tolist() if v not in excluded], dtype=np.int64)
+            got = _draw(stream(trial, 43, 1, 0), pool, taken, count)
+            if len(cand) < count:
+                assert got is None
+            else:
+                ref = stream(trial, 43, 1, 0)
+                assert np.array_equal(got, np.sort(cand[ref.permutation(len(cand))[:count]]))
 
 class TestBlockerGeometry:
     def test_window_coloring_obstruction(self):

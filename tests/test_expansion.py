@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from powercycle.expansion import (
     reference_count,
 )
 
-from powercycle.oracles import naive_expand_step
+from powercycle.oracles import bitset_expand_once, naive_expand_step
 
 
 def path_power_blowup(windows, k, n, p, seed):
@@ -35,6 +36,15 @@ def path_power_blowup(windows, k, n, p, seed):
     ]
     pattern = Graph.from_edges(windows, edges)
     return gen_blowup(pattern, n, p, seed)
+
+
+def unequal_blowup(parts, seed):
+    """Blow-up of K_parts with part sizes drawn from 2..6, so no two window
+    axes of a frontier need have the same length."""
+    rng = stream(seed, 89)
+    sizes = [int(x) for x in rng.integers(2, 7, size=parts)]
+    _, view = gen_blowup(complete_graph(parts), max(sizes), float(rng.uniform(0.4, 0.9)), seed)
+    return TupleView(view.graph, [view.parts[i][: sizes[i]] for i in range(parts)])
 
 
 def random_start(view, k, count, seed):
@@ -102,6 +112,59 @@ class TestExpandStep:
         with pytest.raises(IndexError):
             expand_step(CliqueSet(0, 2, frozenset([(0, 3)])), view)
 
+
+    @pytest.mark.parametrize("bad", [(4, 6), (0, 12), (-1, 3)])
+    def test_member_outside_its_part_raises(self, bad):
+        # Parts {0,1,2}, {3,4,5}, {6,7,8}, {9,10,11}: each bad member has a
+        # vertex outside its window's part (another part, or no part at all).
+        _, view = complete_multipartite([3] * 4)
+        start = CliqueSet(0, 2, frozenset([(0, 3), bad]))
+        with pytest.raises(IndexError):
+            expand_step(start, view)
+        with pytest.raises(IndexError):
+            expand_through(start, view, 2)
+        with pytest.raises(IndexError):
+            find_expander(start, view, 4, ExpansionParams(k=2, delta=0.02))
+
+
+class TestDenseKernelAgainstBitsetStep:
+    """The dense frontier step against the dict-and-bitmask step it replaced:
+    the same reached copies, and for each the same predecessor (lowest valid
+    head)."""
+
+    @pytest.mark.parametrize(
+        "k,kind",
+        [
+            (k, kind)
+            for k in (1, 2, 3, 4)
+            for kind in ("empty", "single", "full", "half", "non-clique")
+            if (k, kind) != (1, "non-clique")  # a single vertex is always a clique
+        ],
+    )
+    def test_same_reach_and_predecessors(self, k, kind):
+        rng = stream(83, k)
+        for seed in range(4):
+            window = seed % 2
+            view = unequal_blowup(k + 2, seed)
+            full = enumerate_canonical_cliques(view, window, k).sorted()
+            if kind == "empty":
+                members = []
+            elif kind == "single":
+                members = full[:1]
+            elif kind == "full":
+                members = full
+            else:
+                members = [full[int(i)] for i in rng.permutation(len(full))[: len(full) // 2]]
+            if kind == "non-clique":
+                product = itertools.product(*(view.parts[window + a].tolist() for a in range(k)))
+                members.append(next(c for c in product if c not in set(full)))
+            start = CliqueSet(window, k, frozenset(members))
+            reached, predecessor = bitset_expand_once(view, start)
+            trace = expand_through(start, view, window + 1, keep_bp=True)
+            assert trace.final.members == reached == expand_step(start, view).members
+            for c in reached:
+                path = reconstruct_path(window, trace.back_pointers, c)
+                assert tuple(path[:k]) == predecessor[c]
 
 class TestExpandThrough:
     def test_zero_steps_returns_start(self):

@@ -123,6 +123,15 @@ class TestTupleView:
             TupleView(g, [[0], [5]])
 
 
+    def test_block_is_the_sorted_adjacency_block_read_only(self):
+        g = gen_gnp(ModelParams(N=30, p=0.5, seed=4))
+        view = TupleView(g, [[7, 2, 9], [20, 11, 5, 14]])
+        block = view.block(0, 1)
+        assert block is view.block(0, 1)
+        assert np.array_equal(block, g.adj[np.ix_([2, 7, 9], [5, 11, 14, 20])])
+        with pytest.raises(ValueError):
+            block[0, 0] = not block[0, 0]
+
 class TestEnumeration:
     def test_complete_tripartite_2x2x2(self):
         _, view = complete_multipartite([2, 2, 2])

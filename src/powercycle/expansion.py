@@ -262,18 +262,19 @@ def reconstruct_path(
 ) -> list:
     """Vertex sequence of one canonical k-path ending in ``final_clique``,
     walked back through the predecessor layers to the start window."""
-    cliques = [tuple(final_clique)]
+    # Consecutive layers share their windows, so the predecessor's positions
+    # index the next layer back directly.
+    heads_out = []
+    if back_pointers:
+        last_parts = back_pointers[-1][0]
+        pos = [int(p[0]) for p in _positions(last_parts[1:], np.array([final_clique], dtype=np.int64))]
     for parts, heads in reversed(back_pointers):
-        clique = cliques[-1]
-        head = int(heads[_positions(parts[1:], np.array([clique], dtype=np.int64))][0])
+        head = int(heads[tuple(pos)])
         if head < 0:
-            raise KeyError(f"{clique} was not reached in this layer")
-        cliques.append((int(parts[0][head]),) + clique[:-1])
-    cliques.reverse()
-    path = list(cliques[0])
-    for c in cliques[1:]:
-        path.append(c[-1])
-    return path
+            raise KeyError(f"{tuple(final_clique)} has no predecessor chain in these layers")
+        heads_out.append(int(parts[0][head]))
+        pos = [head] + pos[:-1]
+    return heads_out[::-1] + list(final_clique)
 
 
 @dataclass
@@ -316,8 +317,10 @@ def find_expander(
     ws = start.window_start
     if ws + ell > view.t:
         raise IndexError(f"{ell} windows from {ws} overflow view of {view.t} parts")
-    # The scan may stop before it reaches a bad member: check them all here.
-    _frontier_of(view, start.members, ws, k)
+    # Converting the whole start set checks every member, also those the scan
+    # never reaches. Its C-order positions are the order of start.sorted(), so
+    # the candidates are always the slice [lo, hi) of that order.
+    positions = np.nonzero(_frontier_of(view, start.members, ws, k))
     x_start, _ = reference_count(view, ws, k, params.alpha, params.p)
     if len(start) < params.delta * x_start:
         raise ValueError(
@@ -327,32 +330,32 @@ def find_expander(
     x_final, _ = reference_count(view, final_window, k, params.alpha, params.p)
     warn = _short_ell(view, k, ell)
 
-    def reach_count_at(members, to_window) -> int:
-        frontier = _frontier_of(view, members, ws, k)
+    def reach_count_at(lo: int, hi: int, to_window: int) -> int:
+        frontier = np.zeros(view.sizes[ws : ws + k], dtype=bool)
+        frontier[tuple(p[lo:hi] for p in positions)] = True
         for _, frontier in _advance(view, frontier, ws, to_window, k):
             pass
         return _frontier_size(frontier)
 
-    members = candidates = start.sorted()
+    members = start.sorted()
+    lo, hi = 0, len(members)
     rounds = 0
     max_block = ell // k - 2
     block = 1
-    while len(candidates) > 1 and block <= max_block:
-        half = (len(candidates) + 1) // 2
-        first, second = candidates[:half], candidates[half:]
+    while hi - lo > 1 and block <= max_block:
+        mid = lo + (hi - lo + 1) // 2
         x_block, _ = reference_count(view, ws + block * k, k, params.alpha, params.p)
         need = params.half_fraction * x_block
-        if reach_count_at(first, ws + block * k) >= need:
-            candidates = first
-        elif reach_count_at(second, ws + block * k) >= need:
-            candidates = second
+        if reach_count_at(lo, mid, ws + block * k) >= need:
+            hi = mid
+        elif reach_count_at(mid, hi, ws + block * k) >= need:
+            lo = mid
         else:
             break
         rounds += 1
         block += 1
 
-    survivors = set(candidates)
-    ordered = candidates + [c for c in members if c not in survivors]
+    ordered = members[lo:hi] + members[:lo] + members[hi:]
     best_fraction = -1.0
     scanned = 0
     for cand in ordered:

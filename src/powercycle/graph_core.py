@@ -213,7 +213,7 @@ class TupleView:
         columns in the parts' sorted order; built once per pair."""
         b = self._blocks.get((i, j))
         if b is None:
-            b = self.graph.adj[np.ix_(self.parts[i], self.parts[j])]
+            b = self.graph.adj[self.parts[i][:, None], self.parts[j]]
             b.setflags(write=False)
             self._blocks[(i, j)] = b
         return b

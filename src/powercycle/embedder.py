@@ -332,6 +332,9 @@ def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
     sizes = {len(p) for p in pools}
     if len(sizes) != 1:
         raise ValueError("window pools must have a common size")
+    every = np.concatenate(pools)
+    if len(np.unique(every)) != len(every):
+        raise ValueError("window pools must be disjoint")
     return pools
 
 
@@ -365,7 +368,7 @@ def embed_power_cycle(
 
     # Live induction state: per-window reserve sets, live targets and used
     # path vertices, the frontier of canonical k-cliques, and the path.
-    # ``taken`` marks reserve, path and live target vertices; the window pools
+    # ``taken`` marks reserve, path and live target vertices. The window pools
     # are disjoint, so one vertex-indexed mask serves every window's draw.
     taken = np.zeros(graph.n, dtype=bool)
     reserve = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]

@@ -259,6 +259,27 @@ class TestEmbed:
         digest = hashlib.sha256(repr(results[0].vertices).encode()).hexdigest()
         assert digest == "c243f78bde05fadccc20f61924a7397b169e057f42be8226bbc72c0e04fed329"
 
+    def test_overlapping_window_pools_rejected(self):
+        # One vertex-indexed mask serves every window's draw only because the
+        # pools are disjoint; a partition whose classes overlap is refused.
+        from powercycle.regularity import RegularPartition
+
+        g = complete_graph(12)
+        classes = [np.array([0, 1, 2]), np.array([2, 3, 4]), np.array([5, 6, 7])]
+        part = RegularPartition(
+            exceptional=np.array([8, 9, 10, 11]),
+            classes=classes,
+            epsilon=0.3,
+            p=1.0,
+            d=0.5,
+            pair_density={},
+            regular_pairs=frozenset(),
+            useful_pairs=frozenset(),
+        )
+        params = EmbedParams(k=2, d=0.5, p=1.0, xi=0.34, delta=0.02, eps=0.15, seed=1)
+        with pytest.raises(ValueError, match="disjoint"):
+            embed_power_cycle(g, part, ClusterCycle((0, 1, 2), 2), params)
+
     def test_failure_report_serializes(self):
         import json
 

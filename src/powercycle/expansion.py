@@ -150,7 +150,12 @@ def _frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> lis
 
 
 def _advance(
-    view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int, bps: Optional[list] = None
+    view: TupleView,
+    frontier: np.ndarray,
+    first: int,
+    to_window: int,
+    k: int,
+    bps: Optional[list] = None,
 ):
     """Step a frontier anchored at window ``first`` one window at a time up to
     ``to_window``, yielding (window, frontier) after each step. When ``bps``
@@ -266,8 +271,8 @@ def reconstruct_path(
     # index the next layer back directly.
     heads_out = []
     if back_pointers:
-        last_parts = back_pointers[-1][0]
-        pos = [int(p[0]) for p in _positions(last_parts[1:], np.array([final_clique], dtype=np.int64))]
+        ids = np.array([final_clique], dtype=np.int64)
+        pos = [int(p[0]) for p in _positions(back_pointers[-1][0][1:], ids)]
     for parts, heads in reversed(back_pointers):
         head = int(heads[tuple(pos)])
         if head < 0:

@@ -5,8 +5,8 @@ A ``Graph`` stores its adjacency twice: as a read-only numpy boolean matrix
 (for vectorized density and sampling work, and the part-pair blocks
 ``TupleView.block`` hands the expansion kernel) and as one Python integer
 bitmask per vertex, ``Graph.rows``, for the tight intersection loops of clique
-enumeration and counting, typicality and the exact searches. The expansion
-dynamic no longer uses the rows. Vertex ids are dense integers fixed at
+enumeration and counting, typicality and the exact searches; the expansion
+kernel works on the matrix blocks alone. Vertex ids are dense integers fixed at
 construction, so every iteration order in this module is deterministic and
 trials are replayable.
 

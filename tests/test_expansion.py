@@ -112,7 +112,6 @@ class TestExpandStep:
         with pytest.raises(IndexError):
             expand_step(CliqueSet(0, 2, frozenset([(0, 3)])), view)
 
-
     @pytest.mark.parametrize("bad", [(4, 6), (0, 12), (-1, 3)])
     def test_member_outside_its_part_raises(self, bad):
         # Parts {0,1,2}, {3,4,5}, {6,7,8}, {9,10,11}: each bad member has a
@@ -156,8 +155,9 @@ class TestDenseKernelAgainstBitsetStep:
             else:
                 members = [full[int(i)] for i in rng.permutation(len(full))[: len(full) // 2]]
             if kind == "non-clique":
+                cliques = set(full)
                 product = itertools.product(*(view.parts[window + a].tolist() for a in range(k)))
-                members.append(next(c for c in product if c not in set(full)))
+                members.append(next(c for c in product if c not in cliques))
             start = CliqueSet(window, k, frozenset(members))
             reached, predecessor = bitset_expand_once(view, start)
             trace = expand_through(start, view, window + 1, keep_bp=True)
@@ -165,6 +165,7 @@ class TestDenseKernelAgainstBitsetStep:
             for c in reached:
                 path = reconstruct_path(window, trace.back_pointers, c)
                 assert tuple(path[:k]) == predecessor[c]
+
 
 class TestExpandThrough:
     def test_zero_steps_returns_start(self):

@@ -280,6 +280,18 @@ class TestEmbed:
         with pytest.raises(ValueError, match="disjoint"):
             embed_power_cycle(g, part, ClusterCycle((0, 1, 2), 2), params)
 
+    @pytest.mark.parametrize("seed,step", [(0, 1), (11, 2)])
+    def test_audit_catches_draws_that_ignore_the_mask(self, monkeypatch, seed, step):
+        # With a draw that ignores ``taken``, a target lands on a reserve
+        # vertex (seed 0, before the first round) or on a reserve or path
+        # vertex (seed 11, one round in); the audit must name the overlap.
+        draw = embedder._draw
+        monkeypatch.setattr(
+            embedder, "_draw", lambda rng, pool, taken, count: draw(rng, pool, np.zeros_like(taken), count)
+        )
+        with pytest.raises(RuntimeError, match=f"reserve/targets/path overlap at step {step}"):
+            self._embed_complete(seed=seed)
+
     def test_failure_report_serializes(self):
         import json
 

@@ -212,6 +212,25 @@ class TestExpandThrough:
                 for b in range(a + 1, len(chunk)):
                     assert g.has_edge(chunk[a], chunk[b])
 
+    def test_unreached_final_clique_raises_key_error(self):
+        # A copy of the final window that is a clique but that the start set
+        # does not reach has no predecessor chain, one step or several back.
+        g, view = complete_multipartite([2, 2, 2])
+        adj = g.adj.copy()
+        adj[2, 4] = adj[4, 2] = False
+        cut = TupleView(Graph(adj), view.parts)
+        one = expand_through(CliqueSet(0, 2, frozenset([(0, 2)])), cut, 1, keep_bp=True)
+        assert one.final.members == frozenset([(2, 5)])
+        with pytest.raises(KeyError):
+            reconstruct_path(0, one.back_pointers, (3, 5))
+        k = 3
+        _, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
+        trace = expand_through(random_start(view, k, 10, seed=9), view, k, keep_bp=True)
+        missed = enumerate_canonical_cliques(view, k, k).members - trace.final.members
+        assert missed
+        with pytest.raises(KeyError):
+            reconstruct_path(0, trace.back_pointers, min(missed))
+
     def test_nominal_fractions_reported_alongside(self):
         _, view = complete_multipartite([4, 4, 4])
         start = enumerate_canonical_cliques(view, 0, 2)

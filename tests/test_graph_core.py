@@ -122,6 +122,27 @@ class TestTupleView:
         with pytest.raises(ValueError):
             TupleView(g, [[0], [5]])
 
+    def test_rejects_duplicate_ids_within_a_part(self):
+        g = complete_graph(5)
+        with pytest.raises(ValueError, match="duplicate vertex ids"):
+            TupleView(g, [[0, 1], [2, 3, 2]])
+
+    def test_rejects_negative_id(self):
+        g = complete_graph(5)
+        with pytest.raises(ValueError, match="outside the graph"):
+            TupleView(g, [[0, 1], [-1, 3]])
+
+    def test_rejects_overlap_between_parts_that_are_not_adjacent(self):
+        g = complete_graph(6)
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            TupleView(g, [[0, 1], [2, 3], [4, 1]])
+
+    def test_unsorted_input_comes_back_sorted(self):
+        g = complete_graph(8)
+        view = TupleView(g, [np.array([5, 1, 3]), [7, 0]])
+        assert [p.tolist() for p in view.parts] == [[1, 3, 5], [0, 7]]
+        assert view.sizes == (3, 2)
+
 
     def test_block_is_the_sorted_adjacency_block_read_only(self):
         g = gen_gnp(ModelParams(N=30, p=0.5, seed=4))

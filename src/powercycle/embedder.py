@@ -7,9 +7,11 @@ exact backtracking, lay the chunked classes out as t cyclic windows, then grow
 a k-path one window-round at a time. Each round draws fresh target sets, asks
 the expansion engine for one clique of the current frontier that expands well
 into them, and realizes one new vertex per window from the stored predecessor
-layer. A reserve tuple drawn at the start is spent at the end to close the
-path into a cycle through an anchor clique that was chosen, back at step one,
-to expand well both forward and backward.
+layers. A round ends on the last k fresh target sets, which open the next
+round's view, so the frontier is carried from round to round as the dense
+array the search returned. A reserve tuple drawn at the start is spent at the
+end to close the path into a cycle through an anchor clique that was chosen,
+back at step one, to expand well both forward and backward.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples, and the anchor and closing share one test of a single
@@ -367,16 +369,18 @@ def embed_power_cycle(
         )
 
     # Live induction state: per-window reserve sets, live targets and used
-    # path vertices, the frontier of canonical k-cliques, and the path.
-    # ``taken`` marks reserve, path and live target vertices. The window pools
-    # are disjoint, so one vertex-indexed mask serves every window's draw.
+    # path vertices, the trace whose final frontier of canonical k-cliques the
+    # next round starts from, and the path. ``taken`` marks reserve, path and
+    # live target vertices. The window pools are disjoint, so one
+    # vertex-indexed mask serves every window's draw.
     taken = np.zeros(graph.n, dtype=bool)
     reserve = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
     taken[np.concatenate(reserve)] = True
     targets = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
     taken[np.concatenate(targets)] = True
     used = [set() for _ in range(t)]
-    frontier = frozenset()
+    pool_grid = np.stack(pools)
+    last = None
     path: list = []
 
     def failure(stage: str, step: Optional[int], detail: str, fraction=None) -> EmbedFailure:
@@ -385,7 +389,7 @@ def embed_power_cycle(
             "reserve": [len(r) for r in reserve],
             "targets": [len(x) for x in targets],
             "used": [len(u) for u in used],
-            "frontier": len(frontier),
+            "frontier": 0 if last is None else last.counts[-1],
         }
         return EmbedFailure(stage=stage, step=step, detail=detail, sizes=sizes, fraction=fraction)
 
@@ -431,15 +435,16 @@ def embed_power_cycle(
         return failure("anchor", None, "no clique expands both ways")
 
     # Backward reach, reoriented as canonical copies of the first k reserves.
+    # The forward trace ends on the last k targets, which are the first k
+    # parts of the next round's view, so its dense frontier starts that round.
     kstar_back = {tuple(reversed(c)) for c in bwd.final.members}
-    frontier = fwd.final.members
-    bp_prev = fwd.back_pointers
+    last = fwd
 
     def append_round(chosen: tuple, skip: int) -> None:
-        """Realize the round ending at ``chosen`` from the stored predecessor
-        layer; the first ``skip`` reconstructed vertices are already on the
-        path."""
-        verts = reconstruct_path(0, bp_prev, chosen)
+        """Realize the round ending at ``chosen`` from the last trace's
+        predecessor layers; the first ``skip`` reconstructed vertices are
+        already on the path."""
+        verts = reconstruct_path(0, last.back_pointers, chosen)
         new = verts[skip:]
         if len(new) != t:
             raise RuntimeError(f"round realized {len(new)} vertices, expected {t}")
@@ -451,12 +456,15 @@ def embed_power_cycle(
         path.extend(new)
 
     def audit(step: int) -> None:
+        # Reserve, targets and path lie in the window's pool, so ``taken``
+        # marks exactly their total there unless two overlap or a mark is
+        # stale or missing.
+        marked = np.count_nonzero(taken[pool_grid], axis=1)
         for m in range(t):
-            res, tgt, usd = set(reserve[m]), set(targets[m]), used[m]
-            if res & tgt or res & usd or tgt & usd:
+            if marked[m] != len(reserve[m]) + len(targets[m]) + len(used[m]):
                 raise RuntimeError(f"window {m}: reserve/targets/path overlap at step {step}")
-            if len(usd) != step - 1:
-                raise RuntimeError(f"window {m}: {len(usd)} path vertices at step {step}")
+            if len(used[m]) != step - 1:
+                raise RuntimeError(f"window {m}: {len(used[m])} path vertices at step {step}")
 
     for s in range(1, s_final):
         audit(s)
@@ -464,9 +472,7 @@ def embed_power_cycle(
             if fresh is None:
                 return failure("extend", s, "window pool exhausted")
             try:
-                res = find_expander(
-                    CliqueSet(0, k, frozenset(frontier)), view, k + t, exp_params, keep_bp=True
-                )
+                res = find_expander(last.frontier, view, k + t, exp_params, keep_bp=True)
             except ValueError as err:
                 return failure("extend", s, str(err))
             if res.found:
@@ -479,8 +485,7 @@ def embed_power_cycle(
         append_round(res.clique, 0 if s == 1 else k)
         targets = fresh
         taken[np.concatenate(targets)] = True
-        frontier = res.reach.members
-        bp_prev = res.back_pointers
+        last = res.trace
 
     # Closing: connect the frontier through a fresh tuple into the reserves
     # and splice with the anchor's backward reach.
@@ -489,7 +494,7 @@ def embed_power_cycle(
     for fresh, view in target_draws((47,), reserve[:k]):
         if fresh is None:
             return failure("closing", s_final, "window pool exhausted")
-        for cand in sorted(frontier):
+        for cand in last.final.sorted():
             trace = expands_well(cand, view, t + k)
             meet = [] if trace is None else sorted(trace.final.members & kstar_back)
             if meet:

@@ -10,25 +10,35 @@ sorted parts. One step to part j = w+k is a bool matrix product of the
 flattened frontier with the head block ``view.block(w, j)`` (numpy evaluates
 it as an OR of ANDs, exactly), then an AND with the broadcast block of each
 suffix part against j. Suffix adjacency is inherited from the frontier, not
-rechecked. Only the current frontier is kept, with an optional predecessor
-layer per step for reconstructing a single connecting k-path on demand: the
-parts of windows w..w+k and, for every copy at w+1, the position of its
-lowest valid head in part w (an argmax over the head axis), or -1 where the
-copy is not reached. Clique sets convert to and from the dense form only at
-the ``CliqueSet`` boundary. One frontier-advance loop serves ``expand_step``,
+rechecked. One frontier-advance loop serves ``expand_step``,
 ``expand_through``, which records per-window counts, and the bisection
 rounds of ``find_expander``, which need only the reach count at one window.
+
+Only the current frontier is kept, with an optional predecessor layer per
+step for reconstructing a single connecting k-path on demand. A layer holds
+references, not copies: the parts of windows w..w+k, the frontier before the
+step, the head block and the reach. ``reconstruct_path`` finds one copy's
+lowest valid head from them when asked, one layer at a time.
+
+A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0.
+``expand_through`` and ``find_expander`` hand back their final frontier in
+dense form, so the embedder carries the reach from one round to the next
+without converting it; clique sets are built from it only when read.
 
 Reach fractions are reported against two normalizations of the reference
 count for a window block: the measured one (product of window sizes and
 measured pair densities) and, when the nominal density scale is supplied, the
 nominal (alpha p)^{e(K_k)} one. Thresholds use the measured normalization.
+A trace computes its fractions and its final ``CliqueSet`` when they are
+first read; its per-window counts are recorded as it goes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -130,10 +140,28 @@ def _positions(parts, ids: np.ndarray) -> tuple:
     return tuple(pos)
 
 
-def _frontier_of(view: TupleView, members, window: int, k: int) -> np.ndarray:
-    """Dense frontier of a clique collection anchored at ``window``."""
+def _start_window(start) -> tuple:
+    """(window, order) of a start: a CliqueSet, or a dense bool frontier
+    anchored at window 0."""
+    if isinstance(start, CliqueSet):
+        return start.window_start, start.order
+    return 0, start.ndim
+
+
+def _frontier_of(view: TupleView, start, window: int, k: int) -> np.ndarray:
+    """Dense frontier of a start anchored at ``window``. A CliqueSet is
+    converted; a dense start is checked for dtype and shape and used as is."""
+    if not isinstance(start, CliqueSet):
+        if start.dtype != bool:
+            raise TypeError(f"dense start must be a bool array, got dtype {start.dtype}")
+        if start.shape != view.sizes[window : window + k]:
+            raise IndexError(
+                f"dense start of shape {start.shape} does not match the window's "
+                f"part sizes {view.sizes[window : window + k]}"
+            )
+        return start
     frontier = np.zeros(view.sizes[window : window + k], dtype=bool)
-    ids = np.array(list(members), dtype=np.int64).reshape(-1, k)
+    ids = np.array(list(start.members), dtype=np.int64).reshape(-1, k)
     frontier[_positions(view.parts[window : window + k], ids)] = True
     return frontier
 
@@ -170,43 +198,64 @@ def _advance(
             shape[a - 1], shape[-1] = view.sizes[w + a], view.sizes[j]
             reach &= view.block(w + a, j).reshape(shape)
         if bps is not None:
-            heads = np.argmax(flat[:, :, None] & head_block[:, None, :], axis=0)
-            heads = heads.reshape(reach.shape)
-            heads[~reach] = -1
-            bps.append((view.parts[w : j + 1], heads))
+            bps.append((view.parts[w : j + 1], frontier, head_block, reach))
         frontier = reach
         yield w + 1, frontier
 
 
 def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
     """Exact one-window expansion of a clique set."""
-    k = start.order
-    i = start.window_start
+    i, k = _start_window(start)
     if i + k >= view.t or i < 0:
         raise IndexError(
             f"expansion from window {i} needs parts up to {i + k}, view has {view.t}"
         )
-    frontier = _frontier_of(view, start.members, i, k)
+    frontier = _frontier_of(view, start, i, k)
     _, new = next(_advance(view, frontier, i, i + 1, k))
     return CliqueSet(i + 1, k, frozenset(_frontier_members(view, new, i + 1)))
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpansionTrace:
     """Reach counts window by window. ``counts[m]`` is the frontier size at
-    window start_window + m; fractions normalize by the reference count of
-    that window block (measured, and nominal when available)."""
+    window start_window + m, and ``frontier`` the dense frontier at
+    to_window. The fractions normalize each count by the reference count of
+    its window block (measured, and nominal when ``params`` carry alpha and
+    p); they and ``final``, the frontier as a CliqueSet, are computed when
+    first read."""
 
     start_window: int
     to_window: int
     order: int
-    start_size: int
     counts: list
-    fractions: list
-    fractions_nominal: Optional[list]
-    final: CliqueSet
+    frontier: np.ndarray
+    view: TupleView
+    params: Optional[ExpansionParams] = None
     warn_short_ell: bool = False
     back_pointers: Optional[list] = None
+
+    def _references(self, which: int) -> list:
+        alpha, p = (None, None) if self.params is None else (self.params.alpha, self.params.p)
+        return [
+            reference_count(self.view, self.start_window + m, self.order, alpha, p)[which]
+            for m in range(len(self.counts))
+        ]
+
+    @cached_property
+    def fractions(self) -> list:
+        return [c / x if x > 0 else 0.0 for c, x in zip(self.counts, self._references(0))]
+
+    @cached_property
+    def fractions_nominal(self) -> Optional[list]:
+        nominal = self._references(1)
+        if nominal[0] is None:
+            return None
+        return [c / x if x else 0.0 for c, x in zip(self.counts, nominal)]
+
+    @cached_property
+    def final(self) -> CliqueSet:
+        members = _frontier_members(self.view, self.frontier, self.to_window)
+        return CliqueSet(self.to_window, self.order, frozenset(members))
 
     @property
     def final_fraction(self) -> float:
@@ -226,37 +275,26 @@ def expand_through(
     keep_bp: bool = False,
 ) -> ExpansionTrace:
     """Iterate expand_step until the frontier is anchored at ``to_window``,
-    recording per-window counts and reach fractions."""
-    k = start.order
-    i = start.window_start
+    recording per-window counts. ``start`` is a CliqueSet or a dense bool
+    frontier anchored at window 0."""
+    i, k = _start_window(start)
     if to_window < i:
         raise IndexError(f"target window {to_window} precedes start window {i}")
     if to_window + k > view.t:
         raise IndexError(f"target window {to_window} overflows view of {view.t} parts")
-    alpha = params.alpha if params is not None else None
-    p = params.p if params is not None else None
-    frontier = _frontier_of(view, start.members, i, k)
+    frontier = _frontier_of(view, start, i, k)
     counts = [_frontier_size(frontier)]
-    measured, nominal = reference_count(view, i, k, alpha, p)
-    fractions = [counts[0] / measured if measured > 0 else 0.0]
-    fractions_nom = None if nominal is None else [counts[0] / nominal if nominal else 0.0]
     bps: Optional[list] = [] if keep_bp else None
-    for w, frontier in _advance(view, frontier, i, to_window, k, bps):
+    for _, frontier in _advance(view, frontier, i, to_window, k, bps):
         counts.append(_frontier_size(frontier))
-        measured, nominal = reference_count(view, w, k, alpha, p)
-        fractions.append(counts[-1] / measured if measured > 0 else 0.0)
-        if fractions_nom is not None:
-            fractions_nom.append(counts[-1] / nominal if nominal else 0.0)
-    final = CliqueSet(to_window, k, frozenset(_frontier_members(view, frontier, to_window)))
     return ExpansionTrace(
         start_window=i,
         to_window=to_window,
         order=k,
-        start_size=len(start),
         counts=counts,
-        fractions=fractions,
-        fractions_nominal=fractions_nom,
-        final=final,
+        frontier=frontier,
+        view=view,
+        params=params,
         warn_short_ell=_short_ell(view, k, to_window - i + k),
         back_pointers=bps,
     )
@@ -266,33 +304,52 @@ def reconstruct_path(
     start_window: int, back_pointers: list, final_clique: tuple
 ) -> list:
     """Vertex sequence of one canonical k-path ending in ``final_clique``,
-    walked back through the predecessor layers to the start window."""
-    # Consecutive layers share their windows, so the predecessor's positions
-    # index the next layer back directly.
+    walked back through the predecessor layers to the start window. At each
+    layer the head is the lowest position in the frontier before the step
+    that extends the current copy; a copy the layer did not reach is a
+    KeyError."""
+    # Consecutive layers share their windows, so the head's position and the
+    # copy's first k-1 positions index the next layer back directly.
     heads_out = []
     if back_pointers:
         ids = np.array([final_clique], dtype=np.int64)
-        pos = [int(p[0]) for p in _positions(back_pointers[-1][0][1:], ids)]
-    for parts, heads in reversed(back_pointers):
-        head = int(heads[tuple(pos)])
-        if head < 0:
+        pos = tuple(int(p[0]) for p in _positions(back_pointers[-1][0][1:], ids))
+    for parts, before, head_block, reach in reversed(back_pointers):
+        if not reach[pos]:
             raise KeyError(f"{tuple(final_clique)} has no predecessor chain in these layers")
+        head = int(np.argmax(before[(slice(None),) + pos[:-1]] & head_block[:, pos[-1]]))
         heads_out.append(int(parts[0][head]))
-        pos = [head] + pos[:-1]
+        pos = (head,) + pos[:-1]
     return heads_out[::-1] + list(final_clique)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExpanderResult:
+    """Outcome of ``find_expander``. A found result keeps the winning
+    candidate's trace: ``frontier`` is its dense reach at the final window,
+    ``reach`` the same copies as a CliqueSet (built when first read), and
+    ``back_pointers`` its predecessor layers when keep_bp was set."""
+
     found: bool
     clique: Optional[tuple]
-    reach: Optional[CliqueSet]
     fraction: float
     best_fraction: float
     bisection_rounds: int
     scanned: int
     warn_short_ell: bool
-    back_pointers: Optional[list] = None
+    trace: Optional[ExpansionTrace] = None
+
+    @property
+    def frontier(self) -> Optional[np.ndarray]:
+        return None if self.trace is None else self.trace.frontier
+
+    @property
+    def reach(self) -> Optional[CliqueSet]:
+        return None if self.trace is None else self.trace.final
+
+    @property
+    def back_pointers(self) -> Optional[list]:
+        return None if self.trace is None else self.trace.back_pointers
 
 
 def find_expander(
@@ -311,39 +368,53 @@ def find_expander(
     when both qualify - until the candidate set is a singleton or no window
     room remains, then scan candidates by exhaustive per-clique reach,
     starting with the survivors. Not-found results carry the best reach
-    fraction seen.
+    fraction seen. ``start`` is a CliqueSet or a dense bool frontier anchored
+    at window 0, such as the ``frontier`` of an earlier result.
     """
     k = params.k
     params.require_search_regime()
-    if start.order != k:
-        raise ValueError(f"start has order {start.order}, params expect {k}")
+    ws, order = _start_window(start)
+    if order != k:
+        raise ValueError(f"start has order {order}, params expect {k}")
     if ell < 2 * k:
         raise ValueError(f"need at least 2k={2 * k} windows, got {ell}")
-    ws = start.window_start
     if ws + ell > view.t:
         raise IndexError(f"{ell} windows from {ws} overflow view of {view.t} parts")
-    # Converting the whole start set checks every member, also those the scan
-    # never reaches. Its C-order positions are the order of start.sorted(), so
-    # the candidates are always the slice [lo, hi) of that order.
-    positions = np.nonzero(_frontier_of(view, start.members, ws, k))
+    # Converting a CliqueSet start checks every member, also those the scan
+    # never reaches. The C-order positions of the dense frontier are the
+    # order of start.sorted(), so the candidates are always the slice [lo, hi)
+    # of that order.
+    positions = np.nonzero(_frontier_of(view, start, ws, k))
+    size = len(positions[0])
     x_start, _ = reference_count(view, ws, k, params.alpha, params.p)
-    if len(start) < params.delta * x_start:
+    if size < params.delta * x_start:
         raise ValueError(
-            f"start set of {len(start)} copies is below delta * x = {params.delta * x_start:.1f}"
+            f"start set of {size} copies is below delta * x = {params.delta * x_start:.1f}"
         )
     final_window = ws + ell - k
     x_final, _ = reference_count(view, final_window, k, params.alpha, params.p)
     warn = _short_ell(view, k, ell)
+    shape = view.sizes[ws : ws + k]
 
     def reach_count_at(lo: int, hi: int, to_window: int) -> int:
-        frontier = np.zeros(view.sizes[ws : ws + k], dtype=bool)
+        frontier = np.zeros(shape, dtype=bool)
         frontier[tuple(p[lo:hi] for p in positions)] = True
         for _, frontier in _advance(view, frontier, ws, to_window, k):
             pass
         return _frontier_size(frontier)
 
-    members = start.sorted()
-    lo, hi = 0, len(members)
+    def clique_at(i: int) -> tuple:
+        return tuple(int(view.parts[ws + a][p[i]]) for a, p in enumerate(positions))
+
+    def alone(i: int):
+        """Candidate i as a start of its own."""
+        if ws != 0:
+            return CliqueSet(ws, k, frozenset([clique_at(i)]))
+        single = np.zeros(shape, dtype=bool)
+        single[tuple(p[i] for p in positions)] = True
+        return single
+
+    lo, hi = 0, size
     rounds = 0
     max_block = ell // k - 2
     block = 1
@@ -360,32 +431,27 @@ def find_expander(
         rounds += 1
         block += 1
 
-    ordered = members[lo:hi] + members[:lo] + members[hi:]
     best_fraction = -1.0
     scanned = 0
-    for cand in ordered:
+    for i in chain(range(lo, hi), range(lo), range(hi, size)):
         scanned += 1
-        trace = expand_through(
-            CliqueSet(ws, k, frozenset([cand])), view, final_window, params, keep_bp=keep_bp
-        )
+        trace = expand_through(alone(i), view, final_window, params, keep_bp=keep_bp)
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
         best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
             return ExpanderResult(
                 found=True,
-                clique=cand,
-                reach=trace.final,
+                clique=clique_at(i),
                 fraction=fraction,
                 best_fraction=fraction,
                 bisection_rounds=rounds,
                 scanned=scanned,
                 warn_short_ell=warn,
-                back_pointers=trace.back_pointers,
+                trace=trace,
             )
     return ExpanderResult(
         found=False,
         clique=None,
-        reach=None,
         fraction=0.0,
         best_fraction=best_fraction,
         bisection_rounds=rounds,

@@ -179,16 +179,19 @@ class TupleView:
     def __init__(self, graph: Graph, parts: Sequence):
         arrays = []
         for part in parts:
-            arr = np.unique(np.asarray(part, dtype=np.int64))
+            arr = np.sort(np.asarray(part, dtype=np.int64), axis=None)
             if arr.size == 0:
                 raise ValueError("parts must be nonempty")
-            if len(arr) != len(np.asarray(part)):
+            if (arr[1:] == arr[:-1]).any():
                 raise ValueError("part contains duplicate vertex ids")
             if arr[0] < 0 or arr[-1] >= graph.n:
                 raise ValueError("part contains vertex ids outside the graph")
             arrays.append(arr)
-        total = np.concatenate(arrays)
-        if len(np.unique(total)) != len(total):
+        # Each part is duplicate-free, so the parts are pairwise disjoint
+        # exactly when marking all of them marks as many vertices as they hold.
+        seen = np.zeros(graph.n, dtype=bool)
+        seen[np.concatenate(arrays)] = True
+        if np.count_nonzero(seen) != sum(a.size for a in arrays):
             raise ValueError("parts must be pairwise disjoint")
         self.graph = graph
         self.parts = tuple(arrays)

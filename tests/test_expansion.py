@@ -318,6 +318,46 @@ class TestFindExpander:
         assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
         assert reconstruct_path(0, res.back_pointers, members[0]) == path
 
+    @pytest.mark.parametrize("config", [c for c, _ in PINNED])
+    def test_dense_start_equals_clique_set_start(self, config):
+        # The dense frontier a zero-step trace hands back is a start of its
+        # own: the search, its counters and its reach are the same.
+        windows, k, n, p, delta, seed = config
+        _, view = path_power_blowup(windows, k, n, p, seed)
+        start = enumerate_canonical_cliques(view, 0, k)
+        dense = expand_through(start, view, 0).frontier
+        assert dense.dtype == bool and dense.shape == view.sizes[:k]
+        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        a = find_expander(start, view, windows, params, keep_bp=True)
+        b = find_expander(dense, view, windows, params, keep_bp=True)
+        fields = ("found", "clique", "scanned", "bisection_rounds", "fraction", "best_fraction")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        if not a.found:
+            assert a.reach is b.reach is None and a.frontier is b.frontier is None
+            return
+        assert np.array_equal(a.frontier, b.frontier)
+        assert a.reach.members == b.reach.members
+        first = a.reach.sorted()[0]
+        assert reconstruct_path(0, a.back_pointers, first) == reconstruct_path(0, b.back_pointers, first)
+
+    def test_dense_start_checks_order_dtype_and_shape(self):
+        _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
+        params = ExpansionParams(k=2, delta=0.02)
+        dense = expand_through(enumerate_canonical_cliques(view, 0, 2), view, 0).frontier
+        assert find_expander(dense, view, 6, params).found
+        with pytest.raises(ValueError, match="order 3, params expect 2"):
+            find_expander(dense[..., None], view, 6, params)
+        with pytest.raises(ValueError, match="order 1, params expect 2"):
+            find_expander(dense[0], view, 6, params)
+        with pytest.raises(TypeError, match="bool"):
+            find_expander(dense.astype(np.uint8), view, 6, params)
+        with pytest.raises(IndexError, match="shape"):
+            find_expander(dense.T, view, 6, params)
+        with pytest.raises(IndexError, match="shape"):
+            find_expander(dense[:2], view, 6, params)
+        with pytest.raises(IndexError, match="shape"):
+            expand_through(dense[:, :3], view, 2)
+
     def test_requires_search_regime_delta(self):
         _, view = complete_multipartite([3] * 4)
         start = enumerate_canonical_cliques(view, 0, 2)

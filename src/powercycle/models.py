@@ -109,13 +109,23 @@ class AdversaryReport:
         }
 
 
+# Doubles per row block of gen_gnp's draw (8 MB).
+_DRAW_BLOCK = 1 << 20
+
+
 def gen_gnp(params: ModelParams) -> Graph:
     """Binomial random graph: each unordered pair is an edge independently
     with probability p. Identical seed, identical graph."""
     rng = stream(params.seed, 0)
     n = params.N
-    draws = rng.random((n, n))
-    adj = np.triu(draws < params.p, 1)
+    # The doubles of an (n, n) draw, drawn a block of rows at a time: the
+    # generator hands them out in the same order, so the graph is the one a
+    # single draw gives, without holding n*n doubles at once.
+    below = np.empty((n, n), dtype=bool)
+    rows = max(1, _DRAW_BLOCK // n)
+    for r in range(0, n, rows):
+        np.less(rng.random((min(rows, n - r), n)), params.p, out=below[r : r + rows])
+    adj = np.triu(below, 1)
     adj = adj | adj.T
     return Graph(adj)
 

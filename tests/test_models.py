@@ -11,6 +11,7 @@ from powercycle.graph_core import (
     min_degree,
     save_graph,
 )
+from powercycle import models
 from powercycle.models import (
     ModelParams,
     adversary_partite,
@@ -51,6 +52,15 @@ class TestGnp:
         save_graph(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
         assert gen_gnp(ModelParams(N=80, p=0.4, seed=124)) != a
+
+    @pytest.mark.parametrize("block", [50, 300, models._DRAW_BLOCK])
+    @pytest.mark.parametrize("N", [1, 7, 37, 80])
+    def test_row_blocks_give_the_single_draw_graph(self, monkeypatch, N, block):
+        # Drawing the doubles a block of rows at a time must give the graph
+        # of one (N, N) draw from the same stream.
+        monkeypatch.setattr(models, "_DRAW_BLOCK", block)
+        once = np.triu(stream(11, 0).random((N, N)) < 0.4, 1)
+        assert gen_gnp(ModelParams(N=N, p=0.4, seed=11)) == Graph(once | once.T)
 
     def test_edge_count_concentration(self):
         # Binomial(C(N,2), 1/2): every draw within 4 standard deviations.

@@ -457,12 +457,22 @@ def embed_power_cycle(
 
     def audit(step: int) -> None:
         # Reserve, targets and path lie in the window's pool, so ``taken``
-        # marks exactly their total there unless two overlap or a mark is
-        # stale or missing.
+        # marks exactly their total there. Fewer marks mean two of them
+        # overlap (or a mark is missing), more mean a stale mark; an overlap
+        # and a stale mark in the same window cancel out.
         marked = np.count_nonzero(taken[pool_grid], axis=1)
         for m in range(t):
-            if marked[m] != len(reserve[m]) + len(targets[m]) + len(used[m]):
-                raise RuntimeError(f"window {m}: reserve/targets/path overlap at step {step}")
+            expected = len(reserve[m]) + len(targets[m]) + len(used[m])
+            if marked[m] < expected:
+                raise RuntimeError(
+                    f"window {m}: reserve/targets/path overlap at step {step} "
+                    f"({marked[m]} taken marks for {expected} vertices)"
+                )
+            if marked[m] > expected:
+                raise RuntimeError(
+                    f"window {m}: stale taken mark at step {step} "
+                    f"({marked[m]} taken marks for {expected} vertices)"
+                )
             if len(used[m]) != step - 1:
                 raise RuntimeError(f"window {m}: {len(used[m])} path vertices at step {step}")
 

@@ -17,7 +17,8 @@ rounds of ``find_expander``, which need only the reach count at one window.
 Only the current frontier is kept, with an optional predecessor layer per
 step for reconstructing a single connecting k-path on demand. A layer holds
 references, not copies: the parts of windows w..w+k, the frontier before the
-step, the head block and the reach. ``reconstruct_path`` finds one copy's
+step, the head block and the reach. Frontiers are read-only, so a caller
+holding one cannot change a path reconstructed later. ``reconstruct_path`` finds one copy's
 lowest valid head from them when asked, one layer at a time.
 
 A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0.
@@ -149,9 +150,14 @@ def _start_window(start) -> tuple:
 
 
 def _frontier_of(view: TupleView, start, window: int, k: int) -> np.ndarray:
-    """Dense frontier of a start anchored at ``window``. A CliqueSet is
-    converted; a dense start is checked for dtype and shape and used as is."""
-    if not isinstance(start, CliqueSet):
+    """Read-only dense frontier of a start anchored at ``window``. A
+    CliqueSet is converted; a dense start is checked for dtype and shape and
+    used without a copy, through a read-only view."""
+    if isinstance(start, CliqueSet):
+        frontier = np.zeros(view.sizes[window : window + k], dtype=bool)
+        ids = np.array(list(start.members), dtype=np.int64).reshape(-1, k)
+        frontier[_positions(view.parts[window : window + k], ids)] = True
+    else:
         if start.dtype != bool:
             raise TypeError(f"dense start must be a bool array, got dtype {start.dtype}")
         if start.shape != view.sizes[window : window + k]:
@@ -159,10 +165,8 @@ def _frontier_of(view: TupleView, start, window: int, k: int) -> np.ndarray:
                 f"dense start of shape {start.shape} does not match the window's "
                 f"part sizes {view.sizes[window : window + k]}"
             )
-        return start
-    frontier = np.zeros(view.sizes[window : window + k], dtype=bool)
-    ids = np.array(list(start.members), dtype=np.int64).reshape(-1, k)
-    frontier[_positions(view.parts[window : window + k], ids)] = True
+        frontier = start.view()
+    frontier.flags.writeable = False
     return frontier
 
 
@@ -187,7 +191,8 @@ def _advance(
 ):
     """Step a frontier anchored at window ``first`` one window at a time up to
     ``to_window``, yielding (window, frontier) after each step. When ``bps``
-    is a list, one predecessor layer per step is appended to it."""
+    is a list, one predecessor layer per step is appended to it. Layers
+    share their frontiers with the caller, so each reach is made read-only."""
     for w in range(first, to_window):
         j = w + k
         flat = frontier.reshape(frontier.shape[0], -1)
@@ -197,6 +202,7 @@ def _advance(
             shape = [1] * k
             shape[a - 1], shape[-1] = view.sizes[w + a], view.sizes[j]
             reach &= view.block(w + a, j).reshape(shape)
+        reach.flags.writeable = False
         if bps is not None:
             bps.append((view.parts[w : j + 1], frontier, head_block, reach))
         frontier = reach
@@ -394,10 +400,9 @@ def find_expander(
     final_window = ws + ell - k
     x_final, _ = reference_count(view, final_window, k, params.alpha, params.p)
     warn = _short_ell(view, k, ell)
-    shape = view.sizes[ws : ws + k]
 
     def reach_count_at(lo: int, hi: int, to_window: int) -> int:
-        frontier = np.zeros(shape, dtype=bool)
+        frontier = np.zeros(view.sizes[ws : ws + k], dtype=bool)
         frontier[tuple(p[lo:hi] for p in positions)] = True
         for _, frontier in _advance(view, frontier, ws, to_window, k):
             pass
@@ -405,14 +410,6 @@ def find_expander(
 
     def clique_at(i: int) -> tuple:
         return tuple(int(view.parts[ws + a][p[i]]) for a, p in enumerate(positions))
-
-    def alone(i: int):
-        """Candidate i as a start of its own."""
-        if ws != 0:
-            return CliqueSet(ws, k, frozenset([clique_at(i)]))
-        single = np.zeros(shape, dtype=bool)
-        single[tuple(p[i] for p in positions)] = True
-        return single
 
     lo, hi = 0, size
     rounds = 0
@@ -435,13 +432,16 @@ def find_expander(
     scanned = 0
     for i in chain(range(lo, hi), range(lo), range(hi, size)):
         scanned += 1
-        trace = expand_through(alone(i), view, final_window, params, keep_bp=keep_bp)
+        cand = clique_at(i)
+        trace = expand_through(
+            CliqueSet(ws, k, frozenset([cand])), view, final_window, params, keep_bp=keep_bp
+        )
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
         best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
             return ExpanderResult(
                 found=True,
-                clique=clique_at(i),
+                clique=cand,
                 fraction=fraction,
                 best_fraction=fraction,
                 bisection_rounds=rounds,

@@ -292,6 +292,25 @@ class TestEmbed:
         with pytest.raises(RuntimeError, match=f"reserve/targets/path overlap at step {step}"):
             self._embed_complete(seed=seed)
 
+    def test_audit_catches_old_targets_left_marked(self, monkeypatch):
+        # Every vertex drawn so far is marked again before the next draw, so
+        # the targets a round retires stay marked; the audit must name the
+        # stale mark, not an overlap.
+        draw = embedder._draw
+        drawn = []
+
+        def sticky(rng, pool, taken, count):
+            for old in drawn:
+                taken[old] = True
+            got = draw(rng, pool, taken, count)
+            if got is not None:
+                drawn.append(got)
+            return got
+
+        monkeypatch.setattr(embedder, "_draw", sticky)
+        with pytest.raises(RuntimeError, match="stale taken mark at step 3"):
+            self._embed_complete(seed=11)
+
     def test_failure_report_serializes(self):
         import json
 

@@ -358,6 +358,22 @@ class TestFindExpander:
         with pytest.raises(IndexError, match="shape"):
             expand_through(dense[:, :3], view, 2)
 
+    def test_frontiers_are_read_only(self):
+        # A found result's frontier is also its last predecessor layer's
+        # reach and the next round's start, so writing to it must fail
+        # rather than change a path reconstructed later.
+        _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
+        res = find_expander(
+            enumerate_canonical_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02), keep_bp=True
+        )
+        assert res.frontier is res.back_pointers[-1][3]
+        with pytest.raises(ValueError, match="read-only"):
+            res.frontier[0, 0] = False
+        dense = np.ones(view.sizes[:2], dtype=bool)
+        with pytest.raises(ValueError, match="read-only"):
+            expand_through(dense, view, 0).frontier[0, 0] = False
+        assert dense.flags.writeable
+
     def test_requires_search_regime_delta(self):
         _, view = complete_multipartite([3] * 4)
         start = enumerate_canonical_cliques(view, 0, 2)

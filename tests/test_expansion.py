@@ -363,9 +363,8 @@ class TestFindExpander:
         # reach and the next round's start, so writing to it must fail
         # rather than change a path reconstructed later.
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
-        res = find_expander(
-            enumerate_canonical_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02), keep_bp=True
-        )
+        start = enumerate_canonical_cliques(view, 0, 2)
+        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02), keep_bp=True)
         assert res.frontier is res.back_pointers[-1][3]
         with pytest.raises(ValueError, match="read-only"):
             res.frontier[0, 0] = False

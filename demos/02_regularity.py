@@ -4,8 +4,8 @@ The exact checker settles small pairs completely: a complete bipartite pair
 certifies at any tolerance, while a half-dense pair (all edges between the
 first halves) is refuted with an explicit witness. The sampled refuter finds
 the same planted irregularity by random search. Finally a random graph gets
-its nice partition: a random equipartition whose pairs are all unrefuted and
-dense.
+its nice partition: one random equipartition, each pair surveyed once by the
+sampled refuter, whose pairs here are all unrefuted and dense.
 """
 
 import numpy as np

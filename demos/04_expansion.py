@@ -33,13 +33,11 @@ def path_power(windows, k):
 
 k, n, p, delta = 2, 50, 0.6, 0.05
 _, view = gen_blowup(path_power(2 * k, k), n, p, seed=3)
-params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
-
-x_start, _ = reference_count(view, 0, k)
+x_start = reference_count(view, 0, k)
 full = enumerate_canonical_cliques(view, 0, k).sorted()
 picks = stream(3, 99).choice(len(full), size=math.ceil(delta * x_start), replace=False)
 start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
-trace = expand_through(start, view, k, params)
+trace = expand_through(start, view, k)
 print(f"main expansion on a {2 * k}-window blow-up, start = {len(start)} edges (delta = {delta}):")
 for m, (c, f) in enumerate(zip(trace.counts, trace.fractions)):
     print(f"  window {m}: {c:5d} copies, fraction {f:.3f}")
@@ -48,8 +46,8 @@ print(f"target 1 - 10 delta = {1 - 10 * delta}: reached {trace.final_fraction:.3
 print()
 windows = 100  # ~ 3 k^2 log N at this host size
 _, long_view = gen_blowup(path_power(windows, k), 40, 0.7, seed=5)
-exp = ExpansionParams(k=k, delta=0.02, alpha=1.0, p=0.7)
-x0, _ = reference_count(long_view, 0, k)
+exp = ExpansionParams(k=k, delta=0.02)
+x0 = reference_count(long_view, 0, k)
 full = enumerate_canonical_cliques(long_view, 0, k).sorted()
 picks = stream(5, 99).choice(len(full), size=math.ceil(0.02 * x0), replace=False)
 start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))

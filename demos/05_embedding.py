@@ -29,7 +29,7 @@ N, p, k, seed = 1200, 0.5, 2, 0
 eps = 0.15
 
 t0 = time.time()
-host = gen_gnp(ModelParams(N=N, p=p, k=k, seed=seed))
+host = gen_gnp(ModelParams(N=N, p=p, seed=seed))
 thinned, adv = adversary_random(host, 0.1, seed)
 print(f"host G({N}, {p}): {host.edge_count()} edges; adversary deleted {adv.deleted_edges} "
       f"(budget respected: {adv.budget_respected()}), min degree {adv.min_degree_after}")
@@ -41,7 +41,7 @@ cycle = find_cluster_power_cycle(reduced, k)
 print(f"partition into {partition.k} classes of {partition.class_size}; "
       f"reduced graph has {len(reduced.edges)} edges; cluster ordering {cycle.ordering}")
 
-params = EmbedParams(k=k, d=2 / 3, p=p, xi=0.045, delta=0.0225, eps=eps, seed=seed)
+params = EmbedParams(k=k, xi=0.045, delta=0.0225, eps=eps, seed=seed)
 result = embed_power_cycle(thinned, partition, cycle, params)
 if isinstance(result, PowerCycle):
     ok, _ = verify_power_cycle(thinned, result)

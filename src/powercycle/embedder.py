@@ -115,13 +115,11 @@ class ClusterCycle:
 
 @dataclass(frozen=True)
 class EmbedParams:
-    """k: power order; d, p: density threshold scale of the reduced graph;
-    xi: target-set fraction of the window size; delta: expansion slack;
-    eps: admissible leftover fraction; retries: redraws allowed per stage."""
+    """k: power order; xi: target-set fraction of the window size; delta:
+    expansion slack; eps: admissible leftover fraction; retries: redraws
+    allowed per stage."""
 
     k: int
-    d: float
-    p: float
     xi: float
     delta: float
     eps: float
@@ -129,7 +127,7 @@ class EmbedParams:
     seed: int = 0
 
     def expansion(self) -> ExpansionParams:
-        return ExpansionParams(k=self.k, delta=self.delta, alpha=self.d, p=self.p)
+        return ExpansionParams(k=self.k, delta=self.delta)
 
 
 @dataclass
@@ -397,10 +395,8 @@ def embed_power_cycle(
         """The trace of ``clique`` expanded to ``to_window`` when its reach
         there is at least the success fraction of the reference count, else
         None."""
-        trace = expand_through(
-            CliqueSet(0, k, frozenset([clique])), view, to_window, exp_params, keep_bp=True
-        )
-        x_ref, _ = reference_count(view, to_window, k, params.d, params.p)
+        trace = expand_through(CliqueSet(0, k, frozenset([clique])), view, to_window, keep_bp=True)
+        x_ref = reference_count(view, to_window, k)
         return trace if trace.counts[-1] >= threshold * x_ref else None
 
     def target_draws(labels: tuple, tail: list):

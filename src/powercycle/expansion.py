@@ -26,12 +26,10 @@ A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0.
 dense form, so the embedder carries the reach from one round to the next
 without converting it; clique sets are built from it only when read.
 
-Reach fractions are reported against two normalizations of the reference
-count for a window block: the measured one (product of window sizes and
-measured pair densities) and, when the nominal density scale is supplied, the
-nominal (alpha p)^{e(K_k)} one. Thresholds use the measured normalization.
-A trace computes its fractions and its final ``CliqueSet`` when they are
-first read; its per-window counts are recorded as it goes.
+Reach fractions are reported against the reference count of a window block:
+the product of the window sizes and the measured pair densities. A trace
+computes its fractions and its final ``CliqueSet`` when they are first read;
+its per-window counts are recorded as it goes.
 """
 
 from __future__ import annotations
@@ -81,16 +79,13 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class ExpansionParams:
     """k is the clique order of the dynamic; delta the slack driving the
-    thresholds; alpha and p, when given, define the nominal reference count
-    normalization. The one-step and multi-window audits accept any delta in
+    thresholds. The one-step and multi-window audits accept any delta in
     (0,1); the expander search additionally requires delta < 1/(20k), below
     which its success and halving thresholds are meaningful, and enforces
     that itself."""
 
     k: int
     delta: float
-    alpha: Optional[float] = None
-    p: Optional[float] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -114,18 +109,10 @@ class ExpansionParams:
         return 0.5 - 5 * self.k * self.delta
 
 
-def reference_count(
-    view: TupleView, window_start: int, k: int, alpha: Optional[float] = None, p: Optional[float] = None
-) -> tuple:
-    """(measured, nominal) reference counts for the K_k block at a window.
-    Measured multiplies window sizes by measured pair densities; nominal uses
-    (alpha p)^{e(K_k)} and is None unless both alpha and p are given."""
-    measured = expected_clique_count(view, range(window_start, window_start + k))
-    nominal = None
-    if alpha is not None and p is not None:
-        edges = k * (k - 1) // 2
-        nominal = math.prod(view.sizes[window_start : window_start + k]) * (alpha * p) ** edges
-    return measured, nominal
+def reference_count(view: TupleView, window_start: int, k: int) -> float:
+    """Reference count for the K_k block at a window: the window sizes times
+    the measured pair densities."""
+    return expected_clique_count(view, range(window_start, window_start + k))
 
 
 def _positions(parts, ids: np.ndarray) -> tuple:
@@ -226,9 +213,8 @@ class ExpansionTrace:
     """Reach counts window by window. ``counts[m]`` is the frontier size at
     window start_window + m, and ``frontier`` the dense frontier at
     to_window. The fractions normalize each count by the reference count of
-    its window block (measured, and nominal when ``params`` carry alpha and
-    p); they and ``final``, the frontier as a CliqueSet, are computed when
-    first read."""
+    its window block; they and ``final``, the frontier as a CliqueSet, are
+    computed when first read."""
 
     start_window: int
     to_window: int
@@ -236,27 +222,14 @@ class ExpansionTrace:
     counts: list
     frontier: np.ndarray
     view: TupleView
-    params: Optional[ExpansionParams] = None
     warn_short_ell: bool = False
     back_pointers: Optional[list] = None
 
-    def _references(self, which: int) -> list:
-        alpha, p = (None, None) if self.params is None else (self.params.alpha, self.params.p)
-        return [
-            reference_count(self.view, self.start_window + m, self.order, alpha, p)[which]
-            for m in range(len(self.counts))
-        ]
-
     @cached_property
     def fractions(self) -> list:
-        return [c / x if x > 0 else 0.0 for c, x in zip(self.counts, self._references(0))]
-
-    @cached_property
-    def fractions_nominal(self) -> Optional[list]:
-        nominal = self._references(1)
-        if nominal[0] is None:
-            return None
-        return [c / x if x else 0.0 for c, x in zip(self.counts, nominal)]
+        ws, k = self.start_window, self.order
+        refs = (reference_count(self.view, ws + m, k) for m in range(len(self.counts)))
+        return [c / x if x > 0 else 0.0 for c, x in zip(self.counts, refs)]
 
     @cached_property
     def final(self) -> CliqueSet:
@@ -277,7 +250,6 @@ def expand_through(
     start: CliqueSet,
     view: TupleView,
     to_window: int,
-    params: Optional[ExpansionParams] = None,
     keep_bp: bool = False,
 ) -> ExpansionTrace:
     """Iterate expand_step until the frontier is anchored at ``to_window``,
@@ -300,7 +272,6 @@ def expand_through(
         counts=counts,
         frontier=frontier,
         view=view,
-        params=params,
         warn_short_ell=_short_ell(view, k, to_window - i + k),
         back_pointers=bps,
     )
@@ -392,13 +363,13 @@ def find_expander(
     # of that order.
     positions = np.nonzero(_frontier_of(view, start, ws, k))
     size = len(positions[0])
-    x_start, _ = reference_count(view, ws, k, params.alpha, params.p)
+    x_start = reference_count(view, ws, k)
     if size < params.delta * x_start:
         raise ValueError(
             f"start set of {size} copies is below delta * x = {params.delta * x_start:.1f}"
         )
     final_window = ws + ell - k
-    x_final, _ = reference_count(view, final_window, k, params.alpha, params.p)
+    x_final = reference_count(view, final_window, k)
     warn = _short_ell(view, k, ell)
 
     def reach_count_at(lo: int, hi: int, to_window: int) -> int:
@@ -417,7 +388,7 @@ def find_expander(
     block = 1
     while hi - lo > 1 and block <= max_block:
         mid = lo + (hi - lo + 1) // 2
-        x_block, _ = reference_count(view, ws + block * k, k, params.alpha, params.p)
+        x_block = reference_count(view, ws + block * k, k)
         need = params.half_fraction * x_block
         if reach_count_at(lo, mid, ws + block * k) >= need:
             hi = mid
@@ -433,9 +404,7 @@ def find_expander(
     for i in chain(range(lo, hi), range(lo), range(hi, size)):
         scanned += 1
         cand = clique_at(i)
-        trace = expand_through(
-            CliqueSet(ws, k, frozenset([cand])), view, final_window, params, keep_bp=keep_bp
-        )
+        trace = expand_through(CliqueSet(ws, k, frozenset([cand])), view, final_window, keep_bp=keep_bp)
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
         best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
@@ -509,8 +478,8 @@ def halving_audit(
     params.require_search_regime()
     ws = start.window_start
     target = ws + k
-    x_target, _ = reference_count(view, target, k, params.alpha, params.p)
-    full = expand_through(start, view, target, params)
+    x_target = reference_count(view, target, k)
+    full = expand_through(start, view, target)
     qualifies = full.counts[-1] >= (1 - 10 * k * params.delta) * x_target
     rng = stream(seed, 29)
     members = start.sorted()
@@ -520,8 +489,8 @@ def halving_audit(
         half = (len(members) + 1) // 2
         first = frozenset(members[int(i)] for i in perm[:half])
         second = frozenset(members[int(i)] for i in perm[half:])
-        fr1 = expand_through(CliqueSet(ws, k, first), view, target, params).counts[-1] / x_target
-        fr2 = expand_through(CliqueSet(ws, k, second), view, target, params).counts[-1] / x_target
+        fr1 = expand_through(CliqueSet(ws, k, first), view, target).counts[-1] / x_target
+        fr2 = expand_through(CliqueSet(ws, k, second), view, target).counts[-1] / x_target
         splits.append(
             {
                 "best_half_fraction": max(fr1, fr2),

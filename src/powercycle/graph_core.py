@@ -65,10 +65,6 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
-def _pack_bool_row(row: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
 class Graph:
     """Simple undirected graph on vertex ids ``0..n-1``, immutable after construction."""
 

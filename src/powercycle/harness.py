@@ -252,7 +252,7 @@ def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> graph
     in the first window, x its measured reference count; drawn from
     stream(seed, 59)."""
     all_start = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
-    x_start, _ = expansion.reference_count(view, 0, k)
+    x_start = expansion.reference_count(view, 0, k)
     m = max(least, math.ceil(fraction * x_start))
     rng = models.stream(seed, 59)
     picks = rng.choice(len(all_start), size=min(m, len(all_start)), replace=False)
@@ -265,7 +265,7 @@ def _run_expansion_audit(params: dict, seed: int) -> tuple:
         raise ValueError(f"params.mode: unknown expansion-audit mode {mode!r}")
     k, n, p = params["k"], params["n"], params["p"]
     delta = params["delta"]
-    exp = expansion.ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+    exp = expansion.ExpansionParams(k=k, delta=delta)
     if mode == "one-step":
         typ = typicality.TypicalityParams(
             epsilon=params.get("cert_epsilon", 0.45),
@@ -285,7 +285,7 @@ def _run_expansion_audit(params: dict, seed: int) -> tuple:
     _, view = models.gen_blowup(_path_power_pattern(2 * k, k), n, p, seed)
     if mode == "main":
         start = _sample_start(view, k, delta, 1, seed)
-        trace = expansion.expand_through(start, view, k, exp)
+        trace = expansion.expand_through(start, view, k)
         bound = 1 - 10 * delta
         return {
             "start_size": len(start),
@@ -326,7 +326,7 @@ def _apply_adversary(host, spec: dict, seed: int) -> tuple:
 
 def _run_embed(params: dict, seed: int) -> tuple:
     N, p, k = params["N"], params["p"], params["k"]
-    host = models.gen_gnp(models.ModelParams(N=N, p=p, k=k, seed=seed))
+    host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
     thinned, adv_report = _apply_adversary(host, params.get("adversary", {"kind": "none"}), seed)
     measured: dict = {}
     if adv_report is not None:
@@ -357,8 +357,6 @@ def _run_embed(params: dict, seed: int) -> tuple:
         part = regularity.chunk_partition(part, part.class_size // r_chunks, seed)
     ep = embedder.EmbedParams(
         k=k,
-        d=params["d"],
-        p=p,
         xi=params.get("xi", params["eps"] / 4),
         delta=params.get("delta", 0.0225),
         eps=params["eps"],

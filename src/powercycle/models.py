@@ -16,7 +16,7 @@ per call site and no arithmetic on seeds:
    11  build_nice_partition         53  count-audit vertex sets
    13  chunk_partition              59  expansion-audit start sets
    17  inheritance_stats samples    61  oracle-compare instances
-   19  pair survey (round, i, j)    67  typical clique copy (*copy)
+   19  pair survey (0, i, j)        67  typical clique copy (*copy)
    23  one-step audit start         71  super-typical tuple pair (i, j)
    29  halving audit splits
    31  inheritance_stats check (s)
@@ -62,22 +62,16 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Host-model parameters: N vertices, edge probability p, power order k,
-    resilience margin alpha, and the trial seed."""
+    """Host-model parameters: N vertices, edge probability p, and the trial
+    seed."""
 
     N: int
     p: float
-    k: int = 2
-    alpha: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must lie in [0,1], got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
 

@@ -3,10 +3,9 @@
 A pair (V1, V2) is refuted when some pair of subsets with |Vi'| >= eps*|Vi|
 has density differing from the pair density by more than eps*p. The exact
 checker settles every qualifying subset pair; the sampled checker is a
-one-sided Monte Carlo refuter that can never certify. Partition construction
-starts from a random equipartition and falls back to witness-driven
-refinement, which on the random inputs this library targets is almost never
-needed.
+one-sided Monte Carlo refuter that can never certify. A partition is one
+random equipartition surveyed once with the sampled refuter; a refuted pair
+is left out of the regular and useful pairs, and no class is refined.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -288,19 +287,26 @@ class RegularPartition:
         )
 
 
-def _pair_survey(
-    graph: Graph, classes: list, params: RegularityParams, seed: int, round_idx: int
-) -> tuple:
-    """Refute pairs with the sampled checker, pair (i, j) of refinement round
-    ``round_idx`` drawing from stream(seed, 19, round_idx, i, j), and record
-    exact densities."""
+def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: int) -> RegularPartition:
+    """Random equipartition into m classes from stream(seed, 11), surveyed
+    once: every pair gets its exact density and a sampled refutation attempt,
+    pair (i, j) drawing from stream(seed, 19, 0, i, j). A refuted pair is
+    neither regular nor useful; an unrefuted one is useful when its density
+    is at least d*p. The partition is marked good when every class has at
+    least mu*k useful partners."""
+    N = graph.n
+    if N < m:
+        raise ValueError(f"need at least m={m} vertices, graph has {N}")
+    rng = stream(seed, 11)
+    perm = rng.permutation(N)
+    size = N // m
+    classes = [np.sort(perm[i * size : (i + 1) * size]) for i in range(m)]
     densities: dict = {}
-    refuted: dict = {}
     regular = set()
     useful = set()
     view = TupleView(graph, classes)
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
+    for i in range(m):
+        for j in range(i + 1, m):
             dens = view.density(i, j)
             densities[(i, j)] = dens
             verdict = check_regular_sampled(
@@ -310,74 +316,17 @@ def _pair_survey(
                 params.epsilon,
                 params.p,
                 trials=params.trials,
-                rng=stream(seed, 19, round_idx, i, j),
+                # The 0 stood for a refinement round; each pair keeps the
+                # sub-stream it has always drawn from, so records replay.
+                rng=stream(seed, 19, 0, i, j),
             )
-            if verdict.refuted:
-                refuted[(i, j)] = verdict
-            else:
+            if not verdict.refuted:
                 regular.add((i, j))
                 if float(dens) >= params.d * params.p - 1e-9:
                     useful.add((i, j))
-    return densities, refuted, regular, useful
-
-
-def build_nice_partition(
-    graph: Graph,
-    params: RegularityParams,
-    m: int,
-    seed: int,
-    max_rounds: int = 4,
-    class_cap: int = 64,
-) -> RegularPartition:
-    """Random equipartition into m classes, refined by refutation witnesses
-    until no pair is refuted (or a cap is hit), then scored: the partition is
-    marked good when every class has at least mu*k partners whose pair is
-    unrefuted with density >= d*p."""
-    N = graph.n
-    if N < m:
-        raise ValueError(f"need at least m={m} vertices, graph has {N}")
-    rng = stream(seed, 11)
-    perm = rng.permutation(N)
-    size = N // m
-    classes = [np.sort(perm[i * size : (i + 1) * size]) for i in range(m)]
-    exceptional = np.sort(perm[m * size :])
-
-    for round_idx in range(max_rounds + 1):
-        densities, refuted, regular, useful = _pair_survey(graph, classes, params, seed, round_idx)
-        if not refuted or round_idx == max_rounds or 2 * len(classes) > class_cap:
-            break
-        # Witness split: cut each refuted class by its first witness, then
-        # re-equalize at half the class size; remainders join the exceptional set.
-        witness_of: dict = {}
-        for (i, j), verdict in sorted(refuted.items()):
-            w1, w2 = verdict.witness
-            witness_of.setdefault(i, w1)
-            witness_of.setdefault(j, w2)
-        pieces = []
-        for i, cls in enumerate(classes):
-            if i in witness_of:
-                w = np.intersect1d(cls, witness_of[i])
-                pieces.append(w)
-                pieces.append(np.setdiff1d(cls, w))
-            else:
-                pieces.append(cls)
-        new_size = max(size // 2, 1)
-        new_classes = []
-        leftovers = [exceptional]
-        for piece in pieces:
-            nfull = len(piece) // new_size
-            for c in range(nfull):
-                new_classes.append(piece[c * new_size : (c + 1) * new_size])
-            leftovers.append(piece[nfull * new_size :])
-        new_exceptional = np.sort(np.concatenate(leftovers))
-        if len(new_exceptional) > params.epsilon * N:
-            break  # refining further would overflow the exceptional budget
-        size = new_size
-        classes = new_classes
-        exceptional = new_exceptional
 
     partition = RegularPartition(
-        exceptional=exceptional,
+        exceptional=np.sort(perm[m * size :]),
         classes=classes,
         epsilon=params.epsilon,
         p=params.p,

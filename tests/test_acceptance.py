@@ -164,16 +164,16 @@ def _square_path_pattern(windows, k):
 def test_criterion_06_main_expansion():
     started = time.time()
     k, n, p, delta = 2, 50, 0.6, 0.05
-    params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+    params = ExpansionParams(k=k, delta=delta)
     hits = 0
     for seed in range(100):
         _, view = gen_blowup(_square_path_pattern(2 * k, k), n, p, seed)
-        x_start, _ = reference_count(view, 0, k)
+        x_start = reference_count(view, 0, k)
         full = enumerate_canonical_cliques(view, 0, k).sorted()
         m = min(len(full), math.ceil(delta * x_start))
         picks = stream(seed, 59).choice(len(full), size=m, replace=False)
         start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
-        trace = expand_through(start, view, k, params)
+        trace = expand_through(start, view, k)
         hits += trace.final_fraction >= 1 - 10 * delta
     report(6, hits >= 85, f"{hits}/100 seeds reaching >= {1 - 10 * delta} of the far block (need >= 85)", started)
     assert hits >= 85
@@ -182,12 +182,12 @@ def test_criterion_06_main_expansion():
 def test_criterion_07_halving():
     started = time.time()
     k, n, p, delta = 2, 50, 0.6, 0.01
-    params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+    params = ExpansionParams(k=k, delta=delta)
     qualifying = good = 0
     seed = 0
     while qualifying < 50 and seed < 200:
         _, view = gen_blowup(_square_path_pattern(2 * k, k), n, p, seed)
-        x_start, _ = reference_count(view, 0, k)
+        x_start = reference_count(view, 0, k)
         full = enumerate_canonical_cliques(view, 0, k).sorted()
         m = min(len(full), max(2, math.ceil(delta * x_start)))
         picks = stream(seed, 59).choice(len(full), size=m, replace=False)

@@ -179,7 +179,7 @@ class TestEmbed:
         part = nice_partition(g, 1.0, 2 / 3, 6, seed=seed)
         red = build_reduced(part)
         cyc = find_cluster_power_cycle(red, 2)
-        params = EmbedParams(k=2, d=2 / 3, p=1.0, xi=xi, delta=0.02, eps=eps, seed=seed)
+        params = EmbedParams(k=2, xi=xi, delta=0.02, eps=eps, seed=seed)
         return g, embed_power_cycle(g, part, cyc, params)
 
     def test_complete_host_succeeds_verified(self):
@@ -209,7 +209,7 @@ class TestEmbed:
         red = build_reduced(part)
         cyc = find_cluster_power_cycle(red, 2)
         chunked = chunk_partition(part, part.class_size // 2, seed=3)
-        params = EmbedParams(k=2, d=2 / 3, p=1.0, xi=0.2, delta=0.02, eps=0.5, seed=3)
+        params = EmbedParams(k=2, xi=0.2, delta=0.02, eps=0.5, seed=3)
         result = embed_power_cycle(g, chunked, cyc, params)
         assert isinstance(result, PowerCycle)
         ok, _ = verify_power_cycle(g, result)
@@ -235,7 +235,7 @@ class TestEmbed:
             useful_pairs=frozenset(),
         )
         cyc = ClusterCycle((0, 1, 2), 2)
-        params = EmbedParams(k=2, d=0.5, p=1.0, xi=0.34, delta=0.02, eps=0.15, seed=1)
+        params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
         result = embed_power_cycle(g, part, cyc, params)
         assert isinstance(result, EmbedFailure)
         assert result.stage in ("layout", "anchor", "extend", "closing", "length")
@@ -276,7 +276,7 @@ class TestEmbed:
             regular_pairs=frozenset(),
             useful_pairs=frozenset(),
         )
-        params = EmbedParams(k=2, d=0.5, p=1.0, xi=0.34, delta=0.02, eps=0.15, seed=1)
+        params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
         with pytest.raises(ValueError, match="disjoint"):
             embed_power_cycle(g, part, ClusterCycle((0, 1, 2), 2), params)
 

@@ -185,13 +185,13 @@ class TestExpandThrough:
         # 2k-window path-power blow-ups: a delta fraction of the first block
         # reaches at least 1 - 10 delta of the last.
         k, n, p, delta = 2, 50, 0.6, 0.05
-        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        params = ExpansionParams(k=k, delta=delta)
         hits = 0
         for seed in range(10):
             _, view = path_power_blowup(2 * k, k, n, p, seed)
-            x_start, _ = reference_count(view, 0, k)
+            x_start = reference_count(view, 0, k)
             start = random_start(view, k, math.ceil(delta * x_start), seed)
-            trace = expand_through(start, view, k, params)
+            trace = expand_through(start, view, k)
             hits += trace.final_fraction >= 1 - 10 * delta
         assert hits >= 9
 
@@ -231,12 +231,6 @@ class TestExpandThrough:
         with pytest.raises(KeyError):
             reconstruct_path(0, trace.back_pointers, min(missed))
 
-    def test_nominal_fractions_reported_alongside(self):
-        _, view = complete_multipartite([4, 4, 4])
-        start = enumerate_canonical_cliques(view, 0, 2)
-        trace = expand_through(start, view, 1, ExpansionParams(k=2, delta=0.01, alpha=1.0, p=1.0))
-        assert trace.fractions_nominal == trace.fractions
-
 
 class TestFindExpander:
     def test_complete_multipartite_first_clique_works(self):
@@ -270,12 +264,12 @@ class TestFindExpander:
         # which is the regime where the halving search bottoms out to a
         # singleton before the scan.
         k, n, p, delta, windows = 2, 40, 0.7, 0.02, 100
-        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        params = ExpansionParams(k=k, delta=delta)
         assert windows >= 3 * k * k * math.log(n * windows)
         hits = 0
         for seed in range(3):
             _, view = path_power_blowup(windows, k, n, p, seed)
-            x_start, _ = reference_count(view, 0, k)
+            x_start = reference_count(view, 0, k)
             start = random_start(view, k, math.ceil(delta * x_start), seed)
             res = find_expander(start, view, windows, params)
             assert not res.warn_short_ell
@@ -307,7 +301,7 @@ class TestFindExpander:
         clique, scanned, rounds, fraction, digest, path = expected
         _, view = path_power_blowup(windows, k, n, p, seed)
         start = enumerate_canonical_cliques(view, 0, k)
-        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        params = ExpansionParams(k=k, delta=delta)
         res = find_expander(start, view, windows, params, keep_bp=True)
         assert (res.clique, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
         if clique is None:
@@ -327,7 +321,7 @@ class TestFindExpander:
         start = enumerate_canonical_cliques(view, 0, k)
         dense = expand_through(start, view, 0).frontier
         assert dense.dtype == bool and dense.shape == view.sizes[:k]
-        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=p)
+        params = ExpansionParams(k=k, delta=delta)
         a = find_expander(start, view, windows, params, keep_bp=True)
         b = find_expander(dense, view, windows, params, keep_bp=True)
         fields = ("found", "clique", "scanned", "bisection_rounds", "fraction", "best_fraction")
@@ -397,11 +391,11 @@ class TestHalving:
         # Reach is a union over the halves, so the better half of any split
         # carries at least half the start's reach.
         k, delta = 2, 0.01
-        params = ExpansionParams(k=k, delta=delta, alpha=1.0, p=0.6)
+        params = ExpansionParams(k=k, delta=delta)
         qualifying = 0
         for seed in range(12):
             _, view = path_power_blowup(2 * k, k, 50, 0.6, seed)
-            x_start, _ = reference_count(view, 0, k)
+            x_start = reference_count(view, 0, k)
             start = random_start(view, k, max(2, math.ceil(delta * x_start)), seed)
             audit = halving_audit(start, view, params, n_splits=4, seed=seed)
             if audit["start_qualifies"]:
@@ -461,9 +455,6 @@ class TestParamsAndFormats:
         with pytest.raises(ValueError):
             ExpansionParams(k=2, delta=1.0)
 
-    def test_reference_count_measured_and_nominal(self):
+    def test_reference_count_is_the_measured_count(self):
         _, view = complete_multipartite([4, 5, 6])
-        measured, nominal = reference_count(view, 0, 2, alpha=1.0, p=1.0)
-        assert measured == 20.0 and nominal == 20.0
-        measured, nominal = reference_count(view, 0, 2)
-        assert nominal is None
+        assert reference_count(view, 0, 2) == 20.0

@@ -103,7 +103,7 @@ GOLDEN = {
         {"mode": "partition", "N": 80, "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4, "trials": 30},
         [0, 1],
         {False: 2},
-        "e86a18e533e5b7f076e4763562eaa1fcb47603727a99c4ab2e30ae3059e6f09f",
+        "1d2c907ed3b27033b3373bb37cf4aa3d9249efc28e9ae0f31efd5a1f610e8932",
     ),
     "regularity-inheritance": (
         "regularity-audit",

@@ -1,5 +1,8 @@
+import ast
 import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +34,6 @@ class TestParams:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             ModelParams(N=10, p=1.5)
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            ModelParams(N=10, p=0.5, k=0)
 
 
 class TestGnp:
@@ -269,3 +268,52 @@ class TestExtremalBlocker:
         for N in (9, 12, 15):
             sizes = partite_blocker_sizes(N, 2)
             assert max(sizes) > N / 3
+
+
+class TestStreams:
+    """Every draw of the package comes through ``stream(seed, tag, ...)`` with
+    a tag listed in the ``models`` docstring table."""
+
+    SOURCES = sorted(Path(models.__file__).parent.glob("*.py"))
+
+    def _trees(self):
+        return [(path.name, ast.parse(path.read_text())) for path in self.SOURCES]
+
+    def test_every_literal_tag_is_in_the_table(self):
+        table = {
+            int(tag)
+            for line in models.__doc__.splitlines()
+            if re.match(r"\s+\d+  ", line)
+            for tag in re.findall(r"(?<!\S)(\d+)  +[a-z]", line)
+        }
+        assert {0, 19, 71} <= table
+        tags = []
+        for name, tree in self._trees():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call) or len(node.args) < 2:
+                    continue
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                tag = node.args[1]
+                if called == "stream" and isinstance(tag, ast.Constant) and isinstance(tag.value, int):
+                    tags.append((name, node.lineno, tag.value))
+        assert len(tags) >= 15
+        assert [t for t in tags if t[2] not in table] == []
+
+    def test_no_other_source_of_randomness(self):
+        banned = {"default_rng", "RandomState", "seed"}
+        found = []
+        for name, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    found += [(name, node.lineno, a.name) for a in node.names if a.name == "random"]
+                elif isinstance(node, ast.ImportFrom):
+                    if node.module == "random":
+                        found.append((name, node.lineno, "random"))
+                    if node.module == "numpy.random":
+                        found += [(name, node.lineno, a.name) for a in node.names if a.name in banned]
+                elif isinstance(node, ast.Attribute) and node.attr in banned:
+                    owner = node.value
+                    if node.attr != "seed" or getattr(owner, "attr", None) == "random":
+                        found.append((name, node.lineno, node.attr))
+        assert found == []

@@ -189,6 +189,30 @@ class TestNicePartition:
                 else:
                     assert dens > 0.9 * 0.5 * 0.5
 
+    def test_refuted_pairs_leave_the_equipartition_as_drawn(self):
+        # The golden regularity-partition config, where the survey refutes
+        # pairs: the classes stay the m drawn ones, and a refuted pair is
+        # neither regular nor useful.
+        N, p, m, seed = 80, 0.5, 4, 0
+        params = RegularityParams(epsilon=0.2, p=p, d=0.5, trials=30)
+        g = gen_gnp(ModelParams(N=N, p=p, seed=seed))
+        part = build_nice_partition(g, params, m=m, seed=seed)
+        assert [len(c) for c in part.classes] == [N // m] * m
+        assert len(part.exceptional) == N % m
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        assert sorted(part.pair_density) == pairs
+        refuted = {
+            (i, j)
+            for i, j in pairs
+            if check_regular_sampled(
+                g, part.classes[i], part.classes[j], 0.2, p, trials=30, rng=stream(seed, 19, 0, i, j)
+            ).refuted
+        }
+        assert refuted
+        assert not refuted & part.regular_pairs
+        assert not refuted & part.useful_pairs
+        assert part.regular_pairs == set(pairs) - refuted
+
     def test_requires_enough_vertices(self):
         params = RegularityParams(epsilon=0.3, p=0.5)
         with pytest.raises(ValueError):

@@ -11,7 +11,10 @@ layers. A round ends on the last k fresh target sets, which open the next
 round's view, so the frontier is carried from round to round as the dense
 array the search returned. A reserve tuple drawn at the start is spent at the
 end to close the path into a cycle through an anchor clique that was chosen,
-back at step one, to expand well both forward and backward.
+back at step one, to expand well both forward and backward. The closing
+scans the last frontier's copies as one-hot frontiers and meets each reach
+with the anchor's backward reach as one AND of dense arrays: both end on the
+first k reserves, the backward one with its axes in reverse order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples, and the anchor and closing share one test of a single
@@ -81,17 +84,9 @@ class ReducedGraph:
 
     t0: int
     edges: frozenset
-    density: dict
 
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
-
-    def degrees(self) -> list:
-        deg = [0] * self.t0
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -151,24 +146,12 @@ class EmbedFailure:
         }
 
 
-def build_reduced(
-    partition: RegularPartition,
-    d: Optional[float] = None,
-    p: Optional[float] = None,
-    tol: float = 1e-9,
-) -> ReducedGraph:
-    """Reduced graph on the partition classes."""
+def build_reduced(partition: RegularPartition) -> ReducedGraph:
+    """Reduced graph on the partition classes: its edges are the partition's
+    useful pairs."""
     if partition.k < 3:
         raise ValueError(f"need at least 3 classes, got {partition.k}")
-    d = partition.d if d is None else d
-    p = partition.p if p is None else p
-    edges = set()
-    density = {}
-    for (i, j), dens in partition.pair_density.items():
-        if (i, j) in partition.regular_pairs and float(dens) >= d * p - tol:
-            edges.add((i, j))
-            density[(i, j)] = float(dens)
-    return ReducedGraph(t0=partition.k, edges=frozenset(edges), density=density)
+    return ReducedGraph(t0=partition.k, edges=frozenset(partition.useful_pairs))
 
 
 def find_cluster_power_cycle(
@@ -391,11 +374,11 @@ def embed_power_cycle(
         }
         return EmbedFailure(stage=stage, step=step, detail=detail, sizes=sizes, fraction=fraction)
 
-    def expands_well(clique: tuple, view: TupleView, to_window: int):
-        """The trace of ``clique`` expanded to ``to_window`` when its reach
-        there is at least the success fraction of the reference count, else
-        None."""
-        trace = expand_through(CliqueSet(0, k, frozenset([clique])), view, to_window, keep_bp=True)
+    def expands_well(start, view: TupleView, to_window: int):
+        """The trace of a single-clique ``start`` (a CliqueSet or a one-hot
+        frontier) expanded to ``to_window`` when its reach there is at least
+        the success fraction of the reference count, else None."""
+        trace = expand_through(start, view, to_window)
         x_ref = reference_count(view, to_window, k)
         return trace if trace.counts[-1] >= threshold * x_ref else None
 
@@ -421,26 +404,24 @@ def embed_power_cycle(
     bwd_parts = [targets[k - 1 - j] for j in range(k)] + [reserve[t - 1 - j] for j in range(t)]
     bwd_view = TupleView(graph, bwd_parts)
     for cand in enumerate_canonical_cliques(fwd_view, 0, k).sorted():
-        fwd = expands_well(cand, fwd_view, t - k)
+        fwd = expands_well(CliqueSet(0, k, frozenset([cand])), fwd_view, t - k)
         if fwd is None:
             continue
-        bwd = expands_well(tuple(reversed(cand)), bwd_view, t)
+        bwd = expands_well(CliqueSet(0, k, frozenset([cand[::-1]])), bwd_view, t)
         if bwd is not None:
             break
     else:
         return failure("anchor", None, "no clique expands both ways")
 
-    # Backward reach, reoriented as canonical copies of the first k reserves.
     # The forward trace ends on the last k targets, which are the first k
     # parts of the next round's view, so its dense frontier starts that round.
-    kstar_back = {tuple(reversed(c)) for c in bwd.final.members}
     last = fwd
 
     def append_round(chosen: tuple, skip: int) -> None:
         """Realize the round ending at ``chosen`` from the last trace's
         predecessor layers; the first ``skip`` reconstructed vertices are
         already on the path."""
-        verts = reconstruct_path(0, last.back_pointers, chosen)
+        verts = reconstruct_path(last.back_pointers, chosen)
         new = verts[skip:]
         if len(new) != t:
             raise RuntimeError(f"round realized {len(new)} vertices, expected {t}")
@@ -478,7 +459,7 @@ def embed_power_cycle(
             if fresh is None:
                 return failure("extend", s, "window pool exhausted")
             try:
-                res = find_expander(last.frontier, view, k + t, exp_params, keep_bp=True)
+                res = find_expander(last.frontier, view, k + t, exp_params)
             except ValueError as err:
                 return failure("extend", s, str(err))
             if res.found:
@@ -494,28 +475,41 @@ def embed_power_cycle(
         last = res.trace
 
     # Closing: connect the frontier through a fresh tuple into the reserves
-    # and splice with the anchor's backward reach.
+    # and splice with the anchor's backward reach. The closing view opens on
+    # the last k targets, where the last frontier lives, so its C-order
+    # positions scan the frontier's copies in lexicographic order.
     audit(s_final)
     closing = None
     for fresh, view in target_draws((47,), reserve[:k]):
         if fresh is None:
             return failure("closing", s_final, "window pool exhausted")
-        for cand in last.final.sorted():
-            trace = expands_well(cand, view, t + k)
-            meet = [] if trace is None else sorted(trace.final.members & kstar_back)
-            if meet:
-                closing = (cand, meet[0], trace)
+        for pos in np.argwhere(last.frontier):
+            one_hot = np.zeros(last.frontier.shape, dtype=bool)
+            one_hot[tuple(pos)] = True
+            trace = expands_well(one_hot, view, t + k)
+            if trace is None:
+                continue
+            # The closing trace ends on reserve[0..k-1] and the backward trace
+            # on reserve[k-1..0], the same sorted arrays in reverse order, so
+            # reversing the backward frontier's axes lines their positions
+            # up. The first row of argwhere is the lexicographically smallest
+            # copy in both reaches.
+            meet = np.argwhere(trace.frontier & bwd.frontier.transpose())
+            if len(meet):
+                closing = (pos, meet[0], trace, view)
                 break
         if closing is not None:
             break
     if closing is None:
         return failure("closing", s_final, "no frontier clique reaches the anchor's backward set")
 
-    chosen, q, trace = closing
+    pos, meet, trace, view = closing
+    chosen = tuple(int(view.parts[a][i]) for a, i in enumerate(pos))
+    q = tuple(int(view.parts[t + k + a][i]) for a, i in enumerate(meet))
     append_round(chosen, 0 if s_final == 1 else k)
-    close_verts = reconstruct_path(0, trace.back_pointers, q)
+    close_verts = reconstruct_path(trace.back_pointers, q)
     path.extend(close_verts[k:])  # one vertex per fresh window, then q itself
-    back_verts = reconstruct_path(0, bwd.back_pointers, tuple(reversed(q)))
+    back_verts = reconstruct_path(bwd.back_pointers, q[::-1])
     tail = back_verts[k : k + (t - k)]
     path.extend(reversed(tail))
 

@@ -14,17 +14,20 @@ rechecked. One frontier-advance loop serves ``expand_step``,
 ``expand_through``, which records per-window counts, and the bisection
 rounds of ``find_expander``, which need only the reach count at one window.
 
-Only the current frontier is kept, with an optional predecessor layer per
-step for reconstructing a single connecting k-path on demand. A layer holds
+Each step yields one predecessor layer, and ``expand_through`` keeps them
+all, for reconstructing a single connecting k-path on demand. A layer holds
 references, not copies: the parts of windows w..w+k, the frontier before the
 step, the head block and the reach. Frontiers are read-only, so a caller
-holding one cannot change a path reconstructed later. ``reconstruct_path`` finds one copy's
-lowest valid head from them when asked, one layer at a time.
+holding one cannot change a path reconstructed later. ``reconstruct_path``
+finds one copy's lowest valid head from them when asked, one layer at a time.
 
-A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0.
-``expand_through`` and ``find_expander`` hand back their final frontier in
-dense form, so the embedder carries the reach from one round to the next
-without converting it; clique sets are built from it only when read.
+A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0;
+``expand_through`` also takes a ``CliqueSet`` at a later window, while
+``find_expander`` always searches from window 0. Its bisection halves and its
+scanned candidates are dense frontiers too (a candidate is one-hot), and the
+final frontier is handed back dense, so the embedder carries the reach from
+one round to the next without converting it; clique sets are built from it
+only when read.
 
 Reach fractions are reported against the reference count of a window block:
 the product of the window sizes and the measured pair densities. A trace
@@ -168,18 +171,11 @@ def _frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> lis
     return list(zip(*(view.parts[window + a][i].tolist() for a, i in enumerate(idx))))
 
 
-def _advance(
-    view: TupleView,
-    frontier: np.ndarray,
-    first: int,
-    to_window: int,
-    k: int,
-    bps: Optional[list] = None,
-):
+def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int):
     """Step a frontier anchored at window ``first`` one window at a time up to
-    ``to_window``, yielding (window, frontier) after each step. When ``bps``
-    is a list, one predecessor layer per step is appended to it. Layers
-    share their frontiers with the caller, so each reach is made read-only."""
+    ``to_window``, yielding one predecessor layer (parts of windows w..w+k,
+    frontier before the step, head block, reach) per step. Layers share their
+    frontiers with the caller, so each reach is made read-only."""
     for w in range(first, to_window):
         j = w + k
         flat = frontier.reshape(frontier.shape[0], -1)
@@ -190,10 +186,8 @@ def _advance(
             shape[a - 1], shape[-1] = view.sizes[w + a], view.sizes[j]
             reach &= view.block(w + a, j).reshape(shape)
         reach.flags.writeable = False
-        if bps is not None:
-            bps.append((view.parts[w : j + 1], frontier, head_block, reach))
+        yield view.parts[w : j + 1], frontier, head_block, reach
         frontier = reach
-        yield w + 1, frontier
 
 
 def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
@@ -204,17 +198,18 @@ def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
             f"expansion from window {i} needs parts up to {i + k}, view has {view.t}"
         )
     frontier = _frontier_of(view, start, i, k)
-    _, new = next(_advance(view, frontier, i, i + 1, k))
+    *_, new = next(_advance(view, frontier, i, i + 1, k))
     return CliqueSet(i + 1, k, frozenset(_frontier_members(view, new, i + 1)))
 
 
 @dataclass(eq=False)
 class ExpansionTrace:
     """Reach counts window by window. ``counts[m]`` is the frontier size at
-    window start_window + m, and ``frontier`` the dense frontier at
-    to_window. The fractions normalize each count by the reference count of
-    its window block; they and ``final``, the frontier as a CliqueSet, are
-    computed when first read."""
+    window start_window + m, ``frontier`` the dense frontier at to_window,
+    and ``back_pointers`` the predecessor layers, one per step (none for a
+    zero-step trace). The fractions normalize each count by the reference
+    count of its window block; they and ``final``, the frontier as a
+    CliqueSet, are computed when first read."""
 
     start_window: int
     to_window: int
@@ -222,8 +217,7 @@ class ExpansionTrace:
     counts: list
     frontier: np.ndarray
     view: TupleView
-    warn_short_ell: bool = False
-    back_pointers: Optional[list] = None
+    back_pointers: list
 
     @cached_property
     def fractions(self) -> list:
@@ -241,50 +235,35 @@ class ExpansionTrace:
         return self.fractions[-1]
 
 
-def _short_ell(view: TupleView, k: int, ell: int) -> bool:
-    n_host = view.graph.n
-    return ell < 3 * k * k * math.log(max(n_host, 2))
-
-
-def expand_through(
-    start: CliqueSet,
-    view: TupleView,
-    to_window: int,
-    keep_bp: bool = False,
-) -> ExpansionTrace:
+def expand_through(start: CliqueSet, view: TupleView, to_window: int) -> ExpansionTrace:
     """Iterate expand_step until the frontier is anchored at ``to_window``,
-    recording per-window counts. ``start`` is a CliqueSet or a dense bool
-    frontier anchored at window 0."""
+    recording per-window counts and keeping every predecessor layer.
+    ``start`` is a CliqueSet or a dense bool frontier anchored at window 0."""
     i, k = _start_window(start)
     if to_window < i:
         raise IndexError(f"target window {to_window} precedes start window {i}")
     if to_window + k > view.t:
         raise IndexError(f"target window {to_window} overflows view of {view.t} parts")
-    frontier = _frontier_of(view, start, i, k)
-    counts = [_frontier_size(frontier)]
-    bps: Optional[list] = [] if keep_bp else None
-    for _, frontier in _advance(view, frontier, i, to_window, k, bps):
-        counts.append(_frontier_size(frontier))
+    first = _frontier_of(view, start, i, k)
+    layers = list(_advance(view, first, i, to_window, k))
+    frontiers = [first] + [reach for *_, reach in layers]
     return ExpansionTrace(
         start_window=i,
         to_window=to_window,
         order=k,
-        counts=counts,
-        frontier=frontier,
+        counts=[_frontier_size(f) for f in frontiers],
+        frontier=frontiers[-1],
         view=view,
-        warn_short_ell=_short_ell(view, k, to_window - i + k),
-        back_pointers=bps,
+        back_pointers=layers,
     )
 
 
-def reconstruct_path(
-    start_window: int, back_pointers: list, final_clique: tuple
-) -> list:
+def reconstruct_path(back_pointers: list, final_clique: tuple) -> list:
     """Vertex sequence of one canonical k-path ending in ``final_clique``,
-    walked back through the predecessor layers to the start window. At each
-    layer the head is the lowest position in the frontier before the step
-    that extends the current copy; a copy the layer did not reach is a
-    KeyError."""
+    walked back through the predecessor layers to their start window; with
+    no layers it is the clique itself. At each layer the head is the lowest
+    position in the frontier before the step that extends the current copy;
+    a copy the layer did not reach is a KeyError."""
     # Consecutive layers share their windows, so the head's position and the
     # copy's first k-1 positions index the next layer back directly.
     heads_out = []
@@ -302,31 +281,18 @@ def reconstruct_path(
 
 @dataclass(eq=False)
 class ExpanderResult:
-    """Outcome of ``find_expander``. A found result keeps the winning
-    candidate's trace: ``frontier`` is its dense reach at the final window,
-    ``reach`` the same copies as a CliqueSet (built when first read), and
-    ``back_pointers`` its predecessor layers when keep_bp was set."""
+    """Outcome of ``find_expander``. ``best_fraction`` is the best reach
+    fraction scanned, which on a found result is the winner's. A found
+    result keeps the winner's trace, whose ``frontier`` is its dense reach at
+    the final window and whose ``back_pointers`` are its predecessor
+    layers; a not-found result has none."""
 
     found: bool
     clique: Optional[tuple]
-    fraction: float
     best_fraction: float
     bisection_rounds: int
     scanned: int
-    warn_short_ell: bool
     trace: Optional[ExpansionTrace] = None
-
-    @property
-    def frontier(self) -> Optional[np.ndarray]:
-        return None if self.trace is None else self.trace.frontier
-
-    @property
-    def reach(self) -> Optional[CliqueSet]:
-        return None if self.trace is None else self.trace.final
-
-    @property
-    def back_pointers(self) -> Optional[list]:
-        return None if self.trace is None else self.trace.back_pointers
 
 
 def find_expander(
@@ -334,53 +300,56 @@ def find_expander(
     view: TupleView,
     ell: int,
     params: ExpansionParams,
-    keep_bp: bool = False,
 ) -> ExpanderResult:
     """Search ``start`` for a single clique that expands to at least
     (1 - 20 k delta) of the reference count at the final block of an
-    ell-window stretch.
+    ell-window stretch from window 0.
 
     Strategy: repeated halving - keep the half whose reach one block ahead is
     at least (1/2 - 5 k delta), preferring the lexicographically first half
     when both qualify - until the candidate set is a singleton or no window
     room remains, then scan candidates by exhaustive per-clique reach,
-    starting with the survivors. Not-found results carry the best reach
-    fraction seen. ``start`` is a CliqueSet or a dense bool frontier anchored
-    at window 0, such as the ``frontier`` of an earlier result.
+    starting with the survivors. Each candidate is scanned as a one-hot
+    dense frontier, and only the winner is turned into a vertex tuple.
+    Not-found results carry the best reach fraction seen. ``start`` is a
+    CliqueSet at window 0 or a dense bool frontier, such as the
+    ``trace.frontier`` of an earlier result.
     """
     k = params.k
     params.require_search_regime()
     ws, order = _start_window(start)
+    if ws != 0:
+        raise ValueError(f"start is anchored at window {ws}, the search starts at window 0")
     if order != k:
         raise ValueError(f"start has order {order}, params expect {k}")
     if ell < 2 * k:
         raise ValueError(f"need at least 2k={2 * k} windows, got {ell}")
-    if ws + ell > view.t:
-        raise IndexError(f"{ell} windows from {ws} overflow view of {view.t} parts")
+    if ell > view.t:
+        raise IndexError(f"{ell} windows overflow view of {view.t} parts")
     # Converting a CliqueSet start checks every member, also those the scan
     # never reaches. The C-order positions of the dense frontier are the
     # order of start.sorted(), so the candidates are always the slice [lo, hi)
     # of that order.
-    positions = np.nonzero(_frontier_of(view, start, ws, k))
+    positions = np.nonzero(_frontier_of(view, start, 0, k))
     size = len(positions[0])
-    x_start = reference_count(view, ws, k)
+    x_start = reference_count(view, 0, k)
     if size < params.delta * x_start:
         raise ValueError(
             f"start set of {size} copies is below delta * x = {params.delta * x_start:.1f}"
         )
-    final_window = ws + ell - k
+    final_window = ell - k
     x_final = reference_count(view, final_window, k)
-    warn = _short_ell(view, k, ell)
+
+    def frontier_of_range(lo: int, hi: int) -> np.ndarray:
+        frontier = np.zeros(view.sizes[:k], dtype=bool)
+        frontier[tuple(p[lo:hi] for p in positions)] = True
+        return frontier
 
     def reach_count_at(lo: int, hi: int, to_window: int) -> int:
-        frontier = np.zeros(view.sizes[ws : ws + k], dtype=bool)
-        frontier[tuple(p[lo:hi] for p in positions)] = True
-        for _, frontier in _advance(view, frontier, ws, to_window, k):
+        frontier = frontier_of_range(lo, hi)
+        for *_, frontier in _advance(view, frontier, 0, to_window, k):
             pass
         return _frontier_size(frontier)
-
-    def clique_at(i: int) -> tuple:
-        return tuple(int(view.parts[ws + a][p[i]]) for a, p in enumerate(positions))
 
     lo, hi = 0, size
     rounds = 0
@@ -388,11 +357,11 @@ def find_expander(
     block = 1
     while hi - lo > 1 and block <= max_block:
         mid = lo + (hi - lo + 1) // 2
-        x_block = reference_count(view, ws + block * k, k)
+        x_block = reference_count(view, block * k, k)
         need = params.half_fraction * x_block
-        if reach_count_at(lo, mid, ws + block * k) >= need:
+        if reach_count_at(lo, mid, block * k) >= need:
             hi = mid
-        elif reach_count_at(mid, hi, ws + block * k) >= need:
+        elif reach_count_at(mid, hi, block * k) >= need:
             lo = mid
         else:
             break
@@ -403,29 +372,25 @@ def find_expander(
     scanned = 0
     for i in chain(range(lo, hi), range(lo), range(hi, size)):
         scanned += 1
-        cand = clique_at(i)
-        trace = expand_through(CliqueSet(ws, k, frozenset([cand])), view, final_window, keep_bp=keep_bp)
+        trace = expand_through(frontier_of_range(i, i + 1), view, final_window)
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
         best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
+            clique = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(positions))
             return ExpanderResult(
                 found=True,
-                clique=cand,
-                fraction=fraction,
+                clique=clique,
                 best_fraction=fraction,
                 bisection_rounds=rounds,
                 scanned=scanned,
-                warn_short_ell=warn,
                 trace=trace,
             )
     return ExpanderResult(
         found=False,
         clique=None,
-        fraction=0.0,
         best_fraction=best_fraction,
         bisection_rounds=rounds,
         scanned=scanned,
-        warn_short_ell=warn,
     )
 
 

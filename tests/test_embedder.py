@@ -48,8 +48,7 @@ class TestReducedGraph:
     def test_all_dense_pairs_complete(self):
         part = nice_partition(complete_graph(60), 1.0, 0.9, 4, seed=1)
         red = build_reduced(part)
-        assert len(red.edges) == 6
-        assert red.degrees() == [3, 3, 3, 3]
+        assert red.edges == frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
 
     def test_empty_graph_edgeless(self):
         part = nice_partition(empty_graph(40), 0.5, 0.5, 4, seed=1)
@@ -57,27 +56,31 @@ class TestReducedGraph:
         assert len(red.edges) == 0
 
     def test_density_threshold_filters(self):
-        part = nice_partition(gen_gnp(ModelParams(N=120, p=0.5, seed=2)), 0.5, 0.5, 4, seed=2)
-        assert len(build_reduced(part).edges) == 6
-        assert len(build_reduced(part, d=1.5).edges) == 0
+        # At d = 1 the threshold d*p is the graph's own density, so only the
+        # pairs that came out denser than 0.5 stay.
+        graph = gen_gnp(ModelParams(N=120, p=0.5, seed=2))
+        assert len(build_reduced(nice_partition(graph, 0.5, 0.5, 4, seed=2)).edges) == 6
+        strict = nice_partition(graph, 0.5, 1.0, 4, seed=2)
+        dense = {pair for pair, dens in strict.pair_density.items() if dens >= 0.5}
+        assert build_reduced(strict).edges == dense == {(0, 2), (1, 3), (2, 3)}
 
 
 class TestClusterCycleSearch:
     def test_complete_reduced_natural_order(self):
-        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)), density={})
+        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)))
         cyc = find_cluster_power_cycle(red, 2)
         assert cyc.ordering == (0, 1, 2, 3, 4, 5)
         assert cyc.validate(red)
 
     def test_plain_hamilton_cycle_for_k1(self):
         edges = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)})
-        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges, density={}), 1)
+        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges), 1)
         assert cyc is not None and cyc.ordering[0] == 0
 
     def test_exhaustive_not_found(self):
         # A path of clusters has no Hamilton cycle at all.
         edges = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)})
-        assert find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges, density={}), 1) is None
+        assert find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges), 1) is None
 
     def test_square_cycle_on_tripartite_reduced(self):
         # Complete 3-partite reduced graph with parts {0,1},{2,3},{4,5}: a
@@ -89,17 +92,17 @@ class TestClusterCycleSearch:
             for b in range(a + 1, 6):
                 if not any(a in p and b in p for p in parts):
                     edges.add((a, b))
-        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=frozenset(edges), density={}), 2)
-        assert cyc is not None and cyc.validate(ReducedGraph(6, frozenset(edges), {}))
+        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=frozenset(edges)), 2)
+        assert cyc is not None and cyc.validate(ReducedGraph(6, frozenset(edges)))
 
     def test_cap_refusal(self):
-        red = ReducedGraph(t0=20, edges=frozenset(), density={})
+        red = ReducedGraph(t0=20, edges=frozenset())
         with pytest.raises(ValueError, match="cap"):
             find_cluster_power_cycle(red, 2)
 
     def test_invalid_result_raises(self, monkeypatch):
         monkeypatch.setattr(ClusterCycle, "validate", lambda self, reduced: False)
-        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)), density={})
+        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)))
         with pytest.raises(RuntimeError, match="fails its own validation"):
             find_cluster_power_cycle(red, 2)
 

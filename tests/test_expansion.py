@@ -160,10 +160,10 @@ class TestDenseKernelAgainstBitsetStep:
                 members.append(next(c for c in product if c not in cliques))
             start = CliqueSet(window, k, frozenset(members))
             reached, predecessor = bitset_expand_once(view, start)
-            trace = expand_through(start, view, window + 1, keep_bp=True)
+            trace = expand_through(start, view, window + 1)
             assert trace.final.members == reached == expand_step(start, view).members
             for c in reached:
-                path = reconstruct_path(window, trace.back_pointers, c)
+                path = reconstruct_path(trace.back_pointers, c)
                 assert tuple(path[:k]) == predecessor[c]
 
 
@@ -174,6 +174,9 @@ class TestExpandThrough:
         trace = expand_through(start, view, 0)
         assert trace.final.members == start.members
         assert trace.counts == [len(start)]
+        assert trace.back_pointers == []
+        first = start.sorted()[0]
+        assert reconstruct_path(trace.back_pointers, first) == list(first)
 
     def test_complete_multipartite_full_reach(self):
         _, view = complete_multipartite([3] * 6)
@@ -199,10 +202,10 @@ class TestExpandThrough:
         k = 3
         g, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
         start = random_start(view, k, 10, seed=9)
-        trace = expand_through(start, view, k, keep_bp=True)
+        trace = expand_through(start, view, k)
         assert trace.final.members
         final = trace.final.sorted()[0]
-        path = reconstruct_path(0, trace.back_pointers, final)
+        path = reconstruct_path(trace.back_pointers, final)
         assert len(path) == 2 * k
         assert tuple(path[:k]) in start.members
         assert tuple(path[-k:]) == final
@@ -219,25 +222,25 @@ class TestExpandThrough:
         adj = g.adj.copy()
         adj[2, 4] = adj[4, 2] = False
         cut = TupleView(Graph(adj), view.parts)
-        one = expand_through(CliqueSet(0, 2, frozenset([(0, 2)])), cut, 1, keep_bp=True)
+        one = expand_through(CliqueSet(0, 2, frozenset([(0, 2)])), cut, 1)
         assert one.final.members == frozenset([(2, 5)])
         with pytest.raises(KeyError):
-            reconstruct_path(0, one.back_pointers, (3, 5))
+            reconstruct_path(one.back_pointers, (3, 5))
         k = 3
         _, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
-        trace = expand_through(random_start(view, k, 10, seed=9), view, k, keep_bp=True)
+        trace = expand_through(random_start(view, k, 10, seed=9), view, k)
         missed = enumerate_canonical_cliques(view, k, k).members - trace.final.members
         assert missed
         with pytest.raises(KeyError):
-            reconstruct_path(0, trace.back_pointers, min(missed))
+            reconstruct_path(trace.back_pointers, min(missed))
 
 
 class TestFindExpander:
     def test_complete_multipartite_first_clique_works(self):
         _, view = complete_multipartite([4] * 6)
         start = enumerate_canonical_cliques(view, 0, 2)
-        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02), keep_bp=True)
-        assert res.found and res.fraction == 1.0
+        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02))
+        assert res.found and res.best_fraction == 1.0
         assert res.clique == start.sorted()[0]
 
     def test_singleton_start_returns_it(self):
@@ -272,13 +275,12 @@ class TestFindExpander:
             x_start = reference_count(view, 0, k)
             start = random_start(view, k, math.ceil(delta * x_start), seed)
             res = find_expander(start, view, windows, params)
-            assert not res.warn_short_ell
-            hits += res.found and res.fraction >= 1 - 20 * k * delta
+            hits += res.found and res.best_fraction >= 1 - 20 * k * delta
         assert hits == 3
 
     # (windows, k, n, p, delta, seed) -> (clique, scanned, bisection_rounds,
-    # fraction, sha256 of repr(reach.sorted()), reconstructed path of the first
-    # reach member); a not-found case pins best_fraction in place of fraction.
+    # best_fraction, sha256 of repr(trace.final.sorted()), reconstructed path
+    # of the first reach member); a not-found case pins only the first four.
     PINNED = [
         (
             (8, 2, 22, 0.35, 0.006, 1),
@@ -302,15 +304,15 @@ class TestFindExpander:
         _, view = path_power_blowup(windows, k, n, p, seed)
         start = enumerate_canonical_cliques(view, 0, k)
         params = ExpansionParams(k=k, delta=delta)
-        res = find_expander(start, view, windows, params, keep_bp=True)
+        res = find_expander(start, view, windows, params)
         assert (res.clique, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
         if clique is None:
             assert not res.found and res.best_fraction == fraction
             return
-        assert res.found and res.fraction == fraction
-        members = res.reach.sorted()
+        assert res.found and res.best_fraction == fraction
+        members = res.trace.final.sorted()
         assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
-        assert reconstruct_path(0, res.back_pointers, members[0]) == path
+        assert reconstruct_path(res.trace.back_pointers, members[0]) == path
 
     @pytest.mark.parametrize("config", [c for c, _ in PINNED])
     def test_dense_start_equals_clique_set_start(self, config):
@@ -322,17 +324,18 @@ class TestFindExpander:
         dense = expand_through(start, view, 0).frontier
         assert dense.dtype == bool and dense.shape == view.sizes[:k]
         params = ExpansionParams(k=k, delta=delta)
-        a = find_expander(start, view, windows, params, keep_bp=True)
-        b = find_expander(dense, view, windows, params, keep_bp=True)
-        fields = ("found", "clique", "scanned", "bisection_rounds", "fraction", "best_fraction")
+        a = find_expander(start, view, windows, params)
+        b = find_expander(dense, view, windows, params)
+        fields = ("found", "clique", "scanned", "bisection_rounds", "best_fraction")
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
         if not a.found:
-            assert a.reach is b.reach is None and a.frontier is b.frontier is None
+            assert a.trace is b.trace is None
             return
-        assert np.array_equal(a.frontier, b.frontier)
-        assert a.reach.members == b.reach.members
-        first = a.reach.sorted()[0]
-        assert reconstruct_path(0, a.back_pointers, first) == reconstruct_path(0, b.back_pointers, first)
+        assert np.array_equal(a.trace.frontier, b.trace.frontier)
+        assert a.trace.final.members == b.trace.final.members
+        first = a.trace.final.sorted()[0]
+        path = reconstruct_path(a.trace.back_pointers, first)
+        assert path == reconstruct_path(b.trace.back_pointers, first)
 
     def test_dense_start_checks_order_dtype_and_shape(self):
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
@@ -358,10 +361,10 @@ class TestFindExpander:
         # rather than change a path reconstructed later.
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
         start = enumerate_canonical_cliques(view, 0, 2)
-        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02), keep_bp=True)
-        assert res.frontier is res.back_pointers[-1][3]
+        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02))
+        assert res.trace.frontier is res.trace.back_pointers[-1][3]
         with pytest.raises(ValueError, match="read-only"):
-            res.frontier[0, 0] = False
+            res.trace.frontier[0, 0] = False
         dense = np.ones(view.sizes[:2], dtype=bool)
         with pytest.raises(ValueError, match="read-only"):
             expand_through(dense, view, 0).frontier[0, 0] = False
@@ -379,11 +382,11 @@ class TestFindExpander:
         with pytest.raises(ValueError, match="windows"):
             find_expander(start, view, 3, ExpansionParams(k=2, delta=0.02))
 
-    def test_short_run_flagged(self):
-        _, view = complete_multipartite([4] * 6)
-        start = enumerate_canonical_cliques(view, 0, 2)
-        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02))
-        assert res.warn_short_ell  # 6 windows is far below 3 k^2 log N
+    def test_search_starts_at_window_zero(self):
+        _, view = complete_multipartite([3] * 6)
+        start = enumerate_canonical_cliques(view, 1, 2)
+        with pytest.raises(ValueError, match="window 1"):
+            find_expander(start, view, 4, ExpansionParams(k=2, delta=0.02))
 
 
 class TestHalving:

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import math
 import re
 from pathlib import Path
@@ -279,13 +280,17 @@ class TestStreams:
     def _trees(self):
         return [(path.name, ast.parse(path.read_text())) for path in self.SOURCES]
 
-    def test_every_literal_tag_is_in_the_table(self):
-        table = {
+    @staticmethod
+    def _table():
+        return {
             int(tag)
             for line in models.__doc__.splitlines()
             if re.match(r"\s+\d+  ", line)
             for tag in re.findall(r"(?<!\S)(\d+)  +[a-z]", line)
         }
+
+    def test_every_literal_tag_is_in_the_table(self):
+        table = self._table()
         assert {0, 19, 71} <= table
         tags = []
         for name, tree in self._trees():
@@ -299,6 +304,39 @@ class TestStreams:
                     tags.append((name, node.lineno, tag.value))
         assert len(tags) >= 15
         assert [t for t in tags if t[2] not in table] == []
+
+    def test_every_runtime_tag_is_in_the_table(self, monkeypatch):
+        # The embedder's extend and closing tags reach ``stream`` through a
+        # labels tuple and typicality's through a path tuple, out of sight of
+        # the literal check above, so record every tag actually drawn from
+        # by a toy embed that closes its cycle and a small typicality audit.
+        from powercycle.embedder import EmbedParams, PowerCycle, build_reduced
+        from powercycle.embedder import embed_power_cycle, find_cluster_power_cycle
+        from powercycle.regularity import RegularityParams, build_nice_partition
+        from powercycle.typicality import TypicalityParams, check_super_typical
+
+        real = models.stream
+        seen = []
+
+        def spy(seed, *path):
+            seen.append(path[0])
+            return real(seed, *path)
+
+        for path in self.SOURCES:
+            name = "powercycle" if path.stem == "__init__" else f"powercycle.{path.stem}"
+            module = importlib.import_module(name)
+            if vars(module).get("stream") is real:
+                monkeypatch.setattr(module, "stream", spy)
+
+        g = complete_graph(60)
+        partition = build_nice_partition(g, RegularityParams(epsilon=0.25, p=1.0, d=2 / 3), m=6, seed=5)
+        cycle = find_cluster_power_cycle(build_reduced(partition), 2)
+        result = embed_power_cycle(g, partition, cycle, EmbedParams(k=2, xi=0.2, delta=0.02, eps=0.4, seed=5))
+        assert isinstance(result, PowerCycle)
+        _, view = gen_blowup(complete_graph(4), 30, 0.6, seed=4)
+        check_super_typical(view, TypicalityParams(epsilon=0.4, delta=0.4, p=0.6, trials=60), seed=4)
+        assert sorted(set(seen) - self._table()) == []
+        assert {37, 41, 43, 47, 67, 71} <= set(seen)
 
     def test_no_other_source_of_randomness(self):
         banned = {"default_rng", "RandomState", "seed"}

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -110,6 +112,42 @@ class TestSampled:
     def test_certify_requires_exact_mode(self):
         with pytest.raises(ValueError):
             RegularityVerdict("certified-regular", 0.0, "sampled")
+
+
+def planted_pair(n1, n2, seed):
+    """G(n1+n2, 0.3) with a complete block planted between the first thirds
+    of the two sides; each side is handed over in shuffled order."""
+    rng = stream(seed, 5)
+    n = n1 + n2
+    adj = np.triu(rng.random((n, n)) < 0.3, 1)
+    adj[: max(1, n1 // 3), n1 : n1 + max(1, n2 // 3)] = True
+    adj = adj | adj.T
+    return Graph(adj), np.arange(n1)[rng.permutation(n1)], np.arange(n1, n)[rng.permutation(n2)]
+
+
+# sha256 over (status, repr(deviation), witness ids) of every call in the grid
+# below. Pins the sampled refuter's draws, subsets, counts and witnesses, so an
+# optimisation of it must leave this constant as it is.
+SAMPLED_GRID_SHA256 = "8a26fb5960c3a70f5edbecdd0bb7a26882189c55e066e41b890f384c39b2fb59"
+
+
+class TestSampledPinned:
+    def test_grid_is_pinned(self):
+        h = hashlib.sha256()
+        tally = Counter()
+        for n1, n2 in [(1, 1), (3, 7), (25, 25), (50, 40), (120, 90)]:
+            g, V1, V2 = planted_pair(n1, n2, n1 * 1000 + n2)
+            # At eps = 0.7 the subset size comes from eps, not SUBSET_FRACTION.
+            for eps in (0.3, 0.7):
+                for trials in (1, 200):
+                    for seed in range(20):
+                        v = check_regular_sampled(g, V1, V2, eps, 0.1, trials=trials, rng=stream(seed, 7, n1, n2))
+                        w = None if v.witness is None else (v.witness[0].tolist(), v.witness[1].tolist())
+                        h.update(repr((v.status, repr(v.deviation), w)).encode())
+                        tally[eps, v.status] += 1
+        # Both verdicts occur at both eps, so witnesses are covered.
+        assert min(tally.values()) > 0 and len(tally) == 4
+        assert h.hexdigest() == SAMPLED_GRID_SHA256
 
 
 class TestLargeSubsetInheritance:

@@ -2,13 +2,13 @@
 enumeration.
 
 A ``Graph`` stores its adjacency twice: as a read-only numpy boolean matrix
-(for vectorized density and sampling work, and the part-pair blocks
-``TupleView.block`` hands the expansion kernel) and as one Python integer
-bitmask per vertex, ``Graph.rows``, for the tight intersection loops of clique
-enumeration and counting, typicality and the exact searches; the expansion
-kernel works on the matrix blocks alone. Vertex ids are dense integers fixed at
-construction, so every iteration order in this module is deterministic and
-trials are replayable.
+(for vectorized density and sampling work, common neighbourhoods, and the
+part-pair blocks ``TupleView.block`` hands the expansion kernel and
+typicality) and as one Python integer bitmask per vertex, ``Graph.rows``, for
+the tight intersection loops of clique enumeration and counting and the exact
+searches; the expansion kernel works on the matrix blocks alone. Vertex ids
+are dense integers fixed at construction, so every iteration order in this
+module is deterministic and trials are replayable.
 
 A canonical clique is represented as a plain tuple ``(v_1, ..., v_k)`` with
 ``v_j`` drawn from the j-th part of the window it is anchored to; ``CliqueSet``
@@ -339,14 +339,16 @@ def expected_clique_count(view: TupleView, indices: Sequence[int]) -> float:
 
 
 def common_neighborhood(graph: Graph, seed_vertices, target) -> np.ndarray:
-    """Vertices of ``target`` adjacent to every vertex of ``seed_vertices``.
+    """Vertices of ``target`` adjacent to every vertex of ``seed_vertices``,
+    as ascending, duplicate-free int64 ids read from the adjacency matrix.
 
     An empty seed set imposes no constraint and returns the target itself.
     """
-    m = mask_of(target)
-    for v in seed_vertices:
-        m &= graph.rows[int(v)]
-    return np.fromiter(bit_indices(m), dtype=np.int64)
+    target = np.asarray(target, dtype=np.int64)
+    if target.size > 1 and not (target[1:] > target[:-1]).all():
+        target = np.unique(target)
+    seeds = np.asarray(seed_vertices, dtype=np.int64)
+    return target[graph.adj[seeds[:, None], target].all(axis=0)]
 
 
 def min_degree(graph: Graph) -> int:

@@ -135,7 +135,7 @@ def check_regular_exact(
             )
     m1, m2 = math.ceil(eps * n1), math.ceil(eps * n2)
     m1, m2 = max(m1, 1), max(m2, 1)
-    A = graph.adj[np.ix_(V1, V2)]
+    A = graph.adj[V1[:, None], V2]
     d = A.sum() / (n1 * n2)
     threshold = eps * p + tol
 
@@ -176,6 +176,18 @@ def check_regular_exact(
     return RegularityVerdict("refuted", best_dev, "exact", witness)
 
 
+def _smallest(draws: np.ndarray, q: int) -> np.ndarray:
+    """Bool mask of the q smallest draws of each row. A row whose q-th
+    smallest value is tied would select more than q, so then every row takes
+    argpartition's q indices instead."""
+    mask = draws <= np.partition(draws, q - 1, axis=1)[:, q - 1, None]
+    if np.count_nonzero(mask) != len(draws) * q:
+        idx = np.argpartition(draws, q - 1, axis=1)[:, :q]
+        mask = np.zeros(draws.shape, dtype=bool)
+        mask[np.arange(len(draws))[:, None], idx] = True
+    return mask
+
+
 def check_regular_sampled(
     graph: Graph,
     V1: Sequence[int],
@@ -189,7 +201,12 @@ def check_regular_sampled(
     """One-sided Monte Carlo refuter: sample qualifying subset pairs of a
     single size from ``rng``, the caller's own named stream, and report the
     first deviation beyond eps*p. Never certifies; with no refuting sample the
-    verdict is undetermined."""
+    verdict is undetermined.
+
+    Replay contract: ``rng`` draws one (trials, |V1|) array of uniforms, then
+    one (trials, |V2|) array; trial r takes the q1 positions of V1 holding the
+    q1 smallest draws of row r, and likewise for V2. Counts and deviations are
+    float32, and the witness is the first refuting trial's subsets, sorted."""
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     n1, n2 = len(V1), len(V2)
@@ -197,21 +214,17 @@ def check_regular_sampled(
         return RegularityVerdict("undetermined", 0.0, "sampled")
     q1 = min(n1, max(math.ceil(SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
     q2 = min(n2, max(math.ceil(SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
-    A = graph.adj[np.ix_(V1, V2)].astype(np.float32)
+    A = graph.adj[V1[:, None], V2].astype(np.float32)
     d = float(A.sum()) / (n1 * n2)
 
-    idx1 = np.argpartition(rng.random((trials, n1)), q1 - 1, axis=1)[:, :q1]
-    idx2 = np.argpartition(rng.random((trials, n2)), q2 - 1, axis=1)[:, :q2]
-    S1 = np.zeros((trials, n1), dtype=np.float32)
-    S1[np.arange(trials)[:, None], idx1] = 1.0
-    S2 = np.zeros((trials, n2), dtype=np.float32)
-    S2[np.arange(trials)[:, None], idx2] = 1.0
-    counts = ((S1 @ A) * S2).sum(axis=1)
+    S1 = _smallest(rng.random((trials, n1)), q1)
+    S2 = _smallest(rng.random((trials, n2)), q2)
+    counts = ((S1.astype(np.float32) @ A) * S2).sum(axis=1)
     dev = np.abs(counts / (q1 * q2) - d)
     worst = int(np.argmax(dev))
     if dev[worst] > eps * p + tol:
         first = int(np.nonzero(dev > eps * p + tol)[0][0])
-        witness = (np.sort(V1[idx1[first]]), np.sort(V2[idx2[first]]))
+        witness = (np.sort(V1[S1[first]]), np.sort(V2[S2[first]]))
         return RegularityVerdict("refuted", float(dev[first]), "sampled", witness)
     return RegularityVerdict("undetermined", float(dev[worst]), "sampled")
 
@@ -397,13 +410,13 @@ def inheritance_stats(
     V2 = np.asarray(V2, dtype=np.int64)
     if q1 > len(V1) or q2 > len(V2):
         raise ValueError("sample sizes exceed the parent parts")
-    d_parent = float(graph.adj[np.ix_(V1, V2)].sum()) / (len(V1) * len(V2))
+    d_parent = float(graph.adj[V1[:, None], V2].sum()) / (len(V1) * len(V2))
     rng = stream(seed, 17)
     good = 0
     for s in range(samples):
         Q1 = V1[rng.permutation(len(V1))[:q1]]
         Q2 = V2[rng.permutation(len(V2))[:q2]]
-        d_sub = float(graph.adj[np.ix_(Q1, Q2)].sum()) / (q1 * q2)
+        d_sub = float(graph.adj[Q1[:, None], Q2].sum()) / (q1 * q2)
         lo = (1 - eps_prime) * d_parent - tol
         hi = (1 + eps_prime) * d_parent + tol
         if not (lo <= d_sub <= hi):

@@ -15,6 +15,7 @@ cliques on its own.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .graph_core import (
     TupleView,
-    bit_indices,
+    common_neighborhood,
     count_canonical_cliques,
     enumerate_canonical_cliques,
     expected_clique_count,
@@ -101,7 +102,7 @@ def _pair_ok(
     if len(ids_a) == 0 or len(ids_b) == 0:
         # Degenerate pair: density 0; acceptable only when nothing is expected.
         return _within(0.0, center, eps)
-    d = float(graph.adj[np.ix_(ids_a, ids_b)].sum()) / (len(ids_a) * len(ids_b))
+    d = float(np.count_nonzero(graph.adj[ids_a[:, None], ids_b])) / (len(ids_a) * len(ids_b))
     if not _within(d, center, eps):
         return False
     verdict = check_regular_sampled(
@@ -123,11 +124,9 @@ def typical_vertices(
     eps = params.epsilon
     t = view.t
     # counts[i][j] = |N(v, V_j)| for each v in part i, vectorized per pair.
-    counts = {}
-    for i in range(t):
-        for j in range(t):
-            if i != j:
-                counts[(i, j)] = graph.adj[np.ix_(view.parts[i], view.parts[j])].sum(axis=1)
+    counts = {
+        (i, j): view.block(i, j).sum(axis=1) for i in range(t) for j in range(t) if i != j
+    }
     out = []
     for i in range(t):
         others = [j for j in range(t) if j != i]
@@ -139,20 +138,13 @@ def typical_vertices(
         good = []
         for local in np.nonzero(size_ok)[0]:
             v = int(view.parts[i][local])
-            row = graph.rows[v]
-            ok = True
-            for a_pos in range(len(others)):
-                for b_pos in range(a_pos + 1, len(others)):
-                    j, l = others[a_pos], others[b_pos]
-                    nj = np.fromiter(bit_indices(row & view.part_mask(j)), dtype=np.int64)
-                    nl = np.fromiter(bit_indices(row & view.part_mask(l)), dtype=np.int64)
-                    center = float(view.density(j, l))
-                    if not _pair_ok(graph, nj, nl, eps, params, center, (seed, 37, v, j, l)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            nbrs = {j: common_neighborhood(graph, (v,), view.parts[j]) for j in others}
+            if all(
+                _pair_ok(
+                    graph, nbrs[j], nbrs[l], eps, params, float(view.density(j, l)), (seed, 37, v, j, l)
+                )
+                for j, l in itertools.combinations(others, 2)
+            ):
                 good.append(v)
         out.append(np.asarray(good, dtype=np.int64))
     return out
@@ -172,19 +164,16 @@ def _typical_copy(
     neighbourhoods must hit their measured size windows and span an unrefuted
     pair of density within the window."""
     graph = view.graph
-    nbr_masks = []
+    nbrs = []
     for a in target_idx:
-        m = view.part_mask(a)
-        for v in copy:
-            m &= graph.rows[v]
+        ids = common_neighborhood(graph, copy, view.parts[a])
         expected = view.sizes[a]
         for j in copy_idx:
             expected *= float(view.density(j, a))
-        if not _within(m.bit_count(), expected, rel):
+        if not _within(len(ids), expected, rel):
             return False
-        nbr_masks.append(m)
-    ids_a = np.fromiter(bit_indices(nbr_masks[0]), dtype=np.int64)
-    ids_b = np.fromiter(bit_indices(nbr_masks[1]), dtype=np.int64)
+        nbrs.append(ids)
+    ids_a, ids_b = nbrs
     center = float(view.density(target_idx[0], target_idx[1]))
     return _pair_ok(graph, ids_a, ids_b, rel, params, center, (seed, 67, *copy))
 

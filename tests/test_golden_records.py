@@ -5,6 +5,11 @@ meant to change no behaviour must leave them all unchanged; a deliberate
 change of records updates them together with the trial schema."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +150,35 @@ def test_records_match_golden_hash(name):
     assert tally == outcomes
     blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
     assert hashlib.sha256(blob).hexdigest() == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints the records' sha256 of each (kind, params, seeds) config in argv[1].
+HASH_SCRIPT = """
+import hashlib, json, sys
+from powercycle.harness import ExperimentConfig, TrialRecord, run_experiment
+for kind, params, seeds in json.loads(sys.argv[1]):
+    summary = run_experiment(ExperimentConfig(kind=kind, params=params, seeds=seeds))
+    blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
+    print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_thread_count_leaves_records_alone(threads):
+    # The two golden configs whose verdicts rest on the sampled refuter's
+    # float32 matmul, each run in a fresh interpreter at a set BLAS thread count.
+    names = ["regularity-partition", "typicality-four-parts"]
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": threads,
+        "OMP_NUM_THREADS": threads,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    configs = json.dumps([GOLDEN[name][:3] for name in names])
+    out = subprocess.run(
+        [sys.executable, "-c", HASH_SCRIPT, configs],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == [GOLDEN[name][4] for name in names]

@@ -6,6 +6,7 @@ from powercycle.graph_core import (
     CliqueSet,
     Graph,
     TupleView,
+    bit_indices,
     common_neighborhood,
     complete_graph,
     complete_multipartite,
@@ -14,6 +15,7 @@ from powercycle.graph_core import (
     enumerate_canonical_cliques,
     load_graph,
     load_parts,
+    mask_of,
     min_degree,
     save_graph,
     save_parts,
@@ -215,6 +217,28 @@ class TestCommonNeighborhood:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         out = common_neighborhood(g, [0, 2], [1])
         assert out.tolist() == [1]
+
+    def test_unsorted_target_gives_ascending_unique_ids(self):
+        g = complete_graph(8)
+        assert common_neighborhood(g, [], [5, 1, 3, 1, 5]).tolist() == [1, 3, 5]
+        assert common_neighborhood(g, [0], [7, 2, 2, 6]).tolist() == [2, 6, 7]
+        assert common_neighborhood(g, [0], [0, 4, 0]).tolist() == [4]
+        out = common_neighborhood(g, [], [])
+        assert out.dtype == np.int64 and out.size == 0
+
+    def test_matches_bitmask_reference(self):
+        rng = stream(29)
+        for trial in range(30):
+            n = int(rng.integers(1, 25))
+            g = gen_gnp(ModelParams(N=n, p=float(rng.uniform(0.2, 0.9)), seed=trial))
+            seeds = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False).tolist()
+            target = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()
+            m = mask_of(target)
+            for v in seeds:
+                m &= g.rows[v]
+            out = common_neighborhood(g, seeds, target)
+            assert out.dtype == np.int64
+            assert out.tolist() == list(bit_indices(m))
 
     def test_antitone_in_seed(self):
         rng = stream(23)

@@ -113,6 +113,23 @@ class TestSampled:
         with pytest.raises(ValueError):
             RegularityVerdict("certified-regular", 0.0, "sampled")
 
+    def test_tied_draws_still_give_subsets_of_q(self):
+        # Each row's 4th smallest draw is tied three ways, so a threshold at
+        # it would select six positions; the subsets must still have q = 4.
+        class TiedDraws:
+            def random(self, shape):
+                return np.tile(np.array([0, 0, 0, 1, 1, 1, 2, 2], dtype=float), (shape[0], 1))
+
+        g, V1, V2 = half_dense_pair(8)
+        verdict = check_regular_sampled(g, V1, V2, 0.4, 0.5, trials=3, rng=TiedDraws())
+        assert verdict.refuted
+        w1, w2 = verdict.witness
+        assert len(w1) == len(w2) == 4
+        assert {0, 1, 2} <= set(w1.tolist()) <= {0, 1, 2, 3, 4, 5}
+        assert {8, 9, 10} <= set(w2.tolist()) <= {8, 9, 10, 11, 12, 13}
+        dev = abs(naive_density(g, w1.tolist(), w2.tolist()) - naive_density(g, V1, V2))
+        assert verdict.deviation == pytest.approx(float(dev))
+
 
 def planted_pair(n1, n2, seed):
     """G(n1+n2, 0.3) with a complete block planted between the first thirds

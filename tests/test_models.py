@@ -248,6 +248,17 @@ class TestAdversaryRandom:
     def acceptance_host(self):
         return gen_gnp(ModelParams(N=3000, p=0.35, seed=0))
 
+    # sha256 of the acceptance host's adjacency, edges() and degrees() bytes.
+    HOST_PINNED = [
+        "8c6638a21e9fa71b6aa19839c1a38bc66efe5457c227da970ece1b67e45901dd",
+        "962a0132fe986af413e34f7170376aaf9cf70ff88efde30284affa4cf98ebd1b",
+        "81b2d902bef45169b89babe2f2fb4143cd1496cd7d68131613a57e73eadb87e8",
+    ]
+
+    def test_host_pinned_at_acceptance_size(self, acceptance_host):
+        arrays = (acceptance_host.adj, acceptance_host.edges(), acceptance_host.degrees())
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == self.HOST_PINNED
+
     @pytest.mark.parametrize("r", sorted(PINNED))
     def test_pinned_at_acceptance_size(self, acceptance_host, r):
         adj_sha, per_vertex_sha, report_dict = self.PINNED[r]

@@ -10,6 +10,12 @@ searches; the expansion kernel works on the matrix blocks alone. Vertex ids
 are dense integers fixed at construction, so every iteration order in this
 module is deterministic and trials are replayable.
 
+The constructor checks symmetry exactly, comparing each 256-square tile with
+its mirror tile, and ``mirror_upper`` builds a symmetric matrix in place tile
+by tile: neither transposes the whole matrix, whose strided reads miss the
+cache at the acceptance size. A graph never changes, so ``degrees()`` is
+summed once and shared read-only.
+
 A canonical clique is represented as a plain tuple ``(v_1, ..., v_k)`` with
 ``v_j`` drawn from the j-th part of the window it is anchored to; ``CliqueSet``
 carries the anchoring window.
@@ -40,6 +46,7 @@ __all__ = [
     "expected_clique_count",
     "common_neighborhood",
     "min_degree",
+    "mirror_upper",
     "bit_indices",
     "mask_of",
     "save_graph",
@@ -65,10 +72,36 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
+# Side of the square tiles in which symmetric matrices are checked and mirrored.
+_TILE = 256
+
+
+def _upper_tiles(n: int) -> Iterator[tuple]:
+    """Slice pairs (a, b) of the _TILE-square tiles on and above the diagonal
+    of an n x n matrix; tile [a, b] mirrors tile [b, a]."""
+    for lo in range(0, n, _TILE):
+        a = slice(lo, lo + _TILE)
+        for hi in range(lo, n, _TILE):
+            yield a, slice(hi, hi + _TILE)
+
+
+def mirror_upper(adj: np.ndarray) -> np.ndarray:
+    """Make a square bool matrix the symmetric, irreflexive adjacency of its
+    strict upper triangle, in place, and return it; the diagonal and lower
+    triangle it held are overwritten."""
+    for a, b in _upper_tiles(adj.shape[0]):
+        if a == b:
+            upper = np.triu(adj[a, a], 1)
+            np.bitwise_or(upper, upper.T, out=adj[a, a])
+        else:
+            adj[b, a] = adj[a, b].T
+    return adj
+
+
 class Graph:
     """Simple undirected graph on vertex ids ``0..n-1``, immutable after construction."""
 
-    __slots__ = ("n", "adj", "_rows")
+    __slots__ = ("n", "adj", "_rows", "_degrees")
 
     def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool)
@@ -76,13 +109,14 @@ class Graph:
             raise ValueError("adjacency must be a square boolean matrix")
         if adj.diagonal().any():
             raise ValueError("adjacency must be irreflexive")
-        if not np.array_equal(adj, adj.T):
+        if not all(np.array_equal(adj[a, b], adj[b, a].T) for a, b in _upper_tiles(adj.shape[0])):
             raise ValueError("adjacency must be symmetric")
         adj = adj.copy()
         adj.setflags(write=False)
         self.n = int(adj.shape[0])
         self.adj = adj
         self._rows: Optional[tuple] = None
+        self._degrees: Optional[np.ndarray] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple]) -> "Graph":
@@ -113,15 +147,25 @@ class Graph:
         return int(self.adj[v].sum())
 
     def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
+        """Read-only int64 degree array, summed once on first use."""
+        if self._degrees is None:
+            degrees = self.adj.sum(axis=1, dtype=np.int64)
+            degrees.setflags(write=False)
+            self._degrees = degrees
+        return self._degrees
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return int(self.degrees().sum()) // 2
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) int64 array of rows (u, v) with u < v, in
-        lexicographic order."""
-        return np.argwhere(np.triu(self.adj, 1))
+        lexicographic order, read from the flat positions of the strict upper
+        triangle's entries with ``divmod``. The array is column-major, so
+        ``edges[:, 0]`` and ``edges[:, 1]`` are contiguous."""
+        flat = np.flatnonzero(np.triu(self.adj, 1))
+        out = np.empty((2, flat.size), dtype=np.int64)
+        np.divmod(flat, self.n, out=(out[0], out[1]))
+        return out.T
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, TupleView, min_degree
+from .graph_core import Graph, TupleView, min_degree, mirror_upper
 
 __all__ = [
     "ModelParams",
@@ -114,14 +114,14 @@ def gen_gnp(params: ModelParams) -> Graph:
     n = params.N
     # The doubles of an (n, n) draw, drawn a block of rows at a time: the
     # generator hands them out in the same order, so the graph is the one a
-    # single draw gives, without holding n*n doubles at once.
-    below = np.empty((n, n), dtype=bool)
+    # single draw gives, without holding n*n doubles at once. The pair u < v
+    # is an edge when draw (u, v) falls below p; the comparisons on and below
+    # the diagonal are overwritten by the mirror image.
+    adj = np.empty((n, n), dtype=bool)
     rows = max(1, _DRAW_BLOCK // n)
     for r in range(0, n, rows):
-        np.less(rng.random((min(rows, n - r), n)), params.p, out=below[r : r + rows])
-    adj = np.triu(below, 1)
-    adj = adj | adj.T
-    return Graph(adj)
+        np.less(rng.random((min(rows, n - r), n)), params.p, out=adj[r : r + rows])
+    return Graph(mirror_upper(adj))
 
 
 def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
@@ -146,7 +146,7 @@ def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
 
 def _report(before: Graph, after_adj: np.ndarray, budget=None) -> tuple:
     after = Graph(after_adj)
-    per_vertex = (before.degrees() - after.degrees()).astype(np.int64)
+    per_vertex = before.degrees() - after.degrees()
     deleted = int(per_vertex.sum()) // 2
     return after, AdversaryReport(
         deleted_edges=deleted,
@@ -217,6 +217,7 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     budget = np.floor(r * graph.degrees()).astype(np.int64)
     order = rng.permutation(len(edges))
     us, vs = np.take(edges[:, 0], order), np.take(edges[:, 1], order)
+    del edges, order
     deleted: list = []
     _settle(us, vs, np.zeros(graph.n, dtype=np.int64), budget, deleted)
     du, dv = (np.concatenate(side) for side in zip(*deleted))

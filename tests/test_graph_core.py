@@ -43,6 +43,29 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(adj)
 
+    # Symmetry is checked in 256-square tiles: at 2 * 256 + 37 vertices one
+    # flipped entry lands in a diagonal tile, a tile above or below the
+    # diagonal, or one of the partial tiles of the last tile row and column.
+    @pytest.mark.parametrize(
+        "u, v",
+        [(3, 200), (40, 300), (300, 40), (520, 530), (10, 540), (540, 300)],
+        ids=["diagonal", "above", "below", "last-diagonal", "last-column", "last-row"],
+    )
+    def test_rejects_asymmetric_in_every_tile(self, u, v):
+        adj = gen_gnp(ModelParams(N=2 * 256 + 37, p=0.3, seed=1)).adj.copy()
+        adj[u, v] = not adj[u, v]
+        with pytest.raises(ValueError, match="adjacency must be symmetric"):
+            Graph(adj)
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * 256 + 37])
+    def test_degrees_are_read_only_row_sums(self, n):
+        g = Graph(np.zeros((0, 0), dtype=bool)) if n == 0 else gen_gnp(ModelParams(N=n, p=0.3, seed=2))
+        degrees = g.degrees()
+        assert degrees.dtype == np.int64 and np.array_equal(degrees, g.adj.sum(axis=1))
+        assert g.degrees() is degrees
+        with pytest.raises(ValueError, match="read-only"):
+            degrees[...] = 0
+
     def test_from_edges_bounds(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from powercycle.harness import ExperimentConfig, TrialRecord, run_experiment
+from powercycle.graph_core import complete_graph, count_canonical_cliques, enumerate_canonical_cliques
+from powercycle.harness import ExperimentConfig, TrialRecord, _path_power_pattern, run_experiment
+from powercycle.models import gen_blowup
 
 TOY = {"N": 120, "p": 1.0, "k": 2, "d": 2 / 3, "eps": 0.5, "clusters": 6, "xi": 0.2}
 
@@ -182,3 +184,44 @@ def test_blas_thread_count_leaves_records_alone(threads):
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.split() == [GOLDEN[name][4] for name in names]
+
+
+def _golden_views(name: str) -> list:
+    """The views the golden typicality and expansion audits build, one per seed."""
+    _, params, seeds, _, _ = GOLDEN[name]
+    if name.startswith("typicality"):
+        pattern = complete_graph(params["t"])
+    else:
+        pattern = _path_power_pattern(2 * params["k"], params["k"])
+    return [gen_blowup(pattern, params["n"], params["p"], seed)[1] for seed in seeds]
+
+
+def _clique_digest(view) -> list:
+    """Every window's sorted canonical cliques and count, then the three
+    counts of the super-typicality ledger, each read from its subview."""
+    out = []
+    for w in range(view.t):
+        for order in range(1, view.t - w + 1):
+            members = enumerate_canonical_cliques(view, w, order).sorted()
+            out.append([w, order, count_canonical_cliques(view, w, order), members])
+    t = view.t
+    for idx in (range(1, t - 1), range(0, t - 1), range(1, t)):
+        out.append(count_canonical_cliques(view.subview(idx), 0, len(idx)))
+    return out
+
+
+# sha256 of the JSON of _clique_digest over the seeds of each golden config.
+CLIQUES_PINNED = {
+    "typicality": "89dfa9f459f3432f1baea0fbd51442534af3dc78ca17c754289b91afb11b8c1a",
+    "typicality-four-parts": "697cc9db9eb9c0e2351b78607568c5eaf34652e8af6fd84f910528260a71612a",
+    "expansion-main-below-bound": "9073a7871adb1827c3b6d1056de466fa7f253c48c7f04121636224ab464f43af",
+    "expansion-main": "c176c0969dc25fe6466f87a4e79a395ce092df4ba72326345b4f2d82a639d9ca",
+    "expansion-halving": "9073a7871adb1827c3b6d1056de466fa7f253c48c7f04121636224ab464f43af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIQUES_PINNED))
+def test_clique_sets_match_golden_views(name):
+    digest = [_clique_digest(view) for view in _golden_views(name)]
+    blob = json.dumps(digest).encode()
+    assert hashlib.sha256(blob).hexdigest() == CLIQUES_PINNED[name]

@@ -11,10 +11,11 @@ layers. A round ends on the last k fresh target sets, which open the next
 round's view, so the frontier is carried from round to round as the dense
 array the search returned. A reserve tuple drawn at the start is spent at the
 end to close the path into a cycle through an anchor clique that was chosen,
-back at step one, to expand well both forward and backward. The closing
-scans the last frontier's copies as one-hot frontiers and meets each reach
-with the anchor's backward reach as one AND of dense arrays: both end on the
-first k reserves, the backward one with its axes in reverse order.
+back at step one, to expand well both forward and backward. The anchor scans
+the first window's ``window_cliques`` and the closing the last frontier, both
+as one-hot frontiers in C order, which is lexicographic. The closing meets
+each reach with the anchor's backward reach as one AND of dense arrays: both
+end on the first k reserves, the backward one with its axes in reverse order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples, and the anchor and closing share one test of a single
@@ -33,13 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graph_core import (
-    CliqueSet,
-    Graph,
-    TupleView,
-    bit_indices,
-    enumerate_canonical_cliques,
-)
+from .graph_core import Graph, TupleView, bit_indices, window_cliques
 from .models import stream
 from .regularity import RegularPartition
 from .expansion import (
@@ -292,6 +287,15 @@ def _draw(rng, pool: np.ndarray, taken: np.ndarray, count: int) -> Optional[np.n
     return np.sort(cand[rng.permutation(len(cand))[:count]])
 
 
+def _one_hots(frontier: np.ndarray):
+    """(position, one-hot frontier) for each copy of a dense frontier, in C
+    order."""
+    for pos in np.argwhere(frontier):
+        one_hot = np.zeros(frontier.shape, dtype=bool)
+        one_hot[tuple(pos)] = True
+        yield pos, one_hot
+
+
 def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
     """Window pools along the cluster cycle: one pool per chunk, round-major
     (round j visits chunk j of every cluster in cycle order)."""
@@ -375,9 +379,9 @@ def embed_power_cycle(
         return EmbedFailure(stage=stage, step=step, detail=detail, sizes=sizes, fraction=fraction)
 
     def expands_well(start, view: TupleView, to_window: int):
-        """The trace of a single-clique ``start`` (a CliqueSet or a one-hot
-        frontier) expanded to ``to_window`` when its reach there is at least
-        the success fraction of the reference count, else None."""
+        """The trace of a one-hot ``start`` expanded to ``to_window`` when its
+        reach there is at least the success fraction of the reference count,
+        else None."""
         trace = expand_through(start, view, to_window)
         x_ref = reference_count(view, to_window, k)
         return trace if trace.counts[-1] >= threshold * x_ref else None
@@ -399,15 +403,16 @@ def embed_power_cycle(
             yield fresh, TupleView(graph, [targets[t - k + j] for j in range(k)] + fresh + tail)
 
     # Anchor: one clique expanding forward to the last target block and
-    # backward through the reserve tuple.
+    # backward through the reserve tuple. The backward view opens on the first
+    # k targets in reverse order, so its start has the axes reversed.
     fwd_view = TupleView(graph, targets)
     bwd_parts = [targets[k - 1 - j] for j in range(k)] + [reserve[t - 1 - j] for j in range(t)]
     bwd_view = TupleView(graph, bwd_parts)
-    for cand in enumerate_canonical_cliques(fwd_view, 0, k).sorted():
-        fwd = expands_well(CliqueSet(0, k, frozenset([cand])), fwd_view, t - k)
+    for _, one_hot in _one_hots(window_cliques(fwd_view, 0, k)):
+        fwd = expands_well(one_hot, fwd_view, t - k)
         if fwd is None:
             continue
-        bwd = expands_well(CliqueSet(0, k, frozenset([cand[::-1]])), bwd_view, t)
+        bwd = expands_well(one_hot.transpose(), bwd_view, t)
         if bwd is not None:
             break
     else:
@@ -483,9 +488,7 @@ def embed_power_cycle(
     for fresh, view in target_draws((47,), reserve[:k]):
         if fresh is None:
             return failure("closing", s_final, "window pool exhausted")
-        for pos in np.argwhere(last.frontier):
-            one_hot = np.zeros(last.frontier.shape, dtype=bool)
-            one_hot[tuple(pos)] = True
+        for pos, one_hot in _one_hots(last.frontier):
             trace = expands_well(one_hot, view, t + k)
             if trace is None:
                 continue

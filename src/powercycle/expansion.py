@@ -6,13 +6,14 @@ A frontier of canonical K_k copies anchored at window w expands to window
 w+1: the copy (v_{w+1}, ..., v_{w+k}) is reached when some v_w in the frontier
 extends it to a canonical K_{k+1} on the (k+1)-window. A frontier is a dense
 bool array of shape ``view.sizes[w:w+k]``, indexed by position in the view's
-sorted parts. One step to part j = w+k is a bool matrix product of the
-flattened frontier with the head block ``view.block(w, j)`` (numpy evaluates
-it as an OR of ANDs, exactly), then an AND with the broadcast block of each
-suffix part against j. Suffix adjacency is inherited from the frontier, not
-rechecked. One frontier-advance loop serves ``expand_step``,
-``expand_through``, which records per-window counts, and the bisection
-rounds of ``find_expander``, which need only the reach count at one window.
+sorted parts, like ``graph_core.window_cliques``. One step to part j = w+k
+is a bool matrix product of the flattened frontier with the head block
+``view.block(w, j)`` (numpy evaluates it as an OR of ANDs, exactly), then
+``and_part_blocks``, the AND with the broadcast block of each suffix part
+against j. Suffix adjacency is inherited from the frontier, not rechecked.
+One frontier-advance loop serves ``expand_step``, ``expand_through``, which
+records per-window counts, and the bisection rounds of ``find_expander`` and
+the audits, which need only the reach count at one window.
 
 Each step yields one predecessor layer, and ``expand_through`` keeps them
 all, for reconstructing a single connecting k-path on demand. A layer holds
@@ -23,11 +24,11 @@ finds one copy's lowest valid head from them when asked, one layer at a time.
 
 A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0;
 ``expand_through`` also takes a ``CliqueSet`` at a later window, while
-``find_expander`` always searches from window 0. Its bisection halves and its
-scanned candidates are dense frontiers too (a candidate is one-hot), and the
-final frontier is handed back dense, so the embedder carries the reach from
-one round to the next without converting it; clique sets are built from it
-only when read.
+``find_expander`` always searches from window 0. Its bisection halves and
+one-hot candidates, and the audits' random picks, are dense frontiers picked
+from the start's C-order positions, which are its sorted order. The final
+frontier is handed back dense, so the embedder carries the reach from one
+round to the next; ``frontier_members`` makes tuples of it only when read.
 
 Reach fractions are reported against the reference count of a window block:
 the product of the window sizes and the measured pair densities. A trace
@@ -48,9 +49,11 @@ import numpy as np
 from .graph_core import (
     CliqueSet,
     TupleView,
+    and_part_blocks,
     count_canonical_cliques,
-    enumerate_canonical_cliques,
     expected_clique_count,
+    frontier_members,
+    window_cliques,
 )
 from .models import stream
 from .typicality import TypicalityParams, check_super_typical
@@ -164,11 +167,13 @@ def _frontier_size(frontier: np.ndarray) -> int:
     return int(np.count_nonzero(frontier))
 
 
-def _frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> list:
-    """The copies of a dense frontier as tuples of vertex ids, in
-    lexicographic order."""
-    idx = np.nonzero(frontier)
-    return list(zip(*(view.parts[window + a][i].tolist() for a, i in enumerate(idx))))
+def _picked(shape: tuple, positions: tuple, picks) -> np.ndarray:
+    """Dense frontier of the copies at ``positions`` (per-axis arrays in C
+    order, as ``np.nonzero`` gives them) that ``picks``, a slice or an index
+    array, selects."""
+    frontier = np.zeros(shape, dtype=bool)
+    frontier[tuple(p[picks] for p in positions)] = True
+    return frontier
 
 
 def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int):
@@ -181,13 +186,17 @@ def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, 
         flat = frontier.reshape(frontier.shape[0], -1)
         head_block = view.block(w, j)
         reach = (flat.T @ head_block).reshape(frontier.shape[1:] + (view.sizes[j],))
-        for a in range(1, k):
-            shape = [1] * k
-            shape[a - 1], shape[-1] = view.sizes[w + a], view.sizes[j]
-            reach &= view.block(w + a, j).reshape(shape)
+        and_part_blocks(view, reach, w + 1)
         reach.flags.writeable = False
         yield view.parts[w : j + 1], frontier, head_block, reach
         frontier = reach
+
+
+def _reach_count(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int) -> int:
+    """Size of a frontier's reach at ``to_window``, keeping no layers."""
+    for *_, frontier in _advance(view, frontier, first, to_window, k):
+        pass
+    return _frontier_size(frontier)
 
 
 def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
@@ -199,7 +208,7 @@ def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
         )
     frontier = _frontier_of(view, start, i, k)
     *_, new = next(_advance(view, frontier, i, i + 1, k))
-    return CliqueSet(i + 1, k, frozenset(_frontier_members(view, new, i + 1)))
+    return CliqueSet(i + 1, k, frozenset(frontier_members(view, new, i + 1)))
 
 
 @dataclass(eq=False)
@@ -227,7 +236,7 @@ class ExpansionTrace:
 
     @cached_property
     def final(self) -> CliqueSet:
-        members = _frontier_members(self.view, self.frontier, self.to_window)
+        members = frontier_members(self.view, self.frontier, self.to_window)
         return CliqueSet(self.to_window, self.order, frozenset(members))
 
     @property
@@ -341,15 +350,7 @@ def find_expander(
     x_final = reference_count(view, final_window, k)
 
     def frontier_of_range(lo: int, hi: int) -> np.ndarray:
-        frontier = np.zeros(view.sizes[:k], dtype=bool)
-        frontier[tuple(p[lo:hi] for p in positions)] = True
-        return frontier
-
-    def reach_count_at(lo: int, hi: int, to_window: int) -> int:
-        frontier = frontier_of_range(lo, hi)
-        for *_, frontier in _advance(view, frontier, 0, to_window, k):
-            pass
-        return _frontier_size(frontier)
+        return _picked(view.sizes[:k], positions, slice(lo, hi))
 
     lo, hi = 0, size
     rounds = 0
@@ -359,9 +360,9 @@ def find_expander(
         mid = lo + (hi - lo + 1) // 2
         x_block = reference_count(view, block * k, k)
         need = params.half_fraction * x_block
-        if reach_count_at(lo, mid, block * k) >= need:
+        if _reach_count(view, frontier_of_range(lo, mid), 0, block * k, k) >= need:
             hi = mid
-        elif reach_count_at(mid, hi, block * k) >= need:
+        elif _reach_count(view, frontier_of_range(mid, hi), 0, block * k, k) >= need:
             lo = mid
         else:
             break
@@ -416,16 +417,17 @@ def one_step_expansion_audit(
         )
     if not (0.0 <= start_fraction <= 1.0):
         raise ValueError(f"start fraction must lie in [0,1], got {start_fraction}")
-    all_start = enumerate_canonical_cliques(view, 0, k).sorted()
-    target_count = count_canonical_cliques(view.subview(range(1, 1 + k)), 0, k)
-    m = math.ceil(start_fraction * len(all_start))
+    # The C-order positions of the window's cliques are their sorted order.
+    all_start = window_cliques(view, 0, k)
+    positions = np.nonzero(all_start)
+    target_count = count_canonical_cliques(view, 1, k)
+    m = math.ceil(start_fraction * len(positions[0]))
     if m == 0:
         return 0.0
     rng = stream(seed, 23)
-    picks = rng.choice(len(all_start), size=m, replace=False)
-    members = frozenset(all_start[int(i)] for i in picks)
-    reached = expand_step(CliqueSet(0, k, members), view)
-    return len(reached) / target_count if target_count else 0.0
+    picks = rng.choice(len(positions[0]), size=m, replace=False)
+    reached = _reach_count(view, _picked(all_start.shape, positions, picks), 0, 1, k)
+    return reached / target_count if target_count else 0.0
 
 
 def halving_audit(
@@ -444,18 +446,21 @@ def halving_audit(
     ws = start.window_start
     target = ws + k
     x_target = reference_count(view, target, k)
-    full = expand_through(start, view, target)
-    qualifies = full.counts[-1] >= (1 - 10 * k * params.delta) * x_target
+    # The C-order positions of the start are the order of start.sorted().
+    frontier = _frontier_of(view, start, ws, k)
+    positions = np.nonzero(frontier)
+    size = len(positions[0])
+    full = _reach_count(view, frontier, ws, target, k)
+    qualifies = full >= (1 - 10 * k * params.delta) * x_target
     rng = stream(seed, 29)
-    members = start.sorted()
     splits = []
     for s in range(n_splits):
-        perm = rng.permutation(len(members))
-        half = (len(members) + 1) // 2
-        first = frozenset(members[int(i)] for i in perm[:half])
-        second = frozenset(members[int(i)] for i in perm[half:])
-        fr1 = expand_through(CliqueSet(ws, k, first), view, target).counts[-1] / x_target
-        fr2 = expand_through(CliqueSet(ws, k, second), view, target).counts[-1] / x_target
+        perm = rng.permutation(size)
+        half = (size + 1) // 2
+        fr1, fr2 = (
+            _reach_count(view, _picked(frontier.shape, positions, picks), ws, target, k) / x_target
+            for picks in (perm[:half], perm[half:])
+        )
         splits.append(
             {
                 "best_half_fraction": max(fr1, fr2),
@@ -464,7 +469,7 @@ def halving_audit(
         )
     return {
         "start_qualifies": bool(qualifies),
-        "start_fraction": full.counts[-1] / x_target if x_target else 0.0,
+        "start_fraction": full / x_target if x_target else 0.0,
         "splits": splits,
         "all_ok": all(s["ok"] for s in splits),
     }

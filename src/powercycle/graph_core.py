@@ -1,14 +1,10 @@
-"""Immutable bitset-backed graphs, multipartite views, and exact canonical-clique
-enumeration.
+"""Immutable graphs, multipartite views, and exact canonical-clique sets.
 
-A ``Graph`` stores its adjacency twice: as a read-only numpy boolean matrix
-(for vectorized density and sampling work, common neighbourhoods, and the
-part-pair blocks ``TupleView.block`` hands the expansion kernel and
-typicality) and as one Python integer bitmask per vertex, ``Graph.rows``, for
-the tight intersection loops of clique enumeration and counting and the exact
-searches; the expansion kernel works on the matrix blocks alone. Vertex ids
-are dense integers fixed at construction, so every iteration order in this
-module is deterministic and trials are replayable.
+A ``Graph`` holds its adjacency once, as a read-only numpy boolean matrix.
+``Graph.rows``, one Python integer bitmask per vertex, is built when first
+read, and only the exact small-instance search and the test oracles read it.
+Vertex ids are dense integers fixed at construction, so every iteration order
+in this module is deterministic and trials are replayable.
 
 The constructor checks symmetry exactly, comparing each 256-square tile with
 its mirror tile, and ``mirror_upper`` builds a symmetric matrix in place tile
@@ -16,9 +12,11 @@ by tile: neither transposes the whole matrix, whose strided reads miss the
 cache at the acceptance size. A graph never changes, so ``degrees()`` is
 summed once and shared read-only.
 
-A canonical clique is represented as a plain tuple ``(v_1, ..., v_k)`` with
-``v_j`` drawn from the j-th part of the window it is anchored to; ``CliqueSet``
-carries the anchoring window.
+A canonical clique is a plain tuple ``(v_1, ..., v_k)`` with ``v_j`` drawn
+from the j-th part of its window; ``CliqueSet`` carries a set of them and the
+window. ``window_cliques`` holds a window's cliques dense, over its sorted
+parts, built with the expansion kernel's broadcast AND (``and_part_blocks``);
+``frontier_members`` reads tuples from it in C order, which is lexicographic.
 """
 
 from __future__ import annotations
@@ -41,6 +39,9 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "complete_multipartite",
+    "window_cliques",
+    "and_part_blocks",
+    "frontier_members",
     "enumerate_canonical_cliques",
     "count_canonical_cliques",
     "expected_clique_count",
@@ -214,7 +215,7 @@ class TupleView:
     stored as sorted id arrays so iteration order is deterministic.
     """
 
-    __slots__ = ("graph", "parts", "sizes", "_masks", "_blocks", "_density_cache")
+    __slots__ = ("graph", "parts", "sizes", "_blocks", "_density_cache")
 
     def __init__(self, graph: Graph, parts: Sequence):
         arrays = []
@@ -236,20 +237,12 @@ class TupleView:
         self.graph = graph
         self.parts = tuple(arrays)
         self.sizes = tuple(int(a.size) for a in arrays)
-        self._masks: dict = {}
         self._blocks: dict = {}
         self._density_cache: dict = {}
 
     @property
     def t(self) -> int:
         return len(self.parts)
-
-    def part_mask(self, i: int) -> int:
-        m = self._masks.get(i)
-        if m is None:
-            m = mask_of(self.parts[i])
-            self._masks[i] = m
-        return m
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Read-only bool adjacency block between parts i and j, rows and
@@ -310,62 +303,54 @@ class CliqueSet:
         return sorted(self.members)
 
 
-def _window_masks(view: TupleView, window_start: int, order: int) -> list:
+def and_part_blocks(view: TupleView, out: np.ndarray, first: int) -> np.ndarray:
+    """AND into ``out``, a bool array over the consecutive parts first, ...,
+    first + out.ndim - 1 of the view, the adjacency block of each of its parts
+    against the last one, broadcast along the other axes; return ``out``."""
+    last = first + out.ndim - 1
+    for a in range(out.ndim - 1):
+        shape = [1] * out.ndim
+        shape[a], shape[-1] = view.sizes[first + a], view.sizes[last]
+        out &= view.block(first + a, last).reshape(shape)
+    return out
+
+
+def window_cliques(view: TupleView, window_start: int, order: int) -> np.ndarray:
+    """Read-only bool array of shape ``view.sizes[window_start:window_start +
+    order]``, True exactly at the positions, in the parts' sorted order, of the
+    canonical copies of K_order in the window; built one part at a time."""
     if order < 1:
         raise ValueError("clique order must be at least 1")
     if window_start < 0 or window_start + order > view.t:
         raise IndexError(
             f"window [{window_start}, {window_start + order}) out of range for t={view.t}"
         )
-    return [view.part_mask(window_start + d) for d in range(order)]
+    cliques = np.ones(view.sizes[window_start], dtype=bool)
+    for d in range(1, order):
+        cliques = np.repeat(cliques[..., None], view.sizes[window_start + d], axis=-1)
+        and_part_blocks(view, cliques, window_start)
+    cliques.flags.writeable = False
+    return cliques
+
+
+def frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> list:
+    """Tuples of vertex ids, in lexicographic order, of the copies marked in a
+    dense bool array whose axes are the view's parts from ``window`` on."""
+    idx = np.nonzero(frontier)
+    return list(zip(*(view.parts[window + a][i].tolist() for a, i in enumerate(idx))))
 
 
 def enumerate_canonical_cliques(view: TupleView, window_start: int, order: int) -> CliqueSet:
-    """Exactly enumerate canonical copies of K_order in the window starting at
-    ``window_start``, intersecting adjacency bitsets front to back over the
-    window order."""
-    masks = _window_masks(view, window_start, order)
-    rows = view.graph.rows
-    out = []
-
-    def extend(prefix: tuple, common: int, depth: int):
-        cand = common & masks[depth]
-        if depth == order - 1:
-            for v in bit_indices(cand):
-                out.append(prefix + (v,))
-            return
-        for v in bit_indices(cand):
-            extend(prefix + (v,), common & rows[v], depth + 1)
-
-    if order == 1:
-        out = [(v,) for v in bit_indices(masks[0])]
-    else:
-        for v in bit_indices(masks[0]):
-            extend((v,), rows[v], 1)
-    return CliqueSet(window_start, order, frozenset(out))
+    """Exactly enumerate the canonical copies of K_order in the window starting
+    at ``window_start``: the members of ``window_cliques``."""
+    cliques = window_cliques(view, window_start, order)
+    return CliqueSet(window_start, order, frozenset(frontier_members(view, cliques, window_start)))
 
 
 def count_canonical_cliques(view: TupleView, window_start: int, order: int) -> int:
-    """Exact count of canonical copies of K_order; same recursion as
-    enumeration but closes the last level with a popcount."""
-    masks = _window_masks(view, window_start, order)
-    rows = view.graph.rows
-    if order == 1:
-        return masks[0].bit_count()
-    last = masks[order - 1]
-
-    def count(common: int, depth: int) -> int:
-        if depth == order - 1:
-            return (common & last).bit_count()
-        total = 0
-        for v in bit_indices(common & masks[depth]):
-            total += count(common & rows[v], depth + 1)
-        return total
-
-    total = 0
-    for v in bit_indices(masks[0]):
-        total += count(rows[v], 1)
-    return total
+    """Exact count of canonical copies of K_order: the ``count_nonzero`` of
+    ``window_cliques``."""
+    return int(np.count_nonzero(window_cliques(view, window_start, order)))
 
 
 def expected_clique_count(view: TupleView, indices: Sequence[int]) -> float:

@@ -216,10 +216,10 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     edges = graph.edges()
     budget = np.floor(r * graph.degrees()).astype(np.int64)
     order = rng.permutation(len(edges))
-    us, vs = np.take(edges[:, 0], order), np.take(edges[:, 1], order)
+    pair = [np.take(edges[:, 0], order), np.take(edges[:, 1], order)]
     del edges, order
     deleted: list = []
-    _settle(us, vs, np.zeros(graph.n, dtype=np.int64), budget, deleted)
+    _settle(pair, np.zeros(graph.n, dtype=np.int64), budget, deleted)
     du, dv = (np.concatenate(side) for side in zip(*deleted))
     adj = graph.adj.copy()
     adj[du, dv] = False
@@ -227,15 +227,19 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     return _report(graph, adj, budget)
 
 
-def _settle(us, vs, cnt, budget, deleted: list) -> None:
+def _settle(pair: list, cnt, budget, deleted: list) -> None:
     """Apply the greedy budgeted rule to the edges (us[i], vs[i]) in order,
     given the deletion counts ``cnt`` of all edges before them: append the
     deleted edges to ``deleted`` as (u array, v array) and raise ``cnt``.
+    ``pair`` is the list [us, vs], emptied on entry so that the caller holds
+    no reference to the arrays once they are filtered.
 
     Deleting the safe-safe edges of a segment up front raises only safe
     vertices' counts, and a safe vertex stays below its budget for every later
     edge of the segment, so the rest of the segment and its halves see the
     same decisions as the sequential rule."""
+    us, vs = pair
+    pair.clear()
     below = cnt < budget
     live = below[us] & below[vs]
     us, vs = us[live], vs[live]
@@ -259,8 +263,8 @@ def _settle(us, vs, cnt, budget, deleted: list) -> None:
         rest = ~free
         us, vs = us[rest], vs[rest]
     half = len(us) // 2
-    _settle(us[:half], vs[:half], cnt, budget, deleted)
-    _settle(us[half:], vs[half:], cnt, budget, deleted)
+    _settle([us[:half], vs[:half]], cnt, budget, deleted)
+    _settle([us[half:], vs[half:]], cnt, budget, deleted)
 
 
 def partite_blocker_sizes(N: int, k: int) -> list:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import bit_indices
+from .graph_core import bit_indices, mask_of
 from .models import _report, stream
 
 
@@ -99,7 +99,7 @@ def bitset_expand_once(view, start):
     for c in start.members:
         frontier[c[1:]] = frontier.get(c[1:], 0) | (1 << c[0])
     rows = view.graph.rows
-    next_mask = view.part_mask(start.window_start + k)
+    next_mask = mask_of(view.parts[start.window_start + k])
     new = {}
     bp = {}
     for suffix, heads in frontier.items():

@@ -9,8 +9,8 @@ the sampled refuter with a fixed trial budget; "regular" here always means
 "not refuted within budget". Each sub-check draws from its own named stream
 of the audit seed: tags 37 (vertex), 67 (clique copy) and 71 (tuple pair).
 
-All counts come from graph_core enumeration; nothing in this module counts
-cliques on its own.
+All counts and copies are read from windows of the view's ``window_cliques``
+in graph_core; nothing in this module counts cliques on its own.
 """
 
 from __future__ import annotations
@@ -211,9 +211,9 @@ def check_super_typical(
     right = list(range(1, t))
 
     clique_counts = {
-        "middle": count_canonical_cliques(view.subview(middle), 0, t - 2),
-        "left": count_canonical_cliques(view.subview(left), 0, t - 1),
-        "right": count_canonical_cliques(view.subview(right), 0, t - 1),
+        "middle": count_canonical_cliques(view, 1, t - 2),
+        "left": count_canonical_cliques(view, 0, t - 1),
+        "right": count_canonical_cliques(view, 1, t - 1),
     }
     expected_counts = {
         "middle": expected_clique_count(view, middle),
@@ -225,7 +225,7 @@ def check_super_typical(
         for name in ("middle", "left", "right")
     }
 
-    middle_copies = enumerate_canonical_cliques(view.subview(middle), 0, t - 2)
+    middle_copies = enumerate_canonical_cliques(view, 1, t - 2)
     n_typ = 0
     for copy in middle_copies.sorted():
         if _typical_copy(view, copy, middle, (0, t - 1), delta, params, seed):

@@ -192,6 +192,12 @@ class TestEmbed:
         assert ok
         assert len(result) >= (1 - 0.4) * 60
 
+    def test_embedding_never_builds_bitset_rows(self):
+        # The partition, anchor, extend rounds and closing all read the matrix.
+        g, result = self._embed_complete()
+        assert isinstance(result, PowerCycle)
+        assert g._rows is None
+
     def test_same_seed_same_cycle(self):
         _, a = self._embed_complete(seed=9)
         _, b = self._embed_complete(seed=9)

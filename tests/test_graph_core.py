@@ -19,6 +19,7 @@ from powercycle.graph_core import (
     min_degree,
     save_graph,
     save_parts,
+    window_cliques,
 )
 from powercycle.models import ModelParams, gen_blowup, gen_gnp, stream
 
@@ -202,15 +203,23 @@ class TestEnumeration:
         assert count_canonical_cliques(trimmed, 0, 3) == expected
 
     def test_matches_brute_force_oracle(self):
+        # The window starts at part 1, so its positions index parts 1.. of the view.
         rng = stream(17)
         for _ in range(25):
             t = int(rng.integers(2, 5))
-            sizes = [int(rng.integers(2, 7)) for _ in range(t)]
-            view = random_multipartite(rng, t, sizes, float(rng.uniform(0.2, 0.9)))
-            fast = enumerate_canonical_cliques(view, 0, t)
-            slow = naive_canonical_cliques(view, 0, t)
+            sizes = [int(rng.integers(2, 7)) for _ in range(t + 1)]
+            view = random_multipartite(rng, t + 1, sizes, float(rng.uniform(0.2, 0.9)))
+            fast = enumerate_canonical_cliques(view, 1, t)
+            slow = naive_canonical_cliques(view, 1, t)
             assert fast.members == frozenset(slow)
-            assert count_canonical_cliques(view, 0, t) == len(slow)
+            assert count_canonical_cliques(view, 1, t) == len(slow)
+            cliques = window_cliques(view, 1, t)
+            assert not cliques.flags.writeable
+            rows = [
+                tuple(int(view.parts[1 + a][i]) for a, i in enumerate(pos))
+                for pos in np.argwhere(cliques)
+            ]
+            assert rows == fast.sorted()
 
     def test_window_out_of_range(self):
         _, view = complete_multipartite([2, 2])
@@ -218,6 +227,10 @@ class TestEnumeration:
             enumerate_canonical_cliques(view, 1, 2)
         with pytest.raises(IndexError):
             count_canonical_cliques(view, 0, 3)
+        with pytest.raises(ValueError):
+            enumerate_canonical_cliques(view, 0, 0)
+        with pytest.raises(ValueError):
+            count_canonical_cliques(view, 0, 0)
 
     def test_cliqueset_validates_order(self):
         with pytest.raises(ValueError):

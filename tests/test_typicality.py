@@ -109,6 +109,11 @@ class TestSuperTypical:
         assert report.clique_counts["left"] == count_canonical_cliques(view.subview([0, 1, 2]), 0, 3)
         assert report.clique_counts["right"] == count_canonical_cliques(view.subview([1, 2, 3]), 0, 3)
 
+    def test_audit_never_builds_bitset_rows(self):
+        graph, view = gen_blowup(complete_graph(4), 12, 0.7, seed=0)
+        check_super_typical(view, params(eps=0.4, delta=0.4, p=0.7, trials=20), seed=0)
+        assert graph._rows is None
+
     def test_blowup_mostly_super_typical(self):
         hits = 0
         for seed in range(5):

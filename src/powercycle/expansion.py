@@ -7,13 +7,17 @@ w+1: the copy (v_{w+1}, ..., v_{w+k}) is reached when some v_w in the frontier
 extends it to a canonical K_{k+1} on the (k+1)-window. A frontier is a dense
 bool array of shape ``view.sizes[w:w+k]``, indexed by position in the view's
 sorted parts, like ``graph_core.window_cliques``. One step to part j = w+k
-is a bool matrix product of the flattened frontier with the head block
-``view.block(w, j)`` (numpy evaluates it as an OR of ANDs, exactly), then
-``and_part_blocks``, the AND with the broadcast block of each suffix part
-against j. Suffix adjacency is inherited from the frontier, not rechecked.
-One frontier-advance loop serves ``expand_step``, ``expand_through``, which
-records per-window counts, and the bisection rounds of ``find_expander`` and
-the audits, which need only the reach count at one window.
+counts, for each suffix, the frontier heads adjacent to each vertex of j: the
+``exact_product`` of the flattened frontier with the head block
+``view.block(w, j)``, a float32 BLAS product of 0/1 matrices. Each count sums
+at most |V_w| < 2**24 ones, and float32 holds every integer up to 2**24, so
+``count > 0`` is the same bool reach on every summation order, BLAS thread
+count and platform. Then ``and_part_blocks`` ANDs in the broadcast block of
+each suffix part against j. Suffix adjacency is inherited from the frontier,
+not rechecked. One frontier-advance loop serves ``expand_step``,
+``expand_through``, which records per-window counts, and the bisection rounds
+of ``find_expander`` and the audits, which need only the reach count at one
+window.
 
 Each step yields one predecessor layer, and ``expand_through`` keeps them
 all, for reconstructing a single connecting k-path on demand. A layer holds
@@ -51,6 +55,7 @@ from .graph_core import (
     TupleView,
     and_part_blocks,
     count_canonical_cliques,
+    exact_product,
     expected_clique_count,
     frontier_members,
     window_cliques,
@@ -179,13 +184,17 @@ def _picked(shape: tuple, positions: tuple, picks) -> np.ndarray:
 def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int):
     """Step a frontier anchored at window ``first`` one window at a time up to
     ``to_window``, yielding one predecessor layer (parts of windows w..w+k,
-    frontier before the step, head block, reach) per step. Layers share their
+    frontier before the step, head block, reach) per step. A suffix reaches a
+    vertex of part w+k when its count of adjacent frontier heads, an exact
+    float32 product (``exact_product``), is positive. Layers share their
     frontiers with the caller, so each reach is made read-only."""
     for w in range(first, to_window):
         j = w + k
         flat = frontier.reshape(frontier.shape[0], -1)
         head_block = view.block(w, j)
-        reach = (flat.T @ head_block).reshape(frontier.shape[1:] + (view.sizes[j],))
+        reach = (exact_product(flat.T, head_block) > 0).reshape(
+            frontier.shape[1:] + (view.sizes[j],)
+        )
         and_part_blocks(view, reach, w + 1)
         reach.flags.writeable = False
         yield view.parts[w : j + 1], frontier, head_block, reach

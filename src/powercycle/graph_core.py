@@ -17,6 +17,10 @@ from the j-th part of its window; ``CliqueSet`` carries a set of them and the
 window. ``window_cliques`` holds a window's cliques dense, over its sorted
 parts, built with the expansion kernel's broadcast AND (``and_part_blocks``);
 ``frontier_members`` reads tuples from it in C order, which is lexicographic.
+
+Two primitives serve every hot caller: ``Graph.submatrix``, the one gather of
+an adjacency block (rows, then columns), and ``exact_product``, the one
+product of 0/1 matrices, float32 counts that are exact below 2**24 terms.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "complete_multipartite",
     "window_cliques",
     "and_part_blocks",
+    "exact_product",
     "frontier_members",
     "enumerate_canonical_cliques",
     "count_canonical_cliques",
@@ -155,6 +160,12 @@ class Graph:
             self._degrees = degrees
         return self._degrees
 
+    def submatrix(self, rows, cols) -> np.ndarray:
+        """Fresh bool block ``adj[rows][:, cols]`` for int id arrays in any
+        order, repeats allowed, gathered rows first, then columns (half the
+        time of one broadcast gather); an id out of range is an IndexError."""
+        return self.adj.take(rows, 0).take(cols, 1)
+
     def edge_count(self) -> int:
         return int(self.degrees().sum()) // 2
 
@@ -249,7 +260,7 @@ class TupleView:
         columns in the parts' sorted order; built once per pair."""
         b = self._blocks.get((i, j))
         if b is None:
-            b = self.graph.adj[self.parts[i][:, None], self.parts[j]]
+            b = self.graph.submatrix(self.parts[i], self.parts[j])
             b.setflags(write=False)
             self._blocks[(i, j)] = b
         return b
@@ -301,6 +312,20 @@ class CliqueSet:
 
     def sorted(self) -> list:
         return sorted(self.members)
+
+
+def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two bool arrays as float32 counts: entry (i, j) is the
+    number of positions l with a[i, l] and b[l, j]. Every partial sum is a
+    whole number of at most ``a.shape[-1]`` ones, and float32 holds each
+    integer up to 2**24 exactly, so the counts are exact whatever the summation
+    order, the BLAS thread count or the platform. An inner dimension of 2**24
+    or more is a ValueError."""
+    if a.shape[-1] >= 2**24:
+        raise ValueError(
+            f"inner dimension {a.shape[-1]} is not below 2**24, float32 counts could round"
+        )
+    return np.matmul(a, b, dtype=np.float32)
 
 
 def and_part_blocks(view: TupleView, out: np.ndarray, first: int) -> np.ndarray:
@@ -377,7 +402,7 @@ def common_neighborhood(graph: Graph, seed_vertices, target) -> np.ndarray:
     if target.size > 1 and not (target[1:] > target[:-1]).all():
         target = np.unique(target)
     seeds = np.asarray(seed_vertices, dtype=np.int64)
-    return target[graph.adj[seeds[:, None], target].all(axis=0)]
+    return target[graph.submatrix(seeds, target).all(axis=0)]
 
 
 def min_degree(graph: Graph) -> int:

@@ -251,7 +251,7 @@ def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> graph
     """Random start set of max(least, ceil(fraction * x)) canonical K_k copies
     in the first window, x its measured reference count; drawn from
     stream(seed, 59)."""
-    all_start = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
+    all_start = graph_core.frontier_members(view, graph_core.window_cliques(view, 0, k), 0)
     x_start = expansion.reference_count(view, 0, k)
     m = max(least, math.ceil(fraction * x_start))
     rng = models.stream(seed, 59)
@@ -424,7 +424,7 @@ def _run_oracle_compare(params: dict, seed: int) -> tuple:
             _, view = models.gen_blowup(
                 graph_core.complete_graph(t), n, params.get("p", 0.5), int(rng.integers(0, 2**31))
             )
-            full = graph_core.enumerate_canonical_cliques(view, 0, k).sorted()
+            full = graph_core.frontier_members(view, graph_core.window_cliques(view, 0, k), 0)
             if not full:
                 continue
             take = max(1, len(full) // 2)

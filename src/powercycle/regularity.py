@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, TupleView
+from .graph_core import Graph, TupleView, exact_product
 from .models import stream
 
 __all__ = [
@@ -135,7 +135,7 @@ def check_regular_exact(
             )
     m1, m2 = math.ceil(eps * n1), math.ceil(eps * n2)
     m1, m2 = max(m1, 1), max(m2, 1)
-    A = graph.adj[V1[:, None], V2]
+    A = graph.submatrix(V1, V2)
     d = A.sum() / (n1 * n2)
     threshold = eps * p + tol
 
@@ -205,8 +205,12 @@ def check_regular_sampled(
 
     Replay contract: ``rng`` draws one (trials, |V1|) array of uniforms, then
     one (trials, |V2|) array; trial r takes the q1 positions of V1 holding the
-    q1 smallest draws of row r, and likewise for V2. Counts and deviations are
-    float32, and the witness is the first refuting trial's subsets, sorted."""
+    q1 smallest draws of row r, and likewise for V2. Each trial's count is
+    the sum over its V2 subset of ``exact_product(S1, A)``, float32 counts of
+    at most q1 ones, summed in float32 over at most q2 terms: exact integers
+    while q1*q2 < 2**24, so no verdict rests on the BLAS summation order or
+    thread count. Deviations are float32, and the witness is the first
+    refuting trial's subsets, sorted."""
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     n1, n2 = len(V1), len(V2)
@@ -214,12 +218,12 @@ def check_regular_sampled(
         return RegularityVerdict("undetermined", 0.0, "sampled")
     q1 = min(n1, max(math.ceil(SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
     q2 = min(n2, max(math.ceil(SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
-    A = graph.adj[V1[:, None], V2].astype(np.float32)
-    d = float(A.sum()) / (n1 * n2)
+    A = graph.submatrix(V1, V2)
+    d = float(np.count_nonzero(A)) / (n1 * n2)
 
     S1 = _smallest(rng.random((trials, n1)), q1)
     S2 = _smallest(rng.random((trials, n2)), q2)
-    counts = ((S1.astype(np.float32) @ A) * S2).sum(axis=1)
+    counts = (exact_product(S1, A) * S2).sum(axis=1)
     dev = np.abs(counts / (q1 * q2) - d)
     worst = int(np.argmax(dev))
     if dev[worst] > eps * p + tol:
@@ -410,13 +414,13 @@ def inheritance_stats(
     V2 = np.asarray(V2, dtype=np.int64)
     if q1 > len(V1) or q2 > len(V2):
         raise ValueError("sample sizes exceed the parent parts")
-    d_parent = float(graph.adj[V1[:, None], V2].sum()) / (len(V1) * len(V2))
+    d_parent = float(graph.submatrix(V1, V2).sum()) / (len(V1) * len(V2))
     rng = stream(seed, 17)
     good = 0
     for s in range(samples):
         Q1 = V1[rng.permutation(len(V1))[:q1]]
         Q2 = V2[rng.permutation(len(V2))[:q2]]
-        d_sub = float(graph.adj[Q1[:, None], Q2].sum()) / (q1 * q2)
+        d_sub = float(graph.submatrix(Q1, Q2).sum()) / (q1 * q2)
         lo = (1 - eps_prime) * d_parent - tol
         hi = (1 + eps_prime) * d_parent + tol
         if not (lo <= d_sub <= hi):

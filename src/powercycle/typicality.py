@@ -25,8 +25,9 @@ from .graph_core import (
     TupleView,
     common_neighborhood,
     count_canonical_cliques,
-    enumerate_canonical_cliques,
     expected_clique_count,
+    frontier_members,
+    window_cliques,
 )
 from .models import stream
 from .regularity import check_regular_sampled
@@ -102,7 +103,7 @@ def _pair_ok(
     if len(ids_a) == 0 or len(ids_b) == 0:
         # Degenerate pair: density 0; acceptable only when nothing is expected.
         return _within(0.0, center, eps)
-    d = float(np.count_nonzero(graph.adj[ids_a[:, None], ids_b])) / (len(ids_a) * len(ids_b))
+    d = float(np.count_nonzero(graph.submatrix(ids_a, ids_b))) / (len(ids_a) * len(ids_b))
     if not _within(d, center, eps):
         return False
     verdict = check_regular_sampled(
@@ -225,9 +226,8 @@ def check_super_typical(
         for name in ("middle", "left", "right")
     }
 
-    middle_copies = enumerate_canonical_cliques(view, 1, t - 2)
     n_typ = 0
-    for copy in middle_copies.sorted():
+    for copy in frontier_members(view, window_cliques(view, 1, t - 2), 1):
         if _typical_copy(view, copy, middle, (0, t - 1), delta, params, seed):
             n_typ += 1
     typ_expected = expected_counts["middle"]

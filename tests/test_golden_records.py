@@ -169,9 +169,11 @@ for kind, params, seeds in json.loads(sys.argv[1]):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blas_thread_count_leaves_records_alone(threads):
-    # The two golden configs whose verdicts rest on the sampled refuter's
-    # float32 matmul, each run in a fresh interpreter at a set BLAS thread count.
-    names = ["regularity-partition", "typicality-four-parts"]
+    # Golden configs whose verdicts rest on a float32 BLAS product: the
+    # sampled refuter's counts (the first two) and the expansion kernel's
+    # reach (the last two), each run in a fresh interpreter at a set BLAS
+    # thread count.
+    names = ["regularity-partition", "typicality-four-parts", "embed-anchor-extend", "expansion-main"]
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": threads,

@@ -1,7 +1,11 @@
+import ast
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
+from powercycle import graph_core
 from powercycle.graph_core import (
     CliqueSet,
     Graph,
@@ -13,6 +17,7 @@ from powercycle.graph_core import (
     count_canonical_cliques,
     empty_graph,
     enumerate_canonical_cliques,
+    exact_product,
     load_graph,
     load_parts,
     mask_of,
@@ -286,6 +291,97 @@ class TestCommonNeighborhood:
             small = set(common_neighborhood(g, seeds + [extra], target).tolist())
             big = set(common_neighborhood(g, seeds, target).tolist())
             assert small <= big
+
+
+class TestExactProduct:
+    # The kernel's shapes: a flattened k=3 frontier (13 x 11 x 9) against its
+    # head block, square k=2 steps, and an inner dimension of 300.
+    SHAPES = {
+        "square": ((22, 22), (22, 22)),
+        "inner-300": ((5, 300), (300, 7)),
+        "k3-flattened": ((13, 11, 9), (13, 10)),
+    }
+
+    @pytest.mark.parametrize("density", [0.0, 1.0, 0.1], ids=["all-false", "all-true", "sparse"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_bool_product(self, shape, density):
+        a_shape, b_shape = self.SHAPES[shape]
+        rng = stream(41)
+        a = rng.random(a_shape) < density
+        b = rng.random(b_shape) < density
+        if a.ndim == 3:
+            a = a.reshape(a.shape[0], -1).T
+        counts = exact_product(a, b)
+        assert counts.dtype == np.float32
+        assert np.array_equal(counts, a.astype(np.int64) @ b.astype(np.int64))
+        assert np.array_equal(counts > 0, a @ b)
+
+    def test_refuses_inner_dimension_of_two_to_the_24(self):
+        # Zero-stride views: nothing of the 2**24 inner dimension is allocated.
+        a = np.broadcast_to(np.False_, (1, 2**24))
+        b = np.broadcast_to(np.False_, (2**24, 1))
+        with pytest.raises(ValueError, match=r"2\*\*24"):
+            exact_product(a, b)
+
+
+def _names_adj(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "adj") or (
+        isinstance(node, ast.Name) and node.id == "adj"
+    )
+
+
+def _is_column(node) -> bool:
+    """Is ``node`` an ``x[:, None]`` subscript?"""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    elts = node.slice.elts
+    return (
+        len(elts) == 2
+        and isinstance(elts[0], ast.Slice)
+        and elts[0].lower is elts[0].upper is elts[0].step is None
+        and isinstance(elts[1], ast.Constant)
+        and elts[1].value is None
+    )
+
+
+class TestSubmatrix:
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([31, 2, 17, 2], [5, 39, 0, 5, 5]),
+            (list(range(39, -1, -1)), list(range(40))),
+            ([], [1, 2]),
+            ([3, 4], []),
+        ],
+        ids=["unsorted-repeated", "all", "no-rows", "no-columns"],
+    )
+    def test_matches_ix_gather(self, rows, cols):
+        g = gen_gnp(ModelParams(N=40, p=0.5, seed=3))
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        block = g.submatrix(rows, cols)
+        assert block.dtype == bool and block.shape == (len(rows), len(cols))
+        assert np.array_equal(block, g.adj[np.ix_(rows, cols)])
+        assert block.flags.writeable and not np.shares_memory(block, g.adj)
+
+    def test_id_out_of_range(self):
+        g = complete_graph(6)
+        with pytest.raises(IndexError):
+            g.submatrix(np.array([0, 6]), np.array([1]))
+        with pytest.raises(IndexError):
+            g.submatrix(np.array([0]), np.array([2, 6]))
+
+    def test_no_broadcast_gather_outside_graph_core(self):
+        # Every adjacency block outside graph_core is read through
+        # Graph.submatrix, not gathered as adj[rows[:, None], cols].
+        offenders = []
+        for path in sorted(Path(graph_core.__file__).parent.glob("*.py")):
+            if path.name == "graph_core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Subscript) and _names_adj(node.value):
+                    if any(_is_column(sub) for sub in ast.walk(node.slice)):
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 class TestMinDegree:

@@ -47,7 +47,7 @@ print("nice partition of G(2000, 0.3) into 4 classes:")
 host = gen_gnp(ModelParams(N=2000, p=0.3, seed=1))
 params = RegularityParams(epsilon=0.25, p=0.3, d=0.9, mu=0.6, trials=200)
 partition = build_nice_partition(host, params, m=4, seed=1)
-print(f"  class size {partition.class_size}, unrefuted pairs {len(partition.regular_pairs)}/6,")
+print(f"  class size {partition.class_size}, useful pairs {sorted(partition.useful_pairs)},")
 print(f"  dense partners per class {partition.partner_counts()}, property holds: {partition.partner_ok}")
 
 chunked = chunk_partition(partition, 100, seed=1)

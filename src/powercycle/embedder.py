@@ -58,6 +58,11 @@ __all__ = [
     "exact_longest_power_cycle",
 ]
 
+# Most clusters the exact cluster-ordering search accepts.
+CLUSTER_SEARCH_CAP = 16
+# Most vertices the brute-force longest-cycle oracle accepts.
+EXACT_SEARCH_CAP = 12
+
 
 @dataclass(frozen=True)
 class PowerCycle:
@@ -124,7 +129,6 @@ class EmbedParams:
 class EmbedFailure:
     stage: str
     step: Optional[int] = None
-    window: Optional[int] = None
     detail: str = ""
     sizes: dict = field(default_factory=dict)
     fraction: Optional[float] = None
@@ -134,7 +138,6 @@ class EmbedFailure:
             "schema": "powercycle/embed-failure-v1",
             "stage": self.stage,
             "step": self.step,
-            "window": self.window,
             "detail": self.detail,
             "sizes": self.sizes,
             "fraction": self.fraction,
@@ -149,15 +152,13 @@ def build_reduced(partition: RegularPartition) -> ReducedGraph:
     return ReducedGraph(t0=partition.k, edges=frozenset(partition.useful_pairs))
 
 
-def find_cluster_power_cycle(
-    reduced: ReducedGraph, k: int, cap: int = 16
-) -> Optional[ClusterCycle]:
+def find_cluster_power_cycle(reduced: ReducedGraph, k: int) -> Optional[ClusterCycle]:
     """Exact backtracking search for a cyclic ordering of all clusters whose
     k-th power is contained in the reduced graph. Exhaustive: a None return
     means no such ordering exists."""
     t0 = reduced.t0
-    if t0 > cap:
-        raise ValueError(f"{t0} clusters exceed the exact-search cap {cap}")
+    if t0 > CLUSTER_SEARCH_CAP:
+        raise ValueError(f"{t0} clusters exceed the exact-search cap {CLUSTER_SEARCH_CAP}")
     if t0 < k + 2:
         raise ValueError(f"a k-power cycle ordering needs at least k+2={k + 2} clusters")
     rows = [0] * t0
@@ -226,14 +227,14 @@ def verify_power_cycle(graph: Graph, candidate: PowerCycle) -> tuple:
     return True, None
 
 
-def exact_longest_power_cycle(graph: Graph, k: int, cap: int = 12) -> PowerCycle:
+def exact_longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
     """Brute-force maximum-length k-th power of a cycle, by branch and bound
     over vertex sequences with the running k-window clique constraint.
     Sequences shorter than k+2 vertices do not count; with none above that
     length the result has length 0."""
     n = graph.n
-    if n > cap:
-        raise ValueError(f"exact search capped at {cap} vertices, graph has {n}")
+    if n > EXACT_SEARCH_CAP:
+        raise ValueError(f"exact search capped at {EXACT_SEARCH_CAP} vertices, graph has {n}")
     rows = graph.rows
     best: list = []
 

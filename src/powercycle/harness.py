@@ -365,16 +365,16 @@ def _run_embed(params: dict, seed: int) -> tuple:
     )
     result = embedder.embed_power_cycle(thinned, part, cyc, ep)
     if isinstance(result, embedder.PowerCycle):
-        ok_verify, _ = embedder.verify_power_cycle(thinned, result)
+        # embed_power_cycle returns a cycle only after verify_power_cycle passed it.
         measured.update(
             {
-                "success": bool(ok_verify),
+                "success": True,
                 "stage": "ok",
                 "cycle_length": len(result),
                 "coverage": len(result) / N,
             }
         )
-        return measured, bool(ok_verify)
+        return measured, True
     measured.update(
         {"success": False, "stage": result.stage, "detail": result.detail, "step": result.step}
     )

@@ -5,7 +5,7 @@ has density differing from the pair density by more than eps*p. The exact
 checker settles every qualifying subset pair; the sampled checker is a
 one-sided Monte Carlo refuter that can never certify. A partition is one
 random equipartition surveyed once with the sampled refuter; a refuted pair
-is left out of the regular and useful pairs, and no class is refined.
+is left out of the useful pairs, and no class is refined.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +40,10 @@ EXACT_MISSING_CAP = 4
 # The sampled refuter draws subsets of this fraction of each side (and never
 # fewer than eps of it).
 SUBSET_FRACTION = 0.5
+# Slack added to every deviation and density threshold.
+TOL = 1e-12
+# Trial budget of the sampled check on each inheritance sample.
+INHERITANCE_TRIALS = 60
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,7 @@ class RegularityVerdict:
 
 
 def _qualifying_subset_count(n: int, m: int) -> int:
-    if n <= EXACT_FULL_ENUM_CAP:
-        return sum(math.comb(n, j) for j in range(m, n + 1))
-    return sum(math.comb(n, j) for j in range(0, n - m + 1))
+    return sum(math.comb(n, j) for j in range(m, n + 1))
 
 
 def _subset_matrix(n: int, m: int) -> np.ndarray:
@@ -113,7 +114,6 @@ def check_regular_exact(
     V2: Sequence[int],
     eps: float,
     p: float,
-    tol: float = 1e-12,
 ) -> RegularityVerdict:
     """Settle regularity of a pair by exhausting every qualifying subset pair.
 
@@ -137,7 +137,7 @@ def check_regular_exact(
     m1, m2 = max(m1, 1), max(m2, 1)
     A = graph.submatrix(V1, V2)
     d = A.sum() / (n1 * n2)
-    threshold = eps * p + tol
+    threshold = eps * p + TOL
 
     # Enumerate on the side with fewer qualifying subsets.
     swap = _qualifying_subset_count(n2, m2) < _qualifying_subset_count(n1, m1)
@@ -196,7 +196,6 @@ def check_regular_sampled(
     p: float,
     trials: int,
     rng: np.random.Generator,
-    tol: float = 1e-12,
 ) -> RegularityVerdict:
     """One-sided Monte Carlo refuter: sample qualifying subset pairs of a
     single size from ``rng``, the caller's own named stream, and report the
@@ -226,8 +225,8 @@ def check_regular_sampled(
     counts = (exact_product(S1, A) * S2).sum(axis=1)
     dev = np.abs(counts / (q1 * q2) - d)
     worst = int(np.argmax(dev))
-    if dev[worst] > eps * p + tol:
-        first = int(np.nonzero(dev > eps * p + tol)[0][0])
+    if dev[worst] > eps * p + TOL:
+        first = int(np.nonzero(dev > eps * p + TOL)[0][0])
         witness = (np.sort(V1[S1[first]]), np.sort(V2[S2[first]]))
         return RegularityVerdict("refuted", float(dev[first]), "sampled", witness)
     return RegularityVerdict("undetermined", float(dev[worst]), "sampled")
@@ -235,17 +234,13 @@ def check_regular_sampled(
 
 @dataclass
 class RegularPartition:
-    """An equipartition with an exceptional class and per-pair regularity
-    bookkeeping. ``classes`` excludes the exceptional set; ``regular_pairs``
-    are the unrefuted pairs, ``useful_pairs`` those also of density >= d*p."""
+    """An equipartition with an exceptional class. ``classes`` excludes the
+    exceptional set; ``useful_pairs`` are the pairs that are unrefuted and of
+    density >= d*p, the edges of the reduced graph. ``parent`` maps each chunk
+    of a chunked partition to the class it came from."""
 
     exceptional: np.ndarray
     classes: list
-    epsilon: float
-    p: float
-    d: float
-    pair_density: dict = field(default_factory=dict)
-    regular_pairs: frozenset = frozenset()
     useful_pairs: frozenset = frozenset()
     partner_ok: Optional[bool] = None
     parent: Optional[list] = None
@@ -269,48 +264,13 @@ class RegularPartition:
             counts[j] += 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "powercycle/partition-v1",
-            "epsilon": self.epsilon,
-            "p": self.p,
-            "d": self.d,
-            "exceptional": self.exceptional.tolist(),
-            "classes": [c.tolist() for c in self.classes],
-            "pair_density": {
-                f"{i},{j}": [dens.numerator, dens.denominator]
-                for (i, j), dens in sorted(self.pair_density.items())
-            },
-            "regular_pairs": sorted(map(list, self.regular_pairs)),
-            "useful_pairs": sorted(map(list, self.useful_pairs)),
-            "partner_ok": self.partner_ok,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegularPartition":
-        return cls(
-            exceptional=np.asarray(data["exceptional"], dtype=np.int64),
-            classes=[np.asarray(c, dtype=np.int64) for c in data["classes"]],
-            epsilon=data["epsilon"],
-            p=data["p"],
-            d=data["d"],
-            pair_density={
-                tuple(map(int, key.split(","))): Fraction(num, den)
-                for key, (num, den) in data["pair_density"].items()
-            },
-            regular_pairs=frozenset(map(tuple, data["regular_pairs"])),
-            useful_pairs=frozenset(map(tuple, data["useful_pairs"])),
-            partner_ok=data["partner_ok"],
-        )
-
 
 def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: int) -> RegularPartition:
     """Random equipartition into m classes from stream(seed, 11), surveyed
-    once: every pair gets its exact density and a sampled refutation attempt,
-    pair (i, j) drawing from stream(seed, 19, 0, i, j). A refuted pair is
-    neither regular nor useful; an unrefuted one is useful when its density
-    is at least d*p. The partition is marked good when every class has at
-    least mu*k useful partners."""
+    once: every pair gets a sampled refutation attempt, pair (i, j) drawing
+    from stream(seed, 19, 0, i, j). An unrefuted pair is useful when its
+    exact density is at least d*p. The partition is marked good when every
+    class has at least mu*k useful partners."""
     N = graph.n
     if N < m:
         raise ValueError(f"need at least m={m} vertices, graph has {N}")
@@ -318,14 +278,10 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     perm = rng.permutation(N)
     size = N // m
     classes = [np.sort(perm[i * size : (i + 1) * size]) for i in range(m)]
-    densities: dict = {}
-    regular = set()
     useful = set()
     view = TupleView(graph, classes)
     for i in range(m):
         for j in range(i + 1, m):
-            dens = view.density(i, j)
-            densities[(i, j)] = dens
             verdict = check_regular_sampled(
                 graph,
                 classes[i],
@@ -337,19 +293,13 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
                 # sub-stream it has always drawn from, so records replay.
                 rng=stream(seed, 19, 0, i, j),
             )
-            if not verdict.refuted:
-                regular.add((i, j))
-                if float(dens) >= params.d * params.p - 1e-9:
-                    useful.add((i, j))
+            dense = float(view.density(i, j)) >= params.d * params.p - 1e-9
+            if dense and not verdict.refuted:
+                useful.add((i, j))
 
     partition = RegularPartition(
         exceptional=np.sort(perm[m * size :]),
         classes=classes,
-        epsilon=params.epsilon,
-        p=params.p,
-        d=params.d,
-        pair_density=densities,
-        regular_pairs=frozenset(regular),
         useful_pairs=frozenset(useful),
     )
     counts = partition.partner_counts()
@@ -358,16 +308,12 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     return partition
 
 
-def chunk_partition(
-    partition: RegularPartition, q: int, seed: int, eps_prime: Optional[float] = None
-) -> RegularPartition:
+def chunk_partition(partition: RegularPartition, q: int, seed: int) -> RegularPartition:
     """Split every class uniformly at random into floor(size/q) chunks of size
     exactly q; leftovers below q join the exceptional class. ``parent`` maps
     each chunk to the class it came from."""
     if q > partition.class_size:
         raise ValueError(f"chunk size {q} exceeds class size {partition.class_size}")
-    if eps_prime is None:
-        eps_prime = 2 * partition.epsilon
     rng = stream(seed, 13)
     chunks = []
     parent = []
@@ -380,18 +326,7 @@ def chunk_partition(
             parent.append(i)
         leftovers.append(shuffled[nfull * q :])
     exceptional = np.sort(np.concatenate(leftovers))
-    return RegularPartition(
-        exceptional=exceptional,
-        classes=chunks,
-        epsilon=eps_prime,
-        p=partition.p,
-        d=partition.d,
-        pair_density={},
-        regular_pairs=frozenset(),
-        useful_pairs=frozenset(),
-        partner_ok=None,
-        parent=parent,
-    )
+    return RegularPartition(exceptional=exceptional, classes=chunks, parent=parent)
 
 
 def inheritance_stats(
@@ -404,8 +339,6 @@ def inheritance_stats(
     p: float,
     samples: int,
     seed: int,
-    inner_trials: int = 60,
-    tol: float = 1e-12,
 ) -> float:
     """Fraction of random (Q1, Q2) with |Qi| = qi that inherit regularity:
     unrefuted at eps' and of density within (1 +/- eps') of the parent pair.
@@ -421,12 +354,12 @@ def inheritance_stats(
         Q1 = V1[rng.permutation(len(V1))[:q1]]
         Q2 = V2[rng.permutation(len(V2))[:q2]]
         d_sub = float(graph.submatrix(Q1, Q2).sum()) / (q1 * q2)
-        lo = (1 - eps_prime) * d_parent - tol
-        hi = (1 + eps_prime) * d_parent + tol
+        lo = (1 - eps_prime) * d_parent - TOL
+        hi = (1 + eps_prime) * d_parent + TOL
         if not (lo <= d_sub <= hi):
             continue
         verdict = check_regular_sampled(
-            graph, Q1, Q2, eps_prime, p, trials=inner_trials, rng=stream(seed, 31, s)
+            graph, Q1, Q2, eps_prime, p, trials=INHERITANCE_TRIALS, rng=stream(seed, 31, s)
         )
         if not verdict.refuted:
             good += 1

@@ -41,6 +41,9 @@ __all__ = [
     "clique_count_upper_check",
 ]
 
+# Slack added to every window and count threshold.
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TypicalityParams:
@@ -62,7 +65,6 @@ class TypicalityParams:
 
 @dataclass
 class TypicalityReport:
-    typical_vertices: list
     typical_fraction: list
     clique_counts: dict
     expected_counts: dict
@@ -91,8 +93,8 @@ class TypicalityReport:
         }
 
 
-def _within(value: float, center: float, rel: float, tol: float = 1e-9) -> bool:
-    return (1 - rel) * center - tol <= value <= (1 + rel) * center + tol
+def _within(value: float, center: float, rel: float) -> bool:
+    return (1 - rel) * center - TOL <= value <= (1 + rel) * center + TOL
 
 
 def _pair_ok(
@@ -112,9 +114,7 @@ def _pair_ok(
     return not verdict.refuted
 
 
-def typical_vertices(
-    view: TupleView, params: TypicalityParams, seed: int = 0
-) -> list:
+def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> list:
     """Per-part arrays of vertices that are typical at epsilon: every
     neighbourhood in another part has size within (1 +/- eps) of its measured
     mean, and every pair of those neighbourhoods is an unrefuted pair of
@@ -135,7 +135,7 @@ def typical_vertices(
         for j in others:
             center = float(view.density(i, j)) * view.sizes[j]
             col = counts[(i, j)]
-            size_ok &= (col >= (1 - eps) * center - 1e-9) & (col <= (1 + eps) * center + 1e-9)
+            size_ok &= (col >= (1 - eps) * center - TOL) & (col <= (1 + eps) * center + TOL)
         good = []
         for local in np.nonzero(size_ok)[0]:
             v = int(view.parts[i][local])
@@ -179,9 +179,7 @@ def _typical_copy(
     return _pair_ok(graph, ids_a, ids_b, rel, params, center, (seed, 67, *copy))
 
 
-def is_typical_clique(
-    copy: tuple, view: TupleView, params: TypicalityParams, seed: int = 0
-) -> bool:
+def is_typical_clique(copy: tuple, view: TupleView, params: TypicalityParams, seed: int) -> bool:
     """Is a canonical copy of K_{t-2} living on the first t-2 parts typical at
     delta with respect to the last two parts?"""
     t = view.t
@@ -194,9 +192,7 @@ def is_typical_clique(
     )
 
 
-def check_super_typical(
-    view: TupleView, params: TypicalityParams, seed: int = 0
-) -> TypicalityReport:
+def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) -> TypicalityReport:
     """Evaluate the full super-typicality ledger of a t-tuple: the middle
     K_{t-2} count and both K_{t-1} counts within (1 +/- delta) of their
     measured expectations, at least a (1 - delta) fraction of the middle
@@ -231,11 +227,11 @@ def check_super_typical(
         if _typical_copy(view, copy, middle, (0, t - 1), delta, params, seed):
             n_typ += 1
     typ_expected = expected_counts["middle"]
-    verdicts["typical_cliques"] = n_typ >= (1 - delta) * typ_expected - 1e-9
+    verdicts["typical_cliques"] = n_typ >= (1 - delta) * typ_expected - TOL
 
     typ_vertices = typical_vertices(view, params, seed)
     fractions = [len(typ_vertices[i]) / view.sizes[i] for i in range(t)]
-    tuple_ok = all(f >= 1 - params.epsilon - 1e-9 for f in fractions)
+    tuple_ok = all(f >= 1 - params.epsilon - TOL for f in fractions)
     if tuple_ok:
         for i in range(t):
             for j in range(i + 1, t):
@@ -257,7 +253,6 @@ def check_super_typical(
     verdicts["super_typical"] = all(verdicts.values())
 
     return TypicalityReport(
-        typical_vertices=typ_vertices,
         typical_fraction=fractions,
         clique_counts=clique_counts,
         expected_counts=expected_counts,
@@ -268,9 +263,7 @@ def check_super_typical(
     )
 
 
-def clique_count_upper_check(
-    view: TupleView, t: int, eps: float, p: float, tol: float = 1e-9
-) -> bool:
+def clique_count_upper_check(view: TupleView, t: int, eps: float, p: float) -> bool:
     """Audit that the exact canonical K_t count does not exceed
     (1 + eps) * (prod |S_i|) * p^{C(t,2)} at the nominal density p."""
     if t != view.t:
@@ -280,4 +273,4 @@ def clique_count_upper_check(
     for s in view.sizes:
         bound *= s
     bound *= p ** (t * (t - 1) // 2)
-    return count <= (1 + eps) * bound + tol
+    return count <= (1 + eps) * bound + TOL

@@ -61,7 +61,8 @@ class TestReducedGraph:
         graph = gen_gnp(ModelParams(N=120, p=0.5, seed=2))
         assert len(build_reduced(nice_partition(graph, 0.5, 0.5, 4, seed=2)).edges) == 6
         strict = nice_partition(graph, 0.5, 1.0, 4, seed=2)
-        dense = {pair for pair, dens in strict.pair_density.items() if dens >= 0.5}
+        view = TupleView(graph, strict.classes)
+        dense = {(i, j) for i in range(4) for j in range(i + 1, 4) if view.density(i, j) >= 0.5}
         assert build_reduced(strict).edges == dense == {(0, 2), (1, 3), (2, 3)}
 
 
@@ -192,6 +193,16 @@ class TestEmbed:
         assert ok
         assert len(result) >= (1 - 0.4) * 60
 
+    def test_rejected_cycle_is_a_verify_failure(self, monkeypatch):
+        # The embedder returns a cycle only after verify_power_cycle passes
+        # it, so a rejection is its failure and the harness records it as such.
+        monkeypatch.setattr(embedder, "verify_power_cycle", lambda graph, cycle: (False, (0, 1)))
+        _, result = self._embed_complete()
+        assert isinstance(result, EmbedFailure) and result.stage == "verify"
+        params = {"N": 120, "p": 1.0, "k": 2, "d": 2 / 3, "eps": 0.5, "clusters": 6, "xi": 0.2}
+        measured, ok = harness._run_embed(params, 0)
+        assert not ok and not measured["success"] and measured["stage"] == "verify"
+
     def test_embedding_never_builds_bitset_rows(self):
         # The partition, anchor, extend rounds and closing all read the matrix.
         g, result = self._embed_complete()
@@ -236,11 +247,6 @@ class TestEmbed:
         part = RegularPartition(
             exceptional=leftovers,
             classes=classes,
-            epsilon=0.3,
-            p=1.0,
-            d=0.5,
-            pair_density={},
-            regular_pairs=frozenset(),
             useful_pairs=frozenset(),
         )
         cyc = ClusterCycle((0, 1, 2), 2)
@@ -278,11 +284,6 @@ class TestEmbed:
         part = RegularPartition(
             exceptional=np.array([8, 9, 10, 11]),
             classes=classes,
-            epsilon=0.3,
-            p=1.0,
-            d=0.5,
-            pair_density={},
-            regular_pairs=frozenset(),
             useful_pairs=frozenset(),
         )
         params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)

@@ -206,7 +206,6 @@ class TestNicePartition:
         part = build_nice_partition(complete_graph(60), params, m=4, seed=1)
         assert part.partner_ok
         assert len(part.useful_pairs) == 6
-        assert all(d == 1 for d in part.pair_density.values())
 
     def test_random_graph_first_equipartition_suffices(self):
         params = RegularityParams(epsilon=0.25, p=0.3, d=0.9, mu=0.6, trials=150)
@@ -214,7 +213,7 @@ class TestNicePartition:
             g = gen_gnp(ModelParams(N=2000, p=0.3, seed=seed))
             part = build_nice_partition(g, params, m=4, seed=seed)
             assert part.partner_ok
-            assert len(part.regular_pairs) == 6
+            assert len(part.useful_pairs) == 6
 
     def test_covers_vertex_set(self):
         params = RegularityParams(epsilon=0.25, p=0.5, d=0.5, trials=50)
@@ -246,8 +245,8 @@ class TestNicePartition:
 
     def test_refuted_pairs_leave_the_equipartition_as_drawn(self):
         # The golden regularity-partition config, where the survey refutes
-        # pairs: the classes stay the m drawn ones, and a refuted pair is
-        # neither regular nor useful.
+        # pairs: the classes stay the m drawn ones, and the useful pairs are
+        # the unrefuted ones of density at least d*p.
         N, p, m, seed = 80, 0.5, 4, 0
         params = RegularityParams(epsilon=0.2, p=p, d=0.5, trials=30)
         g = gen_gnp(ModelParams(N=N, p=p, seed=seed))
@@ -255,7 +254,6 @@ class TestNicePartition:
         assert [len(c) for c in part.classes] == [N // m] * m
         assert len(part.exceptional) == N % m
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        assert sorted(part.pair_density) == pairs
         refuted = {
             (i, j)
             for i, j in pairs
@@ -264,28 +262,15 @@ class TestNicePartition:
             ).refuted
         }
         assert refuted
-        assert not refuted & part.regular_pairs
         assert not refuted & part.useful_pairs
-        assert part.regular_pairs == set(pairs) - refuted
+        view = TupleView(g, part.classes)
+        dense = {pair for pair in pairs if view.density(*pair) >= params.d * p}
+        assert part.useful_pairs == dense - refuted
 
     def test_requires_enough_vertices(self):
         params = RegularityParams(epsilon=0.3, p=0.5)
         with pytest.raises(ValueError):
             build_nice_partition(complete_graph(3), params, m=5, seed=0)
-
-    def test_json_roundtrip(self):
-        import json
-
-        from powercycle.regularity import RegularPartition
-
-        params = RegularityParams(epsilon=0.25, p=0.5, d=0.5, trials=50)
-        g = gen_gnp(ModelParams(N=82, p=0.5, seed=6))
-        part = build_nice_partition(g, params, m=4, seed=6)
-        blob = json.dumps(part.to_dict(), sort_keys=True)
-        back = RegularPartition.from_dict(json.loads(blob))
-        assert back.pair_density == part.pair_density
-        assert back.useful_pairs == part.useful_pairs
-        assert all(np.array_equal(a, b) for a, b in zip(back.classes, part.classes))
 
 
 class TestChunking:

@@ -39,7 +39,7 @@ partition = build_nice_partition(thinned, reg, m=6, seed=seed)
 reduced = build_reduced(partition)
 cycle = find_cluster_power_cycle(reduced, k)
 print(f"partition into {partition.k} classes of {partition.class_size}; "
-      f"reduced graph has {len(reduced.edges)} edges; cluster ordering {cycle.ordering}")
+      f"reduced graph has {reduced.edge_count()} edges; cluster ordering {cycle.vertices}")
 
 params = EmbedParams(k=k, xi=0.045, delta=0.0225, eps=eps, seed=seed)
 result = embed_power_cycle(thinned, partition, cycle, params)

@@ -53,11 +53,9 @@ from .expansion import (
     one_step_expansion_audit,
 )
 from .embedder import (
-    ClusterCycle,
     EmbedFailure,
     EmbedParams,
     PowerCycle,
-    ReducedGraph,
     build_reduced,
     embed_power_cycle,
     exact_longest_power_cycle,

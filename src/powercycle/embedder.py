@@ -2,20 +2,22 @@
 plus the exact small-instance oracles that keep it honest.
 
 The pipeline: build a reduced graph on partition classes (edges for unrefuted
-pairs of density at least d*p), find a power-cycle ordering of the classes by
-exact backtracking, lay the chunked classes out as t cyclic windows, then grow
-a k-path one window-round at a time. Each round draws fresh target sets, asks
-the expansion engine for one clique of the current frontier that expands well
-into them, and realizes one new vertex per window from the stored predecessor
-layers. A round ends on the last k fresh target sets, which open the next
-round's view, so the frontier is carried from round to round as the dense
-array the search returned. A reserve tuple drawn at the start is spent at the
-end to close the path into a cycle through an anchor clique that was chosen,
-back at step one, to expand well both forward and backward. The anchor scans
-the first window's ``window_cliques`` and the closing the last frontier, both
-as one-hot frontiers in C order, which is lexicographic. The closing meets
-each reach with the anchor's backward reach as one AND of dense arrays: both
-end on the first k reserves, the backward one with its axes in reverse order.
+pairs of density at least d*p), find a power-cycle ordering of the classes
+with the exact search of the longest-cycle oracle and check it with the
+verifier of the host cycle, lay the chunked classes out as t cyclic windows,
+then grow a k-path one window-round at a time. Each round draws fresh target
+sets, asks the expansion engine for one clique of the current frontier that
+expands well into them, and realizes one new vertex per window from the stored
+predecessor layers. A round ends on the last k fresh target sets, which open
+the next round's view, so the frontier is carried from round to round as the
+dense array the search returned. A reserve tuple drawn at the start is spent
+at the end to close the path into a cycle through an anchor clique that was
+chosen, back at step one, to expand well both forward and backward. The anchor
+scans the first window's ``window_cliques`` and the closing the last frontier,
+both as one-hot frontiers in C order, which is lexicographic. The closing
+meets each reach with the anchor's backward reach as one AND of dense arrays:
+both end on the first k reserves, the backward one with its axes in reverse
+order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples, and the anchor and closing share one test of a single
@@ -23,18 +25,18 @@ clique's reach against the success fraction of the reference count.
 
 Failures (an expander coming up empty after redraws, pools running dry) are
 reported as data, not exceptions: an EmbedFailure names the first failing
-stage and carries the live set sizes and reach fractions. Broken invariants
-of the induction itself raise RuntimeError.
+stage, its step and what went wrong. Broken invariants of the induction
+itself raise RuntimeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .graph_core import Graph, TupleView, bit_indices, window_cliques
+from .graph_core import Graph, TupleView, bit_indices, mask_of, window_cliques
 from .models import stream
 from .regularity import RegularPartition
 from .expansion import (
@@ -46,8 +48,6 @@ from .expansion import (
 )
 
 __all__ = [
-    "ReducedGraph",
-    "ClusterCycle",
     "EmbedParams",
     "PowerCycle",
     "EmbedFailure",
@@ -77,37 +77,6 @@ class PowerCycle:
         return len(self.vertices)
 
 
-@dataclass
-class ReducedGraph:
-    """Cluster graph of a partition: one node per non-exceptional class, an
-    edge for every unrefuted pair of density at least d*p."""
-
-    t0: int
-    edges: frozenset
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-
-@dataclass(frozen=True)
-class ClusterCycle:
-    """Cyclic ordering of all clusters in which every k+1 consecutive ones are
-    pairwise adjacent in the reduced graph."""
-
-    ordering: tuple
-    k: int
-
-    def validate(self, reduced: ReducedGraph) -> bool:
-        t0 = len(self.ordering)
-        if sorted(self.ordering) != list(range(reduced.t0)):
-            return False
-        for i in range(t0):
-            for off in range(1, self.k + 1):
-                if not reduced.adjacent(self.ordering[i], self.ordering[(i + off) % t0]):
-                    return False
-        return True
-
-
 @dataclass(frozen=True)
 class EmbedParams:
     """k: power order; xi: target-set fraction of the window size; delta:
@@ -127,81 +96,37 @@ class EmbedParams:
 
 @dataclass
 class EmbedFailure:
+    """The first failing stage of an embedding, the induction step it failed
+    at (None before the first round) and what went wrong."""
+
     stage: str
-    step: Optional[int] = None
-    detail: str = ""
-    sizes: dict = field(default_factory=dict)
-    fraction: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "powercycle/embed-failure-v1",
-            "stage": self.stage,
-            "step": self.step,
-            "detail": self.detail,
-            "sizes": self.sizes,
-            "fraction": self.fraction,
-        }
+    step: Optional[int]
+    detail: str
 
 
-def build_reduced(partition: RegularPartition) -> ReducedGraph:
-    """Reduced graph on the partition classes: its edges are the partition's
-    useful pairs."""
+def build_reduced(partition: RegularPartition) -> Graph:
+    """Reduced graph on the partition classes: one vertex per class, and its
+    edges are the partition's useful pairs."""
     if partition.k < 3:
         raise ValueError(f"need at least 3 classes, got {partition.k}")
-    return ReducedGraph(t0=partition.k, edges=frozenset(partition.useful_pairs))
+    return Graph.from_edges(partition.k, partition.useful_pairs)
 
 
-def find_cluster_power_cycle(reduced: ReducedGraph, k: int) -> Optional[ClusterCycle]:
-    """Exact backtracking search for a cyclic ordering of all clusters whose
-    k-th power is contained in the reduced graph. Exhaustive: a None return
-    means no such ordering exists."""
-    t0 = reduced.t0
+def find_cluster_power_cycle(reduced: Graph, k: int) -> Optional[PowerCycle]:
+    """Cyclic ordering of all clusters whose k-th power lies in the reduced
+    graph, by the exact search of ``exact_longest_power_cycle``, checked with
+    ``verify_power_cycle``. Exhaustive: a None return means no such ordering
+    exists."""
+    t0 = reduced.n
     if t0 > CLUSTER_SEARCH_CAP:
         raise ValueError(f"{t0} clusters exceed the exact-search cap {CLUSTER_SEARCH_CAP}")
     if t0 < k + 2:
         raise ValueError(f"a k-power cycle ordering needs at least k+2={k + 2} clusters")
-    rows = [0] * t0
-    for i, j in reduced.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-
-    seq = [0]
-    used = 1
-
-    def closable() -> bool:
-        for x in range(1, k + 1):
-            for y in range(0, k - x + 1):
-                u, v = seq[-x], seq[y]
-                if not (rows[u] >> v) & 1:
-                    return False
-        return True
-
-    def dfs() -> Optional[list]:
-        if len(seq) == t0:
-            if seq[1] < seq[-1] and closable():
-                return list(seq)
-            return None
-        nonlocal used
-        cand = ((1 << t0) - 1) & ~used
-        for v in seq[-min(k, len(seq)) :]:
-            cand &= rows[v]
-        for w in bit_indices(cand):
-            seq.append(w)
-            used |= 1 << w
-            hit = dfs()
-            if hit is not None:
-                return hit
-            seq.pop()
-            used &= ~(1 << w)
+    cycle = _longest_power_cycle(reduced, k)
+    if len(cycle) < t0:
         return None
-
-    found = dfs()
-    if found is None:
-        return None
-    cycle = ClusterCycle(tuple(found), k)
-    if not cycle.validate(reduced):
-        raise RuntimeError(f"cluster ordering {cycle.ordering} fails its own validation")
+    if not verify_power_cycle(reduced, cycle)[0]:
+        raise RuntimeError(f"cluster ordering {cycle.vertices} fails its own validation")
     return cycle
 
 
@@ -228,21 +153,30 @@ def verify_power_cycle(graph: Graph, candidate: PowerCycle) -> tuple:
 
 
 def exact_longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
-    """Brute-force maximum-length k-th power of a cycle, by branch and bound
-    over vertex sequences with the running k-window clique constraint.
-    Sequences shorter than k+2 vertices do not count; with none above that
-    length the result has length 0."""
+    """Brute-force maximum-length k-th power of a cycle. Sequences shorter
+    than k+2 vertices do not count; with none above that length the result
+    has length 0."""
+    if graph.n > EXACT_SEARCH_CAP:
+        raise ValueError(f"exact search capped at {EXACT_SEARCH_CAP} vertices, graph has {graph.n}")
+    return _longest_power_cycle(graph, k)
+
+
+def _longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
+    """Branch and bound over vertex sequences with the running k-window
+    clique constraint, each anchored at its smallest vertex and tried in
+    increasing vertex order. Only a strictly longer sequence replaces the
+    best one, so a spanning result is the first spanning ordering in that
+    order, and once one is found every later node and anchor is pruned."""
+    if k < 1:
+        raise ValueError(f"power order k must be at least 1, got {k}")
     n = graph.n
-    if n > EXACT_SEARCH_CAP:
-        raise ValueError(f"exact search capped at {EXACT_SEARCH_CAP} vertices, graph has {n}")
-    rows = graph.rows
+    rows = [mask_of(np.flatnonzero(graph.adj[v])) for v in range(n)]
     best: list = []
 
     def closable(seq: list) -> bool:
+        # Called only at len(seq) >= k+2, so x + y <= k never wraps around.
         for x in range(1, k + 1):
             for y in range(0, k - x + 1):
-                if x + y >= len(seq):
-                    continue
                 if not (rows[seq[-x]] >> seq[y]) & 1:
                     return False
         return True
@@ -250,17 +184,14 @@ def exact_longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
     for anchor in range(n):
         if n - anchor <= len(best):
             break
-        allowed = 0
-        for v in range(anchor + 1, n):
-            allowed |= 1 << v
-
+        allowed = mask_of(range(anchor + 1, n))
         seq = [anchor]
         used = 1 << anchor
 
         def dfs():
             nonlocal used, best
             if len(seq) >= k + 2 and len(seq) > len(best):
-                if (len(seq) < 3 or seq[1] < seq[-1]) and closable(seq):
+                if seq[1] < seq[-1] and closable(seq):
                     best = list(seq)
             free = allowed & ~used
             if len(seq) + free.bit_count() <= len(best):
@@ -297,7 +228,7 @@ def _one_hots(frontier: np.ndarray):
         yield pos, one_hot
 
 
-def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
+def _layout_windows(partition: RegularPartition, cycle: PowerCycle) -> list:
     """Window pools along the cluster cycle: one pool per chunk, round-major
     (round j visits chunk j of every cluster in cycle order)."""
     if partition.parent is None:
@@ -306,7 +237,7 @@ def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
         groups = {}
         for idx, par in enumerate(partition.parent):
             groups.setdefault(par, []).append(partition.classes[idx])
-    t0 = len(cycle.ordering)
+    t0 = len(cycle)
     if sorted(groups) != list(range(t0)):
         raise ValueError("cluster cycle does not match the partition's classes")
     rounds = {len(g) for g in groups.values()}
@@ -316,7 +247,7 @@ def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
     pools = []
     for j in range(r):
         for pos in range(t0):
-            pools.append(groups[cycle.ordering[pos]][j])
+            pools.append(groups[cycle.vertices[pos]][j])
     sizes = {len(p) for p in pools}
     if len(sizes) != 1:
         raise ValueError("window pools must have a common size")
@@ -329,7 +260,7 @@ def _layout_windows(partition: RegularPartition, cycle: ClusterCycle) -> list:
 def embed_power_cycle(
     graph: Graph,
     partition: RegularPartition,
-    cycle: ClusterCycle,
+    cycle: PowerCycle,
     params: EmbedParams,
 ) -> Union[PowerCycle, EmbedFailure]:
     """Run the full induction and return a verified PowerCycle on at least
@@ -349,15 +280,12 @@ def embed_power_cycle(
     s_final = min(int((1 - 2 * params.xi) * n_prime), n_prime - 3 * n_tilde)
     if s_final < 1:
         return EmbedFailure(
-            stage="layout",
-            detail=f"window size {n_prime} cannot host targets of size {n_tilde}",
-            sizes={"t": t, "n_prime": n_prime, "n_tilde": n_tilde},
+            "layout", None, f"window size {n_prime} cannot host targets of size {n_tilde}"
         )
 
     # Live induction state: per-window reserve sets, live targets and used
-    # path vertices, the trace whose final frontier of canonical k-cliques the
-    # next round starts from, and the path. ``taken`` marks reserve, path and
-    # live target vertices. The window pools are disjoint, so one
+    # path vertices, and the path. ``taken`` marks reserve, path and live
+    # target vertices. The window pools are disjoint, so one
     # vertex-indexed mask serves every window's draw.
     taken = np.zeros(graph.n, dtype=bool)
     reserve = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
@@ -366,18 +294,7 @@ def embed_power_cycle(
     taken[np.concatenate(targets)] = True
     used = [set() for _ in range(t)]
     pool_grid = np.stack(pools)
-    last = None
     path: list = []
-
-    def failure(stage: str, step: Optional[int], detail: str, fraction=None) -> EmbedFailure:
-        sizes = {
-            "step": 0 if step is None else step,
-            "reserve": [len(r) for r in reserve],
-            "targets": [len(x) for x in targets],
-            "used": [len(u) for u in used],
-            "frontier": 0 if last is None else last.counts[-1],
-        }
-        return EmbedFailure(stage=stage, step=step, detail=detail, sizes=sizes, fraction=fraction)
 
     def expands_well(start, view: TupleView, to_window: int):
         """The trace of a one-hot ``start`` expanded to ``to_window`` when its
@@ -417,10 +334,11 @@ def embed_power_cycle(
         if bwd is not None:
             break
     else:
-        return failure("anchor", None, "no clique expands both ways")
+        return EmbedFailure("anchor", None, "no clique expands both ways")
 
     # The forward trace ends on the last k targets, which are the first k
     # parts of the next round's view, so its dense frontier starts that round.
+    # From here on ``last`` is the trace the next round starts from.
     last = fwd
 
     def append_round(chosen: tuple, skip: int) -> None:
@@ -463,17 +381,15 @@ def embed_power_cycle(
         audit(s)
         for fresh, view in target_draws((43, s), []):
             if fresh is None:
-                return failure("extend", s, "window pool exhausted")
+                return EmbedFailure("extend", s, "window pool exhausted")
             try:
                 res = find_expander(last.frontier, view, k + t, exp_params)
             except ValueError as err:
-                return failure("extend", s, str(err))
+                return EmbedFailure("extend", s, str(err))
             if res.found:
                 break
         else:
-            return failure(
-                "extend", s, f"no expander after {params.retries + 1} target draws", res.best_fraction
-            )
+            return EmbedFailure("extend", s, f"no expander after {params.retries + 1} target draws")
         taken[np.concatenate(targets)] = False
         append_round(res.clique, 0 if s == 1 else k)
         targets = fresh
@@ -488,7 +404,7 @@ def embed_power_cycle(
     closing = None
     for fresh, view in target_draws((47,), reserve[:k]):
         if fresh is None:
-            return failure("closing", s_final, "window pool exhausted")
+            return EmbedFailure("closing", s_final, "window pool exhausted")
         for pos, one_hot in _one_hots(last.frontier):
             trace = expands_well(one_hot, view, t + k)
             if trace is None:
@@ -505,7 +421,7 @@ def embed_power_cycle(
         if closing is not None:
             break
     if closing is None:
-        return failure("closing", s_final, "no frontier clique reaches the anchor's backward set")
+        return EmbedFailure("closing", s_final, "no frontier clique reaches the anchor's backward set")
 
     pos, meet, trace, view = closing
     chosen = tuple(int(view.parts[a][i]) for a, i in enumerate(pos))
@@ -520,9 +436,9 @@ def embed_power_cycle(
     cycle_out = PowerCycle(tuple(int(v) for v in path), k)
     ok, violation = verify_power_cycle(graph, cycle_out)
     if not ok:
-        return failure("verify", s_final, f"violating pair {violation}")
+        return EmbedFailure("verify", s_final, f"violating pair {violation}")
     if len(cycle_out) < (1 - params.eps) * graph.n:
-        return failure(
+        return EmbedFailure(
             "length", s_final, f"cycle on {len(cycle_out)} of {graph.n} vertices misses (1-eps)N"
         )
     return cycle_out

@@ -2,7 +2,7 @@
 
 A ``Graph`` holds its adjacency once, as a read-only numpy boolean matrix.
 ``Graph.rows``, one Python integer bitmask per vertex, is built when first
-read, and only the exact small-instance search and the test oracles read it.
+read, and only the test oracle ``oracles.bitset_expand_once`` reads it.
 Vertex ids are dense integers fixed at construction, so every iteration order
 in this module is deterministic and trials are replayable.
 

@@ -342,7 +342,7 @@ def _run_embed(params: dict, seed: int) -> tuple:
     part = regularity.build_nice_partition(thinned, reg, m=params["clusters"], seed=seed)
     measured["partner_ok"] = bool(part.partner_ok)
     red = embedder.build_reduced(part)
-    measured["reduced_edges"] = len(red.edges)
+    measured["reduced_edges"] = red.edge_count()
     try:
         cyc = embedder.find_cluster_power_cycle(red, k)
     except ValueError as err:

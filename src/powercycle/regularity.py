@@ -253,10 +253,6 @@ class RegularPartition:
     def class_size(self) -> int:
         return len(self.classes[0]) if self.classes else 0
 
-    def covers(self, n: int) -> bool:
-        total = len(self.exceptional) + sum(len(c) for c in self.classes)
-        return total == n
-
     def partner_counts(self) -> list:
         counts = [0] * self.k
         for i, j in self.useful_pairs:
@@ -293,7 +289,7 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
                 # sub-stream it has always drawn from, so records replay.
                 rng=stream(seed, 19, 0, i, j),
             )
-            dense = float(view.density(i, j)) >= params.d * params.p - 1e-9
+            dense = float(view.density(i, j)) >= params.d * params.p - TOL
             if dense and not verdict.refuted:
                 useful.add((i, j))
 

@@ -13,14 +13,13 @@ from powercycle.models import (
     partite_blocker_sizes,
     stream,
 )
-from powercycle import embedder, harness
+from powercycle import embedder, graph_core, harness
 from powercycle.regularity import RegularityParams, build_nice_partition, chunk_partition
 from powercycle.embedder import (
-    ClusterCycle,
+    CLUSTER_SEARCH_CAP,
     EmbedFailure,
     EmbedParams,
     PowerCycle,
-    ReducedGraph,
     _draw,
     build_reduced,
     embed_power_cycle,
@@ -48,41 +47,40 @@ def nice_partition(graph, p, d, m, seed, trials=100):
 class TestReducedGraph:
     def test_all_dense_pairs_complete(self):
         part = nice_partition(complete_graph(60), 1.0, 0.9, 4, seed=1)
-        red = build_reduced(part)
-        assert red.edges == frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
+        assert build_reduced(part) == complete_graph(4)
 
     def test_empty_graph_edgeless(self):
         part = nice_partition(empty_graph(40), 0.5, 0.5, 4, seed=1)
-        red = build_reduced(part)
-        assert len(red.edges) == 0
+        assert build_reduced(part).edge_count() == 0
 
     def test_density_threshold_filters(self):
         # At d = 1 the threshold d*p is the graph's own density, so only the
         # pairs that came out denser than 0.5 stay.
         graph = gen_gnp(ModelParams(N=120, p=0.5, seed=2))
-        assert len(build_reduced(nice_partition(graph, 0.5, 0.5, 4, seed=2)).edges) == 6
+        assert build_reduced(nice_partition(graph, 0.5, 0.5, 4, seed=2)).edge_count() == 6
         strict = nice_partition(graph, 0.5, 1.0, 4, seed=2)
         view = TupleView(graph, strict.classes)
         dense = {(i, j) for i in range(4) for j in range(i + 1, 4) if view.density(i, j) >= 0.5}
-        assert build_reduced(strict).edges == dense == {(0, 2), (1, 3), (2, 3)}
+        reduced_edges = {(i, j) for i, j in build_reduced(strict).edges().tolist()}
+        assert reduced_edges == dense == {(0, 2), (1, 3), (2, 3)}
 
 
 class TestClusterCycleSearch:
     def test_complete_reduced_natural_order(self):
-        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)))
+        red = complete_graph(6)
         cyc = find_cluster_power_cycle(red, 2)
-        assert cyc.ordering == (0, 1, 2, 3, 4, 5)
-        assert cyc.validate(red)
+        assert cyc.vertices == (0, 1, 2, 3, 4, 5)
+        assert verify_power_cycle(red, cyc) == (True, None)
 
     def test_plain_hamilton_cycle_for_k1(self):
-        edges = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)})
-        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges), 1)
-        assert cyc is not None and cyc.ordering[0] == 0
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+        cyc = find_cluster_power_cycle(Graph.from_edges(6, edges), 1)
+        assert cyc is not None and cyc.vertices[0] == 0
 
     def test_exhaustive_not_found(self):
         # A path of clusters has no Hamilton cycle at all.
-        edges = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)})
-        assert find_cluster_power_cycle(ReducedGraph(t0=6, edges=edges), 1) is None
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert find_cluster_power_cycle(Graph.from_edges(6, edges), 1) is None
 
     def test_square_cycle_on_tripartite_reduced(self):
         # Complete 3-partite reduced graph with parts {0,1},{2,3},{4,5}: a
@@ -94,19 +92,23 @@ class TestClusterCycleSearch:
             for b in range(a + 1, 6):
                 if not any(a in p and b in p for p in parts):
                     edges.add((a, b))
-        cyc = find_cluster_power_cycle(ReducedGraph(t0=6, edges=frozenset(edges)), 2)
-        assert cyc is not None and cyc.validate(ReducedGraph(6, frozenset(edges)))
+        red = Graph.from_edges(6, edges)
+        cyc = find_cluster_power_cycle(red, 2)
+        assert cyc is not None and verify_power_cycle(red, cyc) == (True, None)
 
     def test_cap_refusal(self):
-        red = ReducedGraph(t0=20, edges=frozenset())
         with pytest.raises(ValueError, match="cap"):
-            find_cluster_power_cycle(red, 2)
+            find_cluster_power_cycle(empty_graph(20), 2)
 
     def test_invalid_result_raises(self, monkeypatch):
-        monkeypatch.setattr(ClusterCycle, "validate", lambda self, reduced: False)
-        red = ReducedGraph(t0=6, edges=frozenset((i, j) for i in range(6) for j in range(i + 1, 6)))
+        monkeypatch.setattr(embedder, "verify_power_cycle", lambda graph, cycle: (False, (0, 1)))
         with pytest.raises(RuntimeError, match="fails its own validation"):
-            find_cluster_power_cycle(red, 2)
+            find_cluster_power_cycle(complete_graph(6), 2)
+
+    def test_power_order_zero_refused(self):
+        # At k = 0 the window slice seq[-0:] would take the whole sequence.
+        with pytest.raises(ValueError, match="at least 1"):
+            find_cluster_power_cycle(complete_graph(6), 0)
 
 
 # sha256 over every (t0, k, ordering) of the cluster-search grid and every
@@ -132,7 +134,7 @@ class TestSearchPinned:
             t0 = int(rng.integers(4, 11))
             k = int(rng.integers(1, min(3, t0 - 2) + 1))
             edges = _random_edges(rng, t0)
-            cyc = find_cluster_power_cycle(ReducedGraph(t0, frozenset(edges)), k)
+            cyc = find_cluster_power_cycle(Graph.from_edges(t0, edges), k)
             spanning += cyc is not None
             h.update(repr((t0, k, None if cyc is None else dataclasses.astuple(cyc))).encode())
         assert spanning == 229
@@ -220,6 +222,10 @@ class TestExactOracle:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
         assert len(exact_longest_power_cycle(g, 1)) == 3
 
+    def test_power_order_zero_refused(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            exact_longest_power_cycle(complete_graph(6), 0)
+
 
 class TestEmbed:
     def _embed_complete(self, N=60, seed=5, xi=0.2, eps=0.4):
@@ -240,7 +246,14 @@ class TestEmbed:
     def test_rejected_cycle_is_a_verify_failure(self, monkeypatch):
         # The embedder returns a cycle only after verify_power_cycle passes
         # it, so a rejection is its failure and the harness records it as such.
-        monkeypatch.setattr(embedder, "verify_power_cycle", lambda graph, cycle: (False, (0, 1)))
+        # The cluster search checks its ordering with the same verifier, so
+        # only host cycles are rejected.
+        verify = embedder.verify_power_cycle
+
+        def reject_host_cycles(graph, cycle):
+            return (False, (0, 1)) if graph.n > CLUSTER_SEARCH_CAP else verify(graph, cycle)
+
+        monkeypatch.setattr(embedder, "verify_power_cycle", reject_host_cycles)
         _, result = self._embed_complete()
         assert isinstance(result, EmbedFailure) and result.stage == "verify"
         params = {"N": 120, "p": 1.0, "k": 2, "d": 2 / 3, "eps": 0.5, "clusters": 6, "xi": 0.2}
@@ -252,6 +265,21 @@ class TestEmbed:
         g, result = self._embed_complete()
         assert isinstance(result, PowerCycle)
         assert g._rows is None
+
+    def test_only_the_oracles_read_bitset_rows(self, monkeypatch):
+        # An embed trial, the cluster search and the exact oracle all run with
+        # Graph.rows raising: only the test oracle oracles.bitset_expand_once
+        # reads it.
+        def refuse(graph):
+            raise AssertionError("Graph.rows read")
+
+        monkeypatch.setattr(graph_core.Graph, "rows", property(refuse))
+        params = {"N": 120, "p": 1.0, "k": 2, "d": 2 / 3, "eps": 0.5, "clusters": 6, "xi": 0.2}
+        measured, ok = harness._run_embed(params, 0)
+        assert ok and measured["stage"] == "ok"
+        assert len(exact_longest_power_cycle(complete_graph(6), 2)) == 6
+        part = nice_partition(complete_graph(60), 1.0, 2 / 3, 6, seed=5)
+        assert len(find_cluster_power_cycle(build_reduced(part), 2)) == 6
 
     def test_same_seed_same_cycle(self):
         _, a = self._embed_complete(seed=9)
@@ -293,7 +321,7 @@ class TestEmbed:
             classes=classes,
             useful_pairs=frozenset(),
         )
-        cyc = ClusterCycle((0, 1, 2), 2)
+        cyc = PowerCycle((0, 1, 2), 2)
         params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
         result = embed_power_cycle(g, part, cyc, params)
         assert isinstance(result, EmbedFailure)
@@ -332,7 +360,7 @@ class TestEmbed:
         )
         params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
         with pytest.raises(ValueError, match="disjoint"):
-            embed_power_cycle(g, part, ClusterCycle((0, 1, 2), 2), params)
+            embed_power_cycle(g, part, PowerCycle((0, 1, 2), 2), params)
 
     @pytest.mark.parametrize("seed,step", [(0, 1), (11, 2)])
     def test_audit_catches_draws_that_ignore_the_mask(self, monkeypatch, seed, step):
@@ -364,13 +392,6 @@ class TestEmbed:
         monkeypatch.setattr(embedder, "_draw", sticky)
         with pytest.raises(RuntimeError, match="stale taken mark at step 3"):
             self._embed_complete(seed=11)
-
-    def test_failure_report_serializes(self):
-        import json
-
-        failure = EmbedFailure(stage="anchor", detail="x", sizes={"t": 6})
-        blob = json.loads(json.dumps(failure.to_dict()))
-        assert blob["stage"] == "anchor"
 
 
 class TestDraw:

@@ -53,8 +53,9 @@ picks = stream(5, 99).choice(len(full), size=math.ceil(0.02 * x0), replace=False
 start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
 res = find_expander(start, long_view, windows, exp)
 print(f"halving search over {windows} windows: found={res.found} after "
-      f"{res.bisection_rounds} halvings and {res.scanned} scans; "
-      f"clique {res.clique} reaches {res.best_fraction:.3f} of the far block")
+      f"{res.bisection_rounds} halvings and {res.scanned} scans")
+if res.found:
+    print(f"clique {res.clique} reaches {res.trace.final_fraction:.3f} of the far block")
 
 print()
 _, tuple_view = gen_blowup(complete_graph(k + 1), 60, 0.6, seed=11)

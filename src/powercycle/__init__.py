@@ -40,7 +40,6 @@ from .typicality import (
     TypicalityReport,
     check_super_typical,
     clique_count_upper_check,
-    is_typical_clique,
     typical_vertices,
 )
 from .expansion import (

@@ -299,15 +299,13 @@ def reconstruct_path(back_pointers: list, final_clique: tuple) -> list:
 
 @dataclass(eq=False)
 class ExpanderResult:
-    """Outcome of ``find_expander``. ``best_fraction`` is the best reach
-    fraction scanned, which on a found result is the winner's. A found
-    result keeps the winner's trace, whose ``frontier`` is its dense reach at
-    the final window and whose ``back_pointers`` are its predecessor
-    layers; a not-found result has none."""
+    """Outcome of ``find_expander``. A found result keeps the winner's
+    trace, whose ``frontier`` is its dense reach at the final window, whose
+    ``final_fraction`` is its reach fraction and whose ``back_pointers`` are
+    its predecessor layers; a not-found result has none."""
 
     found: bool
     clique: Optional[tuple]
-    best_fraction: float
     bisection_rounds: int
     scanned: int
     trace: Optional[ExpansionTrace] = None
@@ -329,8 +327,7 @@ def find_expander(
     room remains, then scan candidates by exhaustive per-clique reach,
     starting with the survivors. Each candidate is scanned as a one-hot
     dense frontier, and only the winner is turned into a vertex tuple.
-    Not-found results carry the best reach fraction seen. ``start`` is a
-    CliqueSet at window 0 or a dense bool frontier, such as the
+    ``start`` is a CliqueSet at window 0 or a dense bool frontier, such as the
     ``trace.frontier`` of an earlier result.
     """
     k = params.k
@@ -378,30 +375,21 @@ def find_expander(
         rounds += 1
         block += 1
 
-    best_fraction = -1.0
     scanned = 0
     for i in chain(range(lo, hi), range(lo), range(hi, size)):
         scanned += 1
         trace = expand_through(frontier_of_range(i, i + 1), view, final_window)
         fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
-        best_fraction = max(best_fraction, fraction)
         if fraction >= params.success_fraction:
             clique = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(positions))
             return ExpanderResult(
                 found=True,
                 clique=clique,
-                best_fraction=fraction,
                 bisection_rounds=rounds,
                 scanned=scanned,
                 trace=trace,
             )
-    return ExpanderResult(
-        found=False,
-        clique=None,
-        best_fraction=best_fraction,
-        bisection_rounds=rounds,
-        scanned=scanned,
-    )
+    return ExpanderResult(found=False, clique=None, bisection_rounds=rounds, scanned=scanned)
 
 
 def one_step_expansion_audit(

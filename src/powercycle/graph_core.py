@@ -2,7 +2,8 @@
 
 A ``Graph`` holds its adjacency once, as a read-only numpy boolean matrix.
 ``Graph.rows``, one Python integer bitmask per vertex, is built when first
-read, and only the test oracle ``oracles.bitset_expand_once`` reads it.
+read. No pipeline module or oracle reads it; it stays only because the
+benchmark's tracer times its first build.
 Vertex ids are dense integers fixed at construction, so every iteration order
 in this module is deterministic and trials are replayable.
 
@@ -280,9 +281,6 @@ class TupleView:
             d = Fraction(e, self.sizes[key[0]] * self.sizes[key[1]])
             self._density_cache[key] = d
         return d
-
-    def subview(self, indices: Sequence[int]) -> "TupleView":
-        return TupleView(self.graph, [self.parts[i] for i in indices])
 
     def __repr__(self) -> str:
         return f"TupleView(t={self.t}, sizes={self.sizes})"

@@ -3,11 +3,7 @@
 These deliberately avoid the library's fast paths: enumeration is nested
 loops over part products, expansion is projection of naively enumerated
 (k+1)-cliques, regularity is literal subset-pair enumeration, the random
-adversary is its greedy rule one edge at a time. Keep them dumb. The one
-exception is ``bitset_expand_once``, the dict-and-bitmask expansion step that
-the dense kernel in ``expansion`` replaced: unlike the projection oracle it
-also yields the predecessor of every reached copy, so the tests hold the dense
-back pointers to it.
+adversary is its greedy rule one edge at a time. Keep them dumb.
 """
 
 import itertools
@@ -15,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import bit_indices, mask_of
 from .models import _report, stream
 
 
@@ -90,28 +85,17 @@ def sequential_random_adversary(graph, r, seed):
     return _report(graph, adj, budget)
 
 
-def bitset_expand_once(view, start):
-    """One window step of ``start`` with the frontier as a map from
-    (k-1)-suffix to bitmask of heads. Returns the reached copies and, for each,
-    its predecessor with the lowest valid head."""
-    k = start.order
-    frontier = {}
-    for c in start.members:
-        frontier[c[1:]] = frontier.get(c[1:], 0) | (1 << c[0])
-    rows = view.graph.rows
-    next_mask = mask_of(view.parts[start.window_start + k])
-    new = {}
+def literal_expand_once(view, start):
+    """One window step of ``start`` by the expansion kernel's own rule, in
+    nested loops: a member c reaches c[1:] + (w,) for each w of the next part
+    adjacent to every vertex of c. Adjacency inside c is not rechecked, as the
+    kernel inherits it. Returns the reached copies and, for each, its
+    predecessor: the first member in sorted order that reaches it."""
+    adj = view.graph.adj
+    nxt = view.parts[start.window_start + start.order].tolist()
     bp = {}
-    for suffix, heads in frontier.items():
-        cand = next_mask
-        for v in suffix:
-            cand &= rows[v]
-        for w in bit_indices(cand):
-            valid = heads & rows[w]
-            if valid:
-                grown = suffix + (w,)
-                new[grown[1:]] = new.get(grown[1:], 0) | (1 << grown[0])
-                if grown not in bp:
-                    bp[grown] = ((valid & -valid).bit_length() - 1,) + suffix
-    reached = frozenset((h,) + suffix for suffix, heads in new.items() for h in bit_indices(heads))
-    return reached, bp
+    for c in sorted(start.members):
+        for w in nxt:
+            if all(adj[v, w] for v in c):
+                bp.setdefault(c[1:] + (w,), c)
+    return frozenset(bp), bp

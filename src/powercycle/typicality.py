@@ -1,5 +1,6 @@
-"""Certifiers for typical vertices, typical clique copies, and super-typical
-tuples, plus count audits against product expectations.
+"""Certifiers for typical vertices and super-typical tuples, whose ledger
+judges the typical clique copies, plus count audits against product
+expectations.
 
 Expected counts and neighbourhood windows are centred on the measured pair
 densities of the view rather than nominal model densities: that removes
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "TypicalityParams",
     "TypicalityReport",
     "typical_vertices",
-    "is_typical_clique",
     "check_super_typical",
     "clique_count_upper_check",
 ]
@@ -151,45 +150,25 @@ def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> li
     return out
 
 
-def _typical_copy(
-    view: TupleView,
-    copy: tuple,
-    copy_idx: Sequence[int],
-    target_idx: tuple,
-    rel: float,
-    params: TypicalityParams,
-    seed: int,
-) -> bool:
-    """Shared typicality test for a canonical clique sitting on parts
-    ``copy_idx``, judged against the two target parts: both common
-    neighbourhoods must hit their measured size windows and span an unrefuted
-    pair of density within the window."""
+def _typical_copy(view: TupleView, copy: tuple, params: TypicalityParams, seed: int) -> bool:
+    """Is a canonical copy of K_{t-2} on the middle parts delta-typical toward
+    the outer parts 0 and t-1? Both common neighbourhoods must hit their
+    measured size windows and span an unrefuted pair of density within the
+    window."""
     graph = view.graph
+    t = view.t
     nbrs = []
-    for a in target_idx:
+    for a in (0, t - 1):
         ids = common_neighborhood(graph, copy, view.parts[a])
         expected = view.sizes[a]
-        for j in copy_idx:
+        for j in range(1, t - 1):
             expected *= float(view.density(j, a))
-        if not _within(len(ids), expected, rel):
+        if not _within(len(ids), expected, params.delta):
             return False
         nbrs.append(ids)
     ids_a, ids_b = nbrs
-    center = float(view.density(target_idx[0], target_idx[1]))
-    return _pair_ok(graph, ids_a, ids_b, rel, params, center, (seed, 67, *copy))
-
-
-def is_typical_clique(copy: tuple, view: TupleView, params: TypicalityParams, seed: int) -> bool:
-    """Is a canonical copy of K_{t-2} living on the first t-2 parts typical at
-    delta with respect to the last two parts?"""
-    t = view.t
-    if t < 3:
-        raise ValueError(f"typical cliques need at least 3 parts, got {t}")
-    if len(copy) != t - 2:
-        raise ValueError(f"copy must have order t-2={t - 2}, got {len(copy)}")
-    return _typical_copy(
-        view, copy, list(range(t - 2)), (t - 2, t - 1), params.delta, params, seed
-    )
+    center = float(view.density(0, t - 1))
+    return _pair_ok(graph, ids_a, ids_b, params.delta, params, center, (seed, 67, *copy))
 
 
 def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) -> TypicalityReport:
@@ -224,7 +203,7 @@ def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) ->
 
     n_typ = 0
     for copy in frontier_members(view, window_cliques(view, 1, t - 2), 1):
-        if _typical_copy(view, copy, middle, (0, t - 1), delta, params, seed):
+        if _typical_copy(view, copy, params, seed):
             n_typ += 1
     typ_expected = expected_counts["middle"]
     verdicts["typical_cliques"] = n_typ >= (1 - delta) * typ_expected - TOL

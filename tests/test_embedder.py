@@ -268,8 +268,7 @@ class TestEmbed:
 
     def test_only_the_oracles_read_bitset_rows(self, monkeypatch):
         # An embed trial, the cluster search and the exact oracle all run with
-        # Graph.rows raising: only the test oracle oracles.bitset_expand_once
-        # reads it.
+        # Graph.rows raising: no pipeline module reads it.
         def refuse(graph):
             raise AssertionError("Graph.rows read")
 

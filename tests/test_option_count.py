@@ -9,7 +9,7 @@ from pathlib import Path
 
 import powercycle
 
-OPTION_BUDGET = 83
+OPTION_BUDGET = 82
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -10,13 +10,13 @@ certified tuple.
 
 import math
 
+import numpy as np
+
 from powercycle import (
-    CliqueSet,
     ExpansionParams,
     Graph,
     TypicalityParams,
     complete_graph,
-    enumerate_canonical_cliques,
     expand_through,
     find_expander,
     gen_blowup,
@@ -24,6 +24,7 @@ from powercycle import (
     stream,
 )
 from powercycle.expansion import reference_count
+from powercycle.graph_core import pick_frontier, window_cliques
 
 
 def path_power(windows, k):
@@ -34,11 +35,12 @@ def path_power(windows, k):
 k, n, p, delta = 2, 50, 0.6, 0.05
 _, view = gen_blowup(path_power(2 * k, k), n, p, seed=3)
 x_start = reference_count(view, 0, k)
-full = enumerate_canonical_cliques(view, 0, k).sorted()
-picks = stream(3, 99).choice(len(full), size=math.ceil(delta * x_start), replace=False)
-start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
+full = window_cliques(view, 0, k)
+positions = np.nonzero(full)
+picks = stream(3, 99).choice(len(positions[0]), size=math.ceil(delta * x_start), replace=False)
+start = pick_frontier(full.shape, positions, picks)
 trace = expand_through(start, view, k)
-print(f"main expansion on a {2 * k}-window blow-up, start = {len(start)} edges (delta = {delta}):")
+print(f"main expansion on a {2 * k}-window blow-up, start = {np.count_nonzero(start)} edges (delta = {delta}):")
 for m, (c, f) in enumerate(zip(trace.counts, trace.fractions)):
     print(f"  window {m}: {c:5d} copies, fraction {f:.3f}")
 print(f"target 1 - 10 delta = {1 - 10 * delta}: reached {trace.final_fraction:.3f}")
@@ -48,9 +50,10 @@ windows = 100  # ~ 3 k^2 log N at this host size
 _, long_view = gen_blowup(path_power(windows, k), 40, 0.7, seed=5)
 exp = ExpansionParams(k=k, delta=0.02)
 x0 = reference_count(long_view, 0, k)
-full = enumerate_canonical_cliques(long_view, 0, k).sorted()
-picks = stream(5, 99).choice(len(full), size=math.ceil(0.02 * x0), replace=False)
-start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
+full = window_cliques(long_view, 0, k)
+positions = np.nonzero(full)
+picks = stream(5, 99).choice(len(positions[0]), size=math.ceil(0.02 * x0), replace=False)
+start = pick_frontier(full.shape, positions, picks)
 res = find_expander(start, long_view, windows, exp)
 print(f"halving search over {windows} windows: found={res.found} after "
       f"{res.bisection_rounds} halvings and {res.scanned} scans")

@@ -2,7 +2,6 @@
 adversarially thinned random graphs, at desk scale, with exact oracles."""
 
 from .graph_core import (
-    CliqueSet,
     Graph,
     TupleView,
     common_neighborhood,
@@ -45,7 +44,6 @@ from .typicality import (
 from .expansion import (
     ExpansionParams,
     ExpansionTrace,
-    expand_step,
     expand_through,
     find_expander,
     halving_audit,

@@ -1,6 +1,5 @@
-"""The clique-expansion dynamic: one-step window expansion of clique sets,
-multi-window reachability, and the bisection search for a single
-well-expanding clique.
+"""The clique-expansion dynamic: multi-window reachability of clique sets,
+and the bisection search for a single well-expanding clique.
 
 A frontier of canonical K_k copies anchored at window w expands to window
 w+1: the copy (v_{w+1}, ..., v_{w+k}) is reached when some v_w in the frontier
@@ -14,10 +13,9 @@ at most |V_w| < 2**24 ones, and float32 holds every integer up to 2**24, so
 ``count > 0`` is the same bool reach on every summation order, BLAS thread
 count and platform. Then ``and_part_blocks`` ANDs in the broadcast block of
 each suffix part against j. Suffix adjacency is inherited from the frontier,
-not rechecked. One frontier-advance loop serves ``expand_step``,
-``expand_through``, which records per-window counts, and the bisection rounds
-of ``find_expander`` and the audits, which need only the reach count at one
-window.
+not rechecked. One frontier-advance loop serves ``expand_through``, which
+records per-window counts, and the bisection rounds of ``find_expander`` and
+the audits, which need only the reach count at one window.
 
 Each step yields one predecessor layer, and ``expand_through`` keeps them
 all, for reconstructing a single connecting k-path on demand. A layer holds
@@ -26,18 +24,18 @@ step, the head block and the reach. Frontiers are read-only, so a caller
 holding one cannot change a path reconstructed later. ``reconstruct_path``
 finds one copy's lowest valid head from them when asked, one layer at a time.
 
-A start is a ``CliqueSet`` or a dense bool frontier anchored at window 0;
-``expand_through`` also takes a ``CliqueSet`` at a later window, while
-``find_expander`` always searches from window 0. Its bisection halves and
-one-hot candidates, and the audits' random picks, are dense frontiers picked
-from the start's C-order positions, which are its sorted order. The final
-frontier is handed back dense, so the embedder carries the reach from one
-round to the next; ``frontier_members`` makes tuples of it only when read.
+Every start is a dense bool frontier anchored at window 0, its order the
+number of its axes. The bisection halves and one-hot candidates of
+``find_expander``, and the audits' random picks, are frontiers built with
+``graph_core.pick_frontier`` from the start's C-order positions, which are
+its lexicographic order. The final frontier is handed back dense, so the
+embedder carries the reach from one round to the next;
+``graph_core.frontier_members`` makes tuples of it only when read.
 
 Reach fractions are reported against the reference count of a window block:
 the product of the window sizes and the measured pair densities. A trace
-computes its fractions and its final ``CliqueSet`` when they are first read;
-its per-window counts are recorded as it goes.
+computes its fractions when they are first read; its per-window counts are
+recorded as it goes.
 """
 
 from __future__ import annotations
@@ -51,13 +49,12 @@ from typing import Optional
 import numpy as np
 
 from .graph_core import (
-    CliqueSet,
     TupleView,
     and_part_blocks,
     count_canonical_cliques,
     exact_product,
     expected_clique_count,
-    frontier_members,
+    pick_frontier,
     window_cliques,
 )
 from .models import stream
@@ -68,7 +65,6 @@ __all__ = [
     "ExpansionTrace",
     "ExpanderResult",
     "PreconditionError",
-    "expand_step",
     "expand_through",
     "find_expander",
     "one_step_expansion_audit",
@@ -139,31 +135,19 @@ def _positions(parts, ids: np.ndarray) -> tuple:
     return tuple(pos)
 
 
-def _start_window(start) -> tuple:
-    """(window, order) of a start: a CliqueSet, or a dense bool frontier
-    anchored at window 0."""
-    if isinstance(start, CliqueSet):
-        return start.window_start, start.order
-    return 0, start.ndim
-
-
-def _frontier_of(view: TupleView, start, window: int, k: int) -> np.ndarray:
-    """Read-only dense frontier of a start anchored at ``window``. A
-    CliqueSet is converted; a dense start is checked for dtype and shape and
-    used without a copy, through a read-only view."""
-    if isinstance(start, CliqueSet):
-        frontier = np.zeros(view.sizes[window : window + k], dtype=bool)
-        ids = np.array(list(start.members), dtype=np.int64).reshape(-1, k)
-        frontier[_positions(view.parts[window : window + k], ids)] = True
-    else:
-        if start.dtype != bool:
-            raise TypeError(f"dense start must be a bool array, got dtype {start.dtype}")
-        if start.shape != view.sizes[window : window + k]:
-            raise IndexError(
-                f"dense start of shape {start.shape} does not match the window's "
-                f"part sizes {view.sizes[window : window + k]}"
-            )
-        frontier = start.view()
+def _frontier_of(view: TupleView, start: np.ndarray, k: int) -> np.ndarray:
+    """Read-only view of a dense start, checked for order k, for dtype and for
+    the shape of the view's first k parts, and used without a copy."""
+    if start.ndim != k:
+        raise ValueError(f"start has order {start.ndim}, params expect {k}")
+    if start.dtype != bool:
+        raise TypeError(f"dense start must be a bool array, got dtype {start.dtype}")
+    if start.shape != view.sizes[:k]:
+        raise IndexError(
+            f"dense start of shape {start.shape} does not match the window's "
+            f"part sizes {view.sizes[:k]}"
+        )
+    frontier = start.view()
     frontier.flags.writeable = False
     return frontier
 
@@ -172,23 +156,14 @@ def _frontier_size(frontier: np.ndarray) -> int:
     return int(np.count_nonzero(frontier))
 
 
-def _picked(shape: tuple, positions: tuple, picks) -> np.ndarray:
-    """Dense frontier of the copies at ``positions`` (per-axis arrays in C
-    order, as ``np.nonzero`` gives them) that ``picks``, a slice or an index
-    array, selects."""
-    frontier = np.zeros(shape, dtype=bool)
-    frontier[tuple(p[picks] for p in positions)] = True
-    return frontier
-
-
-def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int):
-    """Step a frontier anchored at window ``first`` one window at a time up to
+def _advance(view: TupleView, frontier: np.ndarray, to_window: int, k: int):
+    """Step a frontier anchored at window 0 one window at a time up to
     ``to_window``, yielding one predecessor layer (parts of windows w..w+k,
     frontier before the step, head block, reach) per step. A suffix reaches a
     vertex of part w+k when its count of adjacent frontier heads, an exact
     float32 product (``exact_product``), is positive. Layers share their
     frontiers with the caller, so each reach is made read-only."""
-    for w in range(first, to_window):
+    for w in range(to_window):
         j = w + k
         flat = frontier.reshape(frontier.shape[0], -1)
         head_block = view.block(w, j)
@@ -201,37 +176,21 @@ def _advance(view: TupleView, frontier: np.ndarray, first: int, to_window: int, 
         frontier = reach
 
 
-def _reach_count(view: TupleView, frontier: np.ndarray, first: int, to_window: int, k: int) -> int:
+def _reach_count(view: TupleView, frontier: np.ndarray, to_window: int, k: int) -> int:
     """Size of a frontier's reach at ``to_window``, keeping no layers."""
-    for *_, frontier in _advance(view, frontier, first, to_window, k):
+    for *_, frontier in _advance(view, frontier, to_window, k):
         pass
     return _frontier_size(frontier)
-
-
-def expand_step(start: CliqueSet, view: TupleView) -> CliqueSet:
-    """Exact one-window expansion of a clique set."""
-    i, k = _start_window(start)
-    if i + k >= view.t or i < 0:
-        raise IndexError(
-            f"expansion from window {i} needs parts up to {i + k}, view has {view.t}"
-        )
-    frontier = _frontier_of(view, start, i, k)
-    *_, new = next(_advance(view, frontier, i, i + 1, k))
-    return CliqueSet(i + 1, k, frozenset(frontier_members(view, new, i + 1)))
 
 
 @dataclass(eq=False)
 class ExpansionTrace:
     """Reach counts window by window. ``counts[m]`` is the frontier size at
-    window start_window + m, ``frontier`` the dense frontier at to_window,
-    and ``back_pointers`` the predecessor layers, one per step (none for a
+    window m, ``frontier`` the dense frontier at the last window, and
+    ``back_pointers`` the predecessor layers, one per step (none for a
     zero-step trace). The fractions normalize each count by the reference
-    count of its window block; they and ``final``, the frontier as a
-    CliqueSet, are computed when first read."""
+    count of its window block and are computed when first read."""
 
-    start_window: int
-    to_window: int
-    order: int
     counts: list
     frontier: np.ndarray
     view: TupleView
@@ -239,36 +198,28 @@ class ExpansionTrace:
 
     @cached_property
     def fractions(self) -> list:
-        ws, k = self.start_window, self.order
-        refs = (reference_count(self.view, ws + m, k) for m in range(len(self.counts)))
+        k = self.frontier.ndim
+        refs = (reference_count(self.view, m, k) for m in range(len(self.counts)))
         return [c / x if x > 0 else 0.0 for c, x in zip(self.counts, refs)]
-
-    @cached_property
-    def final(self) -> CliqueSet:
-        members = frontier_members(self.view, self.frontier, self.to_window)
-        return CliqueSet(self.to_window, self.order, frozenset(members))
 
     @property
     def final_fraction(self) -> float:
         return self.fractions[-1]
 
 
-def expand_through(start: CliqueSet, view: TupleView, to_window: int) -> ExpansionTrace:
-    """Iterate expand_step until the frontier is anchored at ``to_window``,
-    recording per-window counts and keeping every predecessor layer.
-    ``start`` is a CliqueSet or a dense bool frontier anchored at window 0."""
-    i, k = _start_window(start)
-    if to_window < i:
-        raise IndexError(f"target window {to_window} precedes start window {i}")
+def expand_through(start: np.ndarray, view: TupleView, to_window: int) -> ExpansionTrace:
+    """Step the dense frontier ``start``, anchored at window 0, one window at a
+    time until it is anchored at ``to_window``, recording per-window counts and
+    keeping every predecessor layer."""
+    k = start.ndim
+    if to_window < 0:
+        raise IndexError(f"target window {to_window} precedes start window 0")
     if to_window + k > view.t:
         raise IndexError(f"target window {to_window} overflows view of {view.t} parts")
-    first = _frontier_of(view, start, i, k)
-    layers = list(_advance(view, first, i, to_window, k))
+    first = _frontier_of(view, start, k)
+    layers = list(_advance(view, first, to_window, k))
     frontiers = [first] + [reach for *_, reach in layers]
     return ExpansionTrace(
-        start_window=i,
-        to_window=to_window,
-        order=k,
         counts=[_frontier_size(f) for f in frontiers],
         frontier=frontiers[-1],
         view=view,
@@ -312,7 +263,7 @@ class ExpanderResult:
 
 
 def find_expander(
-    start: CliqueSet,
+    start: np.ndarray,
     view: TupleView,
     ell: int,
     params: ExpansionParams,
@@ -327,25 +278,18 @@ def find_expander(
     room remains, then scan candidates by exhaustive per-clique reach,
     starting with the survivors. Each candidate is scanned as a one-hot
     dense frontier, and only the winner is turned into a vertex tuple.
-    ``start`` is a CliqueSet at window 0 or a dense bool frontier, such as the
+    ``start`` is a dense bool frontier anchored at window 0, such as the
     ``trace.frontier`` of an earlier result.
     """
     k = params.k
     params.require_search_regime()
-    ws, order = _start_window(start)
-    if ws != 0:
-        raise ValueError(f"start is anchored at window {ws}, the search starts at window 0")
-    if order != k:
-        raise ValueError(f"start has order {order}, params expect {k}")
     if ell < 2 * k:
         raise ValueError(f"need at least 2k={2 * k} windows, got {ell}")
     if ell > view.t:
         raise IndexError(f"{ell} windows overflow view of {view.t} parts")
-    # Converting a CliqueSet start checks every member, also those the scan
-    # never reaches. The C-order positions of the dense frontier are the
-    # order of start.sorted(), so the candidates are always the slice [lo, hi)
-    # of that order.
-    positions = np.nonzero(_frontier_of(view, start, 0, k))
+    # The candidates are always the slice [lo, hi) of the start's C-order
+    # positions, which are its lexicographic order.
+    positions = np.nonzero(_frontier_of(view, start, k))
     size = len(positions[0])
     x_start = reference_count(view, 0, k)
     if size < params.delta * x_start:
@@ -356,7 +300,7 @@ def find_expander(
     x_final = reference_count(view, final_window, k)
 
     def frontier_of_range(lo: int, hi: int) -> np.ndarray:
-        return _picked(view.sizes[:k], positions, slice(lo, hi))
+        return pick_frontier(view.sizes[:k], positions, slice(lo, hi))
 
     lo, hi = 0, size
     rounds = 0
@@ -366,9 +310,9 @@ def find_expander(
         mid = lo + (hi - lo + 1) // 2
         x_block = reference_count(view, block * k, k)
         need = params.half_fraction * x_block
-        if _reach_count(view, frontier_of_range(lo, mid), 0, block * k, k) >= need:
+        if _reach_count(view, frontier_of_range(lo, mid), block * k, k) >= need:
             hi = mid
-        elif _reach_count(view, frontier_of_range(mid, hi), 0, block * k, k) >= need:
+        elif _reach_count(view, frontier_of_range(mid, hi), block * k, k) >= need:
             lo = mid
         else:
             break
@@ -414,7 +358,7 @@ def one_step_expansion_audit(
         )
     if not (0.0 <= start_fraction <= 1.0):
         raise ValueError(f"start fraction must lie in [0,1], got {start_fraction}")
-    # The C-order positions of the window's cliques are their sorted order.
+    # The C-order positions of the window's cliques are their lexicographic order.
     all_start = window_cliques(view, 0, k)
     positions = np.nonzero(all_start)
     target_count = count_canonical_cliques(view, 1, k)
@@ -423,31 +367,30 @@ def one_step_expansion_audit(
         return 0.0
     rng = stream(seed, 23)
     picks = rng.choice(len(positions[0]), size=m, replace=False)
-    reached = _reach_count(view, _picked(all_start.shape, positions, picks), 0, 1, k)
+    reached = _reach_count(view, pick_frontier(all_start.shape, positions, picks), 1, k)
     return reached / target_count if target_count else 0.0
 
 
 def halving_audit(
-    start: CliqueSet,
+    start: np.ndarray,
     view: TupleView,
     params: ExpansionParams,
     n_splits: int,
     seed: int,
 ) -> dict:
-    """Check the halving step on a concrete instance: given that ``start``
-    reaches at least (1 - 10 k delta) of the block k windows ahead, every
-    tested equipartition must have a half reaching (1/2 - 5 k delta). Returns
-    the observed fractions per split."""
+    """Check the halving step on a concrete instance: given that ``start``, a
+    dense bool frontier anchored at window 0, reaches at least
+    (1 - 10 k delta) of the block k windows ahead, every tested equipartition
+    must have a half reaching (1/2 - 5 k delta). Returns the observed
+    fractions per split."""
     k = params.k
     params.require_search_regime()
-    ws = start.window_start
-    target = ws + k
-    x_target = reference_count(view, target, k)
-    # The C-order positions of the start are the order of start.sorted().
-    frontier = _frontier_of(view, start, ws, k)
+    x_target = reference_count(view, k, k)
+    # The C-order positions of the start are its lexicographic order.
+    frontier = _frontier_of(view, start, k)
     positions = np.nonzero(frontier)
     size = len(positions[0])
-    full = _reach_count(view, frontier, ws, target, k)
+    full = _reach_count(view, frontier, k, k)
     qualifies = full >= (1 - 10 * k * params.delta) * x_target
     rng = stream(seed, 29)
     splits = []
@@ -455,7 +398,7 @@ def halving_audit(
         perm = rng.permutation(size)
         half = (size + 1) // 2
         fr1, fr2 = (
-            _reach_count(view, _picked(frontier.shape, positions, picks), ws, target, k) / x_target
+            _reach_count(view, pick_frontier(frontier.shape, positions, picks), k, k) / x_target
             for picks in (perm[:half], perm[half:])
         )
         splits.append(

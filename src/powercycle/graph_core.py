@@ -14,10 +14,12 @@ cache at the acceptance size. A graph never changes, so ``degrees()`` is
 summed once and shared read-only.
 
 A canonical clique is a plain tuple ``(v_1, ..., v_k)`` with ``v_j`` drawn
-from the j-th part of its window; ``CliqueSet`` carries a set of them and the
-window. ``window_cliques`` holds a window's cliques dense, over its sorted
-parts, built with the expansion kernel's broadcast AND (``and_part_blocks``);
-``frontier_members`` reads tuples from it in C order, which is lexicographic.
+from the j-th part of its window. A set of them has one form: a dense bool
+array over the window's sorted parts, True at the positions of its members.
+``window_cliques`` builds a window's cliques in this form, with the expansion
+kernel's broadcast AND (``and_part_blocks``); ``pick_frontier`` builds a
+subset from C-order positions; ``frontier_members`` reads tuples from such an
+array in C order, which is lexicographic.
 
 Two primitives serve every hot caller: ``Graph.submatrix``, the one gather of
 an adjacency block (rows, then columns), and ``exact_product``, the one
@@ -26,27 +28,21 @@ product of 0/1 matrices, float32 counts that are exact below 2**24 terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# A canonical copy of K_k in a window of parts: one vertex per part, in window
-# order. Kept as a bare tuple for speed; the window lives on the CliqueSet.
-CanonicalClique = tuple
-
 __all__ = [
     "Graph",
     "TupleView",
-    "CliqueSet",
-    "CanonicalClique",
     "complete_graph",
     "empty_graph",
     "complete_multipartite",
     "window_cliques",
     "and_part_blocks",
     "exact_product",
+    "pick_frontier",
     "frontier_members",
     "enumerate_canonical_cliques",
     "count_canonical_cliques",
@@ -286,32 +282,6 @@ class TupleView:
         return f"TupleView(t={self.t}, sizes={self.sizes})"
 
 
-@dataclass(frozen=True)
-class CliqueSet:
-    """A set of canonical cliques sharing a window of a TupleView."""
-
-    window_start: int
-    order: int
-    members: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for m in self.members:
-            if len(m) != self.order:
-                raise ValueError("all members must have the window's order")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, clique) -> bool:
-        return clique in self.members
-
-    def sorted(self) -> list:
-        return sorted(self.members)
-
-
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two bool arrays as float32 counts: entry (i, j) is the
     number of positions l with a[i, l] and b[l, j]. Every partial sum is a
@@ -356,6 +326,15 @@ def window_cliques(view: TupleView, window_start: int, order: int) -> np.ndarray
     return cliques
 
 
+def pick_frontier(shape: tuple, positions: tuple, picks) -> np.ndarray:
+    """Dense bool array of ``shape``, True at the copies at ``positions``
+    (per-axis arrays in C order, as ``np.nonzero`` gives them) that ``picks``,
+    a slice or an index array, selects."""
+    frontier = np.zeros(shape, dtype=bool)
+    frontier[tuple(p[picks] for p in positions)] = True
+    return frontier
+
+
 def frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> list:
     """Tuples of vertex ids, in lexicographic order, of the copies marked in a
     dense bool array whose axes are the view's parts from ``window`` on."""
@@ -363,11 +342,11 @@ def frontier_members(view: TupleView, frontier: np.ndarray, window: int) -> list
     return list(zip(*(view.parts[window + a][i].tolist() for a, i in enumerate(idx))))
 
 
-def enumerate_canonical_cliques(view: TupleView, window_start: int, order: int) -> CliqueSet:
+def enumerate_canonical_cliques(view: TupleView, window_start: int, order: int) -> list:
     """Exactly enumerate the canonical copies of K_order in the window starting
-    at ``window_start``: the members of ``window_cliques``."""
-    cliques = window_cliques(view, window_start, order)
-    return CliqueSet(window_start, order, frozenset(frontier_members(view, cliques, window_start)))
+    at ``window_start``: the members of ``window_cliques``, in lexicographic
+    order."""
+    return frontier_members(view, window_cliques(view, window_start, order), window_start)
 
 
 def count_canonical_cliques(view: TupleView, window_start: int, order: int) -> int:

@@ -25,6 +25,8 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
 
 TRIAL_SCHEMA = "powercycle/trial-v2"
@@ -247,16 +249,18 @@ def _run_typicality_audit(params: dict, seed: int) -> tuple:
     return measured, report.super_typical
 
 
-def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> graph_core.CliqueSet:
-    """Random start set of max(least, ceil(fraction * x)) canonical K_k copies
-    in the first window, x its measured reference count; drawn from
-    stream(seed, 59)."""
-    all_start = graph_core.frontier_members(view, graph_core.window_cliques(view, 0, k), 0)
+def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> np.ndarray:
+    """Dense start of max(least, ceil(fraction * x)) canonical K_k copies in
+    the first window, x its measured reference count, picked from their
+    lexicographic order with stream(seed, 59)."""
+    all_start = graph_core.window_cliques(view, 0, k)
+    positions = np.nonzero(all_start)
+    size = len(positions[0])
     x_start = expansion.reference_count(view, 0, k)
     m = max(least, math.ceil(fraction * x_start))
     rng = models.stream(seed, 59)
-    picks = rng.choice(len(all_start), size=min(m, len(all_start)), replace=False)
-    return graph_core.CliqueSet(0, k, frozenset(all_start[int(i)] for i in picks))
+    picks = rng.choice(size, size=min(m, size), replace=False)
+    return graph_core.pick_frontier(all_start.shape, positions, picks)
 
 
 def _run_expansion_audit(params: dict, seed: int) -> tuple:
@@ -288,7 +292,7 @@ def _run_expansion_audit(params: dict, seed: int) -> tuple:
         trace = expansion.expand_through(start, view, k)
         bound = 1 - 10 * delta
         return {
-            "start_size": len(start),
+            "start_size": int(np.count_nonzero(start)),
             "final_fraction": trace.final_fraction,
             "bound": bound,
         }, trace.final_fraction >= bound
@@ -424,13 +428,15 @@ def _run_oracle_compare(params: dict, seed: int) -> tuple:
             _, view = models.gen_blowup(
                 graph_core.complete_graph(t), n, params.get("p", 0.5), int(rng.integers(0, 2**31))
             )
-            full = graph_core.frontier_members(view, graph_core.window_cliques(view, 0, k), 0)
-            if not full:
+            full = graph_core.window_cliques(view, 0, k)
+            positions = np.nonzero(full)
+            size = len(positions[0])
+            if not size:
                 continue
-            take = max(1, len(full) // 2)
-            picks = rng.choice(len(full), size=take, replace=False)
-            start = graph_core.CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
-            fast = expansion.expand_step(start, view).members
+            picks = rng.choice(size, size=max(1, size // 2), replace=False)
+            start = graph_core.pick_frontier(full.shape, positions, picks)
+            reach = expansion.expand_through(start, view, 1).frontier
+            fast = frozenset(graph_core.frontier_members(view, reach, 1))
             slow = oracles.naive_expand_step(view, start)
             checks += 1
             mismatches += fast != slow

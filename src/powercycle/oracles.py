@@ -4,6 +4,10 @@ These deliberately avoid the library's fast paths: enumeration is nested
 loops over part products, expansion is projection of naively enumerated
 (k+1)-cliques, regularity is literal subset-pair enumeration, the random
 adversary is its greedy rule one edge at a time. Keep them dumb.
+
+An expansion start is a dense bool frontier anchored at window 0, as the
+library takes it; the oracles read its members as vertex tuples themselves,
+with ``_start_members``, and return reached copies as tuples.
 """
 
 import itertools
@@ -24,10 +28,18 @@ def naive_canonical_cliques(view, window_start, order):
     return out
 
 
+def _start_members(view, start):
+    """Vertex tuples, in lexicographic order, of the copies a dense start
+    anchored at window 0 marks."""
+    return [
+        tuple(int(view.parts[a][i]) for a, i in enumerate(pos)) for pos in np.argwhere(start)
+    ]
+
+
 def naive_expand_step(view, start):
-    k = start.order
-    bigger = naive_canonical_cliques(view, start.window_start, k + 1)
-    return frozenset(c[1:] for c in bigger if c[:-1] in start.members)
+    members = set(_start_members(view, start))
+    bigger = naive_canonical_cliques(view, 0, start.ndim + 1)
+    return frozenset(c[1:] for c in bigger if c[:-1] in members)
 
 
 def naive_density(graph, V1, V2):
@@ -92,9 +104,9 @@ def literal_expand_once(view, start):
     kernel inherits it. Returns the reached copies and, for each, its
     predecessor: the first member in sorted order that reaches it."""
     adj = view.graph.adj
-    nxt = view.parts[start.window_start + start.order].tolist()
+    nxt = view.parts[start.ndim].tolist()
     bp = {}
-    for c in sorted(start.members):
+    for c in _start_members(view, start):
         for w in nxt:
             if all(adj[v, w] for v in c):
                 bp.setdefault(c[1:] + (w,), c)

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 from powercycle.graph_core import (
-    CliqueSet,
     TupleView,
     complete_graph,
     count_canonical_cliques,
     enumerate_canonical_cliques,
+    frontier_members,
     min_degree,
+    pick_frontier,
+    window_cliques,
 )
 from powercycle.models import (
     ModelParams,
@@ -36,7 +38,6 @@ from powercycle.typicality import TypicalityParams, clique_count_upper_check
 from powercycle.expansion import (
     ExpansionParams,
     PreconditionError,
-    expand_step,
     expand_through,
     halving_audit,
     one_step_expansion_audit,
@@ -81,7 +82,7 @@ def test_criterion_01_enumeration_oracle():
             complete_graph(t), max(sizes), float(rng.uniform(0.2, 0.9)), int(rng.integers(0, 2**31))
         )
         view = TupleView(raw.graph, [raw.parts[i][: sizes[i]] for i in range(t)])
-        fast = enumerate_canonical_cliques(view, 0, t).members
+        fast = frozenset(enumerate_canonical_cliques(view, 0, t))
         slow = frozenset(naive_canonical_cliques(view, 0, t))
         mismatches += fast != slow
     report(1, mismatches == 0, f"200 instances, {mismatches} mismatches vs nested-loop oracle", started)
@@ -99,12 +100,14 @@ def test_criterion_02_expansion_oracle():
         _, view = gen_blowup(
             complete_graph(t), n, float(rng.uniform(0.3, 0.9)), int(rng.integers(0, 2**31))
         )
-        full = enumerate_canonical_cliques(view, 0, k).sorted()
-        if not full:
+        full = window_cliques(view, 0, k)
+        positions = np.nonzero(full)
+        if not len(positions[0]):
             continue
-        picks = rng.choice(len(full), size=max(1, len(full) // 2), replace=False)
-        start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
-        mismatches += expand_step(start, view).members != naive_expand_step(view, start)
+        picks = rng.choice(len(positions[0]), size=max(1, len(positions[0]) // 2), replace=False)
+        start = pick_frontier(full.shape, positions, picks)
+        reached = frontier_members(view, expand_through(start, view, 1).frontier, 1)
+        mismatches += frozenset(reached) != naive_expand_step(view, start)
     report(2, mismatches == 0, f"200 instances, {mismatches} mismatches vs projection oracle", started)
     assert mismatches == 0
 
@@ -169,10 +172,11 @@ def test_criterion_06_main_expansion():
     for seed in range(100):
         _, view = gen_blowup(_square_path_pattern(2 * k, k), n, p, seed)
         x_start = reference_count(view, 0, k)
-        full = enumerate_canonical_cliques(view, 0, k).sorted()
-        m = min(len(full), math.ceil(delta * x_start))
-        picks = stream(seed, 59).choice(len(full), size=m, replace=False)
-        start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
+        full = window_cliques(view, 0, k)
+        positions = np.nonzero(full)
+        m = min(len(positions[0]), math.ceil(delta * x_start))
+        picks = stream(seed, 59).choice(len(positions[0]), size=m, replace=False)
+        start = pick_frontier(full.shape, positions, picks)
         trace = expand_through(start, view, k)
         hits += trace.final_fraction >= 1 - 10 * delta
     report(6, hits >= 85, f"{hits}/100 seeds reaching >= {1 - 10 * delta} of the far block (need >= 85)", started)
@@ -188,10 +192,11 @@ def test_criterion_07_halving():
     while qualifying < 50 and seed < 200:
         _, view = gen_blowup(_square_path_pattern(2 * k, k), n, p, seed)
         x_start = reference_count(view, 0, k)
-        full = enumerate_canonical_cliques(view, 0, k).sorted()
-        m = min(len(full), max(2, math.ceil(delta * x_start)))
-        picks = stream(seed, 59).choice(len(full), size=m, replace=False)
-        start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
+        full = window_cliques(view, 0, k)
+        positions = np.nonzero(full)
+        m = min(len(positions[0]), max(2, math.ceil(delta * x_start)))
+        picks = stream(seed, 59).choice(len(positions[0]), size=m, replace=False)
+        start = pick_frontier(full.shape, positions, picks)
         audit = halving_audit(start, view, params, n_splits=4, seed=seed)
         if audit["start_qualifies"]:
             qualifying += 1

@@ -1,6 +1,7 @@
 """Every demo script runs to completion as a separate process, so an API a
 demo reads (such as the lazily computed expansion trace fields) cannot break
-unnoticed."""
+unnoticed. A subprocess does not inherit pytest's ``filterwarnings = error``,
+so each demo runs with ``-W error`` to meet the same rule."""
 
 import os
 import subprocess
@@ -22,6 +23,6 @@ def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr[-2000:]

@@ -1,24 +1,24 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from powercycle.graph_core import (
-    CliqueSet,
     Graph,
     TupleView,
     complete_graph,
     complete_multipartite,
     enumerate_canonical_cliques,
+    frontier_members,
+    pick_frontier,
+    window_cliques,
 )
 from powercycle.models import gen_blowup, stream
 from powercycle.typicality import TypicalityParams
 from powercycle.expansion import (
     ExpansionParams,
     PreconditionError,
-    expand_step,
     expand_through,
     find_expander,
     halving_audit,
@@ -48,22 +48,27 @@ def unequal_blowup(parts, seed):
 
 
 def random_start(view, k, count, seed):
-    full = enumerate_canonical_cliques(view, 0, k).sorted()
-    rng = stream(seed, 97)
-    picks = rng.choice(len(full), size=min(count, len(full)), replace=False)
-    return CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
+    full = window_cliques(view, 0, k)
+    positions = np.nonzero(full)
+    size = len(positions[0])
+    picks = stream(seed, 97).choice(size, size=min(count, size), replace=False)
+    return pick_frontier(full.shape, positions, picks)
+
+
+def one_step(view, start):
+    """The copies a dense start reaches in one window step, as vertex tuples."""
+    return frozenset(frontier_members(view, expand_through(start, view, 1).frontier, 1))
 
 
 class TestExpandStep:
     def test_empty_start(self):
         _, view = complete_multipartite([3, 3, 3])
-        assert len(expand_step(CliqueSet(0, 2, frozenset()), view)) == 0
+        assert one_step(view, np.zeros(view.sizes[:2], dtype=bool)) == frozenset()
 
     def test_complete_window_reaches_everything(self):
         _, view = complete_multipartite([3, 3, 3])
-        start = enumerate_canonical_cliques(view, 0, 2)
-        reached = expand_step(start, view)
-        assert reached.members == enumerate_canonical_cliques(view, 1, 2).members
+        reached = expand_through(window_cliques(view, 0, 2), view, 1).frontier
+        assert np.array_equal(reached, window_cliques(view, 1, 2))
 
     def test_single_missing_edge_instance(self):
         # Parts {a,b},{c,d},{e,f} with the c-e edge removed: from start {(a,c)}
@@ -72,9 +77,9 @@ class TestExpandStep:
         adj = g.adj.copy()
         adj[2, 4] = adj[4, 2] = False
         cut = TupleView(Graph(adj), view.parts)
-        reached = expand_step(CliqueSet(0, 2, frozenset([(0, 2)])), cut)
-        oracle = naive_expand_step(cut, CliqueSet(0, 2, frozenset([(0, 2)])))
-        assert reached.members == oracle == frozenset([(2, 5)])
+        start = np.zeros((2, 2), dtype=bool)
+        start[0, 0] = True  # the copy (0, 2)
+        assert one_step(cut, start) == naive_expand_step(cut, start) == frozenset([(2, 5)])
 
     def test_matches_brute_force_projection(self):
         rng = stream(61)
@@ -83,47 +88,51 @@ class TestExpandStep:
             t = k + 1 + int(rng.integers(0, 2))
             n = int(rng.integers(2, 6))
             _, view = gen_blowup(complete_graph(t), n, float(rng.uniform(0.3, 0.9)), trial)
-            full = enumerate_canonical_cliques(view, 0, k).sorted()
-            if not full:
+            full = window_cliques(view, 0, k)
+            positions = np.nonzero(full)
+            size = len(positions[0])
+            if not size:
                 continue
-            picks = rng.choice(len(full), size=max(1, len(full) // 2), replace=False)
-            start = CliqueSet(0, k, frozenset(full[int(i)] for i in picks))
-            assert expand_step(start, view).members == naive_expand_step(view, start)
+            picks = rng.choice(size, size=max(1, size // 2), replace=False)
+            start = pick_frontier(full.shape, positions, picks)
+            assert one_step(view, start) == naive_expand_step(view, start)
 
     def test_monotone_in_start_set(self):
         rng = stream(67)
         _, view = gen_blowup(complete_graph(3), 12, 0.5, seed=5)
-        full = enumerate_canonical_cliques(view, 0, 2).sorted()
+        full = window_cliques(view, 0, 2)
+        positions = np.nonzero(full)
+        size = len(positions[0])
         for _ in range(10):
-            large = rng.choice(len(full), size=len(full) // 2, replace=False)
+            large = rng.choice(size, size=size // 2, replace=False)
             small = large[: len(large) // 2]
-            big_set = CliqueSet(0, 2, frozenset(full[int(i)] for i in large))
-            small_set = CliqueSet(0, 2, frozenset(full[int(i)] for i in small))
-            assert expand_step(small_set, view).members <= expand_step(big_set, view).members
+            big_set = pick_frontier(full.shape, positions, large)
+            small_set = pick_frontier(full.shape, positions, small)
+            assert one_step(view, small_set) <= one_step(view, big_set)
 
     def test_never_exceeds_next_window_ceiling(self):
         _, view = gen_blowup(complete_graph(4), 10, 0.7, seed=6)
-        start = enumerate_canonical_cliques(view, 0, 3)
-        reached = expand_step(start, view)
-        assert reached.members <= enumerate_canonical_cliques(view, 1, 3).members
+        reached = expand_through(window_cliques(view, 0, 3), view, 1).frontier
+        assert not (reached & ~window_cliques(view, 1, 3)).any()
 
     def test_window_overflow(self):
         _, view = complete_multipartite([3, 3])
+        start = np.zeros(view.sizes, dtype=bool)
+        start[0, 0] = True
         with pytest.raises(IndexError):
-            expand_step(CliqueSet(0, 2, frozenset([(0, 3)])), view)
+            expand_through(start, view, 1)
 
     @pytest.mark.parametrize("bad", [(4, 6), (0, 12), (-1, 3)])
     def test_member_outside_its_part_raises(self, bad):
-        # Parts {0,1,2}, {3,4,5}, {6,7,8}, {9,10,11}: each bad member has a
-        # vertex outside its window's part (another part, or no part at all).
-        _, view = complete_multipartite([3] * 4)
-        start = CliqueSet(0, 2, frozenset([(0, 3), bad]))
+        # The one-step trace ends on parts {0,1,2}, {3,4,5}: each bad member
+        # has a vertex outside its part there (another part, or no part at
+        # all), so the final copy has no positions to walk back from.
+        g, view = complete_multipartite([3] * 4)
+        shifted = TupleView(g, [view.parts[3], view.parts[0], view.parts[1]])
+        trace = expand_through(window_cliques(shifted, 0, 2), shifted, 1)
+        assert reconstruct_path(trace.back_pointers, (0, 3)) == [9, 0, 3]
         with pytest.raises(IndexError):
-            expand_step(start, view)
-        with pytest.raises(IndexError):
-            expand_through(start, view, 2)
-        with pytest.raises(IndexError):
-            find_expander(start, view, 4, ExpansionParams(k=2, delta=0.02))
+            reconstruct_path(trace.back_pointers, bad)
 
 
 class TestDenseKernelAgainstBitsetStep:
@@ -144,25 +153,28 @@ class TestDenseKernelAgainstBitsetStep:
     def test_same_reach_and_predecessors(self, k, kind):
         rng = stream(83, k)
         for seed in range(4):
-            window = seed % 2
             view = unequal_blowup(k + 2, seed)
-            full = enumerate_canonical_cliques(view, window, k).sorted()
+            if seed % 2:
+                # Odd seeds drop the first part, so the start's window is
+                # parts 1..k of the blow-up.
+                view = TupleView(view.graph, view.parts[1:])
+            cliques = window_cliques(view, 0, k)
+            positions = np.nonzero(cliques)
+            size = len(positions[0])
             if kind == "empty":
-                members = []
+                picks = slice(0)
             elif kind == "single":
-                members = full[:1]
+                picks = slice(1)
             elif kind == "full":
-                members = full
+                picks = slice(None)
             else:
-                members = [full[int(i)] for i in rng.permutation(len(full))[: len(full) // 2]]
+                picks = rng.permutation(size)[: size // 2]
+            start = pick_frontier(cliques.shape, positions, picks)
             if kind == "non-clique":
-                cliques = set(full)
-                product = itertools.product(*(view.parts[window + a].tolist() for a in range(k)))
-                members.append(next(c for c in product if c not in cliques))
-            start = CliqueSet(window, k, frozenset(members))
+                start[tuple(np.argwhere(~cliques)[0])] = True
             reached, predecessor = literal_expand_once(view, start)
-            trace = expand_through(start, view, window + 1)
-            assert trace.final.members == reached == expand_step(start, view).members
+            trace = expand_through(start, view, 1)
+            assert frozenset(frontier_members(view, trace.frontier, 1)) == reached
             # The projection oracle rechecks adjacency inside each member and
             # the kernel does not, so the two oracles differ only on non-clique
             # members: that is why both exist.
@@ -176,17 +188,17 @@ class TestDenseKernelAgainstBitsetStep:
 class TestExpandThrough:
     def test_zero_steps_returns_start(self):
         _, view = complete_multipartite([3, 3, 3])
-        start = enumerate_canonical_cliques(view, 0, 2)
+        start = window_cliques(view, 0, 2)
         trace = expand_through(start, view, 0)
-        assert trace.final.members == start.members
-        assert trace.counts == [len(start)]
+        assert np.array_equal(trace.frontier, start)
+        assert trace.counts == [np.count_nonzero(start)]
         assert trace.back_pointers == []
-        first = start.sorted()[0]
+        first = enumerate_canonical_cliques(view, 0, 2)[0]
         assert reconstruct_path(trace.back_pointers, first) == list(first)
 
     def test_complete_multipartite_full_reach(self):
         _, view = complete_multipartite([3] * 6)
-        start = enumerate_canonical_cliques(view, 0, 2)
+        start = window_cliques(view, 0, 2)
         trace = expand_through(start, view, 4)
         assert trace.fractions == [1.0] * 5
 
@@ -209,11 +221,12 @@ class TestExpandThrough:
         g, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
         start = random_start(view, k, 10, seed=9)
         trace = expand_through(start, view, k)
-        assert trace.final.members
-        final = trace.final.sorted()[0]
+        members = frontier_members(view, trace.frontier, k)
+        assert members
+        final = members[0]
         path = reconstruct_path(trace.back_pointers, final)
         assert len(path) == 2 * k
-        assert tuple(path[:k]) in start.members
+        assert tuple(path[:k]) in frontier_members(view, start, 0)
         assert tuple(path[-k:]) == final
         for i in range(len(path) - k):
             chunk = path[i : i + k + 1]
@@ -228,14 +241,18 @@ class TestExpandThrough:
         adj = g.adj.copy()
         adj[2, 4] = adj[4, 2] = False
         cut = TupleView(Graph(adj), view.parts)
-        one = expand_through(CliqueSet(0, 2, frozenset([(0, 2)])), cut, 1)
-        assert one.final.members == frozenset([(2, 5)])
+        start = np.zeros((2, 2), dtype=bool)
+        start[0, 0] = True  # the copy (0, 2)
+        one = expand_through(start, cut, 1)
+        assert frontier_members(cut, one.frontier, 1) == [(2, 5)]
         with pytest.raises(KeyError):
             reconstruct_path(one.back_pointers, (3, 5))
         k = 3
         _, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
         trace = expand_through(random_start(view, k, 10, seed=9), view, k)
-        missed = enumerate_canonical_cliques(view, k, k).members - trace.final.members
+        missed = set(enumerate_canonical_cliques(view, k, k)) - set(
+            frontier_members(view, trace.frontier, k)
+        )
         assert missed
         with pytest.raises(KeyError):
             reconstruct_path(trace.back_pointers, min(missed))
@@ -244,16 +261,16 @@ class TestExpandThrough:
 class TestFindExpander:
     def test_complete_multipartite_first_clique_works(self):
         _, view = complete_multipartite([4] * 6)
-        start = enumerate_canonical_cliques(view, 0, 2)
-        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02))
+        res = find_expander(window_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02))
         assert res.found and res.trace.final_fraction == 1.0
-        assert res.clique == start.sorted()[0]
+        assert res.clique == enumerate_canonical_cliques(view, 0, 2)[0]
 
     def test_singleton_start_returns_it(self):
         _, view = complete_multipartite([3] * 4)
-        only = enumerate_canonical_cliques(view, 0, 2).sorted()[0]
-        res = find_expander(CliqueSet(0, 2, frozenset([only])), view, 4, ExpansionParams(k=2, delta=0.02))
-        assert res.found and res.clique == only
+        full = window_cliques(view, 0, 2)
+        only = pick_frontier(full.shape, np.nonzero(full), slice(1))
+        res = find_expander(only, view, 4, ExpansionParams(k=2, delta=0.02))
+        assert res.found and res.clique == enumerate_canonical_cliques(view, 0, 2)[0]
 
     def test_not_found_keeps_no_trace(self):
         # Sever the last window: nothing can reach it.
@@ -263,7 +280,7 @@ class TestFindExpander:
         adj[:, last] = False
         adj[last, :] = False
         dead = TupleView(Graph(adj), view.parts)
-        start = enumerate_canonical_cliques(dead, 0, 2)
+        start = window_cliques(dead, 0, 2)
         res = find_expander(start, dead, 4, ExpansionParams(k=2, delta=0.02))
         assert not res.found
         assert res.clique is None and res.trace is None
@@ -285,9 +302,9 @@ class TestFindExpander:
         assert hits == 3
 
     # (windows, k, n, p, delta, seed) -> (clique, scanned, bisection_rounds,
-    # trace.final_fraction, sha256 of repr(trace.final.sorted()), reconstructed
-    # path of the first reach member); a not-found case pins only the first
-    # three.
+    # trace.final_fraction, sha256 of the repr of the final frontier's members
+    # in lexicographic order, reconstructed path of the first reach member);
+    # a not-found case pins only the first three.
     PINNED = [
         (
             (8, 2, 22, 0.35, 0.006, 1),
@@ -309,48 +326,26 @@ class TestFindExpander:
         windows, k, n, p, delta, seed = config
         clique, scanned, rounds, fraction, digest, path = expected
         _, view = path_power_blowup(windows, k, n, p, seed)
-        start = enumerate_canonical_cliques(view, 0, k)
         params = ExpansionParams(k=k, delta=delta)
-        res = find_expander(start, view, windows, params)
+        res = find_expander(window_cliques(view, 0, k), view, windows, params)
         assert (res.clique, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
         if clique is None:
             assert not res.found and res.trace is None
             return
         assert res.found and res.trace.final_fraction == fraction
-        members = res.trace.final.sorted()
+        members = frontier_members(view, res.trace.frontier, windows - k)
         assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
         assert reconstruct_path(res.trace.back_pointers, members[0]) == path
-
-    @pytest.mark.parametrize("config", [c for c, _ in PINNED])
-    def test_dense_start_equals_clique_set_start(self, config):
-        # The dense frontier a zero-step trace hands back is a start of its
-        # own: the search, its counters and its reach are the same.
-        windows, k, n, p, delta, seed = config
-        _, view = path_power_blowup(windows, k, n, p, seed)
-        start = enumerate_canonical_cliques(view, 0, k)
-        dense = expand_through(start, view, 0).frontier
-        assert dense.dtype == bool and dense.shape == view.sizes[:k]
-        params = ExpansionParams(k=k, delta=delta)
-        a = find_expander(start, view, windows, params)
-        b = find_expander(dense, view, windows, params)
-        fields = ("found", "clique", "scanned", "bisection_rounds")
-        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-        if not a.found:
-            assert a.trace is b.trace is None
-            return
-        assert np.array_equal(a.trace.frontier, b.trace.frontier)
-        assert a.trace.final.members == b.trace.final.members
-        first = a.trace.final.sorted()[0]
-        path = reconstruct_path(a.trace.back_pointers, first)
-        assert path == reconstruct_path(b.trace.back_pointers, first)
 
     def test_dense_start_checks_order_dtype_and_shape(self):
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
         params = ExpansionParams(k=2, delta=0.02)
-        dense = expand_through(enumerate_canonical_cliques(view, 0, 2), view, 0).frontier
+        dense = window_cliques(view, 0, 2)
         assert find_expander(dense, view, 6, params).found
         with pytest.raises(ValueError, match="order 3, params expect 2"):
             find_expander(dense[..., None], view, 6, params)
+        with pytest.raises(ValueError, match="order 3, params expect 2"):
+            halving_audit(dense[..., None], view, params, n_splits=1, seed=0)
         with pytest.raises(ValueError, match="order 1, params expect 2"):
             find_expander(dense[0], view, 6, params)
         with pytest.raises(TypeError, match="bool"):
@@ -367,8 +362,7 @@ class TestFindExpander:
         # reach and the next round's start, so writing to it must fail
         # rather than change a path reconstructed later.
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
-        start = enumerate_canonical_cliques(view, 0, 2)
-        res = find_expander(start, view, 6, ExpansionParams(k=2, delta=0.02))
+        res = find_expander(window_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02))
         assert res.trace.frontier is res.trace.back_pointers[-1][3]
         with pytest.raises(ValueError, match="read-only"):
             res.trace.frontier[0, 0] = False
@@ -379,21 +373,15 @@ class TestFindExpander:
 
     def test_requires_search_regime_delta(self):
         _, view = complete_multipartite([3] * 4)
-        start = enumerate_canonical_cliques(view, 0, 2)
+        start = window_cliques(view, 0, 2)
         with pytest.raises(ValueError, match="1/\\(20k\\)"):
             find_expander(start, view, 4, ExpansionParams(k=2, delta=0.1))
 
     def test_requires_enough_windows(self):
         _, view = complete_multipartite([3] * 3)
-        start = enumerate_canonical_cliques(view, 0, 2)
+        start = window_cliques(view, 0, 2)
         with pytest.raises(ValueError, match="windows"):
             find_expander(start, view, 3, ExpansionParams(k=2, delta=0.02))
-
-    def test_search_starts_at_window_zero(self):
-        _, view = complete_multipartite([3] * 6)
-        start = enumerate_canonical_cliques(view, 1, 2)
-        with pytest.raises(ValueError, match="window 1"):
-            find_expander(start, view, 4, ExpansionParams(k=2, delta=0.02))
 
 
 class TestHalving:

@@ -204,7 +204,7 @@ def _clique_digest(view) -> list:
     out = []
     for w in range(view.t):
         for order in range(1, view.t - w + 1):
-            members = enumerate_canonical_cliques(view, w, order).sorted()
+            members = enumerate_canonical_cliques(view, w, order)
             out.append([w, order, count_canonical_cliques(view, w, order), members])
     t = view.t
     for idx in (range(1, t - 1), range(0, t - 1), range(1, t)):

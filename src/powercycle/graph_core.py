@@ -78,6 +78,9 @@ def mask_of(ids: Iterable[int]) -> int:
 # Side of the square tiles in which symmetric matrices are checked and mirrored.
 _TILE = 256
 
+# Rows per block of Graph.edge_positions' scan of the upper triangle.
+_EDGE_ROWS = 256
+
 
 def _upper_tiles(n: int) -> Iterator[tuple]:
     """Slice pairs (a, b) of the _TILE-square tiles on and above the diagonal
@@ -166,12 +169,26 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.degrees().sum()) // 2
 
+    def edge_positions(self) -> np.ndarray:
+        """Flat positions ``u * n + v`` of the edges u < v as an ascending
+        int64 array, which is their lexicographic order. The strict upper
+        triangle is scanned _EDGE_ROWS rows at a time into the preallocated
+        result, so no temporary is as large as the matrix."""
+        n = self.n
+        out = np.empty(self.edge_count(), dtype=np.int64)
+        at = 0
+        for r in range(0, n, _EDGE_ROWS):
+            flat = np.flatnonzero(np.triu(self.adj[r : r + _EDGE_ROWS], r + 1))
+            np.add(flat, r * n, out=out[at : at + flat.size])
+            at += flat.size
+        return out
+
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) int64 array of rows (u, v) with u < v, in
-        lexicographic order, read from the flat positions of the strict upper
-        triangle's entries with ``divmod``. The array is column-major, so
-        ``edges[:, 0]`` and ``edges[:, 1]`` are contiguous."""
-        flat = np.flatnonzero(np.triu(self.adj, 1))
+        lexicographic order: the ``divmod`` of ``edge_positions()`` by n. The
+        array is column-major, so ``edges[:, 0]`` and ``edges[:, 1]`` are
+        contiguous."""
+        flat = self.edge_positions()
         out = np.empty((2, flat.size), dtype=np.int64)
         np.divmod(flat, self.n, out=(out[0], out[1]))
         return out.T

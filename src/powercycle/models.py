@@ -22,8 +22,9 @@ per call site and no arithmetic on seeds:
    31  inheritance_stats check (s)
 
 Paths that differ only by trailing zeros name the same stream (the entropy is
-a word list, so ``stream(5, 17) == stream(5, 17, 0)``), and an entry of 2^32 or
-more spills into a second word. Hence each tag keeps a fixed path length, its
+a sequence of uint32 words, passed as an array when every entry fits in one,
+so ``stream(5, 17) == stream(5, 17, 0)``), and an entry of 2^32 or more spills
+into a second word. Hence each tag keeps a fixed path length, its
 entries stay below 2^32, and the bare ``stream(seed)`` is never used: it is
 ``gen_gnp``'s ``stream(seed, 0)``.
 
@@ -57,7 +58,13 @@ __all__ = [
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Philox stream addressed by a seed and an integer sub-stream path."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, path)])))
+    words = [int(seed), *map(int, path)]
+    # SeedSequence reads a uint32 array as its words unchanged, which is the
+    # word list it makes of these ints, at half the cost; an entry outside
+    # [0, 2^32) keeps the list, so spills and errors stay as they were.
+    if all(0 <= w < 1 << 32 for w in words):
+        words = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 
 @dataclass(frozen=True)
@@ -209,18 +216,28 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     undeletable. And within a segment of the order, a vertex whose count plus
     its live edges in the segment is at most its budget ("safe") cannot run
     out there, so a live edge with two safe endpoints is deleted whatever the
-    order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule."""
+    order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule.
+
+    The random order is the edges' flat positions (``Graph.edge_positions``)
+    shuffled in place and split into endpoint arrays, so the edge list costs
+    one int64 word per endpoint and no other array of its length is kept."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0,1], got {r}")
     rng = stream(seed, 3)
-    edges = graph.edges()
     budget = np.floor(r * graph.degrees()).astype(np.int64)
-    order = rng.permutation(len(edges))
-    pair = [np.take(edges[:, 0], order), np.take(edges[:, 1], order)]
-    del edges, order
+    # An in-place shuffle makes the draws of permutation(m) and moves each
+    # position where that permutation would; divmod then splits the positions
+    # into endpoints, writing u over them.
+    us = graph.edge_positions()
+    rng.shuffle(us)
+    vs = np.empty_like(us)
+    np.divmod(us, graph.n, out=(us, vs))
+    pair = [us, vs]
+    del us, vs
     deleted: list = []
     _settle(pair, np.zeros(graph.n, dtype=np.int64), budget, deleted)
     du, dv = (np.concatenate(side) for side in zip(*deleted))
+    del deleted
     adj = graph.adj.copy()
     adj[du, dv] = False
     adj[dv, du] = False
@@ -242,7 +259,8 @@ def _settle(pair: list, cnt, budget, deleted: list) -> None:
     pair.clear()
     below = cnt < budget
     live = below[us] & below[vs]
-    us, vs = us[live], vs[live]
+    if not live.all():
+        us, vs = us[live], vs[live]
     if len(us) <= _LEAF_EDGES:
         du, dv = [], []
         for u, v in zip(us.tolist(), vs.tolist()):
@@ -262,6 +280,9 @@ def _settle(pair: list, cnt, budget, deleted: list) -> None:
         deleted.append((fu, fv))
         rest = ~free
         us, vs = us[rest], vs[rest]
+        del rest
+    # No mask of the segment's size lives through the recursion below.
+    del live, free
     half = len(us) // 2
     _settle([us[:half], vs[:half]], cnt, budget, deleted)
     _settle([us[half:], vs[half:]], cnt, budget, deleted)

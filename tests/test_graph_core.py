@@ -89,6 +89,20 @@ class TestGraph:
         expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
         assert [tuple(e) for e in edges.tolist()] == expected
 
+    @pytest.mark.parametrize(
+        "n", [0, 1, graph_core._EDGE_ROWS - 1, graph_core._EDGE_ROWS, graph_core._EDGE_ROWS + 1, 549]
+    )
+    @pytest.mark.parametrize("kind", ["empty", "complete", "gnp"])
+    def test_edge_positions_equal_the_whole_matrix_scan(self, n, kind):
+        if kind == "gnp" and n:
+            g = gen_gnp(ModelParams(N=n, p=0.35, seed=n))
+        else:
+            g = complete_graph(n) if kind == "complete" else empty_graph(n)
+        positions = g.edge_positions()
+        assert positions.dtype == np.int64
+        assert np.array_equal(positions, np.flatnonzero(np.triu(g.adj, 1)))
+        assert (np.diff(positions) > 0).all()
+
     def test_adjacency_immutable(self):
         g = complete_graph(4)
         with pytest.raises(ValueError):

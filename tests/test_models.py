@@ -230,6 +230,31 @@ class TestAdversaryRandom:
         assert np.array_equal(fast_report.per_vertex_deleted, slow_report.per_vertex_deleted)
         assert fast_report.to_dict() == slow_report.to_dict()
 
+    def test_never_builds_the_edge_list(self, monkeypatch):
+        # The adversary reads edge positions only; the (m, 2) list is never made.
+        graph = gen_gnp(ModelParams(N=300, p=0.35, seed=12))
+        slow, slow_report = sequential_random_adversary(graph, 0.3, seed=13)
+
+        def refuse(graph):
+            raise AssertionError("Graph.edges called")
+
+        monkeypatch.setattr(Graph, "edges", refuse)
+        fast, fast_report = adversary_random(graph, 0.3, seed=13)
+        assert fast == slow
+        assert np.array_equal(fast_report.per_vertex_deleted, slow_report.per_vertex_deleted)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 257, 10_000])
+    def test_shuffle_is_the_permutation_gather(self, m):
+        # The adversary's order rests on this numpy contract: an in-place
+        # shuffle of a 1-d array equals its gather by permutation(len), and
+        # leaves the stream where the permutation leaves it.
+        x = np.arange(m, dtype=np.int64) * 7 + 3
+        rng, twin = stream(5, 3), stream(5, 3)
+        expected = x[twin.permutation(m)]
+        rng.shuffle(x)
+        assert np.array_equal(x, expected)
+        assert rng.integers(2**62) == twin.integers(2**62)
+
     # sha256 of the thinned adjacency bytes and of per_vertex_deleted, and the
     # report, at the acceptance size; these pin the deletion order exactly.
     PINNED = {
@@ -276,7 +301,10 @@ class TestAdversaryRandom:
         # the whole transpose, edges() used argwhere and the edge array lived
         # through _settle; 80 / 88 MB with tiled checks, the flatnonzero edge
         # scan and the edge array freed first; 60 / 64 MB once the permuted
-        # endpoint arrays are dropped at _settle's first filter.
+        # endpoint arrays are dropped at _settle's first filter; 30.3 / 36.8 MB
+        # with edge positions shuffled in place and split into the endpoint
+        # arrays, no copy of an all-live segment, no segment mask kept through
+        # _settle's recursion and the deleted pieces freed once concatenated.
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -287,7 +315,7 @@ class TestAdversaryRandom:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak < 75 * 2**20
+        assert peak < 45 * 2**20
 
 
 class TestExtremalBlocker:
@@ -370,6 +398,44 @@ class TestStreams:
         check_super_typical(view, TypicalityParams(epsilon=0.4, delta=0.4, p=0.6, trials=60), seed=4)
         assert sorted(set(seen) - self._table()) == []
         assert {37, 41, 43, 47, 67, 71} <= set(seen)
+
+    @staticmethod
+    def _list_stream(seed, *path):
+        # The entropy as a plain word list, the form SeedSequence documents.
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, path)])))
+
+    @pytest.mark.parametrize(
+        "seed, path",
+        [
+            (0, ()),
+            (0, (0,)),
+            (5, (17,)),
+            (5, (17, 0, 0)),
+            (7, (2**32 - 1, 3)),
+            (2**32 - 1, (41,)),
+            (7, (2**32,)),
+            (3, (43, 2**40 + 5, 0)),
+            (2**32, (19, 0, 1, 2)),
+            (5, (11,)),
+            (5, (43, 2, 1, 0)),
+            (4, (1,)),
+            (4, (37, 3, 1, 2)),
+        ],
+    )
+    def test_array_entropy_is_the_word_list(self, seed, path):
+        fast, slow = stream(seed, *path), self._list_stream(seed, *path)
+        for key in ("counter", "key"):
+            assert np.array_equal(fast.bit_generator.state["state"][key], slow.bit_generator.state["state"][key])
+        assert np.array_equal(fast.random(4), slow.random(4))
+        assert np.array_equal(fast.integers(0, 2**63, 3), slow.integers(0, 2**63, 3))
+
+    def test_trailing_zeros_and_negative_entries(self):
+        assert np.array_equal(stream(5, 17).random(3), stream(5, 17, 0).random(3))
+        for path in ((-1,), (3, -2)):
+            with pytest.raises(ValueError):
+                stream(1, *path)
+            with pytest.raises(ValueError):
+                self._list_stream(1, *path)
 
     def test_no_other_source_of_randomness(self):
         banned = {"default_rng", "RandomState", "seed"}

@@ -59,9 +59,9 @@ __all__ = [
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Philox stream addressed by a seed and an integer sub-stream path."""
     words = [int(seed), *map(int, path)]
-    # SeedSequence reads a uint32 array as its words unchanged, which is the
-    # word list it makes of these ints, at half the cost; an entry outside
-    # [0, 2^32) keeps the list, so spills and errors stay as they were.
+    # SeedSequence takes a uint32 array as its words unchanged: the words it
+    # would convert these ints into one at a time, without that conversion.
+    # An entry outside [0, 2^32) keeps the list, so spills and errors stay.
     if all(0 <= w < 1 << 32 for w in words):
         words = np.array(words, dtype=np.uint32)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
@@ -278,10 +278,8 @@ def _settle(pair: list, cnt, budget, deleted: list) -> None:
         fu, fv = us[free], vs[free]
         cnt += np.bincount(fu, minlength=n) + np.bincount(fv, minlength=n)
         deleted.append((fu, fv))
-        rest = ~free
-        us, vs = us[rest], vs[rest]
-        del rest
-    # No mask of the segment's size lives through the recursion below.
+        us, vs = us[~free], vs[~free]
+    # No mask of the segment's length lives through the recursion below.
     del live, free
     half = len(us) // 2
     _settle([us[:half], vs[:half]], cnt, budget, deleted)

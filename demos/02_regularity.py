@@ -4,8 +4,10 @@ The exact checker settles small pairs completely: a complete bipartite pair
 certifies at any tolerance, while a half-dense pair (all edges between the
 first halves) is refuted with an explicit witness. The sampled refuter finds
 the same planted irregularity by random search. Finally a random graph gets
-its nice partition: one random equipartition, each pair surveyed once by the
-sampled refuter, whose pairs here are all unrefuted and dense.
+its nice partition: one random equipartition whose pairs of density >= d*p
+are each surveyed once by the sampled refuter (a sparser pair is never
+refuted, and its stream is never built); here every pair is dense and
+unrefuted.
 """
 
 import numpy as np

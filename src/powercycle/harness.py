@@ -65,6 +65,11 @@ def config_hash(kind: str, params: dict) -> str:
     return hashlib.sha256(canonical_json({"kind": kind, "params": params}).encode()).hexdigest()[:16]
 
 
+def _is_count(value, least: int) -> bool:
+    """True for an int (not a bool) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -82,6 +87,11 @@ class ExperimentConfig:
             raise ValueError(f"kind: unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if not self.seeds:
             raise ValueError("seeds: must be a nonempty list of integers")
+        for seed in self.seeds:
+            if not _is_count(seed, 0):
+                raise ValueError(f"seeds: every seed must be a non-negative integer, got {seed!r}")
+        if not _is_count(self.workers, 1):
+            raise ValueError(f"workers: must be a positive integer, got {self.workers!r}")
         if not isinstance(self.params, dict):
             raise ValueError("params: must be a mapping")
         required = _REQUIRED_FIELDS[self.kind]
@@ -115,7 +125,7 @@ class ExperimentConfig:
             params=data["params"],
             seeds=list(data["seeds"]),
             out_dir=data.get("out_dir"),
-            workers=int(data.get("workers", 1)),
+            workers=data.get("workers", 1),
             assertions=list(data.get("assertions", [])),
         )
 
@@ -556,7 +566,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     """Execute one trial per seed (per grid point for sweeps), persist JSONL
     records plus a CSV summary, and evaluate the configured assertions."""
     out_dir = out_dir or config.out_dir or os.environ.get("POWERCYCLE_OUT")
-    workers = int(os.environ.get("POWERCYCLE_WORKERS", config.workers))
+    workers = config.workers
+    env_workers = os.environ.get("POWERCYCLE_WORKERS")
+    if env_workers is not None:
+        if not env_workers.strip().isdecimal() or int(env_workers) < 1:
+            raise ValueError(f"POWERCYCLE_WORKERS: must be a positive integer, got {env_workers!r}")
+        workers = int(env_workers)
     chash = config.hash
 
     if config.kind == "resilience-sweep":

@@ -16,7 +16,7 @@ per call site and no arithmetic on seeds:
    11  build_nice_partition         53  count-audit vertex sets
    13  chunk_partition              59  expansion-audit start sets
    17  inheritance_stats samples    61  oracle-compare instances
-   19  pair survey (0, i, j)        67  typical clique copy (*copy)
+   19  dense-pair survey (0, i, j)  67  typical clique copy (*copy)
    23  one-step audit start         71  super-typical tuple pair (i, j)
    29  halving audit splits
    31  inheritance_stats check (s)

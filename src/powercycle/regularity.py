@@ -4,8 +4,10 @@ A pair (V1, V2) is refuted when some pair of subsets with |Vi'| >= eps*|Vi|
 has density differing from the pair density by more than eps*p. The exact
 checker settles every qualifying subset pair; the sampled checker is a
 one-sided Monte Carlo refuter that can never certify. A partition is one
-random equipartition surveyed once with the sampled refuter; a refuted pair
-is left out of the useful pairs, and no class is refined.
+random equipartition surveyed once: only the pairs of density >= d*p are
+refuted with the sampled refuter (a sparser pair is never useful, and its
+sub-stream is never built), a refuted pair is left out of the useful pairs,
+and no class is refined.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -61,8 +63,14 @@ class RegularityParams:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        if not (0.0 < self.p <= 1.0):
+            raise ValueError(f"p must lie in (0,1], got {self.p}")
         if not (0.0 < self.d <= 1.0):
             raise ValueError(f"d must lie in (0,1], got {self.d}")
+        if not (0.0 <= self.mu <= 1.0):
+            raise ValueError(f"mu must lie in [0,1], got {self.mu}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -263,10 +271,11 @@ class RegularPartition:
 
 def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: int) -> RegularPartition:
     """Random equipartition into m classes from stream(seed, 11), surveyed
-    once: every pair gets a sampled refutation attempt, pair (i, j) drawing
-    from stream(seed, 19, 0, i, j). An unrefuted pair is useful when its
-    exact density is at least d*p. The partition is marked good when every
-    class has at least mu*k useful partners."""
+    once: a pair is useful when its exact density is at least d*p and the
+    sampled refuter, drawing from stream(seed, 19, 0, i, j), does not refute
+    it. Only the dense pairs are refuted; a sparser pair is never useful, so
+    its stream is never built, and no other pair's draws move. The partition
+    is marked good when every class has at least mu*k useful partners."""
     N = graph.n
     if N < m:
         raise ValueError(f"need at least m={m} vertices, graph has {N}")
@@ -278,6 +287,8 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     view = TupleView(graph, classes)
     for i in range(m):
         for j in range(i + 1, m):
+            if float(view.density(i, j)) < params.d * params.p - TOL:
+                continue
             verdict = check_regular_sampled(
                 graph,
                 classes[i],
@@ -289,8 +300,7 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
                 # sub-stream it has always drawn from, so records replay.
                 rng=stream(seed, 19, 0, i, j),
             )
-            dense = float(view.density(i, j)) >= params.d * params.p - TOL
-            if dense and not verdict.refuted:
+            if not verdict.refuted:
                 useful.add((i, j))
 
     partition = RegularPartition(

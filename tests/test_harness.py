@@ -42,6 +42,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds"):
             ExperimentConfig(kind="oracle-compare", params={}, seeds=[])
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_bad_seed_names_seeds(self, seed):
+        # 1.5 would replay seed 1's trial under another label, -1 would crash
+        # the trial instead of the config, and True is the seed 1 in disguise.
+        with pytest.raises(ValueError, match="^seeds: "):
+            ExperimentConfig(kind="oracle-compare", params={}, seeds=[0, seed])
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+    def test_bad_workers_names_workers(self, workers):
+        with pytest.raises(ValueError, match="^workers: "):
+            ExperimentConfig(kind="oracle-compare", params={}, seeds=[0], workers=workers)
+
+    def test_bad_workers_in_file_names_workers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "oracle-compare", "params": {}, "seeds": [0], "workers": 0}))
+        with pytest.raises(ValueError, match="^workers: "):
+            ExperimentConfig.from_file(path)
+
     def test_missing_field_names_path(self):
         with pytest.raises(ValueError, match="params.N"):
             ExperimentConfig(kind="embed", params={"p": 0.5}, seeds=[1])
@@ -158,6 +176,13 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert summary.ok_fraction == 1.0
         assert any((tmp_path / "envout").glob("*.jsonl"))
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
+    def test_bad_env_workers_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("POWERCYCLE_WORKERS", value)
+        cfg = ExperimentConfig(kind="oracle-compare", params={"instances": 1}, seeds=[0])
+        with pytest.raises(ValueError, match="^POWERCYCLE_WORKERS: "):
+            run_experiment(cfg)
 
 
 class TestReplay:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from powercycle.graph_core import Graph, TupleView, complete_graph, complete_multipartite, empty_graph
-from powercycle.models import ModelParams, adversary_partite, gen_blowup, gen_gnp, stream
+from powercycle import regularity
+from powercycle.models import ModelParams, adversary_partite, adversary_random, gen_blowup, gen_gnp, stream
 from powercycle.regularity import (
     RegularityParams,
     RegularityVerdict,
@@ -271,6 +272,64 @@ class TestNicePartition:
         params = RegularityParams(epsilon=0.3, p=0.5)
         with pytest.raises(ValueError):
             build_nice_partition(complete_graph(3), params, m=5, seed=0)
+
+    @staticmethod
+    def _record_refuter_calls(monkeypatch):
+        """Route the survey's refuter through a recorder of its (V1, V2) pairs."""
+        calls = []
+        refute = regularity.check_regular_sampled
+
+        def recorder(graph, V1, V2, *args, **kwargs):
+            calls.append((tuple(V1), tuple(V2)))
+            return refute(graph, V1, V2, *args, **kwargs)
+
+        monkeypatch.setattr(regularity, "check_regular_sampled", recorder)
+        return calls
+
+    def test_only_dense_pairs_are_refuted(self, monkeypatch):
+        # d*p sits strictly between the smallest and the largest pair density
+        # of the drawn classes, so the survey meets both kinds of pair.
+        N, p, m, seed = 120, 0.5, 5, 4
+        g = gen_gnp(ModelParams(N=N, p=p, seed=seed))
+        classes = build_nice_partition(g, RegularityParams(epsilon=0.25, p=p, trials=30), m=m, seed=seed).classes
+        view = TupleView(g, classes)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        dens = {pair: float(view.density(*pair)) for pair in pairs}
+        lo, hi = min(dens.values()), max(dens.values())
+        assert lo < hi
+        params = RegularityParams(epsilon=0.25, p=p, d=(lo + hi) / 2 / p, trials=30)
+        calls = self._record_refuter_calls(monkeypatch)
+        part = build_nice_partition(g, params, m=m, seed=seed)
+        dense = [pair for pair in pairs if dens[pair] >= params.d * p]
+        assert 0 < len(dense) < len(pairs)
+        assert calls == [(tuple(classes[i]), tuple(classes[j])) for i, j in dense]
+        assert part.useful_pairs <= set(dense)
+
+    def test_knee_host_makes_no_refuter_call(self, monkeypatch):
+        # At r = 0.45 every pair density falls near p*(1 - r) < d*p, so the
+        # survey refuses the partition without drawing a single refuter stream.
+        p = 0.35
+        thinned, _ = adversary_random(gen_gnp(ModelParams(N=600, p=p, seed=0)), 0.45, seed=0)
+        calls = self._record_refuter_calls(monkeypatch)
+        params = RegularityParams(epsilon=0.25, p=p, d=2 / 3, mu=2 / 3)
+        part = build_nice_partition(thinned, params, m=6, seed=0)
+        assert calls == []
+        assert part.useful_pairs == frozenset()
+        assert part.partner_ok is False
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 0.0), ("p", -0.1), ("p", 1.5), ("mu", -0.1), ("mu", 1.1), ("trials", -1)],
+    )
+    def test_impossible_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            RegularityParams(**{"epsilon": 0.2, "p": 0.5, field: value})
+
+    @pytest.mark.parametrize("field, value", [("p", 1.0), ("mu", 0.0), ("mu", 1.0), ("trials", 0)])
+    def test_boundary_values_accepted(self, field, value):
+        RegularityParams(**{"epsilon": 0.2, "p": 0.5, field: value})
 
 
 class TestChunking:

@@ -33,6 +33,8 @@ def _parse_seeds(spec: str) -> list:
 def _load_config(args, kind: str) -> ExperimentConfig:
     with open(args.config) as fh:
         data = json.load(fh)
+    if kind == "replay":
+        return ExperimentConfig.from_dict(data)
     if "kind" in data and data["kind"] != kind:
         raise ValueError(f"config kind {data['kind']!r} does not match subcommand {kind!r}")
     data["kind"] = kind
@@ -63,9 +65,12 @@ def main(argv=None) -> int:
     rp.add_argument("--limit", type=int, default=0, help="replay at most this many records")
 
     args = parser.parse_args(argv)
+    try:
+        config = _load_config(args, args.command)
+    except ValueError as err:  # a malformed config or seed list is a usage error
+        parser.error(str(err))
 
     if args.command == "replay":
-        config = ExperimentConfig.from_file(args.config)
         records = load_records(args.records)
         if args.limit:
             records = records[: args.limit]
@@ -76,7 +81,6 @@ def main(argv=None) -> int:
         print(f"replayed {len(records)} records, {mismatches} mismatches")
         return 1 if mismatches else 0
 
-    config = _load_config(args, args.command)
     summary = run_experiment(config)
     print(
         json.dumps(

@@ -62,6 +62,8 @@ __all__ = [
 CLUSTER_SEARCH_CAP = 16
 # Most vertices the brute-force longest-cycle oracle accepts.
 EXACT_SEARCH_CAP = 12
+# Target redraws allowed per induction stage.
+RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,12 @@ class PowerCycle:
 @dataclass(frozen=True)
 class EmbedParams:
     """k: power order; xi: target-set fraction of the window size; delta:
-    expansion slack; eps: admissible leftover fraction; retries: redraws
-    allowed per stage."""
+    expansion slack; eps: admissible leftover fraction."""
 
     k: int
     xi: float
     delta: float
     eps: float
-    retries: int = 5
     seed: int = 0
 
     def expansion(self) -> ExpansionParams:
@@ -305,12 +305,12 @@ def embed_power_cycle(
         return trace if trace.counts[-1] >= threshold * x_ref else None
 
     def target_draws(labels: tuple, tail: list):
-        """Up to retries + 1 fresh target tuples, window m drawn from
+        """Up to RETRIES + 1 fresh target tuples, window m drawn from
         stream(seed, *labels, attempt, m) outside its reserve, path and live
         targets; each comes with the view of the last k live targets, the
         fresh tuple and ``tail``. Yields (None, None) and stops when a window
         pool runs dry."""
-        for attempt in range(params.retries + 1):
+        for attempt in range(RETRIES + 1):
             fresh = [
                 _draw(stream(params.seed, *labels, attempt, m), pools[m], taken, n_tilde)
                 for m in range(t)
@@ -389,7 +389,7 @@ def embed_power_cycle(
             if res.found:
                 break
         else:
-            return EmbedFailure("extend", s, f"no expander after {params.retries + 1} target draws")
+            return EmbedFailure("extend", s, f"no expander after {RETRIES + 1} target draws")
         taken[np.concatenate(targets)] = False
         append_round(res.clique, 0 if s == 1 else k)
         targets = fresh

@@ -1,8 +1,15 @@
 """Experiment harness: declarative configs, seeded trial sweeps, JSONL/CSV
 persistence, and exact replay.
 
-A config names one experiment kind, its parameter dict, and a seed list. Each
-(kind, params, seed) trial is a pure function of its arguments - all
+A config names one experiment kind, its parameter dict, and a seed list. One
+table, ``_EXPERIMENTS``, gives each kind's modes (the first is the default)
+and each mode's trial runner, required and optional params keys, and
+``_ADVERSARIES`` gives each adversary's spec keys. A config is checked against
+them when it is built, so a missing or unknown key, mode or adversary is a
+ValueError naming it before any trial runs; values no config sets are module
+constants. The config hash covers params as given, never their defaults.
+
+Each (kind, params, seed) trial is a pure function of its arguments - all
 randomness is drawn from counter-based streams keyed by the trial seed - so
 parallel and serial sweeps produce identical records and any stored record
 can be replayed bit-exactly. Timings are recorded but never compared.
@@ -21,6 +28,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -32,15 +40,14 @@ from . import graph_core, models, oracles, regularity, typicality, expansion, em
 TRIAL_SCHEMA = "powercycle/trial-v2"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
 
-KINDS = (
-    "count-audit",
-    "regularity-audit",
-    "typicality-audit",
-    "expansion-audit",
-    "embed",
-    "resilience-sweep",
-    "oracle-compare",
-)
+TRIALS = 200  # sampled-refuter trials of a check whose config sets none
+PARTITION_MU = 0.5  # mu of the regularity-audit partition mode
+CERT_EPSILON = CERT_DELTA = 0.45  # the one-step expansion audit's typicality certificate
+REG_EPSILON = 0.25  # epsilon of the partition an embed trial builds
+# oracle-compare's random blow-ups at density ORACLE_P: up to ORACLE_MAX_PARTS
+# parts of up to ORACLE_MAX_SIZE vertices, or ORACLE_K + 1 parts of up to
+# ORACLE_EXPANSION_MAX_SIZE in expansion mode.
+ORACLE_MAX_PARTS, ORACLE_MAX_SIZE, ORACLE_EXPANSION_MAX_SIZE, ORACLE_P, ORACLE_K = 5, 8, 6, 0.5, 2
 
 __all__ = [
     "ExperimentConfig",
@@ -70,6 +77,11 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_fraction(value) -> bool:
+    """True for an int or float (not a bool) in [0, 1]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -83,9 +95,8 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind: unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        if not self.seeds:
+        _lookup(_EXPERIMENTS, "kind", self.kind)
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise ValueError("seeds: must be a nonempty list of integers")
         for seed in self.seeds:
             if not _is_count(seed, 0):
@@ -94,14 +105,27 @@ class ExperimentConfig:
             raise ValueError(f"workers: must be a positive integer, got {self.workers!r}")
         if not isinstance(self.params, dict):
             raise ValueError("params: must be a mapping")
-        required = _REQUIRED_FIELDS[self.kind]
-        for name in required:
-            if name not in self.params:
-                raise ValueError(f"params.{name}: required for kind {self.kind!r}")
-        if self.kind == "resilience-sweep":
+        _, required, optional = _entry(self.kind, self.params)
+        _check_keys("params.", self.params, required, optional + " mode")
+        if "adversary" in self.params:
+            spec = self.params["adversary"]
+            adversary = spec.get("kind") if isinstance(spec, dict) else None
+            _, spec_required, spec_optional = _lookup(_ADVERSARIES, "params.adversary.kind", adversary)
+            _check_keys("params.adversary.", spec, spec_required, spec_optional + " kind")
+        if "r_grid" in self.params:
             grid = self.params["r_grid"]
-            if not grid or any(not (0.0 <= r <= 1.0) for r in grid):
-                raise ValueError("params.r_grid: must be a nonempty list of fractions in [0,1]")
+            distinct = isinstance(grid, (list, tuple)) and all(map(_is_fraction, grid)) and len(set(grid)) == len(grid)
+            if not grid or not distinct:
+                raise ValueError("params.r_grid: must be a nonempty list of distinct fractions in [0,1]")
+        if not isinstance(self.assertions, (list, tuple)):
+            raise ValueError("assertions: must be a list of rules")
+        for rule in self.assertions:
+            _check_keys("assertions.", rule, "", "min_ok_fraction max_ok_fraction r")
+            for key in ("min_ok_fraction", "max_ok_fraction"):
+                if key in rule and not _is_fraction(rule[key]):
+                    raise ValueError(f"assertions.{key}: must be a fraction in [0,1], got {rule[key]!r}")
+            if "r" in rule and rule["r"] not in self.params.get("r_grid", ()):
+                raise ValueError(f"assertions.r: {rule['r']!r} is not in a resilience-sweep's params.r_grid")
 
     @property
     def hash(self) -> str:
@@ -120,14 +144,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(
-            kind=data["kind"],
-            params=data["params"],
-            seeds=list(data["seeds"]),
-            out_dir=data.get("out_dir"),
-            workers=data.get("workers", 1),
-            assertions=list(data.get("assertions", [])),
-        )
+        _check_keys("", data, "kind params seeds", "schema out_dir workers assertions")
+        return cls(**{key: value for key, value in data.items() if key != "schema"})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -174,82 +192,74 @@ class TrialRecord:
 
 
 # ---------------------------------------------------------------------------
-# Trial runners, one per experiment kind. Each is a pure function of
-# (params, seed) returning (measured, ok).
+# Trial runners, one per experiment kind and mode. Each is a pure function of
+# (params, seed) returning (measured, ok); it reads its required keys with
+# params[key] and gives each optional key its default where it reads it.
 
 
-def _run_count_audit(params: dict, seed: int) -> tuple:
-    mode = params.get("mode", "blowup")
-    if mode == "blowup":
-        t, n, p, delta = params["t"], params["n"], params["p"], params["delta"]
-        pattern = graph_core.complete_graph(t)
-        _, view = models.gen_blowup(pattern, n, p, seed)
-        count = graph_core.count_canonical_cliques(view, 0, t)
-        expected = graph_core.expected_clique_count(view, range(t))
-        ratio = count / expected if expected else math.inf
-        ok = (1 - delta) <= ratio <= (1 + delta)
-        return {"count": count, "expected": expected, "ratio": ratio}, ok
-    if mode == "gnp-sets":
-        N, p, t, n_set, eps = params["N"], params["p"], params["t"], params["set_size"], params["eps"]
-        host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
-        rng = models.stream(seed, 53)
-        perm = rng.permutation(N)
-        parts = [perm[i * n_set : (i + 1) * n_set] for i in range(t)]
-        view = graph_core.TupleView(host, parts)
-        ok = typicality.clique_count_upper_check(view, t, eps, p)
-        count = graph_core.count_canonical_cliques(view, 0, t)
-        bound = (1 + eps) * (n_set**t) * p ** (t * (t - 1) // 2)
-        return {"count": count, "bound": bound}, ok
-    raise ValueError(f"params.mode: unknown count-audit mode {mode!r}")
+def _count_blowup(params: dict, seed: int) -> tuple:
+    t, n, p, delta = params["t"], params["n"], params["p"], params["delta"]
+    pattern = graph_core.complete_graph(t)
+    _, view = models.gen_blowup(pattern, n, p, seed)
+    count = graph_core.count_canonical_cliques(view, 0, t)
+    expected = graph_core.expected_clique_count(view, range(t))
+    ratio = count / expected if expected else math.inf
+    ok = (1 - delta) <= ratio <= (1 + delta)
+    return {"count": count, "expected": expected, "ratio": ratio}, ok
 
 
-def _run_regularity_audit(params: dict, seed: int) -> tuple:
-    mode = params.get("mode", "partition")
-    if mode == "partition":
-        N, p = params["N"], params["p"]
-        reg = regularity.RegularityParams(
-            epsilon=params["epsilon"],
-            p=p,
-            d=params["d"],
-            mu=params.get("mu", 0.5),
-            trials=params.get("trials", 200),
-        )
-        host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
-        part = regularity.build_nice_partition(host, reg, m=params["m"], seed=seed)
-        measured = {
-            "classes": part.k,
-            "class_size": part.class_size,
-            "useful_pairs": len(part.useful_pairs),
-            "partner_ok": bool(part.partner_ok),
-        }
-        return measured, bool(part.partner_ok)
-    if mode == "inheritance":
-        n, p, q = params["n"], params["p"], params["q"]
-        pattern = graph_core.complete_graph(2)
-        host, view = models.gen_blowup(pattern, n, p, seed)
-        frac = regularity.inheritance_stats(
-            host,
-            view.parts[0],
-            view.parts[1],
-            q,
-            q,
-            params["eps_prime"],
-            p,
-            samples=params.get("samples", 100),
-            seed=seed,
-        )
-        ok = frac >= params.get("min_fraction", 0.9)
-        return {"fraction_regular": frac}, ok
-    raise ValueError(f"params.mode: unknown regularity-audit mode {mode!r}")
+def _count_gnp_sets(params: dict, seed: int) -> tuple:
+    N, p, t, n_set, eps = params["N"], params["p"], params["t"], params["set_size"], params["eps"]
+    host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
+    rng = models.stream(seed, 53)
+    perm = rng.permutation(N)
+    parts = [perm[i * n_set : (i + 1) * n_set] for i in range(t)]
+    view = graph_core.TupleView(host, parts)
+    ok = typicality.clique_count_upper_check(view, t, eps, p)
+    count = graph_core.count_canonical_cliques(view, 0, t)
+    bound = (1 + eps) * (n_set**t) * p ** (t * (t - 1) // 2)
+    return {"count": count, "bound": bound}, ok
+
+
+def _regularity_partition(params: dict, seed: int) -> tuple:
+    N, p = params["N"], params["p"]
+    reg = regularity.RegularityParams(
+        epsilon=params["epsilon"], p=p, d=params["d"], mu=PARTITION_MU, trials=params.get("trials", TRIALS)
+    )
+    host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
+    part = regularity.build_nice_partition(host, reg, m=params["m"], seed=seed)
+    measured = {
+        "classes": part.k,
+        "class_size": part.class_size,
+        "useful_pairs": len(part.useful_pairs),
+        "partner_ok": bool(part.partner_ok),
+    }
+    return measured, bool(part.partner_ok)
+
+
+def _regularity_inheritance(params: dict, seed: int) -> tuple:
+    n, p, q = params["n"], params["p"], params["q"]
+    pattern = graph_core.complete_graph(2)
+    host, view = models.gen_blowup(pattern, n, p, seed)
+    frac = regularity.inheritance_stats(
+        host,
+        view.parts[0],
+        view.parts[1],
+        q,
+        q,
+        params["eps_prime"],
+        p,
+        samples=params.get("samples", 100),
+        seed=seed,
+    )
+    ok = frac >= params.get("min_fraction", 0.9)
+    return {"fraction_regular": frac}, ok
 
 
 def _run_typicality_audit(params: dict, seed: int) -> tuple:
     t, n, p = params["t"], params["n"], params["p"]
     typ = typicality.TypicalityParams(
-        epsilon=params["epsilon"],
-        delta=params["delta"],
-        p=p,
-        trials=params.get("trials", 200),
+        epsilon=params["epsilon"], delta=params["delta"], p=p, trials=params.get("trials", TRIALS)
     )
     pattern = graph_core.complete_graph(t)
     _, view = models.gen_blowup(pattern, n, p, seed)
@@ -273,40 +283,37 @@ def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> np.nd
     return graph_core.pick_frontier(all_start.shape, positions, picks)
 
 
-def _run_expansion_audit(params: dict, seed: int) -> tuple:
-    mode = params.get("mode", "one-step")
-    if mode not in ("one-step", "main", "halving"):
-        raise ValueError(f"params.mode: unknown expansion-audit mode {mode!r}")
-    k, n, p = params["k"], params["n"], params["p"]
-    delta = params["delta"]
+def _expansion_one_step(params: dict, seed: int) -> tuple:
+    k, n, p, delta, kappa = params["k"], params["n"], params["p"], params["delta"], params["kappa"]
+    typ = typicality.TypicalityParams(epsilon=CERT_EPSILON, delta=CERT_DELTA, p=p, trials=TRIALS)
+    _, view = models.gen_blowup(graph_core.complete_graph(k + 1), n, p, seed)
     exp = expansion.ExpansionParams(k=k, delta=delta)
-    if mode == "one-step":
-        typ = typicality.TypicalityParams(
-            epsilon=params.get("cert_epsilon", 0.45),
-            delta=params.get("cert_delta", 0.45),
-            p=p,
-            trials=params.get("trials", 200),
-        )
-        pattern = graph_core.complete_graph(k + 1)
-        _, view = models.gen_blowup(pattern, n, p, seed)
-        kappa = params["kappa"]
-        try:
-            frac = expansion.one_step_expansion_audit(view, kappa, exp, typ, seed)
-        except expansion.PreconditionError as err:
-            return {"refused": True, "failing": err.failing}, False
-        bound = kappa - 3 * kappa * delta - 6 * delta
-        return {"fraction": frac, "bound": bound}, frac >= bound
-    _, view = models.gen_blowup(_path_power_pattern(2 * k, k), n, p, seed)
-    if mode == "main":
-        start = _sample_start(view, k, delta, 1, seed)
-        trace = expansion.expand_through(start, view, k)
-        bound = 1 - 10 * delta
-        return {
-            "start_size": int(np.count_nonzero(start)),
-            "final_fraction": trace.final_fraction,
-            "bound": bound,
-        }, trace.final_fraction >= bound
+    try:
+        frac = expansion.one_step_expansion_audit(view, kappa, exp, typ, seed)
+    except expansion.PreconditionError as err:
+        return {"refused": True, "failing": err.failing}, False
+    bound = kappa - 3 * kappa * delta - 6 * delta
+    return {"fraction": frac, "bound": bound}, frac >= bound
+
+
+def _expansion_main(params: dict, seed: int) -> tuple:
+    k, delta = params["k"], params["delta"]
+    _, view = models.gen_blowup(_path_power_pattern(2 * k, k), params["n"], params["p"], seed)
+    start = _sample_start(view, k, delta, 1, seed)
+    trace = expansion.expand_through(start, view, k)
+    bound = 1 - 10 * delta
+    return {
+        "start_size": int(np.count_nonzero(start)),
+        "final_fraction": trace.final_fraction,
+        "bound": bound,
+    }, trace.final_fraction >= bound
+
+
+def _expansion_halving(params: dict, seed: int) -> tuple:
+    k, delta = params["k"], params["delta"]
+    _, view = models.gen_blowup(_path_power_pattern(2 * k, k), params["n"], params["p"], seed)
     start = _sample_start(view, k, params.get("start_fraction", delta), 2, seed)
+    exp = expansion.ExpansionParams(k=k, delta=delta)
     audit = expansion.halving_audit(start, view, exp, params.get("n_splits", 3), seed)
     ok = (not audit["start_qualifies"]) or audit["all_ok"]
     return {
@@ -322,37 +329,26 @@ def _path_power_pattern(length: int, k: int) -> graph_core.Graph:
     return graph_core.Graph.from_edges(length, edges)
 
 
-def _apply_adversary(host, spec: dict, seed: int) -> tuple:
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return host, None
-    if kind == "random":
-        thinned, report = models.adversary_random(host, spec["r"], seed)
-        return thinned, report
-    if kind == "partite":
-        thinned, report = models.adversary_partite(host, spec["k"], spec.get("skew", 0.0), seed)
-        return thinned, report
-    if kind == "triangle-killer":
-        thinned, report = models.adversary_triangle_killer(host, spec["victims"])
-        return thinned, report
-    raise ValueError(f"params.adversary.kind: unknown adversary {kind!r}")
+# Adversary kind -> (its call on (host g, spec s, seed) returning the thinned
+# host and its report, required spec keys, optional spec keys).
+_ADVERSARIES = {
+    "none": (lambda g, s, seed: (g, None), "", ""),
+    "random": (lambda g, s, seed: models.adversary_random(g, s["r"], seed), "r", ""),
+    "partite": (lambda g, s, seed: models.adversary_partite(g, s["k"], s.get("skew", 0.0), seed), "k", "skew"),
+    "triangle-killer": (lambda g, s, seed: models.adversary_triangle_killer(g, s["victims"]), "victims", ""),
+}
 
 
 def _run_embed(params: dict, seed: int) -> tuple:
     N, p, k = params["N"], params["p"], params["k"]
     host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
-    thinned, adv_report = _apply_adversary(host, params.get("adversary", {"kind": "none"}), seed)
+    spec = params.get("adversary", {"kind": "none"})
+    thinned, adv_report = _ADVERSARIES[spec["kind"]][0](host, spec, seed)
     measured: dict = {}
     if adv_report is not None:
         measured["adversary"] = adv_report.to_dict()
 
-    reg = regularity.RegularityParams(
-        epsilon=params.get("reg_epsilon", 0.25),
-        p=p,
-        d=params["d"],
-        mu=k / (k + 1),
-        trials=params.get("trials", 200),
-    )
+    reg = regularity.RegularityParams(epsilon=REG_EPSILON, p=p, d=params["d"], mu=k / (k + 1), trials=TRIALS)
     part = regularity.build_nice_partition(thinned, reg, m=params["clusters"], seed=seed)
     measured["partner_ok"] = bool(part.partner_ok)
     red = embedder.build_reduced(part)
@@ -369,14 +365,8 @@ def _run_embed(params: dict, seed: int) -> tuple:
     r_chunks = params.get("r_chunks", 1)
     if r_chunks > 1:
         part = regularity.chunk_partition(part, part.class_size // r_chunks, seed)
-    ep = embedder.EmbedParams(
-        k=k,
-        xi=params.get("xi", params["eps"] / 4),
-        delta=params.get("delta", 0.0225),
-        eps=params["eps"],
-        retries=params.get("retries", 5),
-        seed=seed,
-    )
+    xi, delta = params.get("xi", params["eps"] / 4), params.get("delta", 0.0225)
+    ep = embedder.EmbedParams(k=k, xi=xi, delta=delta, eps=params["eps"], seed=seed)
     result = embedder.embed_power_cycle(thinned, part, cyc, ep)
     if isinstance(result, embedder.PowerCycle):
         # embed_power_cycle returns a cycle only after verify_power_cycle passed it.
@@ -405,81 +395,101 @@ def _run_resilience_point(params: dict, seed: int) -> tuple:
     return measured, ok
 
 
-def _run_oracle_compare(params: dict, seed: int) -> tuple:
-    mode = params.get("mode", "enumeration")
+def _oracle_compare(check, params: dict, seed: int) -> tuple:
+    """Tally ``check(rng)`` over ``instances`` draws from stream(seed, 61); a
+    check returns whether the fast count matched its oracle, or None when its
+    instance holds nothing to compare."""
     rng = models.stream(seed, 61)
-    if mode == "enumeration":
-        mismatches = 0
-        checks = 0
-        for _ in range(params.get("instances", 5)):
-            t = int(rng.integers(2, params.get("max_parts", 5) + 1))
-            sizes = [int(rng.integers(2, params.get("max_size", 8) + 1)) for _ in range(t)]
-            _, view = models.gen_blowup(
-                graph_core.complete_graph(t),
-                max(sizes),
-                params.get("p", 0.5),
-                int(rng.integers(0, 2**31)),
-            )
-            view = graph_core.TupleView(
-                view.graph, [view.parts[i][: sizes[i]] for i in range(t)]
-            )
-            fast = graph_core.count_canonical_cliques(view, 0, t)
-            slow = len(oracles.naive_canonical_cliques(view, 0, t))
-            checks += 1
-            mismatches += fast != slow
-        return {"checks": checks, "mismatches": mismatches}, mismatches == 0
-    if mode == "expansion":
-        k = params.get("k", 2)
-        mismatches = 0
-        checks = 0
-        for _ in range(params.get("instances", 5)):
-            t = k + 1
-            n = int(rng.integers(2, params.get("max_size", 6) + 1))
-            _, view = models.gen_blowup(
-                graph_core.complete_graph(t), n, params.get("p", 0.5), int(rng.integers(0, 2**31))
-            )
-            full = graph_core.window_cliques(view, 0, k)
-            positions = np.nonzero(full)
-            size = len(positions[0])
-            if not size:
-                continue
-            picks = rng.choice(size, size=max(1, size // 2), replace=False)
-            start = graph_core.pick_frontier(full.shape, positions, picks)
-            reach = expansion.expand_through(start, view, 1).frontier
-            fast = frozenset(graph_core.frontier_members(view, reach, 1))
-            slow = oracles.naive_expand_step(view, start)
-            checks += 1
-            mismatches += fast != slow
-        return {"checks": checks, "mismatches": mismatches}, mismatches == 0
-    raise ValueError(f"params.mode: unknown oracle-compare mode {mode!r}")
+    checks = [c for c in (check(rng) for _ in range(params.get("instances", 5))) if c is not None]
+    mismatches = checks.count(False)
+    return {"checks": len(checks), "mismatches": mismatches}, mismatches == 0
 
 
-_RUNNERS = {
-    "count-audit": _run_count_audit,
-    "regularity-audit": _run_regularity_audit,
-    "typicality-audit": _run_typicality_audit,
-    "expansion-audit": _run_expansion_audit,
-    "embed": _run_embed,
-    "resilience-sweep": _run_resilience_point,
-    "oracle-compare": _run_oracle_compare,
+def _enumeration_check(rng) -> bool:
+    t = int(rng.integers(2, ORACLE_MAX_PARTS + 1))
+    sizes = [int(rng.integers(2, ORACLE_MAX_SIZE + 1)) for _ in range(t)]
+    _, view = models.gen_blowup(
+        graph_core.complete_graph(t), max(sizes), ORACLE_P, int(rng.integers(0, 2**31))
+    )
+    view = graph_core.TupleView(view.graph, [view.parts[i][: sizes[i]] for i in range(t)])
+    return graph_core.count_canonical_cliques(view, 0, t) == len(oracles.naive_canonical_cliques(view, 0, t))
+
+
+def _expansion_check(rng) -> Optional[bool]:
+    n = int(rng.integers(2, ORACLE_EXPANSION_MAX_SIZE + 1))
+    _, view = models.gen_blowup(
+        graph_core.complete_graph(ORACLE_K + 1), n, ORACLE_P, int(rng.integers(0, 2**31))
+    )
+    full = graph_core.window_cliques(view, 0, ORACLE_K)
+    positions = np.nonzero(full)
+    size = len(positions[0])
+    if not size:
+        return None
+    picks = rng.choice(size, size=max(1, size // 2), replace=False)
+    start = graph_core.pick_frontier(full.shape, positions, picks)
+    reach = expansion.expand_through(start, view, 1).frontier
+    return frozenset(graph_core.frontier_members(view, reach, 1)) == oracles.naive_expand_step(view, start)
+
+
+# Experiment kind -> mode -> (trial runner, required params keys, optional
+# params keys). A kind's first mode is its default, and a kind of one mode
+# names it None; "mode" itself is allowed for every kind.
+_EXPERIMENTS = {
+    "count-audit": {
+        "blowup": (_count_blowup, "t n p delta", ""),
+        "gnp-sets": (_count_gnp_sets, "N p t set_size eps", ""),
+    },
+    "regularity-audit": {
+        "partition": (_regularity_partition, "N p epsilon d m", "trials"),
+        "inheritance": (_regularity_inheritance, "n p q eps_prime", "samples min_fraction"),
+    },
+    "typicality-audit": {None: (_run_typicality_audit, "t n p epsilon delta", "trials")},
+    "expansion-audit": {
+        "one-step": (_expansion_one_step, "k n p delta kappa", ""),
+        "main": (_expansion_main, "k n p delta", ""),
+        "halving": (_expansion_halving, "k n p delta", "start_fraction n_splits"),
+    },
+    "embed": {None: (_run_embed, "N p k d eps clusters", "adversary r_chunks xi delta")},
+    "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "r_chunks xi delta")},
+    "oracle-compare": {
+        "enumeration": (partial(_oracle_compare, _enumeration_check), "", "instances"),
+        "expansion": (partial(_oracle_compare, _expansion_check), "", "instances"),
+    },
 }
+KINDS = tuple(_EXPERIMENTS)
 
-_REQUIRED_FIELDS = {
-    "count-audit": ("p",),
-    "regularity-audit": ("p", "epsilon", "d"),
-    "typicality-audit": ("t", "n", "p", "epsilon", "delta"),
-    "expansion-audit": ("k", "n", "p", "delta"),
-    "embed": ("N", "p", "k", "d", "eps", "clusters"),
-    "resilience-sweep": ("N", "p", "k", "d", "eps", "clusters", "r_grid"),
-    "oracle-compare": (),
-}
+
+def _lookup(table: dict, path: str, name):
+    """table[name], or a ValueError naming ``path`` and the choices."""
+    if name not in tuple(table):
+        raise ValueError(f"{path}: unknown {name!r}; choose from {tuple(table)}")
+    return table[name]
+
+
+def _entry(kind: str, params: dict) -> tuple:
+    """(runner, required keys, optional keys) of a config's kind and mode."""
+    return _lookup(_EXPERIMENTS[kind], "params.mode", params.get("mode", next(iter(_EXPERIMENTS[kind]))))
+
+
+def _check_keys(path: str, given, required: str, optional: str) -> None:
+    """Refuse a ``given`` mapping that lacks a required key or holds a key
+    that is neither required nor optional; errors name ``path + key``."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{path.rstrip('.') or 'config'}: must be a mapping")
+    for key in required.split():
+        if key not in given:
+            raise ValueError(f"{path}{key}: required")
+    allowed = required.split() + optional.split()
+    for key in given:
+        if key not in allowed:
+            raise ValueError(f"{path}{key}: unknown key; allowed: {', '.join(allowed)}")
 
 
 def _run_trial(args: tuple) -> dict:
     kind, params, seed, chash = args
     start = time.perf_counter()
     try:
-        measured, ok = _RUNNERS[kind](params, seed)
+        measured, ok = _entry(kind, params)[0](params, seed)
     except Exception as err:  # trial-level failure: recorded, not fatal
         measured, ok = {"error": f"{type(err).__name__}: {err}"}, False
     elapsed = time.perf_counter() - start

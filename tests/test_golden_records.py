@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from powercycle import harness
 from powercycle.graph_core import complete_graph, count_canonical_cliques, enumerate_canonical_cliques
 from powercycle.harness import ExperimentConfig, TrialRecord, _path_power_pattern, run_experiment
 from powercycle.models import gen_blowup
@@ -114,10 +115,10 @@ GOLDEN = {
     ),
     "regularity-inheritance": (
         "regularity-audit",
-        {"mode": "inheritance", "n": 40, "p": 0.5, "q": 16, "eps_prime": 0.3, "samples": 20, "min_fraction": 0.5, "epsilon": 0.3, "d": 0.5},
+        {"mode": "inheritance", "n": 40, "p": 0.5, "q": 16, "eps_prime": 0.3, "samples": 20, "min_fraction": 0.5},
         [0, 1],
         {True: 2},
-        "c43d3cb9414b48d116412252e343966526eda04a20e51642de5253c95f728d36",
+        "39431cfd60f4ac87038cb83ed6631e3431f9c24df182f5ab05e3bc944d3f43f8",
     ),
     "typicality": (
         "typicality-audit",
@@ -152,6 +153,43 @@ def test_records_match_golden_hash(name):
     assert tally == outcomes
     blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
     assert hashlib.sha256(blob).hexdigest() == expected
+
+
+class _ReadKeys(dict):
+    """A params mapping that records every key looked up in it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _declared(entry: tuple, *always: str) -> set:
+    """The keys a config table entry (runner or call, required, optional) declares."""
+    return set(entry[1].split()) | set(entry[2].split()) | set(always)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_runners_read_only_declared_keys(name):
+    # A key a runner reads but the table does not declare could never be
+    # set: the config check refuses it as unknown.
+    kind, params, seeds, _, _ = GOLDEN[name]
+    watched = _ReadKeys(params)
+    spec = _ReadKeys(params.get("adversary", {}))
+    if "adversary" in params:
+        watched["adversary"] = spec
+    summary = run_experiment(ExperimentConfig(kind=kind, params=watched, seeds=seeds))
+    assert not any("error" in r["measured"] for r in summary.records)
+    assert watched.read and watched.read <= _declared(harness._entry(kind, params), "mode")
+    if spec:
+        assert spec.read <= _declared(harness._ADVERSARIES[spec["kind"]], "kind")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

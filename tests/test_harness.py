@@ -16,6 +16,7 @@ from powercycle.harness import (
     summarize_records,
 )
 from powercycle.cli import main as cli_main
+from powercycle.models import ModelParams, adversary_partite, adversary_triangle_killer, gen_gnp
 
 
 def tiny_embed_params(**overrides):
@@ -31,6 +32,11 @@ def tiny_embed_params(**overrides):
     }
     params.update(overrides)
     return params
+
+
+# A sweep sets its own random adversary at each grid point, so its params
+# name none.
+SWEEP_PARAMS = {key: value for key, value in tiny_embed_params().items() if key != "adversary"}
 
 
 class TestConfig:
@@ -63,6 +69,67 @@ class TestConfig:
     def test_missing_field_names_path(self):
         with pytest.raises(ValueError, match="params.N"):
             ExperimentConfig(kind="embed", params={"p": 0.5}, seeds=[1])
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("count-audit", {"n": 20, "p": 0.5, "delta": 0.2}, "t"),
+            ("count-audit", {"mode": "blowpu", "t": 3, "n": 20, "p": 0.5, "delta": 0.2}, "mode"),
+            ("regularity-audit", {"mode": "partition", "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4}, "N"),
+            ("embed", tiny_embed_params(adversary={"kind": "random"}), "adversary.r"),
+            ("embed", tiny_embed_params(adversary={"kind": "randon", "r": 0.1}), "adversary.kind"),
+            ("embed", tiny_embed_params(retires=9), "retires"),
+            ("typicality-audit", {"mode": "main", "t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4}, "mode"),
+        ],
+    )
+    def test_malformed_params_refused_before_any_trial(self, kind, params, key):
+        # Each of these used to build, then run every seed as a crashed
+        # record (or, for the typo and the mode of another kind, run with the
+        # key ignored).
+        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
+            ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, 0.0], [0, 0.0], [True], ["0.1"], [None], [], [1.5], 0.1]
+    )
+    def test_bad_r_grid_names_r_grid(self, grid):
+        # A duplicate ran each seed twice and counted both in the curve; True
+        # passed as 1, and a string raised a TypeError.
+        with pytest.raises(ValueError, match=r"^params\.r_grid: "):
+            ExperimentConfig(kind="resilience-sweep", params={**SWEEP_PARAMS, "r_grid": grid}, seeds=[0])
+
+    @pytest.mark.parametrize(
+        "rule, key",
+        [
+            ({"min_ok_fracton": 0.9}, "min_ok_fracton"),
+            ({"min_ok_fraction": 1.5}, "min_ok_fraction"),
+            ({"max_ok_fraction": -0.1}, "max_ok_fraction"),
+            ({"min_ok_fraction": True}, "min_ok_fraction"),
+            ({"r": 0.1, "min_ok_fraction": 0.5}, "r"),
+        ],
+    )
+    def test_bad_assertion_refused(self, rule, key):
+        with pytest.raises(ValueError, match=rf"^assertions\.{key}: "):
+            ExperimentConfig(kind="embed", params=tiny_embed_params(), seeds=[0], assertions=[rule])
+
+    def test_r_rule_only_for_a_grid_point(self):
+        params = {**SWEEP_PARAMS, "r_grid": [0.0, 0.5]}
+        ExperimentConfig(kind="resilience-sweep", params=params, seeds=[0], assertions=[{"r": 0.5}])
+        with pytest.raises(ValueError, match=r"^assertions\.r: "):
+            ExperimentConfig(kind="resilience-sweep", params=params, seeds=[0], assertions=[{"r": 0.25}])
+
+    @pytest.mark.parametrize("field, value", [("seeds", 5), ("assertions", None)])
+    def test_non_list_names_the_field(self, field, value):
+        # Each of these used to raise a TypeError instead.
+        data = {"kind": "oracle-compare", "params": {}, "seeds": [0], field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            ExperimentConfig.from_dict(data)
+
+    def test_unknown_top_level_key_refused(self):
+        # "assertion" (singular) used to drop every assertion silently.
+        data = {"kind": "oracle-compare", "params": {}, "seeds": [0], "assertion": [{"min_ok_fraction": 1.0}]}
+        with pytest.raises(ValueError, match="^assertion: "):
+            ExperimentConfig.from_dict(data)
 
     def test_hash_depends_on_params_only(self):
         a = ExperimentConfig(kind="oracle-compare", params={"instances": 3}, seeds=[1])
@@ -185,6 +252,24 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class TestAdversaries:
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            ({"kind": "partite", "k": 2, "skew": 0.0}, lambda host, seed: adversary_partite(host, 2, 0.0, seed)),
+            ({"kind": "triangle-killer", "victims": [0]}, lambda host, seed: adversary_triangle_killer(host, [0])),
+        ],
+    )
+    def test_embed_runs_the_adversary_of_its_spec(self, spec, direct):
+        params = tiny_embed_params(adversary=spec)
+        summary = run_experiment(ExperimentConfig(kind="embed", params=params, seeds=[0, 1]))
+        assert summary.stats["errors"] == 0
+        for record in summary.records:
+            host = gen_gnp(ModelParams(N=params["N"], p=params["p"], seed=record["seed"]))
+            _, report = direct(host, record["seed"])
+            assert record["measured"]["adversary"]["deleted_edges"] == report.deleted_edges > 0
+
+
 class TestReplay:
     def _config_and_records(self):
         cfg = ExperimentConfig(
@@ -231,7 +316,7 @@ class TestResilienceSweep:
         )
         sweep_cfg = ExperimentConfig(
             kind="resilience-sweep",
-            params={**tiny_embed_params(), "r_grid": [0.0, 1.0]},
+            params={**SWEEP_PARAMS, "r_grid": [0.0, 1.0]},
             seeds=[0, 1],
         )
         out = resilience_sweep(sweep_cfg)
@@ -241,7 +326,7 @@ class TestResilienceSweep:
     def test_curve_tsv_written(self, tmp_path):
         sweep_cfg = ExperimentConfig(
             kind="resilience-sweep",
-            params={**tiny_embed_params(), "r_grid": [0.0]},
+            params={**SWEEP_PARAMS, "r_grid": [0.0]},
             seeds=[0],
             out_dir=str(tmp_path),
         )
@@ -289,6 +374,15 @@ class TestCli:
         assert code == 0
         jsonl = next(p for p in out.iterdir() if p.suffix == ".jsonl")
         assert len(load_records(jsonl)) == 4
+
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        params = {key: value for key, value in tiny_embed_params().items() if key != "N"}
+        cfg_path.write_text(json.dumps({"params": params, "seeds": [0]}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["embed", "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("error: params.N: required")
 
     def test_replay_subcommand(self, tmp_path):
         cfg = {

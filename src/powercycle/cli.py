@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .harness import KINDS, ExperimentConfig, load_records, replay, run_experiment
+from .harness import KINDS, ExperimentConfig, load_records, replay, run_experiment, run_settings
 
 
 def _parse_seeds(spec: str) -> list:
@@ -81,6 +81,10 @@ def main(argv=None) -> int:
         print(f"replayed {len(records)} records, {mismatches} mismatches")
         return 1 if mismatches else 0
 
+    try:
+        run_settings(config, None)
+    except ValueError as err:  # so is a malformed POWERCYCLE_WORKERS
+        parser.error(str(err))
     summary = run_experiment(config)
     print(
         json.dumps(

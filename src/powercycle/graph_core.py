@@ -104,20 +104,40 @@ def mirror_upper(adj: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _checked_adjacency(adj) -> np.ndarray:
+    """``adj`` as a bool array (itself when it is one), once it is square,
+    irreflexive and symmetric."""
+    adj = np.asarray(adj, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be a square boolean matrix")
+    if adj.diagonal().any():
+        raise ValueError("adjacency must be irreflexive")
+    if not all(np.array_equal(adj[a, b], adj[b, a].T) for a, b in _upper_tiles(adj.shape[0])):
+        raise ValueError("adjacency must be symmetric")
+    return adj
+
+
 class Graph:
-    """Simple undirected graph on vertex ids ``0..n-1``, immutable after construction."""
+    """Simple undirected graph on vertex ids ``0..n-1``, immutable after construction.
+
+    ``Graph(adj)`` checks ``adj`` and keeps a read-only copy of it, so the
+    caller's array stays its own. ``Graph._adopt(adj)``, for a bool matrix
+    built inside the package and written by no one afterwards, runs the same
+    checks and keeps ``adj`` itself, marked read-only: a generator or an
+    adversary hands over its matrix without a second N x N copy."""
 
     __slots__ = ("n", "adj", "_rows", "_degrees")
 
     def __init__(self, adj: np.ndarray):
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be a square boolean matrix")
-        if adj.diagonal().any():
-            raise ValueError("adjacency must be irreflexive")
-        if not all(np.array_equal(adj[a, b], adj[b, a].T) for a, b in _upper_tiles(adj.shape[0])):
-            raise ValueError("adjacency must be symmetric")
-        adj = adj.copy()
+        self._hold(_checked_adjacency(adj).copy())
+
+    @classmethod
+    def _adopt(cls, adj: np.ndarray) -> "Graph":
+        graph = cls.__new__(cls)
+        graph._hold(_checked_adjacency(adj))
+        return graph
+
+    def _hold(self, adj: np.ndarray) -> None:
         adj.setflags(write=False)
         self.n = int(adj.shape[0])
         self.adj = adj

@@ -54,6 +54,7 @@ __all__ = [
     "TrialRecord",
     "ExperimentSummary",
     "run_experiment",
+    "run_settings",
     "resilience_sweep",
     "replay",
     "canonical_json",
@@ -82,6 +83,11 @@ def _is_fraction(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
+def _check_out_dir(out_dir) -> None:
+    if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):
+        raise ValueError(f"out_dir: must be a directory path, got {out_dir!r}")
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -103,6 +109,7 @@ class ExperimentConfig:
                 raise ValueError(f"seeds: every seed must be a non-negative integer, got {seed!r}")
         if not _is_count(self.workers, 1):
             raise ValueError(f"workers: must be a positive integer, got {self.workers!r}")
+        _check_out_dir(self.out_dir)
         if not isinstance(self.params, dict):
             raise ValueError("params: must be a mapping")
         _, required, optional = _entry(self.kind, self.params)
@@ -344,6 +351,10 @@ def _run_embed(params: dict, seed: int) -> tuple:
     host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
     spec = params.get("adversary", {"kind": "none"})
     thinned, adv_report = _ADVERSARIES[spec["kind"]][0](host, spec, seed)
+    # Only the thinned graph is read from here on (it is the host when
+    # nothing was deleted), so the host's matrix is not held through the
+    # partition and the embedding.
+    del host
     measured: dict = {}
     if adv_report is not None:
         measured["adversary"] = adv_report.to_dict()
@@ -572,16 +583,26 @@ def _check_assertions(config: ExperimentConfig, records: list) -> bool:
     return True
 
 
+def run_settings(config: ExperimentConfig, out_dir) -> tuple:
+    """(output directory, worker count) of a run of ``config``: ``out_dir``,
+    else the config's, else POWERCYCLE_OUT (None: nothing is written), and
+    POWERCYCLE_WORKERS, else the config's workers. A malformed value is a
+    ValueError naming it."""
+    out_dir = out_dir or config.out_dir or os.environ.get("POWERCYCLE_OUT")
+    _check_out_dir(out_dir)
+    env_workers = os.environ.get("POWERCYCLE_WORKERS")
+    if env_workers is None:
+        return out_dir, config.workers
+    if not env_workers.strip().isdecimal() or int(env_workers) < 1:
+        raise ValueError(f"POWERCYCLE_WORKERS: must be a positive integer, got {env_workers!r}")
+    return out_dir, int(env_workers)
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     """Execute one trial per seed (per grid point for sweeps), persist JSONL
-    records plus a CSV summary, and evaluate the configured assertions."""
-    out_dir = out_dir or config.out_dir or os.environ.get("POWERCYCLE_OUT")
-    workers = config.workers
-    env_workers = os.environ.get("POWERCYCLE_WORKERS")
-    if env_workers is not None:
-        if not env_workers.strip().isdecimal() or int(env_workers) < 1:
-            raise ValueError(f"POWERCYCLE_WORKERS: must be a positive integer, got {env_workers!r}")
-        workers = int(env_workers)
+    records plus a CSV summary, and evaluate the configured assertions. The
+    run's settings (``run_settings``) are checked before the first trial."""
+    out_dir, workers = run_settings(config, out_dir)
     chash = config.hash
 
     if config.kind == "resilience-sweep":

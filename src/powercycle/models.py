@@ -128,7 +128,7 @@ def gen_gnp(params: ModelParams) -> Graph:
     rows = max(1, _DRAW_BLOCK // n)
     for r in range(0, n, rows):
         np.less(rng.random((min(rows, n - r), n)), params.p, out=adj[r : r + rows])
-    return Graph(mirror_upper(adj))
+    return Graph._adopt(mirror_upper(adj))
 
 
 def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
@@ -146,13 +146,15 @@ def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
         block = rng.random((n, n)) < p
         adj[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
         adj[j * n : (j + 1) * n, i * n : (i + 1) * n] = block.T
-    graph = Graph(adj)
+    graph = Graph._adopt(adj)
     parts = [np.arange(i * n, (i + 1) * n) for i in range(t)]
     return graph, TupleView(graph, parts)
 
 
 def _report(before: Graph, after_adj: np.ndarray, budget=None) -> tuple:
-    after = Graph(after_adj)
+    """The thinned graph, adopting ``after_adj`` (a fresh matrix of the
+    adversary's own), and its report against ``before``."""
+    after = Graph._adopt(after_adj)
     per_vertex = before.degrees() - after.degrees()
     deleted = int(per_vertex.sum()) // 2
     return after, AdversaryReport(
@@ -204,6 +206,9 @@ def adversary_triangle_killer(graph: Graph, victims: Sequence[int]) -> tuple:
 # Segments at or below this many live edges are settled by the sequential rule.
 _LEAF_EDGES = 256
 
+# Positions of the shuffled order per block of adversary_random's walk.
+_SETTLE_BLOCK = 1 << 16
+
 
 def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     """Delete edges in uniformly random order, skipping any edge whose
@@ -219,44 +224,43 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule.
 
     The random order is the edges' flat positions (``Graph.edge_positions``)
-    shuffled in place and split into endpoint arrays, so the edge list costs
-    one int64 word per endpoint and no other array of its length is kept."""
+    shuffled in place, held as int32 when n * n fits, and walked in
+    consecutive blocks of _SETTLE_BLOCK positions. ``_settle`` gives the
+    sequential outcome on any segment from the counts of every edge before
+    it, and consecutive blocks taken in order are such segments, so the walk
+    is exact. A block is short enough for vertices to be safe in it, where
+    the first levels of a whole-order segment only build masks that decide
+    nothing. Each block is split into int64 endpoints, so no endpoint array
+    is longer than a block, and deleted edges are cleared straight in one
+    copy of the adjacency, which the thinned graph adopts."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0,1], got {r}")
     rng = stream(seed, 3)
+    n = graph.n
     budget = np.floor(r * graph.degrees()).astype(np.int64)
-    # An in-place shuffle makes the draws of permutation(m) and moves each
-    # position where that permutation would; divmod then splits the positions
-    # into endpoints, writing u over them.
-    us = graph.edge_positions()
-    rng.shuffle(us)
-    vs = np.empty_like(us)
-    np.divmod(us, graph.n, out=(us, vs))
-    pair = [us, vs]
-    del us, vs
-    deleted: list = []
-    _settle(pair, np.zeros(graph.n, dtype=np.int64), budget, deleted)
-    du, dv = (np.concatenate(side) for side in zip(*deleted))
-    del deleted
+    # An in-place shuffle makes the draws of permutation(m), whatever the
+    # dtype, and moves each position where that permutation would.
+    order = graph.edge_positions()
+    if n * n <= 1 << 31:
+        order = order.astype(np.int32)
+    rng.shuffle(order)
     adj = graph.adj.copy()
-    adj[du, dv] = False
-    adj[dv, du] = False
+    cnt = np.zeros(n, dtype=np.int64)
+    for lo in range(0, order.size, _SETTLE_BLOCK):
+        us, vs = np.divmod(order[lo : lo + _SETTLE_BLOCK].astype(np.int64), n)
+        _settle(us, vs, cnt, budget, adj)
     return _report(graph, adj, budget)
 
 
-def _settle(pair: list, cnt, budget, deleted: list) -> None:
+def _settle(us, vs, cnt, budget, adj) -> None:
     """Apply the greedy budgeted rule to the edges (us[i], vs[i]) in order,
-    given the deletion counts ``cnt`` of all edges before them: append the
-    deleted edges to ``deleted`` as (u array, v array) and raise ``cnt``.
-    ``pair`` is the list [us, vs], emptied on entry so that the caller holds
-    no reference to the arrays once they are filtered.
+    given the deletion counts ``cnt`` of all edges before them: clear each
+    deleted edge in ``adj`` (both triangles) and raise ``cnt``.
 
     Deleting the safe-safe edges of a segment up front raises only safe
     vertices' counts, and a safe vertex stays below its budget for every later
     edge of the segment, so the rest of the segment and its halves see the
     same decisions as the sequential rule."""
-    us, vs = pair
-    pair.clear()
     below = cnt < budget
     live = below[us] & below[vs]
     if not live.all():
@@ -269,7 +273,8 @@ def _settle(pair: list, cnt, budget, deleted: list) -> None:
                 cnt[v] += 1
                 du.append(u)
                 dv.append(v)
-        deleted.append((np.array(du, dtype=np.int64), np.array(dv, dtype=np.int64)))
+        adj[du, dv] = False
+        adj[dv, du] = False
         return
     n = len(cnt)
     safe = cnt + np.bincount(us, minlength=n) + np.bincount(vs, minlength=n) <= budget
@@ -277,13 +282,12 @@ def _settle(pair: list, cnt, budget, deleted: list) -> None:
     if free.any():
         fu, fv = us[free], vs[free]
         cnt += np.bincount(fu, minlength=n) + np.bincount(fv, minlength=n)
-        deleted.append((fu, fv))
+        adj[fu, fv] = False
+        adj[fv, fu] = False
         us, vs = us[~free], vs[~free]
-    # No mask of the segment's length lives through the recursion below.
-    del live, free
     half = len(us) // 2
-    _settle([us[:half], vs[:half]], cnt, budget, deleted)
-    _settle([us[half:], vs[half:]], cnt, budget, deleted)
+    _settle(us[:half], vs[:half], cnt, budget, adj)
+    _settle(us[half:], vs[half:], cnt, budget, adj)
 
 
 def partite_blocker_sizes(N: int, k: int) -> list:

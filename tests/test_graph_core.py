@@ -25,7 +25,15 @@ from powercycle.graph_core import (
     save_parts,
     window_cliques,
 )
-from powercycle.models import ModelParams, gen_blowup, gen_gnp, stream
+from powercycle.models import (
+    ModelParams,
+    adversary_partite,
+    adversary_random,
+    adversary_triangle_killer,
+    gen_blowup,
+    gen_gnp,
+    stream,
+)
 
 from powercycle.oracles import naive_canonical_cliques
 
@@ -107,6 +115,52 @@ class TestGraph:
         g = complete_graph(4)
         with pytest.raises(ValueError):
             g.adj[0, 1] = False
+
+    @staticmethod
+    def _bad_matrices():
+        loop = np.zeros((3, 3), dtype=bool)
+        loop[1, 1] = True
+        asymmetric = np.zeros((300, 300), dtype=bool)
+        asymmetric[10, 280] = True
+        return [np.zeros((2, 3), dtype=bool), np.zeros(4, dtype=bool), loop, asymmetric]
+
+    @pytest.mark.parametrize("make", [Graph, Graph._adopt], ids=["copy", "adopt"])
+    def test_both_paths_refuse_the_same_matrices(self, make):
+        for adj in self._bad_matrices():
+            with pytest.raises(ValueError, match="^adjacency must be"):
+                make(adj)
+
+    def test_adopt_keeps_the_matrix_read_only(self):
+        adj = complete_graph(5).adj.copy()
+        g = Graph._adopt(adj)
+        assert g.adj is adj and not adj.flags.writeable
+        assert g == complete_graph(5)
+
+    def test_constructor_copies(self):
+        adj = complete_graph(5).adj.copy()
+        g = Graph(adj)
+        assert not np.shares_memory(g.adj, adj) and adj.flags.writeable
+        adj[0, 1] = adj[1, 0] = False
+        assert g == complete_graph(5)
+
+    def test_generators_hand_over_their_matrix(self, monkeypatch):
+        # gen_gnp, gen_blowup and the adversaries' reports adopt the matrix
+        # they built rather than copy it.
+        copies = []
+        real_init = Graph.__init__
+
+        def counting_init(self, adj):
+            copies.append(np.shape(adj))
+            real_init(self, adj)
+
+        host = gen_gnp(ModelParams(N=40, p=0.5, seed=1))
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        gen_gnp(ModelParams(N=40, p=0.5, seed=1))
+        gen_blowup(host, 3, 0.5, 2)
+        adversary_random(host, 0.3, 3)
+        adversary_partite(host, 2, 0.0, 4)
+        adversary_triangle_killer(host, [0])
+        assert copies == []
 
     def test_rows_match_matrix(self):
         g = gen_gnp(ModelParams(N=40, p=0.5, seed=9))

@@ -15,6 +15,7 @@ from powercycle.harness import (
     run_experiment,
     summarize_records,
 )
+from powercycle import harness
 from powercycle.cli import main as cli_main
 from powercycle.models import ModelParams, adversary_partite, adversary_triangle_killer, gen_gnp
 
@@ -124,6 +125,20 @@ class TestConfig:
         data = {"kind": "oracle-compare", "params": {}, "seeds": [0], field: value}
         with pytest.raises(ValueError, match=f"^{field}: "):
             ExperimentConfig.from_dict(data)
+
+    def test_non_path_out_dir_refused_before_any_trial(self, monkeypatch):
+        # Such an out_dir used to reach Path() only after every trial had run.
+        data = {"kind": "oracle-compare", "params": {"instances": 1}, "seeds": [0], "out_dir": 5}
+        with pytest.raises(ValueError, match="^out_dir: "):
+            ExperimentConfig.from_dict(data)
+
+        def refuse(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", refuse)
+        cfg = ExperimentConfig(kind="oracle-compare", params={"instances": 1}, seeds=[0])
+        with pytest.raises(ValueError, match="^out_dir: "):
+            run_experiment(cfg, out_dir=5)
 
     def test_unknown_top_level_key_refused(self):
         # "assertion" (singular) used to drop every assertion silently.
@@ -383,6 +398,16 @@ class TestCli:
             cli_main(["embed", "--config", str(cfg_path)])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith("error: params.N: required")
+
+    def test_bad_env_workers_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": {"instances": 1}, "seeds": [0]}))
+        monkeypatch.setenv("POWERCYCLE_WORKERS", "0")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["oracle-compare", "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith("error: POWERCYCLE_WORKERS: must be a positive integer, got '0'")
 
     def test_replay_subcommand(self, tmp_path):
         cfg = {

@@ -361,6 +361,26 @@ class TestEmbed:
         with pytest.raises(ValueError, match="disjoint"):
             embed_power_cycle(g, part, PowerCycle((0, 1, 2), 2), params)
 
+    def test_cycle_naming_a_missing_class_rejected(self):
+        from powercycle.regularity import RegularPartition
+
+        g = complete_graph(12)
+        classes = [np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([6, 7, 8])]
+        part = RegularPartition(exceptional=np.array([9, 10, 11]), classes=classes)
+        params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
+        with pytest.raises(ValueError, match="cluster cycle does not match the partition's classes"):
+            embed_power_cycle(g, part, PowerCycle((0, 1, 2, 3), 2), params)
+
+    def test_unequal_window_pools_rejected(self):
+        from powercycle.regularity import RegularPartition
+
+        g = complete_graph(12)
+        classes = [np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([6, 7])]
+        part = RegularPartition(exceptional=np.array([8, 9, 10, 11]), classes=classes)
+        params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
+        with pytest.raises(ValueError, match="window pools must have a common size"):
+            embed_power_cycle(g, part, PowerCycle((0, 1, 2), 2), params)
+
     @pytest.mark.parametrize("seed,step", [(0, 1), (11, 2)])
     def test_audit_catches_draws_that_ignore_the_mask(self, monkeypatch, seed, step):
         # With a draw that ignores ``taken``, a target lands on a reserve

@@ -19,7 +19,6 @@ from powercycle import (
     build_nice_partition,
     check_regular_exact,
     check_regular_sampled,
-    chunk_partition,
     complete_multipartite,
     gen_gnp,
     inheritance_stats,
@@ -51,9 +50,6 @@ params = RegularityParams(epsilon=0.25, p=0.3, d=0.9, mu=0.6, trials=200)
 partition = build_nice_partition(host, params, m=4, seed=1)
 print(f"  class size {partition.class_size}, useful pairs {sorted(partition.useful_pairs)},")
 print(f"  dense partners per class {partition.partner_counts()}, property holds: {partition.partner_ok}")
-
-chunked = chunk_partition(partition, 100, seed=1)
-print(f"  chunked at q=100: {chunked.k} chunks, exceptional grows to {len(chunked.exceptional)}")
 
 frac = inheritance_stats(
     host, partition.classes[0], partition.classes[1], 60, 60, 0.3, 0.3, samples=200, seed=2

@@ -31,7 +31,6 @@ from .regularity import (
     build_nice_partition,
     check_regular_exact,
     check_regular_sampled,
-    chunk_partition,
     inheritance_stats,
 )
 from .typicality import (

@@ -4,7 +4,7 @@ plus the exact small-instance oracles that keep it honest.
 The pipeline: build a reduced graph on partition classes (edges for unrefuted
 pairs of density at least d*p), find a power-cycle ordering of the classes
 with the exact search of the longest-cycle oracle and check it with the
-verifier of the host cycle, lay the chunked classes out as t cyclic windows,
+verifier of the host cycle, lay the classes out as t cyclic windows,
 then grow a k-path one window-round at a time. Each round draws fresh target
 sets, asks the expansion engine for one clique of the current frontier that
 expands well into them, and realizes one new vertex per window from the stored
@@ -89,6 +89,14 @@ class EmbedParams:
     delta: float
     eps: float
     seed: int = 0
+
+    def __post_init__(self):
+        # At xi >= 1/2 the 1 - 2*xi share of a window left for the induction
+        # is empty; at eps >= 1 every cycle length is admissible.
+        if not (0.0 < self.xi < 0.5):
+            raise ValueError(f"xi must lie in (0,1/2), got {self.xi}")
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError(f"eps must lie in (0,1), got {self.eps}")
 
     def expansion(self) -> ExpansionParams:
         return ExpansionParams(k=self.k, delta=self.delta)
@@ -229,25 +237,11 @@ def _one_hots(frontier: np.ndarray):
 
 
 def _layout_windows(partition: RegularPartition, cycle: PowerCycle) -> list:
-    """Window pools along the cluster cycle: one pool per chunk, round-major
-    (round j visits chunk j of every cluster in cycle order)."""
-    if partition.parent is None:
-        groups = {i: [cls] for i, cls in enumerate(partition.classes)}
-    else:
-        groups = {}
-        for idx, par in enumerate(partition.parent):
-            groups.setdefault(par, []).append(partition.classes[idx])
-    t0 = len(cycle)
-    if sorted(groups) != list(range(t0)):
+    """Window pools along the cluster cycle: one pool per cluster, the
+    partition's classes in cycle order."""
+    if sorted(cycle.vertices) != list(range(partition.k)):
         raise ValueError("cluster cycle does not match the partition's classes")
-    rounds = {len(g) for g in groups.values()}
-    if len(rounds) != 1:
-        raise ValueError("all clusters must carry the same number of chunks")
-    r = rounds.pop()
-    pools = []
-    for j in range(r):
-        for pos in range(t0):
-            pools.append(groups[cycle.vertices[pos]][j])
+    pools = [partition.classes[v] for v in cycle.vertices]
     sizes = {len(p) for p in pools}
     if len(sizes) != 1:
         raise ValueError("window pools must have a common size")

@@ -373,9 +373,6 @@ def _run_embed(params: dict, seed: int) -> tuple:
         measured.update({"success": False, "stage": "cluster-cycle"})
         return measured, False
 
-    r_chunks = params.get("r_chunks", 1)
-    if r_chunks > 1:
-        part = regularity.chunk_partition(part, part.class_size // r_chunks, seed)
     xi, delta = params.get("xi", params["eps"] / 4), params.get("delta", 0.0225)
     ep = embedder.EmbedParams(k=k, xi=xi, delta=delta, eps=params["eps"], seed=seed)
     result = embedder.embed_power_cycle(thinned, part, cyc, ep)
@@ -460,8 +457,8 @@ _EXPERIMENTS = {
         "main": (_expansion_main, "k n p delta", ""),
         "halving": (_expansion_halving, "k n p delta", "start_fraction n_splits"),
     },
-    "embed": {None: (_run_embed, "N p k d eps clusters", "adversary r_chunks xi delta")},
-    "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "r_chunks xi delta")},
+    "embed": {None: (_run_embed, "N p k d eps clusters", "adversary xi delta")},
+    "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "xi delta")},
     "oracle-compare": {
         "enumeration": (partial(_oracle_compare, _enumeration_check), "", "instances"),
         "expansion": (partial(_oracle_compare, _expansion_check), "", "instances"),

@@ -14,11 +14,10 @@ per call site and no arithmetic on seeds:
     2  adversary_partite            43  embedder extend draws (s, attempt, m)
     3  adversary_random             47  embedder closing draws (attempt, m)
    11  build_nice_partition         53  count-audit vertex sets
-   13  chunk_partition              59  expansion-audit start sets
-   17  inheritance_stats samples    61  oracle-compare instances
-   19  dense-pair survey (0, i, j)  67  typical clique copy (*copy)
-   23  one-step audit start         71  super-typical tuple pair (i, j)
-   29  halving audit splits
+   17  inheritance_stats samples    59  expansion-audit start sets
+   19  dense-pair survey (0, i, j)  61  oracle-compare instances
+   23  one-step audit start         67  typical clique copy (*copy)
+   29  halving audit splits         71  super-typical tuple pair (i, j)
    31  inheritance_stats check (s)
 
 Paths that differ only by trailing zeros name the same stream (the entropy is

@@ -32,7 +32,6 @@ __all__ = [
     "check_regular_exact",
     "check_regular_sampled",
     "build_nice_partition",
-    "chunk_partition",
     "inheritance_stats",
 ]
 
@@ -244,14 +243,12 @@ def check_regular_sampled(
 class RegularPartition:
     """An equipartition with an exceptional class. ``classes`` excludes the
     exceptional set; ``useful_pairs`` are the pairs that are unrefuted and of
-    density >= d*p, the edges of the reduced graph. ``parent`` maps each chunk
-    of a chunked partition to the class it came from."""
+    density >= d*p, the edges of the reduced graph."""
 
     exceptional: np.ndarray
     classes: list
     useful_pairs: frozenset = frozenset()
     partner_ok: Optional[bool] = None
-    parent: Optional[list] = None
 
     @property
     def k(self) -> int:
@@ -312,27 +309,6 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     need = params.mu * partition.k
     partition.partner_ok = all(c >= need for c in counts)
     return partition
-
-
-def chunk_partition(partition: RegularPartition, q: int, seed: int) -> RegularPartition:
-    """Split every class uniformly at random into floor(size/q) chunks of size
-    exactly q; leftovers below q join the exceptional class. ``parent`` maps
-    each chunk to the class it came from."""
-    if q > partition.class_size:
-        raise ValueError(f"chunk size {q} exceeds class size {partition.class_size}")
-    rng = stream(seed, 13)
-    chunks = []
-    parent = []
-    leftovers = [partition.exceptional]
-    for i, cls in enumerate(partition.classes):
-        shuffled = cls[rng.permutation(len(cls))]
-        nfull = len(cls) // q
-        for c in range(nfull):
-            chunks.append(np.sort(shuffled[c * q : (c + 1) * q]))
-            parent.append(i)
-        leftovers.append(shuffled[nfull * q :])
-    exceptional = np.sort(np.concatenate(leftovers))
-    return RegularPartition(exceptional=exceptional, classes=chunks, parent=parent)
 
 
 def inheritance_stats(

@@ -14,7 +14,7 @@ from powercycle.models import (
     stream,
 )
 from powercycle import embedder, graph_core, harness
-from powercycle.regularity import RegularityParams, build_nice_partition, chunk_partition
+from powercycle.regularity import RegularityParams, build_nice_partition
 from powercycle.embedder import (
     CLUSTER_SEARCH_CAP,
     EmbedFailure,
@@ -227,6 +227,19 @@ class TestExactOracle:
             exact_longest_power_cycle(complete_graph(6), 0)
 
 
+class TestEmbedParams:
+    @pytest.mark.parametrize(
+        "field, value", [("xi", 0.0), ("xi", 0.5), ("xi", 0.6), ("eps", 0.0), ("eps", 1.0), ("eps", 2.0)]
+    )
+    def test_impossible_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            EmbedParams(**{"k": 2, "xi": 0.045, "delta": 0.0225, "eps": 0.15, field: value})
+
+    @pytest.mark.parametrize("field, value", [("xi", 1e-9), ("xi", 0.499), ("eps", 1e-9), ("eps", 0.999)])
+    def test_values_inside_the_open_ranges_accepted(self, field, value):
+        EmbedParams(**{"k": 2, "xi": 0.045, "delta": 0.0225, "eps": 0.15, field: value})
+
+
 class TestEmbed:
     def _embed_complete(self, N=60, seed=5, xi=0.2, eps=0.4):
         g = complete_graph(N)
@@ -293,18 +306,6 @@ class TestEmbed:
         assert isinstance(result, PowerCycle)
         assert len(set(result.vertices)) == len(result)
         assert len(result) <= g.n
-
-    def test_chunked_layout_r2(self):
-        g = complete_graph(120)
-        part = nice_partition(g, 1.0, 2 / 3, 6, seed=3)
-        red = build_reduced(part)
-        cyc = find_cluster_power_cycle(red, 2)
-        chunked = chunk_partition(part, part.class_size // 2, seed=3)
-        params = EmbedParams(k=2, xi=0.2, delta=0.02, eps=0.5, seed=3)
-        result = embed_power_cycle(g, chunked, cyc, params)
-        assert isinstance(result, PowerCycle)
-        ok, _ = verify_power_cycle(g, result)
-        assert ok
 
     def test_blocked_host_returns_failure_report(self):
         # Beyond the resilience threshold the pipeline must fail with a

@@ -36,13 +36,6 @@ GOLDEN = {
         {"cluster-cycle": 2},
         "b293bb53cd4c84b12520a729b79b1dcdb6d3e9441fdb153b2f49ec4b96abca6f",
     ),
-    "embed-chunked": (
-        "embed",
-        {**TOY, "r_chunks": 2},
-        [0, 1],
-        {"ok": 2},
-        "4b213337cdf630d36541637a3806baf30d11dab2ceb5bf0365d7a3806a7dfa83",
-    ),
     "embed-length": (
         "embed",
         {**TOY, "N": 180, "p": 0.7},
@@ -153,6 +146,14 @@ def test_records_match_golden_hash(name):
     assert tally == outcomes
     blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
     assert hashlib.sha256(blob).hexdigest() == expected
+
+
+@pytest.mark.parametrize("kind, extra", [("embed", {}), ("resilience-sweep", {"r_grid": [0.1]})])
+def test_chunked_config_refused(kind, extra):
+    # Each cluster is one window pool; a config that still asks for chunks is
+    # refused before any trial, not run with the key ignored.
+    with pytest.raises(ValueError, match=r"^params\.r_chunks: unknown key"):
+        ExperimentConfig(kind=kind, params={**TOY, **extra, "r_chunks": 2}, seeds=[0])
 
 
 class _ReadKeys(dict):

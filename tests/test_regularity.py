@@ -14,7 +14,6 @@ from powercycle.regularity import (
     build_nice_partition,
     check_regular_exact,
     check_regular_sampled,
-    chunk_partition,
     inheritance_stats,
 )
 
@@ -332,53 +331,6 @@ class TestParams:
         RegularityParams(**{"epsilon": 0.2, "p": 0.5, field: value})
 
 
-class TestChunking:
-    def _partition(self, n=120, p=0.5, seed=3, m=4):
-        params = RegularityParams(epsilon=0.25, p=p, d=0.5, trials=100)
-        g = gen_gnp(ModelParams(N=n, p=p, seed=seed))
-        return g, build_nice_partition(g, params, m=m, seed=seed)
-
-    def test_identity_chunking(self):
-        _, part = self._partition()
-        chunked = chunk_partition(part, part.class_size, seed=1)
-        assert chunked.class_size == part.class_size
-        assert chunked.k == part.k
-        assert len(chunked.exceptional) == len(part.exceptional)
-
-    def test_leftover_arithmetic(self):
-        _, part = self._partition(n=400, m=4)  # class size 100
-        chunked = chunk_partition(part, 30, seed=2)
-        assert chunked.k == 4 * 3
-        assert all(len(c) == 30 for c in chunked.classes)
-        assert len(chunked.exceptional) == len(part.exceptional) + 4 * 10
-
-    def test_partition_preserved(self):
-        g, part = self._partition(n=121)
-        chunked = chunk_partition(part, 12, seed=3)
-        everything = np.concatenate([chunked.exceptional] + chunked.classes)
-        assert len(everything) == 121
-        assert len(np.unique(everything)) == 121
-
-    def test_chunk_size_too_large(self):
-        _, part = self._partition()
-        with pytest.raises(ValueError):
-            chunk_partition(part, part.class_size + 1, seed=1)
-
-    def test_inherited_chunk_pairs_rarely_refuted(self):
-        # Chunks of a dense random bipartite pair stay unrefuted at eps'.
-        refuted = total = 0
-        for seed in range(10):
-            g, view = gen_blowup(complete_graph(2), 120, 0.5, seed)
-            rng = stream(seed, 71)
-            for _ in range(3):
-                q1 = view.parts[0][rng.permutation(120)[:40]]
-                q2 = view.parts[1][rng.permutation(120)[:40]]
-                verdict = check_regular_sampled(g, q1, q2, 0.25, 0.5, trials=300, rng=stream(seed, 7))
-                total += 1
-                refuted += verdict.refuted
-        assert refuted / total <= 0.05
-
-
 class TestInheritanceStats:
     def test_complete_parent_fraction_one(self):
         g, view = complete_multipartite([30, 30])
@@ -396,3 +348,17 @@ class TestInheritanceStats:
             g, view.parts[0], view.parts[1], 60, 60, 0.3, 0.5, samples=200, seed=2
         )
         assert frac >= 0.9
+
+    def test_inherited_chunk_pairs_rarely_refuted(self):
+        # Chunks of a dense random bipartite pair stay unrefuted at eps'.
+        refuted = total = 0
+        for seed in range(10):
+            g, view = gen_blowup(complete_graph(2), 120, 0.5, seed)
+            rng = stream(seed, 71)
+            for _ in range(3):
+                q1 = view.parts[0][rng.permutation(120)[:40]]
+                q2 = view.parts[1][rng.permutation(120)[:40]]
+                verdict = check_regular_sampled(g, q1, q2, 0.25, 0.5, trials=300, rng=stream(seed, 7))
+                total += 1
+                refuted += verdict.refuted
+        assert refuted / total <= 0.05

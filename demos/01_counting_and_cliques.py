@@ -7,8 +7,6 @@ shows the upper-bound audit on random vertex subsets of a binomial random
 graph.
 """
 
-import numpy as np
-
 from powercycle import (
     ModelParams,
     TupleView,

@@ -61,3 +61,20 @@ from .embedder import (
 from .harness import ExperimentConfig, TrialRecord, replay, resilience_sweep, run_experiment
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "Graph", "TupleView", "common_neighborhood", "complete_graph", "complete_multipartite",
+    "count_canonical_cliques", "empty_graph", "enumerate_canonical_cliques", "min_degree",
+    "AdversaryReport", "ModelParams", "adversary_partite", "adversary_random",
+    "adversary_triangle_killer", "extremal_blocker", "gen_blowup", "gen_gnp",
+    "partite_blocker_sizes", "stream",
+    "RegularPartition", "RegularityParams", "RegularityVerdict", "build_nice_partition",
+    "check_regular_exact", "check_regular_sampled", "inheritance_stats",
+    "TypicalityParams", "TypicalityReport", "check_super_typical", "clique_count_upper_check",
+    "typical_vertices",
+    "ExpansionParams", "ExpansionTrace", "expand_through", "find_expander", "halving_audit",
+    "one_step_expansion_audit",
+    "EmbedFailure", "EmbedParams", "PowerCycle", "build_reduced", "embed_power_cycle",
+    "exact_longest_power_cycle", "find_cluster_power_cycle", "verify_power_cycle",
+    "ExperimentConfig", "TrialRecord", "replay", "resilience_sweep", "run_experiment",
+]

@@ -92,11 +92,18 @@ class EmbedParams:
 
     def __post_init__(self):
         # At xi >= 1/2 the 1 - 2*xi share of a window left for the induction
-        # is empty; at eps >= 1 every cycle length is admissible.
+        # is empty; at eps >= 1 every cycle length is admissible; at delta >=
+        # 1/(20k) the expander search refuses, so every trial would end in
+        # its first extend round.
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         if not (0.0 < self.xi < 0.5):
             raise ValueError(f"xi must lie in (0,1/2), got {self.xi}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
+        bound = 1.0 / (20 * self.k)
+        if not (0.0 < self.delta < bound):
+            raise ValueError(f"delta must lie in (0,1/(20k)) = (0,{bound:.4g}), got {self.delta}")
 
     def expansion(self) -> ExpansionParams:
         return ExpansionParams(k=self.k, delta=self.delta)

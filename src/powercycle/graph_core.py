@@ -11,7 +11,10 @@ The constructor checks symmetry exactly, comparing each 256-square tile with
 its mirror tile, and ``mirror_upper`` builds a symmetric matrix in place tile
 by tile: neither transposes the whole matrix, whose strided reads miss the
 cache at the acceptance size. A graph never changes, so ``degrees()`` is
-summed once and shared read-only.
+summed once and shared read-only. ``edge_positions`` scans the upper triangle
+in row blocks of 64K cells straight into its result, which is int32 whenever
+n * n fits (it does below n = 46341), so the edge order of a random adversary
+costs 4 bytes an edge and no wider transient.
 
 A canonical clique is a plain tuple ``(v_1, ..., v_k)`` with ``v_j`` drawn
 from the j-th part of its window. A set of them has one form: a dense bool
@@ -78,8 +81,10 @@ def mask_of(ids: Iterable[int]) -> int:
 # Side of the square tiles in which symmetric matrices are checked and mirrored.
 _TILE = 256
 
-# Rows per block of Graph.edge_positions' scan of the upper triangle.
-_EDGE_ROWS = 256
+# Matrix cells per block of rows of Graph.edge_positions' scan of the upper
+# triangle (64 KB of bools): the block's triangle mask and the positions found
+# in it stay a small fraction of the result, at any n.
+_EDGE_CELLS = 1 << 16
 
 
 def _upper_tiles(n: int) -> Iterator[tuple]:
@@ -191,21 +196,25 @@ class Graph:
 
     def edge_positions(self) -> np.ndarray:
         """Flat positions ``u * n + v`` of the edges u < v as an ascending
-        int64 array, which is their lexicographic order. The strict upper
-        triangle is scanned _EDGE_ROWS rows at a time into the preallocated
-        result, so no temporary is as large as the matrix."""
+        array, which is their lexicographic order: int32 when every position
+        fits, that is when n * n <= 2**31, int64 otherwise. The strict upper
+        triangle is scanned in blocks of _EDGE_CELLS // n rows (at least one)
+        into the preallocated result, so besides the result no array is
+        larger than a block."""
         n = self.n
-        out = np.empty(self.edge_count(), dtype=np.int64)
+        out = np.empty(self.edge_count(), dtype=np.int32 if n * n <= 1 << 31 else np.int64)
+        rows = max(1, _EDGE_CELLS // max(n, 1))
         at = 0
-        for r in range(0, n, _EDGE_ROWS):
-            flat = np.flatnonzero(np.triu(self.adj[r : r + _EDGE_ROWS], r + 1))
+        for r in range(0, n, rows):
+            flat = np.flatnonzero(np.triu(self.adj[r : r + rows], r + 1))
             np.add(flat, r * n, out=out[at : at + flat.size])
             at += flat.size
         return out
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) int64 array of rows (u, v) with u < v, in
-        lexicographic order: the ``divmod`` of ``edge_positions()`` by n. The
+        lexicographic order: the ``divmod`` of ``edge_positions()`` by n,
+        written into int64 whatever the positions' width. The
         array is column-major, so ``edges[:, 0]`` and ``edges[:, 1]`` are
         contiguous."""
         flat = self.edge_positions()

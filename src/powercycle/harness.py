@@ -5,9 +5,10 @@ A config names one experiment kind, its parameter dict, and a seed list. One
 table, ``_EXPERIMENTS``, gives each kind's modes (the first is the default)
 and each mode's trial runner, required and optional params keys, and
 ``_ADVERSARIES`` gives each adversary's spec keys. A config is checked against
-them when it is built, so a missing or unknown key, mode or adversary is a
-ValueError naming it before any trial runs; values no config sets are module
-constants. The config hash covers params as given, never their defaults.
+them when it is built, so a missing or unknown key, mode or adversary, or an
+embedder parameter out of range, is a ValueError naming it before any trial
+runs; values no config sets are module constants. The config hash covers
+params as given, never their defaults.
 
 Each (kind, params, seed) trial is a pure function of its arguments - all
 randomness is drawn from counter-based streams keyed by the trial seed - so
@@ -78,9 +79,14 @@ def _is_count(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _is_number(value) -> bool:
+    """True for an int or float (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_fraction(value) -> bool:
     """True for an int or float (not a bool) in [0, 1]."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+    return _is_number(value) and 0 <= value <= 1
 
 
 def _check_out_dir(out_dir) -> None:
@@ -119,6 +125,8 @@ class ExperimentConfig:
             adversary = spec.get("kind") if isinstance(spec, dict) else None
             _, spec_required, spec_optional = _lookup(_ADVERSARIES, "params.adversary.kind", adversary)
             _check_keys("params.adversary.", spec, spec_required, spec_optional + " kind")
+        if self.kind in ("embed", "resilience-sweep"):
+            _embed_params(self.params, 0)
         if "r_grid" in self.params:
             grid = self.params["r_grid"]
             distinct = isinstance(grid, (list, tuple)) and all(map(_is_fraction, grid)) and len(set(grid)) == len(grid)
@@ -346,6 +354,26 @@ _ADVERSARIES = {
 }
 
 
+def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
+    """The EmbedParams of an embed or resilience-sweep config, with xi = eps/4
+    and delta = 0.0225 where it sets none; a non-number or a value
+    EmbedParams refuses is a ValueError naming its params key."""
+    for key in ("k", "eps", "xi", "delta"):
+        if key in params and not _is_number(params[key]):
+            raise ValueError(f"params.{key}: must be a number, got {params[key]!r}")
+    try:
+        return embedder.EmbedParams(
+            k=params["k"],
+            xi=params.get("xi", params["eps"] / 4),
+            delta=params.get("delta", 0.0225),
+            eps=params["eps"],
+            seed=seed,
+        )
+    except ValueError as err:  # EmbedParams' messages open with the field
+        field, _, reason = str(err).partition(" ")
+        raise ValueError(f"params.{field}: {reason}") from None
+
+
 def _run_embed(params: dict, seed: int) -> tuple:
     N, p, k = params["N"], params["p"], params["k"]
     host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
@@ -373,9 +401,7 @@ def _run_embed(params: dict, seed: int) -> tuple:
         measured.update({"success": False, "stage": "cluster-cycle"})
         return measured, False
 
-    xi, delta = params.get("xi", params["eps"] / 4), params.get("delta", 0.0225)
-    ep = embedder.EmbedParams(k=k, xi=xi, delta=delta, eps=params["eps"], seed=seed)
-    result = embedder.embed_power_cycle(thinned, part, cyc, ep)
+    result = embedder.embed_power_cycle(thinned, part, cyc, _embed_params(params, seed))
     if isinstance(result, embedder.PowerCycle):
         # embed_power_cycle returns a cycle only after verify_power_cycle passed it.
         measured.update(

@@ -109,8 +109,11 @@ class AdversaryReport:
         }
 
 
-# Doubles per row block of gen_gnp's draw (8 MB).
-_DRAW_BLOCK = 1 << 20
+# Doubles per row block of gen_gnp's draw (512 KB). The block is the only
+# buffer besides the matrix, 6% of it at N = 3000 (an 8 MB block was 90%),
+# and each of the 143 draws there still fills 63,000 doubles, so the calls
+# cost nothing measurable.
+_DRAW_BLOCK = 1 << 16
 
 
 def gen_gnp(params: ModelParams) -> Graph:
@@ -118,11 +121,12 @@ def gen_gnp(params: ModelParams) -> Graph:
     with probability p. Identical seed, identical graph."""
     rng = stream(params.seed, 0)
     n = params.N
-    # The doubles of an (n, n) draw, drawn a block of rows at a time: the
-    # generator hands them out in the same order, so the graph is the one a
-    # single draw gives, without holding n*n doubles at once. The pair u < v
-    # is an edge when draw (u, v) falls below p; the comparisons on and below
-    # the diagonal are overwritten by the mirror image.
+    # The doubles of an (n, n) draw, drawn _DRAW_BLOCK // n rows at a time:
+    # the generator hands them out in the same order whatever the block, so
+    # the graph is the one a single draw gives, without holding n*n doubles
+    # at once. The pair u < v is an edge when draw (u, v) falls below p; the
+    # comparisons on and below the diagonal are overwritten by the mirror
+    # image.
     adj = np.empty((n, n), dtype=bool)
     rows = max(1, _DRAW_BLOCK // n)
     for r in range(0, n, rows):
@@ -222,16 +226,16 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     out there, so a live edge with two safe endpoints is deleted whatever the
     order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule.
 
-    The random order is the edges' flat positions (``Graph.edge_positions``)
-    shuffled in place, held as int32 when n * n fits, and walked in
-    consecutive blocks of _SETTLE_BLOCK positions. ``_settle`` gives the
-    sequential outcome on any segment from the counts of every edge before
-    it, and consecutive blocks taken in order are such segments, so the walk
-    is exact. A block is short enough for vertices to be safe in it, where
-    the first levels of a whole-order segment only build masks that decide
-    nothing. Each block is split into int64 endpoints, so no endpoint array
-    is longer than a block, and deleted edges are cleared straight in one
-    copy of the adjacency, which the thinned graph adopts."""
+    The random order is the edges' flat positions (``Graph.edge_positions``,
+    already int32 when n * n fits, so nothing is narrowed here) shuffled in
+    place and walked in consecutive blocks of _SETTLE_BLOCK positions.
+    ``_settle`` gives the sequential outcome on any segment from the counts
+    of every edge before it, and consecutive blocks taken in order are such
+    segments, so the walk is exact. A block is short enough for vertices to
+    be safe in it, where the first levels of a whole-order segment only build
+    masks that decide nothing. Each block is split into int64 endpoints, so
+    no endpoint array is longer than a block, and deleted edges are cleared
+    straight in one copy of the adjacency, which the thinned graph adopts."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0,1], got {r}")
     rng = stream(seed, 3)
@@ -240,8 +244,6 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     # An in-place shuffle makes the draws of permutation(m), whatever the
     # dtype, and moves each position where that permutation would.
     order = graph.edge_positions()
-    if n * n <= 1 << 31:
-        order = order.astype(np.int32)
     rng.shuffle(order)
     adj = graph.adj.copy()
     cnt = np.zeros(n, dtype=np.int64)

@@ -7,7 +7,8 @@ one-sided Monte Carlo refuter that can never certify. A partition is one
 random equipartition surveyed once: only the pairs of density >= d*p are
 refuted with the sampled refuter (a sparser pair is never useful, and its
 sub-stream is never built), a refuted pair is left out of the useful pairs,
-and no class is refined.
+and no class is refined. The survey holds one class-pair block at a time:
+each pair's edges are counted from a gather that is dropped once counted.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, TupleView, exact_product
+from .graph_core import Graph, exact_product
 from .models import stream
 
 __all__ = [
@@ -272,7 +273,13 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     sampled refuter, drawing from stream(seed, 19, 0, i, j), does not refute
     it. Only the dense pairs are refuted; a sparser pair is never useful, so
     its stream is never built, and no other pair's draws move. The partition
-    is marked good when every class has at least mu*k useful partners."""
+    is marked good when every class has at least mu*k useful partners.
+
+    Each pair's edges are counted from one uncached gather of its block, so
+    no more than one block is held at a time. The density is the int
+    quotient ``edges / size**2``, which Python rounds correctly, so it is the
+    float of the exact rational density and every decision is the one the
+    exact ``Fraction`` gives."""
     N = graph.n
     if N < m:
         raise ValueError(f"need at least m={m} vertices, graph has {N}")
@@ -281,10 +288,10 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     size = N // m
     classes = [np.sort(perm[i * size : (i + 1) * size]) for i in range(m)]
     useful = set()
-    view = TupleView(graph, classes)
     for i in range(m):
         for j in range(i + 1, m):
-            if float(view.density(i, j)) < params.d * params.p - TOL:
+            edges = int(np.count_nonzero(graph.submatrix(classes[i], classes[j])))
+            if edges / (size * size) < params.d * params.p - TOL:
                 continue
             verdict = check_regular_sampled(
                 graph,

@@ -1,0 +1,34 @@
+"""Fixtures shared by the test modules: the acceptance-size host and a
+tracemalloc peak probe."""
+
+import tracemalloc
+
+import pytest
+
+from powercycle.models import ModelParams, gen_gnp
+
+
+@pytest.fixture(scope="session")
+def acceptance_host():
+    """The G(n,p) host of the acceptance embed trial (N=3000, p=0.35, seed 0)."""
+    return gen_gnp(ModelParams(N=3000, p=0.35, seed=0))
+
+
+def _traced_peak(call) -> tuple:
+    """``call()``'s result and the peak bytes it held, traced above what was
+    live before it."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -28,8 +28,6 @@ from powercycle.embedder import (
     verify_power_cycle,
 )
 
-from powercycle.oracles import naive_canonical_cliques
-
 
 def circulant(N, k):
     adj = np.zeros((N, N), dtype=bool)
@@ -229,13 +227,29 @@ class TestExactOracle:
 
 class TestEmbedParams:
     @pytest.mark.parametrize(
-        "field, value", [("xi", 0.0), ("xi", 0.5), ("xi", 0.6), ("eps", 0.0), ("eps", 1.0), ("eps", 2.0)]
+        "field, value",
+        [
+            ("xi", 0.0),
+            ("xi", 0.5),
+            ("xi", 0.6),
+            ("eps", 0.0),
+            ("eps", 1.0),
+            ("eps", 2.0),
+            ("delta", 0.0),
+            ("delta", 0.025),
+            ("delta", 0.1),
+            ("k", 0),
+        ],
     )
     def test_impossible_value_names_its_field(self, field, value):
+        # At k = 2 the expander search needs delta < 1/(20k) = 0.025.
         with pytest.raises(ValueError, match=f"^{field} "):
             EmbedParams(**{"k": 2, "xi": 0.045, "delta": 0.0225, "eps": 0.15, field: value})
 
-    @pytest.mark.parametrize("field, value", [("xi", 1e-9), ("xi", 0.499), ("eps", 1e-9), ("eps", 0.999)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("xi", 1e-9), ("xi", 0.499), ("eps", 1e-9), ("eps", 0.999), ("delta", 1e-9), ("delta", 0.0249)],
+    )
     def test_values_inside_the_open_ranges_accepted(self, field, value):
         EmbedParams(**{"k": 2, "xi": 0.045, "delta": 0.0225, "eps": 0.15, field: value})
 

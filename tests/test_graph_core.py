@@ -1,4 +1,5 @@
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,11 @@ from powercycle.oracles import naive_canonical_cliques
 def random_multipartite(rng, t, sizes, p):
     _, view = gen_blowup(complete_graph(t), max(sizes), p, int(rng.integers(0, 2**31)))
     return TupleView(view.graph, [view.parts[i][: sizes[i]] for i in range(t)])
+
+
+# edge_positions scans _EDGE_CELLS // n rows a block, so this is the largest
+# graph it scans in one block, and one vertex more takes two.
+_ONE_BLOCK = math.isqrt(graph_core._EDGE_CELLS)
 
 
 class TestGraph:
@@ -97,9 +103,7 @@ class TestGraph:
         expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
         assert [tuple(e) for e in edges.tolist()] == expected
 
-    @pytest.mark.parametrize(
-        "n", [0, 1, graph_core._EDGE_ROWS - 1, graph_core._EDGE_ROWS, graph_core._EDGE_ROWS + 1, 549]
-    )
+    @pytest.mark.parametrize("n", [0, 1, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1, 549])
     @pytest.mark.parametrize("kind", ["empty", "complete", "gnp"])
     def test_edge_positions_equal_the_whole_matrix_scan(self, n, kind):
         if kind == "gnp" and n:
@@ -107,9 +111,18 @@ class TestGraph:
         else:
             g = complete_graph(n) if kind == "complete" else empty_graph(n)
         positions = g.edge_positions()
-        assert positions.dtype == np.int64
+        assert positions.dtype == np.int32
         assert np.array_equal(positions, np.flatnonzero(np.triu(g.adj, 1)))
         assert (np.diff(positions) > 0).all()
+
+    def test_edge_positions_hold_no_wide_copy(self, acceptance_host, traced_peak):
+        # The int32 result (6.3 MB at the acceptance host) and one block of
+        # the scan: the int64 result alone was 12.6 MB. The degrees behind
+        # the edge count are summed first, so only the scan is measured.
+        acceptance_host.degrees()
+        positions, peak = traced_peak(acceptance_host.edge_positions)
+        assert positions.dtype == np.int32
+        assert peak <= 7 * 2**20
 
     def test_adjacency_immutable(self):
         g = complete_graph(4)

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import pytest
 
@@ -89,6 +88,44 @@ class TestConfig:
         # key ignored).
         with pytest.raises(ValueError, match=rf"^params\.{key}: "):
             ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
+
+    @pytest.mark.parametrize("kind", ["embed", "resilience-sweep"])
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"xi": 0}, "xi"),
+            ({"eps": 1.0}, "eps"),
+            ({"delta": 0.1}, "delta"),
+            ({"delta": 0}, "delta"),
+            ({"k": 0}, "k"),
+            # k = 3 with the default delta 0.0225, which is not below 1/60.
+            ({"k": 3}, "delta"),
+            ({"eps": "0.5"}, "eps"),
+        ],
+        ids=["xi-0", "eps-1", "delta-0.1", "delta-0", "k-0", "k-3-default-delta", "eps-str"],
+    )
+    def test_embed_params_refused_before_any_trial(self, monkeypatch, tmp_path, capsys, kind, overrides, key):
+        # Such a config used to run every trial: xi = 0 or a string eps as
+        # error records, a delta of 1/(20k) or more as extend refusals.
+        def refuse(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", refuse)
+        params = {**(SWEEP_PARAMS if kind == "resilience-sweep" else tiny_embed_params()), **overrides}
+        if kind == "resilience-sweep":
+            params["r_grid"] = [0.1]
+        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
+            ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([kind, "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+
+    def test_delta_just_below_the_search_bound_accepted(self):
+        ExperimentConfig(kind="embed", params=tiny_embed_params(delta=0.0249), seeds=[0])
+        ExperimentConfig(kind="embed", params=tiny_embed_params(k=3, delta=0.0166), seeds=[0])
 
     @pytest.mark.parametrize(
         "grid", [[0.0, 0.0], [0, 0.0], [True], ["0.1"], [None], [], [1.5], 0.1]

@@ -1,0 +1,42 @@
+"""Every name the package, its tests and its demos import is used. A name a
+module lists in its own ``__all__`` is a re-export and counts as used; the
+package ``__init__`` re-exports its API that way."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    path for folder in ("src/powercycle", "tests", "demos") for path in (ROOT / folder).glob("*.py")
+)
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name bound by an import in ``source`` that no
+    other name in it reads and its ``__all__`` does not list."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    source = "import os\nimport sys as system\nfrom json import dumps, loads\n__all__ = ['loads']\nsystem.exit(dumps)\n"
+    assert unused_imports(source) == [(1, "os")]
+
+
+def test_no_unused_import():
+    found = {
+        str(path.relative_to(ROOT)): unused for path in SOURCES if (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}

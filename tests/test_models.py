@@ -3,7 +3,6 @@ import hashlib
 import importlib
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,8 @@ class TestGnp:
         assert pa.read_bytes() == pb.read_bytes()
         assert gen_gnp(ModelParams(N=80, p=0.4, seed=124)) != a
 
-    @pytest.mark.parametrize("block", [50, 300, models._DRAW_BLOCK])
+    # 1 << 20 holds every draw below in one block.
+    @pytest.mark.parametrize("block", [50, 300, models._DRAW_BLOCK, 1 << 20])
     @pytest.mark.parametrize("N", [1, 7, 37, 80, 2 * 256 + 37])
     def test_row_blocks_give_the_single_draw_graph(self, monkeypatch, N, block):
         # Drawing the doubles a block of rows at a time must give the graph
@@ -62,6 +62,14 @@ class TestGnp:
         monkeypatch.setattr(models, "_DRAW_BLOCK", block)
         once = np.triu(stream(11, 0).random((N, N)) < 0.4, 1)
         assert gen_gnp(ModelParams(N=N, p=0.4, seed=11)) == Graph(once | once.T)
+
+    def test_draw_buffer_is_block_sized(self, traced_peak):
+        # Besides the matrix it returns, the draw holds one block of doubles
+        # (0.5 MB at N=3000; 7.9 MB with 8 MB blocks). A small first graph
+        # keeps numpy's one-time allocations out of the measurement.
+        gen_gnp(ModelParams(N=50, p=0.35, seed=0))
+        host, peak = traced_peak(lambda: gen_gnp(ModelParams(N=3000, p=0.35, seed=0)))
+        assert peak - host.adj.nbytes <= 2**20
 
     def test_edge_count_concentration(self):
         # Binomial(C(N,2), 1/2): every draw within 4 standard deviations.
@@ -290,10 +298,6 @@ class TestAdversaryRandom:
         ),
     }
 
-    @pytest.fixture(scope="class")
-    def acceptance_host(self):
-        return gen_gnp(ModelParams(N=3000, p=0.35, seed=0))
-
     # sha256 of the acceptance host's adjacency, edges() and degrees() bytes.
     HOST_PINNED = [
         "8c6638a21e9fa71b6aa19839c1a38bc66efe5457c227da970ece1b67e45901dd",
@@ -314,7 +318,7 @@ class TestAdversaryRandom:
         assert report.to_dict() == report_dict
 
     @pytest.mark.parametrize("r", sorted(PINNED))
-    def test_traced_peak_at_acceptance_size(self, acceptance_host, r):
+    def test_traced_peak_at_acceptance_size(self, acceptance_host, traced_peak, r):
         # numpy reports its buffers to tracemalloc, so this peak repeats
         # exactly where the process RSS does not. Measured with numpy 2.4 at
         # r = 0.1 / 0.45: 116 / 124 MB while Graph checked symmetry against
@@ -327,18 +331,10 @@ class TestAdversaryRandom:
         # _settle's recursion and the deleted pieces freed once concatenated;
         # 18.1 / 18.0 MB with the order held as int32 and walked in blocks,
         # deletions cleared straight in the one adjacency copy, which the
-        # thinned graph adopts (the peak is the int64 -> int32 conversion).
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            adversary_random(acceptance_host, r, seed=0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak < 25 * 2**20
+        # thinned graph adopts (the peak is the int64 -> int32 conversion);
+        # 17.7 / 17.8 MB with the positions written as int32 straight away.
+        _, peak = traced_peak(lambda: adversary_random(acceptance_host, r, seed=0))
+        assert peak < 20 * 2**20
 
 
 class TestExtremalBlocker:

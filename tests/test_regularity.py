@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,25 @@ class TestNicePartition:
         view = TupleView(g, part.classes)
         dense = {pair for pair in pairs if view.density(*pair) >= params.d * p}
         assert part.useful_pairs == dense - refuted
+
+    def test_survey_holds_one_block_at_a_time(self, acceptance_host, traced_peak):
+        # The acceptance trial's survey of the r = 0.1 thinned host holds one
+        # class-pair gather and the refuter's draws at a time (2.2 MB); with
+        # the 15 blocks cached in a TupleView it peaked at 5.8 MB.
+        thinned, _ = adversary_random(acceptance_host, 0.1, seed=0)
+        params = RegularityParams(epsilon=0.25, p=0.35, d=2 / 3, mu=2 / 3)
+        part, peak = traced_peak(lambda: build_nice_partition(thinned, params, m=6, seed=0))
+        assert part.partner_ok
+        assert peak <= 4 * 2**20
+
+    def test_int_quotient_is_the_exact_density_rounded(self):
+        # The survey compares edges / size**2, a correctly rounded int
+        # quotient, where it compared float(Fraction(edges, size**2)): both
+        # are the double nearest the exact density, so no decision moves.
+        rng = stream(3, 0)
+        for size in (1, 7, 500, 2000, 46340):
+            for edges in rng.integers(0, size * size + 1, size=200).tolist() + [0, size * size]:
+                assert edges / (size * size) == float(Fraction(edges, size * size))
 
     def test_requires_enough_vertices(self):
         params = RegularityParams(epsilon=0.3, p=0.5)

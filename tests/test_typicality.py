@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from powercycle.graph_core import (
@@ -128,8 +131,6 @@ class TestSuperTypical:
                 assert loose.super_typical
 
     def test_report_serializes(self):
-        import json
-
         _, view = complete_multipartite([4, 4, 4])
         report = check_super_typical(view, params(p=1.0), seed=1)
         blob = json.dumps(report.to_dict(), sort_keys=True)
@@ -179,3 +180,35 @@ class TestCountUpperCheck:
         _, view = complete_multipartite([3, 3])
         with pytest.raises(ValueError):
             clique_count_upper_check(view, 3, 0.2, 0.5)
+
+
+def ledger_sha256(t, n, p, eps, delta, trials, seed):
+    """sha256 of the canonical JSON of check_super_typical's report on a
+    seeded blow-up of K_t."""
+    _, view = gen_blowup(complete_graph(t), n, p, seed)
+    report = check_super_typical(view, params(eps=eps, delta=delta, p=p, trials=trials), seed=seed)
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestLedgerPinned:
+    """The whole ledger's report, pinned byte for byte: at the typicality-ledger
+    workload's size (t=4, n=100, p=0.5, eps=delta=0.3, 200 trials), and
+    small at t=3 and t=5, where the middle window has order 1 and 3. An
+    optimisation of the ledger must leave every constant as it is."""
+
+    @pytest.mark.parametrize(
+        "t, n, p, tol, trials, seed, digest",
+        [
+            (4, 100, 0.5, 0.3, 200, 0, "1082475240cc2e7cdae2f069fc31e722518fcc80cd2755e9dd716393b65f17ff"),
+            (4, 100, 0.5, 0.3, 200, 1, "6b4431d944ad8a144e4327d2e1e63d73508a739a25adddf13fb4ca47d283e8c5"),
+            (3, 30, 0.6, 0.3, 60, 0, "da9e36ae27db351cc36c89233a2c04802ceaf66be5ad76da78cc968e8e326f2e"),
+            (3, 30, 0.6, 0.3, 60, 1, "278ec7a2596fcd91f220cc2ec0e9b5669b446ee3142780dbb503e502258869ba"),
+            # Seed 0 fails typical_cliques only, seed 1 as well; both keep
+            # tuple_typical, so the tuple-level refuter runs.
+            (5, 20, 0.7, 0.4, 40, 0, "c626fa574f9bd41261a24c58f73355f21e05322e782ceb1ea6daaa29686ab778"),
+            (5, 20, 0.7, 0.4, 40, 1, "3c70b67412566b9ac47b6330232b1679e49a67dd3b90de2711db495a64a9d728"),
+        ],
+        ids=["t4-workload-0", "t4-workload-1", "t3-0", "t3-1", "t5-0", "t5-1"],
+    )
+    def test_report_is_pinned(self, t, n, p, tol, trials, seed, digest):
+        assert ledger_sha256(t, n, p, tol, tol, trials, seed) == digest

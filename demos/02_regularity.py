@@ -40,7 +40,8 @@ print(
     f"half-dense pair: {verdict.status}, deviation {verdict.deviation:.3f}, "
     f"witness sizes ({len(w1)}, {len(w2)})"
 )
-sampled = check_regular_sampled(half, range(n), range(n, 2 * n), 0.4, 1.0, trials=10_000, rng=stream(0, 7))
+V1, V2 = np.arange(n), np.arange(n, 2 * n)
+sampled = check_regular_sampled(half.submatrix(V1, V2), V1, V2, 0.4, 1.0, trials=10_000, rng=stream(0, 7))
 print(f"same pair, sampled refuter with 10^4 trials: {sampled.status}")
 
 print()

@@ -4,7 +4,6 @@ adversarially thinned random graphs, at desk scale, with exact oracles."""
 from .graph_core import (
     Graph,
     TupleView,
-    common_neighborhood,
     complete_graph,
     complete_multipartite,
     count_canonical_cliques,
@@ -63,8 +62,8 @@ from .harness import ExperimentConfig, TrialRecord, replay, resilience_sweep, ru
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "TupleView", "common_neighborhood", "complete_graph", "complete_multipartite",
-    "count_canonical_cliques", "empty_graph", "enumerate_canonical_cliques", "min_degree",
+    "Graph", "TupleView", "complete_graph", "complete_multipartite", "count_canonical_cliques",
+    "empty_graph", "enumerate_canonical_cliques", "min_degree",
     "AdversaryReport", "ModelParams", "adversary_partite", "adversary_random",
     "adversary_triangle_killer", "extremal_blocker", "gen_blowup", "gen_gnp",
     "partite_blocker_sizes", "stream",

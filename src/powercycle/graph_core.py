@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_canonical_cliques",
     "count_canonical_cliques",
     "expected_clique_count",
-    "common_neighborhood",
     "min_degree",
     "mirror_upper",
     "bit_indices",
@@ -413,19 +412,6 @@ def expected_clique_count(view: TupleView, indices: Sequence[int]) -> float:
         for b in range(a + 1, len(indices)):
             expected *= float(view.density(indices[a], indices[b]))
     return expected
-
-
-def common_neighborhood(graph: Graph, seed_vertices, target) -> np.ndarray:
-    """Vertices of ``target`` adjacent to every vertex of ``seed_vertices``,
-    as ascending, duplicate-free int64 ids read from the adjacency matrix.
-
-    An empty seed set imposes no constraint and returns the target itself.
-    """
-    target = np.asarray(target, dtype=np.int64)
-    if target.size > 1 and not (target[1:] > target[:-1]).all():
-        target = np.unique(target)
-    seeds = np.asarray(seed_vertices, dtype=np.int64)
-    return target[graph.submatrix(seeds, target).all(axis=0)]
 
 
 def min_degree(graph: Graph) -> int:

@@ -6,9 +6,9 @@ table, ``_EXPERIMENTS``, gives each kind's modes (the first is the default)
 and each mode's trial runner, required and optional params keys, and
 ``_ADVERSARIES`` gives each adversary's spec keys. A config is checked against
 them when it is built, so a missing or unknown key, mode or adversary, or an
-embedder parameter out of range, is a ValueError naming it before any trial
-runs; values no config sets are module constants. The config hash covers
-params as given, never their defaults.
+embedder or typicality-audit parameter out of range, is a ValueError naming
+it before any trial runs; values no config sets are module constants. The
+config hash covers params as given, never their defaults.
 
 Each (kind, params, seed) trial is a pure function of its arguments - all
 randomness is drawn from counter-based streams keyed by the trial seed - so
@@ -89,6 +89,24 @@ def _is_fraction(value) -> bool:
     return _is_number(value) and 0 <= value <= 1
 
 
+def _check_numbers(params: dict, keys: tuple) -> None:
+    """Refuse a value of a params key in ``keys`` that is not a number."""
+    for key in keys:
+        if key in params and not _is_number(params[key]):
+            raise ValueError(f"params.{key}: must be a number, got {params[key]!r}")
+
+
+def _named_params(cls, **fields):
+    """``cls(**fields)`` for a parameter dataclass whose refusals are
+    ValueErrors opening with the field's name, which is also its params key;
+    a refusal is re-raised naming ``params.<field>``."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        field, _, reason = str(err).partition(" ")
+        raise ValueError(f"params.{field}: {reason}") from None
+
+
 def _check_out_dir(out_dir) -> None:
     if out_dir is not None and not isinstance(out_dir, (str, os.PathLike)):
         raise ValueError(f"out_dir: must be a directory path, got {out_dir!r}")
@@ -127,6 +145,8 @@ class ExperimentConfig:
             _check_keys("params.adversary.", spec, spec_required, spec_optional + " kind")
         if self.kind in ("embed", "resilience-sweep"):
             _embed_params(self.params, 0)
+        if self.kind == "typicality-audit":
+            _typicality_params(self.params)
         if "r_grid" in self.params:
             grid = self.params["r_grid"]
             distinct = isinstance(grid, (list, tuple)) and all(map(_is_fraction, grid)) and len(set(grid)) == len(grid)
@@ -271,13 +291,27 @@ def _regularity_inheritance(params: dict, seed: int) -> tuple:
     return {"fraction_regular": frac}, ok
 
 
-def _run_typicality_audit(params: dict, seed: int) -> tuple:
-    t, n, p = params["t"], params["n"], params["p"]
-    typ = typicality.TypicalityParams(
-        epsilon=params["epsilon"], delta=params["delta"], p=p, trials=params.get("trials", TRIALS)
+def _typicality_params(params: dict) -> typicality.TypicalityParams:
+    """The TypicalityParams of a typicality-audit config, with TRIALS sampled
+    trials where it sets none. A part count t below 3, a part size n below 1,
+    a non-number, a non-integer trials or a value TypicalityParams refuses is
+    a ValueError naming its params key."""
+    for key, least in (("t", 3), ("n", 1)):
+        if not _is_count(params[key], least):
+            raise ValueError(f"params.{key}: must be an integer of at least {least}, got {params[key]!r}")
+    _check_numbers(params, ("epsilon", "delta", "p"))
+    trials = params.get("trials", TRIALS)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"params.trials: must be an integer, got {trials!r}")
+    return _named_params(
+        typicality.TypicalityParams, epsilon=params["epsilon"], delta=params["delta"], p=params["p"], trials=trials
     )
-    pattern = graph_core.complete_graph(t)
-    _, view = models.gen_blowup(pattern, n, p, seed)
+
+
+def _run_typicality_audit(params: dict, seed: int) -> tuple:
+    typ = _typicality_params(params)
+    pattern = graph_core.complete_graph(params["t"])
+    _, view = models.gen_blowup(pattern, params["n"], params["p"], seed)
     report = typicality.check_super_typical(view, typ, seed=seed)
     measured = report.to_dict()
     measured.pop("schema")
@@ -358,20 +392,15 @@ def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
     """The EmbedParams of an embed or resilience-sweep config, with xi = eps/4
     and delta = 0.0225 where it sets none; a non-number or a value
     EmbedParams refuses is a ValueError naming its params key."""
-    for key in ("k", "eps", "xi", "delta"):
-        if key in params and not _is_number(params[key]):
-            raise ValueError(f"params.{key}: must be a number, got {params[key]!r}")
-    try:
-        return embedder.EmbedParams(
-            k=params["k"],
-            xi=params.get("xi", params["eps"] / 4),
-            delta=params.get("delta", 0.0225),
-            eps=params["eps"],
-            seed=seed,
-        )
-    except ValueError as err:  # EmbedParams' messages open with the field
-        field, _, reason = str(err).partition(" ")
-        raise ValueError(f"params.{field}: {reason}") from None
+    _check_numbers(params, ("k", "eps", "xi", "delta"))
+    return _named_params(
+        embedder.EmbedParams,
+        k=params["k"],
+        xi=params.get("xi", params["eps"] / 4),
+        delta=params.get("delta", 0.0225),
+        eps=params["eps"],
+        seed=seed,
+    )
 
 
 def _run_embed(params: dict, seed: int) -> tuple:

@@ -8,7 +8,14 @@ random equipartition surveyed once: only the pairs of density >= d*p are
 refuted with the sampled refuter (a sparser pair is never useful, and its
 sub-stream is never built), a refuted pair is left out of the useful pairs,
 and no class is refined. The survey holds one class-pair block at a time:
-each pair's edges are counted from a gather that is dropped once counted.
+each pair is gathered once, its edges are counted from that block, and a
+dense pair's refuter reads the same block.
+
+The sampled refuter takes the pair's block from its caller and gathers
+nothing itself, so every caller, the survey, the inheritance sampler and the
+typicality ledger, pays one gather per pair it tests. Each trial's subsets
+are the positions of a row's q smallest draws, found below the q-th value of
+the row's sort.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -185,10 +192,12 @@ def check_regular_exact(
 
 
 def _smallest(draws: np.ndarray, q: int) -> np.ndarray:
-    """Bool mask of the q smallest draws of each row. A row whose q-th
-    smallest value is tied would select more than q, so then every row takes
-    argpartition's q indices instead."""
-    mask = draws <= np.partition(draws, q - 1, axis=1)[:, q - 1, None]
+    """Bool mask of the q smallest draws of each row, below or at the q-th
+    smallest value of the row read from its sort (on rows of a few dozen
+    draws a full sort is faster than ``np.partition``, and the value is the
+    same). A row whose q-th smallest value is tied would select more than q,
+    so then every row takes argpartition's q indices instead."""
+    mask = draws <= np.sort(draws, axis=1)[:, q - 1, None]
     if np.count_nonzero(mask) != len(draws) * q:
         idx = np.argpartition(draws, q - 1, axis=1)[:, :q]
         mask = np.zeros(draws.shape, dtype=bool)
@@ -197,7 +206,7 @@ def _smallest(draws: np.ndarray, q: int) -> np.ndarray:
 
 
 def check_regular_sampled(
-    graph: Graph,
+    A: np.ndarray,
     V1: Sequence[int],
     V2: Sequence[int],
     eps: float,
@@ -210,27 +219,35 @@ def check_regular_sampled(
     first deviation beyond eps*p. Never certifies; with no refuting sample the
     verdict is undetermined.
 
+    ``A`` is the caller's bool adjacency block of the pair, rows V1 and
+    columns V2 in the order given (``graph.submatrix(V1, V2)`` or a block the
+    caller already holds); the refuter reads it and gathers nothing. V1 and
+    V2 only name the witness's vertices.
+
     Replay contract: ``rng`` draws one (trials, |V1|) array of uniforms, then
     one (trials, |V2|) array; trial r takes the q1 positions of V1 holding the
-    q1 smallest draws of row r, and likewise for V2. Each trial's count is
+    q1 smallest draws of row r, below or at the q1-th smallest draw of the
+    row read from its sort, and likewise for V2. Each trial's count is
     the sum over its V2 subset of ``exact_product(S1, A)``, float32 counts of
-    at most q1 ones, summed in float32 over at most q2 terms: exact integers
-    while q1*q2 < 2**24, so no verdict rests on the BLAS summation order or
-    thread count. Deviations are float32, and the witness is the first
-    refuting trial's subsets, sorted."""
+    at most q1 ones, summed in float32 over at most q2 terms (one ``einsum``
+    row dot product per trial): exact integers while q1*q2 < 2**24, so no
+    verdict rests on the BLAS or einsum summation order or the thread count.
+    Deviations are float32, and the witness is the first refuting trial's
+    subsets, sorted."""
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     n1, n2 = len(V1), len(V2)
+    if A.shape != (n1, n2):
+        raise ValueError(f"block of shape {A.shape} is not the ({n1}, {n2}) block of the pair")
     if trials <= 0:
         return RegularityVerdict("undetermined", 0.0, "sampled")
     q1 = min(n1, max(math.ceil(SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
     q2 = min(n2, max(math.ceil(SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
-    A = graph.submatrix(V1, V2)
     d = float(np.count_nonzero(A)) / (n1 * n2)
 
     S1 = _smallest(rng.random((trials, n1)), q1)
     S2 = _smallest(rng.random((trials, n2)), q2)
-    counts = (exact_product(S1, A) * S2).sum(axis=1)
+    counts = np.einsum("ij,ij->i", exact_product(S1, A), S2)
     dev = np.abs(counts / (q1 * q2) - d)
     worst = int(np.argmax(dev))
     if dev[worst] > eps * p + TOL:
@@ -275,8 +292,9 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     its stream is never built, and no other pair's draws move. The partition
     is marked good when every class has at least mu*k useful partners.
 
-    Each pair's edges are counted from one uncached gather of its block, so
-    no more than one block is held at a time. The density is the int
+    Each pair's edges are counted from one uncached gather of its block,
+    which a dense pair's refuter then reads, so each pair is gathered once
+    and no more than one block is held at a time. The density is the int
     quotient ``edges / size**2``, which Python rounds correctly, so it is the
     float of the exact rational density and every decision is the one the
     exact ``Fraction`` gives."""
@@ -290,11 +308,11 @@ def build_nice_partition(graph: Graph, params: RegularityParams, m: int, seed: i
     useful = set()
     for i in range(m):
         for j in range(i + 1, m):
-            edges = int(np.count_nonzero(graph.submatrix(classes[i], classes[j])))
-            if edges / (size * size) < params.d * params.p - TOL:
+            block = graph.submatrix(classes[i], classes[j])
+            if int(np.count_nonzero(block)) / (size * size) < params.d * params.p - TOL:
                 continue
             verdict = check_regular_sampled(
-                graph,
+                block,
                 classes[i],
                 classes[j],
                 params.epsilon,
@@ -342,13 +360,14 @@ def inheritance_stats(
     for s in range(samples):
         Q1 = V1[rng.permutation(len(V1))[:q1]]
         Q2 = V2[rng.permutation(len(V2))[:q2]]
-        d_sub = float(graph.submatrix(Q1, Q2).sum()) / (q1 * q2)
+        block = graph.submatrix(Q1, Q2)
+        d_sub = float(block.sum()) / (q1 * q2)
         lo = (1 - eps_prime) * d_parent - TOL
         hi = (1 + eps_prime) * d_parent + TOL
         if not (lo <= d_sub <= hi):
             continue
         verdict = check_regular_sampled(
-            graph, Q1, Q2, eps_prime, p, trials=INHERITANCE_TRIALS, rng=stream(seed, 31, s)
+            block, Q1, Q2, eps_prime, p, trials=INHERITANCE_TRIALS, rng=stream(seed, 31, s)
         )
         if not verdict.refuted:
             good += 1

@@ -11,7 +11,14 @@ the sampled refuter with a fixed trial budget; "regular" here always means
 of the audit seed: tags 37 (vertex), 67 (clique copy) and 71 (tuple pair).
 
 All counts and copies are read from windows of the view's ``window_cliques``
-in graph_core; nothing in this module counts cliques on its own.
+in graph_core; nothing in this module counts cliques on its own. Every
+neighbourhood is read from the view's cached part blocks: a vertex's in part
+j is a row of its block against j, and the middle copies' neighbourhoods in
+the outer parts are ANDs of block rows at the copies' positions, built for a
+block of copies at a time, whose size windows are applied to all of them at
+once. A neighbourhood pair that reaches its density test is gathered once,
+and the sampled refuter reads that same block; the tuple-level checks hand
+it the view's blocks.
 """
 
 from __future__ import annotations
@@ -23,10 +30,8 @@ import numpy as np
 
 from .graph_core import (
     TupleView,
-    common_neighborhood,
     count_canonical_cliques,
     expected_clique_count,
-    frontier_members,
     window_cliques,
 )
 from .models import stream
@@ -42,6 +47,9 @@ __all__ = [
 
 # Slack added to every window and count threshold.
 TOL = 1e-9
+# Cells of each outer part's neighbourhood array, copies by part size, that
+# the ledger builds at a time for the middle copies (1 MB of bools).
+_COPY_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,10 @@ class TypicalityParams:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+        if not (0.0 < self.p <= 1.0):
+            raise ValueError(f"p must lie in (0,1], got {self.p}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, got {self.trials}")
 
 
 @dataclass
@@ -100,15 +112,18 @@ def _pair_ok(
     graph, ids_a, ids_b, eps: float, params: TypicalityParams, center: float, path: tuple
 ) -> bool:
     """Sampled check, drawn from stream(*path), that a neighbourhood pair is
-    unrefuted at (eps, p) and has density within (1 +/- eps) of the given centre."""
+    unrefuted at (eps, p) and has density within (1 +/- eps) of the given
+    centre. The pair's block is gathered once: its edges are counted from it,
+    and the refuter reads it."""
     if len(ids_a) == 0 or len(ids_b) == 0:
         # Degenerate pair: density 0; acceptable only when nothing is expected.
         return _within(0.0, center, eps)
-    d = float(np.count_nonzero(graph.submatrix(ids_a, ids_b))) / (len(ids_a) * len(ids_b))
+    block = graph.submatrix(ids_a, ids_b)
+    d = float(np.count_nonzero(block)) / (len(ids_a) * len(ids_b))
     if not _within(d, center, eps):
         return False
     verdict = check_regular_sampled(
-        graph, ids_a, ids_b, eps, params.p, trials=params.trials, rng=stream(*path)
+        block, ids_a, ids_b, eps, params.p, trials=params.trials, rng=stream(*path)
     )
     return not verdict.refuted
 
@@ -138,7 +153,7 @@ def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> li
         good = []
         for local in np.nonzero(size_ok)[0]:
             v = int(view.parts[i][local])
-            nbrs = {j: common_neighborhood(graph, (v,), view.parts[j]) for j in others}
+            nbrs = {j: view.parts[j][view.block(i, j)[local]] for j in others}
             if all(
                 _pair_ok(
                     graph, nbrs[j], nbrs[l], eps, params, float(view.density(j, l)), (seed, 37, v, j, l)
@@ -150,25 +165,47 @@ def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> li
     return out
 
 
-def _typical_copy(view: TupleView, copy: tuple, params: TypicalityParams, seed: int) -> bool:
-    """Is a canonical copy of K_{t-2} on the middle parts delta-typical toward
-    the outer parts 0 and t-1? Both common neighbourhoods must hit their
-    measured size windows and span an unrefuted pair of density within the
-    window."""
-    graph = view.graph
+def _typical_copy_count(view: TupleView, params: TypicalityParams, seed: int) -> int:
+    """Number of canonical copies of K_{t-2} on the middle parts that are
+    delta-typical toward the outer parts 0 and t-1: both common
+    neighbourhoods hit their measured size windows and span an unrefuted
+    pair of density within the window. Copy c's pair draws from
+    stream(seed, 67, *c), and only copies inside both windows reach it.
+
+    The neighbourhoods of a block of copies in an outer part are one AND of
+    the rows of the middle parts' blocks against it at the copies'
+    positions, an array of at most _COPY_CELLS cells."""
     t = view.t
-    nbrs = []
-    for a in (0, t - 1):
-        ids = common_neighborhood(graph, copy, view.parts[a])
+    delta = params.delta
+    outer = (0, t - 1)
+    windows = []
+    for a in outer:
         expected = view.sizes[a]
         for j in range(1, t - 1):
             expected *= float(view.density(j, a))
-        if not _within(len(ids), expected, params.delta):
-            return False
-        nbrs.append(ids)
-    ids_a, ids_b = nbrs
+        windows.append(((1 - delta) * expected - TOL, (1 + delta) * expected + TOL))
     center = float(view.density(0, t - 1))
-    return _pair_ok(graph, ids_a, ids_b, params.delta, params, center, (seed, 67, *copy))
+    positions = np.nonzero(window_cliques(view, 1, t - 2))
+    step = max(1, _COPY_CELLS // max(view.sizes[a] for a in outer))
+    n_typ = 0
+    for lo in range(0, len(positions[0]), step):
+        at = [pos[lo : lo + step] for pos in positions]
+        inside = np.ones(len(at[0]), dtype=bool)
+        nbrs = []
+        for a, (low, high) in zip(outer, windows):
+            nbr = view.block(1, a)[at[0]]
+            for j in range(2, t - 1):
+                nbr &= view.block(j, a)[at[j - 1]]
+            size = np.count_nonzero(nbr, axis=1)
+            inside &= (size >= low) & (size <= high)
+            nbrs.append(nbr)
+        copies = np.stack([view.parts[j][at[j - 1]] for j in range(1, t - 1)], axis=1)
+        for c in np.flatnonzero(inside):
+            ids_a = view.parts[0][nbrs[0][c]]
+            ids_b = view.parts[t - 1][nbrs[1][c]]
+            path = (seed, 67, *copies[c].tolist())
+            n_typ += _pair_ok(view.graph, ids_a, ids_b, delta, params, center, path)
+    return n_typ
 
 
 def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) -> TypicalityReport:
@@ -201,10 +238,7 @@ def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) ->
         for name in ("middle", "left", "right")
     }
 
-    n_typ = 0
-    for copy in frontier_members(view, window_cliques(view, 1, t - 2), 1):
-        if _typical_copy(view, copy, params, seed):
-            n_typ += 1
+    n_typ = _typical_copy_count(view, params, seed)
     typ_expected = expected_counts["middle"]
     verdicts["typical_cliques"] = n_typ >= (1 - delta) * typ_expected - TOL
 
@@ -215,7 +249,7 @@ def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) ->
         for i in range(t):
             for j in range(i + 1, t):
                 verdict = check_regular_sampled(
-                    view.graph,
+                    view.block(i, j),
                     view.parts[i],
                     view.parts[j],
                     params.epsilon,

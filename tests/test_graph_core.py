@@ -10,8 +10,6 @@ from powercycle import graph_core
 from powercycle.graph_core import (
     Graph,
     TupleView,
-    bit_indices,
-    common_neighborhood,
     complete_graph,
     complete_multipartite,
     count_canonical_cliques,
@@ -20,7 +18,6 @@ from powercycle.graph_core import (
     exact_product,
     load_graph,
     load_parts,
-    mask_of,
     min_degree,
     save_graph,
     save_parts,
@@ -316,57 +313,6 @@ class TestEnumeration:
             enumerate_canonical_cliques(view, 0, 0)
         with pytest.raises(ValueError):
             count_canonical_cliques(view, 0, 0)
-
-
-class TestCommonNeighborhood:
-    def test_empty_seed_returns_target(self):
-        g = empty_graph(6)
-        out = common_neighborhood(g, [], [1, 3, 5])
-        assert out.tolist() == [1, 3, 5]
-
-    def test_single_seed_is_neighborhood_restriction(self):
-        g = gen_gnp(ModelParams(N=30, p=0.5, seed=5))
-        target = list(range(10, 25))
-        out = set(common_neighborhood(g, [4], target).tolist())
-        assert out == {u for u in target if g.adj[4, u]}
-
-    def test_path_endpoints_share_middle(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        out = common_neighborhood(g, [0, 2], [1])
-        assert out.tolist() == [1]
-
-    def test_unsorted_target_gives_ascending_unique_ids(self):
-        g = complete_graph(8)
-        assert common_neighborhood(g, [], [5, 1, 3, 1, 5]).tolist() == [1, 3, 5]
-        assert common_neighborhood(g, [0], [7, 2, 2, 6]).tolist() == [2, 6, 7]
-        assert common_neighborhood(g, [0], [0, 4, 0]).tolist() == [4]
-        out = common_neighborhood(g, [], [])
-        assert out.dtype == np.int64 and out.size == 0
-
-    def test_matches_bitmask_reference(self):
-        rng = stream(29)
-        for trial in range(30):
-            n = int(rng.integers(1, 25))
-            g = gen_gnp(ModelParams(N=n, p=float(rng.uniform(0.2, 0.9)), seed=trial))
-            seeds = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False).tolist()
-            target = rng.integers(0, n, size=int(rng.integers(0, 2 * n))).tolist()
-            m = mask_of(target)
-            for v in seeds:
-                m &= g.rows[v]
-            out = common_neighborhood(g, seeds, target)
-            assert out.dtype == np.int64
-            assert out.tolist() == list(bit_indices(m))
-
-    def test_antitone_in_seed(self):
-        rng = stream(23)
-        g = gen_gnp(ModelParams(N=40, p=0.5, seed=7))
-        for _ in range(20):
-            seeds = rng.choice(40, size=int(rng.integers(1, 4)), replace=False).tolist()
-            extra = int(rng.integers(0, 40))
-            target = range(40)
-            small = set(common_neighborhood(g, seeds + [extra], target).tolist())
-            big = set(common_neighborhood(g, seeds, target).tolist())
-            assert small <= big
 
 
 class TestExactProduct:

@@ -123,6 +123,42 @@ class TestConfig:
         assert exit_info.value.code == 2
         assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"trials": -3}, "trials"),
+            ({"trials": 2.5}, "trials"),
+            ({"p": 1.5}, "p"),
+            ({"p": 0}, "p"),
+            ({"epsilon": 1.0}, "epsilon"),
+            ({"delta": "0.4"}, "delta"),
+            ({"t": 2}, "t"),
+            ({"n": 0}, "n"),
+        ],
+        ids=["trials-neg", "trials-float", "p-1.5", "p-0", "epsilon-1", "delta-str", "t-2", "n-0"],
+    )
+    def test_typicality_params_refused_before_any_trial(self, monkeypatch, tmp_path, capsys, overrides, key):
+        # trials = -3 used to run every seed with no sampled check at all,
+        # and p = 1.5 to crash every trial.
+        def refuse(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", refuse)
+        params = {"t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4, **overrides}
+        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
+            ExperimentConfig(kind="typicality-audit", params=params, seeds=[0, 1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["typicality-audit", "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+
+    def test_typicality_boundary_values_accepted(self):
+        base = {"t": 3, "n": 12, "epsilon": 0.4, "delta": 0.4}
+        ExperimentConfig(kind="typicality-audit", params={**base, "p": 1.0, "trials": 0}, seeds=[0])
+        ExperimentConfig(kind="typicality-audit", params={**base, "p": 1}, seeds=[0])
+
     def test_delta_just_below_the_search_bound_accepted(self):
         ExperimentConfig(kind="embed", params=tiny_embed_params(delta=0.0249), seeds=[0])
         ExperimentConfig(kind="embed", params=tiny_embed_params(k=3, delta=0.0166), seeds=[0])

@@ -77,23 +77,25 @@ class TestExact:
 class TestSampled:
     def test_complete_bipartite_never_refuted(self):
         g, view = complete_multipartite([20, 20])
-        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=500, rng=stream(1, 7))
+        V1, V2 = view.parts
+        verdict = check_regular_sampled(g.submatrix(V1, V2), V1, V2, 0.3, 1.0, trials=500, rng=stream(1, 7))
         assert verdict.status == "undetermined"
 
     def test_zero_trials_undetermined(self):
         g, view = complete_multipartite([10, 10])
-        verdict = check_regular_sampled(g, view.parts[0], view.parts[1], 0.3, 1.0, trials=0, rng=stream(1, 7))
+        V1, V2 = view.parts
+        verdict = check_regular_sampled(g.submatrix(V1, V2), V1, V2, 0.3, 1.0, trials=0, rng=stream(1, 7))
         assert verdict.status == "undetermined"
 
     def test_half_dense_refuted_reliably(self):
         g, V1, V2 = half_dense_pair(8)
         for seed in range(5):
-            verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, rng=stream(seed, 7))
+            verdict = check_regular_sampled(g.submatrix(V1, V2), V1, V2, 0.4, 1.0, trials=10_000, rng=stream(seed, 7))
             assert verdict.refuted
 
     def test_witness_is_qualifying_and_violating(self):
         g, V1, V2 = half_dense_pair(8)
-        verdict = check_regular_sampled(g, V1, V2, 0.4, 1.0, trials=10_000, rng=stream(3, 7))
+        verdict = check_regular_sampled(g.submatrix(V1, V2), V1, V2, 0.4, 1.0, trials=10_000, rng=stream(3, 7))
         w1, w2 = verdict.witness
         assert len(w1) >= math.ceil(0.4 * 8) and len(w2) >= math.ceil(0.4 * 8)
         dev = abs(naive_density(g, w1.tolist(), w2.tolist()) - naive_density(g, V1, V2))
@@ -106,9 +108,14 @@ class TestSampled:
             g = gen_gnp(ModelParams(N=2 * n, p=float(rng.uniform(0.3, 0.7)), seed=trial + 50))
             V1, V2 = list(range(n)), list(range(n, 2 * n))
             eps = 0.4
-            sampled = check_regular_sampled(g, V1, V2, eps, 1.0, trials=5000, rng=stream(trial, 7))
+            sampled = check_regular_sampled(g.submatrix(V1, V2), V1, V2, eps, 1.0, trials=5000, rng=stream(trial, 7))
             if sampled.refuted:
                 assert check_regular_exact(g, V1, V2, eps, 1.0).refuted
+
+    def test_block_of_another_shape_refused(self):
+        g, V1, V2 = half_dense_pair(8)
+        with pytest.raises(ValueError, match="block"):
+            check_regular_sampled(g.submatrix(V1, V2[:7]), V1, V2, 0.4, 1.0, trials=10, rng=stream(0, 7))
 
     def test_certify_requires_exact_mode(self):
         with pytest.raises(ValueError):
@@ -122,7 +129,7 @@ class TestSampled:
                 return np.tile(np.array([0, 0, 0, 1, 1, 1, 2, 2], dtype=float), (shape[0], 1))
 
         g, V1, V2 = half_dense_pair(8)
-        verdict = check_regular_sampled(g, V1, V2, 0.4, 0.5, trials=3, rng=TiedDraws())
+        verdict = check_regular_sampled(g.submatrix(V1, V2), V1, V2, 0.4, 0.5, trials=3, rng=TiedDraws())
         assert verdict.refuted
         w1, w2 = verdict.witness
         assert len(w1) == len(w2) == 4
@@ -155,11 +162,12 @@ class TestSampledPinned:
         tally = Counter()
         for n1, n2 in [(1, 1), (3, 7), (25, 25), (50, 40), (120, 90)]:
             g, V1, V2 = planted_pair(n1, n2, n1 * 1000 + n2)
+            A = g.submatrix(V1, V2)
             # At eps = 0.7 the subset size comes from eps, not SUBSET_FRACTION.
             for eps in (0.3, 0.7):
                 for trials in (1, 200):
                     for seed in range(20):
-                        v = check_regular_sampled(g, V1, V2, eps, 0.1, trials=trials, rng=stream(seed, 7, n1, n2))
+                        v = check_regular_sampled(A, V1, V2, eps, 0.1, trials=trials, rng=stream(seed, 7, n1, n2))
                         w = None if v.witness is None else (v.witness[0].tolist(), v.witness[1].tolist())
                         h.update(repr((v.status, repr(v.deviation), w)).encode())
                         tally[eps, v.status] += 1
@@ -259,7 +267,13 @@ class TestNicePartition:
             (i, j)
             for i, j in pairs
             if check_regular_sampled(
-                g, part.classes[i], part.classes[j], 0.2, p, trials=30, rng=stream(seed, 19, 0, i, j)
+                g.submatrix(part.classes[i], part.classes[j]),
+                part.classes[i],
+                part.classes[j],
+                0.2,
+                p,
+                trials=30,
+                rng=stream(seed, 19, 0, i, j),
             ).refuted
         }
         assert refuted
@@ -287,6 +301,23 @@ class TestNicePartition:
             for edges in rng.integers(0, size * size + 1, size=200).tolist() + [0, size * size]:
                 assert edges / (size * size) == float(Fraction(edges, size * size))
 
+    def test_one_gather_per_class_pair(self, monkeypatch):
+        # Every pair is dense here, and its refuter reads the block its
+        # density was counted from, so the survey gathers each of the
+        # m(m-1)/2 pairs once.
+        gathers = []
+        submatrix = Graph.submatrix
+
+        def counting(self, rows, cols):
+            gathers.append(1)
+            return submatrix(self, rows, cols)
+
+        g = gen_gnp(ModelParams(N=120, p=0.5, seed=3))
+        monkeypatch.setattr(Graph, "submatrix", counting)
+        part = build_nice_partition(g, RegularityParams(epsilon=0.25, p=0.5, d=0.5, trials=30), m=5, seed=3)
+        assert len(part.useful_pairs) == 10
+        assert len(gathers) == 10
+
     def test_requires_enough_vertices(self):
         params = RegularityParams(epsilon=0.3, p=0.5)
         with pytest.raises(ValueError):
@@ -298,9 +329,9 @@ class TestNicePartition:
         calls = []
         refute = regularity.check_regular_sampled
 
-        def recorder(graph, V1, V2, *args, **kwargs):
+        def recorder(A, V1, V2, *args, **kwargs):
             calls.append((tuple(V1), tuple(V2)))
-            return refute(graph, V1, V2, *args, **kwargs)
+            return refute(A, V1, V2, *args, **kwargs)
 
         monkeypatch.setattr(regularity, "check_regular_sampled", recorder)
         return calls
@@ -378,7 +409,7 @@ class TestInheritanceStats:
             for _ in range(3):
                 q1 = view.parts[0][rng.permutation(120)[:40]]
                 q2 = view.parts[1][rng.permutation(120)[:40]]
-                verdict = check_regular_sampled(g, q1, q2, 0.25, 0.5, trials=300, rng=stream(seed, 7))
+                verdict = check_regular_sampled(g.submatrix(q1, q2), q1, q2, 0.25, 0.5, trials=300, rng=stream(seed, 7))
                 total += 1
                 refuted += verdict.refuted
         assert refuted / total <= 0.05

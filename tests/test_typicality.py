@@ -26,6 +26,20 @@ def params(eps=0.3, delta=0.3, p=0.5, trials=120):
     return TypicalityParams(epsilon=eps, delta=delta, p=p, trials=trials)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 0.0), ("p", -0.1), ("p", 1.5), ("trials", -1), ("epsilon", 1.0), ("delta", 0.0)],
+    )
+    def test_impossible_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TypicalityParams(**{"epsilon": 0.3, "delta": 0.3, "p": 0.5, field: value})
+
+    @pytest.mark.parametrize("field, value", [("p", 1.0), ("trials", 0)])
+    def test_boundary_values_accepted(self, field, value):
+        TypicalityParams(**{"epsilon": 0.3, "delta": 0.3, "p": 0.5, field: value})
+
+
 class TestTypicalVertices:
     def test_complete_tripartite_everyone_typical(self):
         _, view = complete_multipartite([6, 6, 6])
@@ -212,3 +226,40 @@ class TestLedgerPinned:
     )
     def test_report_is_pinned(self, t, n, p, tol, trials, seed, digest):
         assert ledger_sha256(t, n, p, tol, tol, trials, seed) == digest
+
+    def test_copy_blocks_do_not_move_the_report(self, monkeypatch):
+        # Seven copies a block, a size that divides no copy count here, so
+        # the last block is ragged: the t=5 report stays the pinned one.
+        monkeypatch.setattr(typicality, "_COPY_CELLS", 7 * 20)
+        digest = "c626fa574f9bd41261a24c58f73355f21e05322e782ceb1ea6daaa29686ab778"
+        assert ledger_sha256(5, 20, 0.7, 0.4, 0.4, 40, 0) == digest
+
+
+class TestGathers:
+    def test_one_gather_per_pair_that_reaches_its_density_test(self, monkeypatch):
+        # The view's blocks are built first; after that, a neighbourhood pair
+        # is gathered only for its density test, and its refuter reads that
+        # block. The tuple-level checks read the view's blocks.
+        _, view = gen_blowup(complete_graph(4), 30, 0.6, seed=2)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    view.density(i, j)
+                    view.block(i, j)
+        gathers, tested = [], []
+        submatrix, pair_ok = Graph.submatrix, typicality._pair_ok
+
+        def counting_submatrix(self, rows, cols):
+            gathers.append(1)
+            return submatrix(self, rows, cols)
+
+        def counting_pair_ok(graph, ids_a, ids_b, *args):
+            tested.append(len(ids_a) > 0 and len(ids_b) > 0)
+            return pair_ok(graph, ids_a, ids_b, *args)
+
+        monkeypatch.setattr(Graph, "submatrix", counting_submatrix)
+        monkeypatch.setattr(typicality, "_pair_ok", counting_pair_ok)
+        report = check_super_typical(view, params(eps=0.4, delta=0.4, p=0.6, trials=30), seed=2)
+        assert report.verdicts["tuple_typical"]
+        assert sum(tested) > 100
+        assert len(gathers) <= sum(tested)

@@ -11,11 +11,8 @@ and no class is refined. The survey holds one class-pair block at a time:
 each pair is gathered once, its edges are counted from that block, and a
 dense pair's refuter reads the same block.
 
-The sampled refuter takes the pair's block from its caller and gathers
-nothing itself, so every caller, the survey, the inheritance sampler and the
-typicality ledger, pays one gather per pair it tests. Each trial's subsets
-are the positions of a row's q smallest draws, found below the q-th value of
-the row's sort.
+The sampled refuter reads the block its caller gathered and gathers
+nothing itself, so every caller pays one gather per pair it tests.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.

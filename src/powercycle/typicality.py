@@ -12,13 +12,11 @@ of the audit seed: tags 37 (vertex), 67 (clique copy) and 71 (tuple pair).
 
 All counts and copies are read from windows of the view's ``window_cliques``
 in graph_core; nothing in this module counts cliques on its own. Every
-neighbourhood is read from the view's cached part blocks: a vertex's in part
-j is a row of its block against j, and the middle copies' neighbourhoods in
-the outer parts are ANDs of block rows at the copies' positions, built for a
-block of copies at a time, whose size windows are applied to all of them at
-once. A neighbourhood pair that reaches its density test is gathered once,
-and the sampled refuter reads that same block; the tuple-level checks hand
-it the view's blocks.
+neighbourhood is read from the view's cached part blocks: a vertex's is a
+row of a block, a middle copy's is an AND of block rows, built and
+size-checked for many copies at once. A neighbourhood pair that reaches its
+density test is gathered once, and the sampled refuter reads that block;
+the tuple-level checks hand it the view's blocks.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Fixtures shared by the test modules: the acceptance-size host and a
-tracemalloc peak probe."""
+"""Fixtures shared by the test modules: the acceptance-size host, a
+tracemalloc peak probe and a counter of adjacency gathers."""
 
 import tracemalloc
 
 import pytest
 
+from powercycle.graph_core import Graph
 from powercycle.models import ModelParams, gen_gnp
 
 
@@ -32,3 +33,18 @@ def _traced_peak(call) -> tuple:
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """A list that gains one entry for each ``Graph.submatrix`` call made
+    while the test runs."""
+    calls = []
+    submatrix = Graph.submatrix
+
+    def counting(self, rows, cols):
+        calls.append((len(rows), len(cols)))
+        return submatrix(self, rows, cols)
+
+    monkeypatch.setattr(Graph, "submatrix", counting)
+    return calls

@@ -236,7 +236,7 @@ class TestLedgerPinned:
 
 
 class TestGathers:
-    def test_one_gather_per_pair_that_reaches_its_density_test(self, monkeypatch):
+    def test_one_gather_per_pair_that_reaches_its_density_test(self, monkeypatch, gathers):
         # The view's blocks are built first; after that, a neighbourhood pair
         # is gathered only for its density test, and its refuter reads that
         # block. The tuple-level checks read the view's blocks.
@@ -246,18 +246,14 @@ class TestGathers:
                 if i != j:
                     view.density(i, j)
                     view.block(i, j)
-        gathers, tested = [], []
-        submatrix, pair_ok = Graph.submatrix, typicality._pair_ok
-
-        def counting_submatrix(self, rows, cols):
-            gathers.append(1)
-            return submatrix(self, rows, cols)
+        del gathers[:]
+        tested = []
+        pair_ok = typicality._pair_ok
 
         def counting_pair_ok(graph, ids_a, ids_b, *args):
             tested.append(len(ids_a) > 0 and len(ids_b) > 0)
             return pair_ok(graph, ids_a, ids_b, *args)
 
-        monkeypatch.setattr(Graph, "submatrix", counting_submatrix)
         monkeypatch.setattr(typicality, "_pair_ok", counting_pair_ok)
         report = check_super_typical(view, params(eps=0.4, delta=0.4, p=0.6, trials=30), seed=2)
         assert report.verdicts["tuple_typical"]

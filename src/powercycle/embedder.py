@@ -21,7 +21,11 @@ order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples, and the anchor and closing share one test of a single
-clique's reach against the success fraction of the reference count.
+clique's reach against the success fraction of the reference count. Each draw
+takes every window's set at once from one stream, window by window in turn:
+the reserves and first targets from stream(seed, 41), each extend attempt's
+tuple from stream(seed, 43, s, attempt) and each closing attempt's from
+stream(seed, 47, attempt).
 
 Failures (an expander coming up empty after redraws, pools running dry) are
 reported as data, not exceptions: an EmbedFailure names the first failing
@@ -225,13 +229,23 @@ def _longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
     return PowerCycle(tuple(best), k)
 
 
-def _draw(rng, pool: np.ndarray, taken: np.ndarray, count: int) -> Optional[np.ndarray]:
-    """Seeded draw of ``count`` vertices from the pool's vertices that the
-    vertex-indexed mask ``taken`` leaves free, in pool order."""
-    cand = pool[~taken[pool]]
-    if len(cand) < count:
+def _draw_rows(rng, pool_grid: np.ndarray, taken: np.ndarray, count: int) -> Optional[np.ndarray]:
+    """Seeded draw of ``count`` vertices per window, one sorted row per row of
+    the window pool grid, from the vertices the vertex-indexed mask ``taken``
+    leaves free, in pool order. Each row is a permutation of its free
+    vertices drawn in turn from the one ``rng``; None when a row has fewer
+    than ``count`` free. The free vertices are read as one grid, so every
+    window must have as many free as the first."""
+    free_mask = ~taken[pool_grid]
+    sizes = np.count_nonzero(free_mask, axis=1)
+    unequal = np.flatnonzero(sizes != sizes[0])
+    if len(unequal):
+        m = int(unequal[0])
+        raise RuntimeError(f"window {m} has {sizes[m]} free vertices, window 0 has {sizes[0]}")
+    if sizes[0] < count:
         return None
-    return np.sort(cand[rng.permutation(len(cand))[:count]])
+    free = pool_grid[free_mask].reshape(len(pool_grid), -1)
+    return np.sort(rng.permuted(free, axis=1)[:, :count], axis=1)
 
 
 def _one_hots(frontier: np.ndarray):
@@ -284,17 +298,17 @@ def embed_power_cycle(
             "layout", None, f"window size {n_prime} cannot host targets of size {n_tilde}"
         )
 
-    # Live induction state: per-window reserve sets, live targets and used
-    # path vertices, and the path. ``taken`` marks reserve, path and live
-    # target vertices. The window pools are disjoint, so one
-    # vertex-indexed mask serves every window's draw.
+    # Live induction state: per-window reserve sets and live targets (one
+    # row per window), used path vertices, and the path. ``taken`` marks
+    # reserve, path and live target vertices. The window pools are disjoint,
+    # so one vertex-indexed mask serves every window's draw.
     taken = np.zeros(graph.n, dtype=bool)
-    reserve = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
-    taken[np.concatenate(reserve)] = True
-    targets = [_draw(rng, pools[m], taken, n_tilde) for m in range(t)]
-    taken[np.concatenate(targets)] = True
-    used = [set() for _ in range(t)]
     pool_grid = np.stack(pools)
+    reserve = _draw_rows(rng, pool_grid, taken, n_tilde)
+    taken[reserve] = True
+    targets = _draw_rows(rng, pool_grid, taken, n_tilde)
+    taken[targets] = True
+    used = [set() for _ in range(t)]
     path: list = []
 
     def expands_well(start, view: TupleView, to_window: int):
@@ -306,27 +320,23 @@ def embed_power_cycle(
         return trace if trace.counts[-1] >= threshold * x_ref else None
 
     def target_draws(labels: tuple, tail: list):
-        """Up to RETRIES + 1 fresh target tuples, window m drawn from
-        stream(seed, *labels, attempt, m) outside its reserve, path and live
-        targets; each comes with the view of the last k live targets, the
-        fresh tuple and ``tail``. Yields (None, None) and stops when a window
-        pool runs dry."""
+        """Up to RETRIES + 1 fresh target tuples, each drawn for every window
+        at once from stream(seed, *labels, attempt) outside the reserve, path
+        and live targets; each comes with the view of the last k live
+        targets, the fresh tuple and ``tail``. Yields (None, None) and stops
+        when the window pools run dry."""
         for attempt in range(RETRIES + 1):
-            fresh = [
-                _draw(stream(params.seed, *labels, attempt, m), pools[m], taken, n_tilde)
-                for m in range(t)
-            ]
-            if any(f is None for f in fresh):
+            fresh = _draw_rows(stream(params.seed, *labels, attempt), pool_grid, taken, n_tilde)
+            if fresh is None:
                 yield None, None
                 return
-            yield fresh, TupleView(graph, [targets[t - k + j] for j in range(k)] + fresh + tail)
+            yield fresh, TupleView(graph, [*targets[t - k :], *fresh, *tail])
 
     # Anchor: one clique expanding forward to the last target block and
     # backward through the reserve tuple. The backward view opens on the first
     # k targets in reverse order, so its start has the axes reversed.
     fwd_view = TupleView(graph, targets)
-    bwd_parts = [targets[k - 1 - j] for j in range(k)] + [reserve[t - 1 - j] for j in range(t)]
-    bwd_view = TupleView(graph, bwd_parts)
+    bwd_view = TupleView(graph, [*targets[k - 1 :: -1], *reserve[::-1]])
     for _, one_hot in _one_hots(window_cliques(fwd_view, 0, k)):
         fwd = expands_well(one_hot, fwd_view, t - k)
         if fwd is None:
@@ -391,10 +401,10 @@ def embed_power_cycle(
                 break
         else:
             return EmbedFailure("extend", s, f"no expander after {RETRIES + 1} target draws")
-        taken[np.concatenate(targets)] = False
+        taken[targets] = False
         append_round(res.clique, 0 if s == 1 else k)
         targets = fresh
-        taken[np.concatenate(targets)] = True
+        taken[targets] = True
         last = res.trace
 
     # Closing: connect the frontier through a fresh tuple into the reserves

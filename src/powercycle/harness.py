@@ -5,8 +5,8 @@ A config names one experiment kind, its parameter dict, and a seed list. One
 table, ``_EXPERIMENTS``, gives each kind's modes (the first is the default)
 and each mode's trial runner, required and optional params keys, and
 ``_ADVERSARIES`` gives each adversary's spec keys. A config is checked against
-them when it is built, so a missing or unknown key, mode or adversary, or an
-embedder or typicality-audit parameter out of range, is a ValueError naming
+them when it is built, so a missing or unknown key, mode or adversary, or a
+parameter its mode's dataclasses refuse (``_PARAMS``), is a ValueError naming
 it before any trial runs; values no config sets are module constants. The
 config hash covers params as given, never their defaults.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
 
-TRIAL_SCHEMA = "powercycle/trial-v2"
+TRIAL_SCHEMA = "powercycle/trial-v3"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
 
 TRIALS = 200  # sampled-refuter trials of a check whose config sets none
@@ -136,17 +136,15 @@ class ExperimentConfig:
         _check_out_dir(self.out_dir)
         if not isinstance(self.params, dict):
             raise ValueError("params: must be a mapping")
-        _, required, optional = _entry(self.kind, self.params)
+        runner, required, optional = _entry(self.kind, self.params)
         _check_keys("params.", self.params, required, optional + " mode")
         if "adversary" in self.params:
             spec = self.params["adversary"]
             adversary = spec.get("kind") if isinstance(spec, dict) else None
             _, spec_required, spec_optional = _lookup(_ADVERSARIES, "params.adversary.kind", adversary)
             _check_keys("params.adversary.", spec, spec_required, spec_optional + " kind")
-        if self.kind in ("embed", "resilience-sweep"):
-            _embed_params(self.params, 0)
-        if self.kind == "typicality-audit":
-            _typicality_params(self.params)
+        for build in _PARAMS.get(runner, ()):
+            build(self.params)
         if "r_grid" in self.params:
             grid = self.params["r_grid"]
             distinct = isinstance(grid, (list, tuple)) and all(map(_is_fraction, grid)) and len(set(grid)) == len(grid)
@@ -256,11 +254,29 @@ def _count_gnp_sets(params: dict, seed: int) -> tuple:
     return {"count": count, "bound": bound}, ok
 
 
+def _trials(params: dict) -> int:
+    """A config's sampled-refuter trials, TRIALS where it sets none; a
+    non-integer is a ValueError naming params.trials."""
+    trials = params.get("trials", TRIALS)
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"params.trials: must be an integer, got {trials!r}")
+    return trials
+
+
+def _regularity_params(params: dict) -> regularity.RegularityParams:
+    """The RegularityParams of a regularity-audit partition config, at mu =
+    PARTITION_MU; a non-number or a value RegularityParams refuses is a
+    ValueError naming its params key."""
+    _check_numbers(params, ("epsilon", "p", "d"))
+    return _named_params(
+        regularity.RegularityParams,
+        epsilon=params["epsilon"], p=params["p"], d=params["d"], mu=PARTITION_MU, trials=_trials(params),
+    )
+
+
 def _regularity_partition(params: dict, seed: int) -> tuple:
     N, p = params["N"], params["p"]
-    reg = regularity.RegularityParams(
-        epsilon=params["epsilon"], p=p, d=params["d"], mu=PARTITION_MU, trials=params.get("trials", TRIALS)
-    )
+    reg = _regularity_params(params)
     host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
     part = regularity.build_nice_partition(host, reg, m=params["m"], seed=seed)
     measured = {
@@ -300,11 +316,9 @@ def _typicality_params(params: dict) -> typicality.TypicalityParams:
         if not _is_count(params[key], least):
             raise ValueError(f"params.{key}: must be an integer of at least {least}, got {params[key]!r}")
     _check_numbers(params, ("epsilon", "delta", "p"))
-    trials = params.get("trials", TRIALS)
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise ValueError(f"params.trials: must be an integer, got {trials!r}")
     return _named_params(
-        typicality.TypicalityParams, epsilon=params["epsilon"], delta=params["delta"], p=params["p"], trials=trials
+        typicality.TypicalityParams,
+        epsilon=params["epsilon"], delta=params["delta"], p=params["p"], trials=_trials(params),
     )
 
 
@@ -332,11 +346,28 @@ def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> np.nd
     return graph_core.pick_frontier(all_start.shape, positions, picks)
 
 
+def _expansion_params(params: dict) -> expansion.ExpansionParams:
+    """The ExpansionParams of an expansion-audit config; a non-number or a
+    value ExpansionParams refuses is a ValueError naming its params key."""
+    _check_numbers(params, ("k", "delta"))
+    return _named_params(expansion.ExpansionParams, k=params["k"], delta=params["delta"])
+
+
+def _certificate_params(params: dict) -> typicality.TypicalityParams:
+    """The typicality certificate of a one-step expansion audit: CERT_EPSILON,
+    CERT_DELTA and TRIALS at the config's p; a non-number p or one
+    TypicalityParams refuses is a ValueError naming params.p."""
+    _check_numbers(params, ("p",))
+    return _named_params(
+        typicality.TypicalityParams, epsilon=CERT_EPSILON, delta=CERT_DELTA, p=params["p"], trials=TRIALS
+    )
+
+
 def _expansion_one_step(params: dict, seed: int) -> tuple:
     k, n, p, delta, kappa = params["k"], params["n"], params["p"], params["delta"], params["kappa"]
-    typ = typicality.TypicalityParams(epsilon=CERT_EPSILON, delta=CERT_DELTA, p=p, trials=TRIALS)
+    typ = _certificate_params(params)
     _, view = models.gen_blowup(graph_core.complete_graph(k + 1), n, p, seed)
-    exp = expansion.ExpansionParams(k=k, delta=delta)
+    exp = _expansion_params(params)
     try:
         frac = expansion.one_step_expansion_audit(view, kappa, exp, typ, seed)
     except expansion.PreconditionError as err:
@@ -346,7 +377,8 @@ def _expansion_one_step(params: dict, seed: int) -> tuple:
 
 
 def _expansion_main(params: dict, seed: int) -> tuple:
-    k, delta = params["k"], params["delta"]
+    exp = _expansion_params(params)
+    k, delta = exp.k, exp.delta
     _, view = models.gen_blowup(_path_power_pattern(2 * k, k), params["n"], params["p"], seed)
     start = _sample_start(view, k, delta, 1, seed)
     trace = expansion.expand_through(start, view, k)
@@ -362,7 +394,7 @@ def _expansion_halving(params: dict, seed: int) -> tuple:
     k, delta = params["k"], params["delta"]
     _, view = models.gen_blowup(_path_power_pattern(2 * k, k), params["n"], params["p"], seed)
     start = _sample_start(view, k, params.get("start_fraction", delta), 2, seed)
-    exp = expansion.ExpansionParams(k=k, delta=delta)
+    exp = _expansion_params(params)
     audit = expansion.halving_audit(start, view, exp, params.get("n_splits", 3), seed)
     ok = (not audit["start_qualifies"]) or audit["all_ok"]
     return {
@@ -403,6 +435,18 @@ def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
     )
 
 
+def _partition_params(params: dict) -> regularity.RegularityParams:
+    """The RegularityParams of the partition an embed trial builds: epsilon
+    REG_EPSILON, mu = k/(k+1) and TRIALS at the config's p and d; a
+    non-number or a value RegularityParams refuses is a ValueError naming its
+    params key. Read after ``_embed_params`` has checked k."""
+    _check_numbers(params, ("p", "d"))
+    k = params["k"]
+    return _named_params(
+        regularity.RegularityParams, epsilon=REG_EPSILON, p=params["p"], d=params["d"], mu=k / (k + 1), trials=TRIALS
+    )
+
+
 def _run_embed(params: dict, seed: int) -> tuple:
     N, p, k = params["N"], params["p"], params["k"]
     host = models.gen_gnp(models.ModelParams(N=N, p=p, seed=seed))
@@ -416,8 +460,7 @@ def _run_embed(params: dict, seed: int) -> tuple:
     if adv_report is not None:
         measured["adversary"] = adv_report.to_dict()
 
-    reg = regularity.RegularityParams(epsilon=REG_EPSILON, p=p, d=params["d"], mu=k / (k + 1), trials=TRIALS)
-    part = regularity.build_nice_partition(thinned, reg, m=params["clusters"], seed=seed)
+    part = regularity.build_nice_partition(thinned, _partition_params(params), m=params["clusters"], seed=seed)
     measured["partner_ok"] = bool(part.partner_ok)
     red = embedder.build_reduced(part)
     measured["reduced_edges"] = red.edge_count()
@@ -519,6 +562,21 @@ _EXPERIMENTS = {
         "expansion": (partial(_oracle_compare, _expansion_check), "", "instances"),
     },
 }
+
+# Trial runner -> the parameter builders it shares with
+# ExperimentConfig.validate, so a value its dataclasses refuse is refused
+# before any trial.
+_EMBED_PARAMS = (partial(_embed_params, seed=0), _partition_params)
+_PARAMS = {
+    _run_embed: _EMBED_PARAMS,
+    _run_resilience_point: _EMBED_PARAMS,
+    _regularity_partition: (_regularity_params,),
+    _run_typicality_audit: (_typicality_params,),
+    _expansion_one_step: (_expansion_params, _certificate_params),
+    _expansion_main: (_expansion_params,),
+    _expansion_halving: (_expansion_params,),
+}
+
 KINDS = tuple(_EXPERIMENTS)
 
 

@@ -7,12 +7,13 @@ extending the entropy path rather than by drawing from a parent stream, which
 keeps parallel trials bit-identical to serial ones.
 
 Every draw of the package comes from ``stream(seed, tag, ...)`` with one tag
-per call site and no arithmetic on seeds:
+per call site and no arithmetic on seeds. A row's parentheses give the path
+entries after its tag (none without them); ``*`` marks a variable number:
 
     0  gen_gnp                      37  typical_vertices (v, j, l)
     1  gen_blowup                   41  embedder reserves, targets
-    2  adversary_partite            43  embedder extend draws (s, attempt, m)
-    3  adversary_random             47  embedder closing draws (attempt, m)
+    2  adversary_partite            43  embedder extend draws (s, attempt)
+    3  adversary_random             47  embedder closing draws (attempt)
    11  build_nice_partition         53  count-audit vertex sets
    17  inheritance_stats samples    59  expansion-audit start sets
    19  dense-pair survey (0, i, j)  61  oracle-compare instances

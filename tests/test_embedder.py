@@ -20,7 +20,7 @@ from powercycle.embedder import (
     EmbedFailure,
     EmbedParams,
     PowerCycle,
-    _draw,
+    _draw_rows,
     build_reduced,
     embed_power_cycle,
     exact_longest_power_cycle,
@@ -358,7 +358,7 @@ class TestEmbed:
         measured, ok = harness._run_embed(params, 0)
         assert ok and measured["cycle_length"] == 2616
         digest = hashlib.sha256(repr(results[0].vertices).encode()).hexdigest()
-        assert digest == "c243f78bde05fadccc20f61924a7397b169e057f42be8226bbc72c0e04fed329"
+        assert digest == "3f842f9ed0beac3596b1e5594ea8231a2c94114afe66edf1409efc329ad8eb65"
 
     def test_overlapping_window_pools_rejected(self):
         # One vertex-indexed mask serves every window's draw only because the
@@ -401,9 +401,11 @@ class TestEmbed:
         # With a draw that ignores ``taken``, a target lands on a reserve
         # vertex (seed 0, before the first round) or on a reserve or path
         # vertex (seed 11, one round in); the audit must name the overlap.
-        draw = embedder._draw
+        draw = embedder._draw_rows
         monkeypatch.setattr(
-            embedder, "_draw", lambda rng, pool, taken, count: draw(rng, pool, np.zeros_like(taken), count)
+            embedder,
+            "_draw_rows",
+            lambda rng, pool_grid, taken, count: draw(rng, pool_grid, np.zeros_like(taken), count),
         )
         with pytest.raises(RuntimeError, match=f"reserve/targets/path overlap at step {step}"):
             self._embed_complete(seed=seed)
@@ -412,41 +414,74 @@ class TestEmbed:
         # Every vertex drawn so far is marked again before the next draw, so
         # the targets a round retires stay marked; the audit must name the
         # stale mark, not an overlap.
-        draw = embedder._draw
+        draw = embedder._draw_rows
         drawn = []
 
-        def sticky(rng, pool, taken, count):
+        def sticky(rng, pool_grid, taken, count):
             for old in drawn:
                 taken[old] = True
-            got = draw(rng, pool, taken, count)
+            got = draw(rng, pool_grid, taken, count)
             if got is not None:
                 drawn.append(got)
             return got
 
-        monkeypatch.setattr(embedder, "_draw", sticky)
+        monkeypatch.setattr(embedder, "_draw_rows", sticky)
         with pytest.raises(RuntimeError, match="stale taken mark at step 3"):
             self._embed_complete(seed=11)
 
 
+def _row_oracle(rng, candidates: list, count: int):
+    """Row by row on the one generator: a sorted draw of ``count`` from each
+    row's candidates, or None when any row has fewer."""
+    if any(len(cand) < count for cand in candidates):
+        return None
+    return np.stack([np.sort(cand[rng.permutation(len(cand))[:count]]) for cand in candidates])
+
+
+def _balanced_grid(rng, free: int):
+    """A window pool grid of disjoint rows over a larger vertex range, and a
+    ``taken`` mask leaving ``free`` vertices of every row unmarked."""
+    t, size = int(rng.integers(1, 8)), int(rng.integers(free, free + 20))
+    n = t * size + int(rng.integers(0, 10))
+    pool_grid = rng.permutation(n)[: t * size].reshape(t, size)
+    taken = rng.random(n) < 0.5
+    for row in pool_grid:
+        taken[row] = True
+        taken[rng.choice(row, size=free, replace=False)] = False
+    return pool_grid, taken
+
+
 class TestDraw:
     def test_mask_draw_equals_set_difference_draw(self):
-        # The mask keeps the pool's order, so the same permutation picks the
-        # same vertices as drawing from the pool minus the excluded set.
+        # The mask keeps each pool's order, so the rows pick the same
+        # vertices as drawing row by row from each pool minus the excluded
+        # set on one generator, and a short row gives None.
         rng = stream(73)
-        for trial in range(60):
-            n = int(rng.integers(1, 50))
-            pool = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            excluded = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
-            taken = np.zeros(n, dtype=bool)
-            taken[list(excluded)] = True
-            count = int(rng.integers(0, len(pool) + 2))
-            cand = np.array([v for v in pool.tolist() if v not in excluded], dtype=np.int64)
-            got = _draw(stream(trial, 43, 1, 0), pool, taken, count)
-            if len(cand) < count:
+        outcomes = set()
+        for trial in range(100):
+            pool_grid, taken = _balanced_grid(rng, int(rng.integers(0, 30)))
+            excluded = set(np.flatnonzero(taken).tolist())
+            count = int(rng.integers(0, pool_grid.shape[1] + 2))
+            candidates = [np.array([v for v in row.tolist() if v not in excluded], dtype=np.int64) for row in pool_grid]
+            got = _draw_rows(stream(trial, 43, 1), pool_grid, taken, count)
+            ref = _row_oracle(stream(trial, 43, 1), candidates, count)
+            outcomes.add(ref is None)
+            if ref is None:
                 assert got is None
             else:
-                ref = stream(trial, 43, 1, 0)
-                assert np.array_equal(got, np.sort(cand[ref.permutation(len(cand))[:count]]))
+                assert got.dtype == pool_grid.dtype and np.array_equal(got, ref)
+        assert outcomes == {True, False}
+
+    def test_unequal_free_counts_refused(self):
+        # Six, three and no free vertices in windows 0, 1 and 2 total nine,
+        # which divides by t = 3: reshaping would move vertices across pools.
+        pool_grid = np.arange(18).reshape(3, 6)
+        taken = np.zeros(18, dtype=bool)
+        taken[[6, 7, 8]] = True
+        taken[12:] = True
+        with pytest.raises(RuntimeError, match="window 1 has 3 free vertices, window 0 has 6"):
+            _draw_rows(stream(0, 41), pool_grid, taken, 2)
+
 
 class TestBlockerGeometry:
     def test_window_coloring_obstruction(self):

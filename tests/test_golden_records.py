@@ -48,7 +48,7 @@ GOLDEN = {
         {**TOY, "N": 300, "p": 0.5, "xi": 0.1, "eps": 0.3, "delta": 0.02},
         [0, 1, 2, 3],
         {"anchor": 3, "extend": 1},
-        "fa4a5c4e554c82a76719f72b69f47ef0e20400b597a8635347dc0953fed7a3d4",
+        "6b8b3662939519e9a3e9a284e40f8ac9a79bc507b7db47170ccdc52b82109e13",
     ),
     "expansion-main-below-bound": (
         "expansion-audit",

@@ -37,6 +37,32 @@ def tiny_embed_params(**overrides):
 # A sweep sets its own random adversary at each grid point, so its params
 # name none.
 SWEEP_PARAMS = {key: value for key, value in tiny_embed_params().items() if key != "adversary"}
+PARTITION_PARAMS = {"mode": "partition", "N": 80, "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4}
+ONE_STEP_PARAMS = {"mode": "one-step", "k": 2, "n": 40, "p": 0.6, "kappa": 0.3, "delta": 0.1}
+
+
+@pytest.fixture
+def refused_before_any_trial(monkeypatch, tmp_path, capsys):
+    """A check that a (kind, params) config is refused before any trial runs:
+    a ValueError naming params.<key> when built, and exit 2 with that message
+    in the CLI."""
+
+    def refuse(task):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_run_trial", refuse)
+
+    def check(kind: str, params: dict, key: str) -> None:
+        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
+            ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([kind, "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+
+    return check
 
 
 class TestConfig:
@@ -104,24 +130,13 @@ class TestConfig:
         ],
         ids=["xi-0", "eps-1", "delta-0.1", "delta-0", "k-0", "k-3-default-delta", "eps-str"],
     )
-    def test_embed_params_refused_before_any_trial(self, monkeypatch, tmp_path, capsys, kind, overrides, key):
+    def test_embed_params_refused_before_any_trial(self, refused_before_any_trial, kind, overrides, key):
         # Such a config used to run every trial: xi = 0 or a string eps as
         # error records, a delta of 1/(20k) or more as extend refusals.
-        def refuse(task):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(harness, "_run_trial", refuse)
         params = {**(SWEEP_PARAMS if kind == "resilience-sweep" else tiny_embed_params()), **overrides}
         if kind == "resilience-sweep":
             params["r_grid"] = [0.1]
-        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
-            ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main([kind, "--config", str(cfg_path)])
-        assert exit_info.value.code == 2
-        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+        refused_before_any_trial(kind, params, key)
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -137,22 +152,35 @@ class TestConfig:
         ],
         ids=["trials-neg", "trials-float", "p-1.5", "p-0", "epsilon-1", "delta-str", "t-2", "n-0"],
     )
-    def test_typicality_params_refused_before_any_trial(self, monkeypatch, tmp_path, capsys, overrides, key):
+    def test_typicality_params_refused_before_any_trial(self, refused_before_any_trial, overrides, key):
         # trials = -3 used to run every seed with no sampled check at all,
         # and p = 1.5 to crash every trial.
-        def refuse(task):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(harness, "_run_trial", refuse)
         params = {"t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4, **overrides}
-        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
-            ExperimentConfig(kind="typicality-audit", params=params, seeds=[0, 1])
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["typicality-audit", "--config", str(cfg_path)])
-        assert exit_info.value.code == 2
-        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+        refused_before_any_trial("typicality-audit", params, key)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("regularity-audit", {**PARTITION_PARAMS, "epsilon": 2}, "epsilon"),
+            ("regularity-audit", {**PARTITION_PARAMS, "trials": -3}, "trials"),
+            ("regularity-audit", {**PARTITION_PARAMS, "d": "0.5"}, "d"),
+            ("expansion-audit", {**ONE_STEP_PARAMS, "p": 1.5}, "p"),
+            ("expansion-audit", {**ONE_STEP_PARAMS, "delta": 1.0}, "delta"),
+            ("expansion-audit", {"mode": "halving", "k": 0, "n": 12, "p": 0.6, "delta": 0.02}, "k"),
+            ("expansion-audit", {"mode": "main", "k": 2, "n": 12, "p": 0.6, "delta": 2}, "delta"),
+            ("embed", tiny_embed_params(d=2), "d"),
+            ("resilience-sweep", {**SWEEP_PARAMS, "p": 0, "r_grid": [0.1]}, "p"),
+        ],
+        ids=[
+            "partition-epsilon-2", "partition-trials-neg", "partition-d-str", "one-step-p-1.5",
+            "one-step-delta-1", "halving-k-0", "main-delta-2", "embed-d-2", "sweep-p-0",
+        ],
+    )
+    def test_runner_params_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
+        # Each of these used to build, then run every trial as an error record
+        # (the main audit's delta = 2 as a pass against a bound of -19): the
+        # runner's dataclass refused the value only inside the trial.
+        refused_before_any_trial(kind, params, key)
 
     def test_typicality_boundary_values_accepted(self):
         base = {"t": 3, "n": 12, "epsilon": 0.4, "delta": 0.4}
@@ -393,7 +421,7 @@ class TestReplay:
     def test_other_schema_raises(self):
         cfg, records = self._config_and_records()
         stale = {**records[0], "schema": "powercycle/trial-v1"}
-        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v2"):
+        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v3"):
             replay(cfg, stale)
 
 

@@ -362,16 +362,21 @@ class TestStreams:
 
     @staticmethod
     def _table():
-        return {
-            int(tag)
-            for line in models.__doc__.splitlines()
-            if re.match(r"\s+\d+  ", line)
-            for tag in re.findall(r"(?<!\S)(\d+)  +[a-z]", line)
-        }
+        """Tag -> the number of path entries after it that its table row
+        gives, None for a ``*`` (variable-length) path."""
+        table = {}
+        for line in models.__doc__.splitlines():
+            if not re.match(r"\s+\d+  ", line):
+                continue
+            for tag, name in re.findall(r"(?<!\S)(\d+)  +([a-z](?:\S| (?! ))*)", line):
+                path = re.search(r"\(([^)]*)\)$", name)
+                entries = path.group(1).split(", ") if path else []
+                table[int(tag)] = None if any("*" in e for e in entries) else len(entries)
+        return table
 
     def test_every_literal_tag_is_in_the_table(self):
         table = self._table()
-        assert {0, 19, 71} <= table
+        assert {0, 19, 71} <= table.keys()
         tags = []
         for name, tree in self._trees():
             for node in ast.walk(tree):
@@ -399,7 +404,7 @@ class TestStreams:
         seen = []
 
         def spy(seed, *path):
-            seen.append(path[0])
+            seen.append((path[0], len(path) - 1))
             return real(seed, *path)
 
         for path in self.SOURCES:
@@ -415,8 +420,16 @@ class TestStreams:
         assert isinstance(result, PowerCycle)
         _, view = gen_blowup(complete_graph(4), 30, 0.6, seed=4)
         check_super_typical(view, TypicalityParams(epsilon=0.4, delta=0.4, p=0.6, trials=60), seed=4)
-        assert sorted(set(seen) - self._table()) == []
-        assert {37, 41, 43, 47, 67, 71} <= set(seen)
+        # Paths that differ only by trailing zeros alias, so each tag is drawn
+        # at exactly the path length its row gives.
+        table = self._table()
+        assert (table[19], table[43], table[47], table[67]) == (3, 2, 1, None)
+        lengths = {}
+        for tag, length in seen:
+            lengths.setdefault(tag, set()).add(length)
+        assert sorted(set(lengths) - table.keys()) == []
+        assert {37, 41, 43, 47, 67, 71} <= lengths.keys()
+        assert {tag: got for tag, got in lengths.items() if table[tag] is not None and got != {table[tag]}} == {}
 
     @staticmethod
     def _list_stream(seed, *path):

@@ -27,6 +27,7 @@ from .regularity import (
     RegularPartition,
     RegularityParams,
     RegularityVerdict,
+    SampledRefuter,
     build_nice_partition,
     check_regular_exact,
     check_regular_sampled,
@@ -67,7 +68,7 @@ __all__ = [
     "AdversaryReport", "ModelParams", "adversary_partite", "adversary_random",
     "adversary_triangle_killer", "extremal_blocker", "gen_blowup", "gen_gnp",
     "partite_blocker_sizes", "stream",
-    "RegularPartition", "RegularityParams", "RegularityVerdict", "build_nice_partition",
+    "RegularPartition", "RegularityParams", "RegularityVerdict", "SampledRefuter", "build_nice_partition",
     "check_regular_exact", "check_regular_sampled", "inheritance_stats",
     "TypicalityParams", "TypicalityReport", "check_super_typical", "clique_count_upper_check",
     "typical_vertices",

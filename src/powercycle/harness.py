@@ -38,7 +38,7 @@ import numpy as np
 
 from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
 
-TRIAL_SCHEMA = "powercycle/trial-v3"
+TRIAL_SCHEMA = "powercycle/trial-v4"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
 
 TRIALS = 200  # sampled-refuter trials of a check whose config sets none
@@ -228,6 +228,15 @@ class TrialRecord:
 # Trial runners, one per experiment kind and mode. Each is a pure function of
 # (params, seed) returning (measured, ok); it reads its required keys with
 # params[key] and gives each optional key its default where it reads it.
+
+
+def _host_params(params: dict) -> None:
+    """Refuse a host-model p that the trial's generator would refuse in
+    every trial: a non-number or a value outside [0, 1] is a ValueError
+    naming params.p."""
+    _check_numbers(params, ("p",))
+    if not 0 <= params["p"] <= 1:
+        raise ValueError(f"params.p: must lie in [0,1], got {params['p']!r}")
 
 
 def _count_blowup(params: dict, seed: int) -> tuple:
@@ -565,16 +574,20 @@ _EXPERIMENTS = {
 
 # Trial runner -> the parameter builders it shares with
 # ExperimentConfig.validate, so a value its dataclasses refuse is refused
-# before any trial.
+# before any trial, and the host-model p check of the runners whose
+# generator is handed p with no dataclass of theirs in front of it.
 _EMBED_PARAMS = (partial(_embed_params, seed=0), _partition_params)
 _PARAMS = {
     _run_embed: _EMBED_PARAMS,
     _run_resilience_point: _EMBED_PARAMS,
+    _count_blowup: (_host_params,),
+    _count_gnp_sets: (_host_params,),
     _regularity_partition: (_regularity_params,),
+    _regularity_inheritance: (_host_params,),
     _run_typicality_audit: (_typicality_params,),
     _expansion_one_step: (_expansion_params, _certificate_params),
-    _expansion_main: (_expansion_params,),
-    _expansion_halving: (_expansion_params,),
+    _expansion_main: (_expansion_params, _host_params),
+    _expansion_halving: (_expansion_params, _host_params),
 }
 
 KINDS = tuple(_EXPERIMENTS)

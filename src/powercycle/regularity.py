@@ -12,7 +12,11 @@ each pair is gathered once, its edges are counted from that block, and a
 dense pair's refuter reads the same block.
 
 The sampled refuter reads the block its caller gathered and gathers
-nothing itself, so every caller pays one gather per pair it tests.
+nothing itself, so every caller pays one gather per pair it tests. It
+takes a stack of pairs that share subset tables, one per side and side
+width, drawn from one stream, and counts the pairs of one side-1 width with
+one product; ``check_regular_sampled`` is a stack of one, whose two tables
+are the two arrays a pair has always drawn from its own stream.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -36,6 +40,7 @@ __all__ = [
     "RegularPartition",
     "check_regular_exact",
     "check_regular_sampled",
+    "SampledRefuter",
     "build_nice_partition",
     "inheritance_stats",
 ]
@@ -50,6 +55,9 @@ SUBSET_FRACTION = 0.5
 TOL = 1e-12
 # Trial budget of the sampled check on each inheritance sample.
 INHERITANCE_TRIALS = 60
+# Cells of held pair blocks and of their float32 products (trials by side-2
+# width) at which the sampled refuter counts them; no verdict depends on it.
+_STACK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -202,6 +210,120 @@ def _smallest(draws: np.ndarray, q: int) -> np.ndarray:
     return mask
 
 
+class SampledRefuter:
+    """One-sided Monte Carlo refuter of a stack of pairs judged at one (eps,
+    p) and trial budget: each trial of a pair samples a qualifying subset
+    pair of one size, and the first deviation beyond eps*p refutes the pair.
+    Never certifies; a pair no sample refutes is undetermined.
+
+    ``add`` takes the caller's bool block of a pair, rows V1 and columns V2
+    in the order given (``graph.submatrix(V1, V2)`` or a block the caller
+    holds), and gathers nothing; V1 and V2 only name the witness's vertices.
+    ``refuted`` and ``verdict`` read the verdicts.
+
+    Replay contract: the pairs share subset tables drawn from ``rng``, one
+    per side and side width n, each on first use, side 1 before side 2: a
+    (trials, n) array of uniforms whose row r takes the positions of its q
+    smallest draws, below or at the q-th smallest read from its sort. So
+    each pair sees ``trials`` independent uniform subset pairs, and a stack
+    of one draws a (trials, |V1|) array, then a (trials, |V2|) array. Held
+    pairs are counted once their blocks and products pass _STACK_CELLS cells
+    and when a verdict is read, with one ``exact_product`` per side-1 width:
+    a pair's count in trial r sums row r of its product columns over its V2
+    subset, float32 counts of at most q1 ones over at most q2 terms, exact
+    while q1*q2 < 2**24, so no verdict rests on the summation order, the
+    BLAS thread count or the stacking. Deviations are float32, and the
+    witness is the first refuting trial's subsets, sorted."""
+
+    def __init__(self, eps: float, p: float, trials: int, rng: np.random.Generator):
+        self.eps, self.threshold, self.trials, self.rng = eps, eps * p + TOL, trials, rng
+        self._tables = {}  # (side, width) -> (q, (trials, width) bool subset table)
+        self._held = []  # (index, block, V1, V2) of each pair not yet counted
+        self._cells = 0
+        # Each added pair's deviation and, when it is refuted, its witness.
+        self._deviation = []
+        self._witness = []
+
+    def __len__(self) -> int:
+        return len(self._deviation)
+
+    def _table(self, side: int, n: int) -> tuple:
+        if (side, n) not in self._tables:
+            q = min(n, max(math.ceil(SUBSET_FRACTION * n), math.ceil(self.eps * n), 1))
+            self._tables[side, n] = q, _smallest(self.rng.random((self.trials, n)), q)
+        return self._tables[side, n]
+
+    def add(self, A: np.ndarray, V1: Sequence[int], V2: Sequence[int]) -> None:
+        V1 = np.asarray(V1, dtype=np.int64)
+        V2 = np.asarray(V2, dtype=np.int64)
+        n1, n2 = len(V1), len(V2)
+        if A.shape != (n1, n2):
+            raise ValueError(f"block of shape {A.shape} is not the ({n1}, {n2}) block of the pair")
+        if self.trials > 0 and not (n1 and n2):
+            raise ValueError(f"pair of sides ({n1}, {n2}) has no subset to sample")
+        self._deviation.append(0.0)
+        self._witness.append(None)
+        if self.trials <= 0:
+            return
+        self._table(1, n1)
+        self._table(2, n2)
+        self._held.append((len(self) - 1, A, V1, V2))
+        self._cells += A.size + self.trials * n2
+        if self._cells >= _STACK_CELLS:
+            self._count()
+
+    def refuted(self) -> np.ndarray:
+        """Bool array: whether each added pair is refuted, in the order added."""
+        self._count()
+        return np.array([w is not None for w in self._witness], dtype=bool)
+
+    def verdict(self, k: int) -> RegularityVerdict:
+        """The verdict of the k-th added pair."""
+        self._count()
+        if self._witness[k] is None:
+            return RegularityVerdict("undetermined", self._deviation[k], "sampled")
+        return RegularityVerdict("refuted", self._deviation[k], "sampled", self._witness[k])
+
+    def _count(self) -> None:
+        """Count every held pair, one product per side-1 width, and record
+        its deviation and witness."""
+        groups = {}
+        for item in self._held:
+            groups.setdefault(item[1].shape[0], []).append(item)
+        self._held, self._cells = [], 0
+        if not groups:
+            return
+        items, counts, quotas, densities = [], [], [], []
+        for n1, group in groups.items():
+            q1, S1 = self._tables[1, n1]
+            widths = np.array([A.shape[1] for _, A, _, _ in group])
+            starts = np.cumsum(widths) - widths
+            blocks = np.concatenate([A for _, A, _, _ in group], axis=1)
+            S2 = np.concatenate([self._tables[2, n2][1] for n2 in widths.tolist()], axis=1)
+            # Trial r's count of pair k sums row r of its columns of the
+            # product over the pair's V2 subset of trial r.
+            product = exact_product(S1, blocks)
+            counts.append(np.add.reduceat(np.multiply(product, S2, out=product), starts, axis=1).T)
+            densities.append(np.add.reduceat(np.count_nonzero(blocks, axis=0), starts) / (n1 * widths))
+            quotas.append([q1 * self._tables[2, n2][0] for n2 in widths.tolist()])
+            items += [(index, V1, V2, S1, self._tables[2, len(V2)][1]) for index, _, V1, V2 in group]
+        # float32 throughout, as a float32 count over an int less a float
+        # density gives: the quota cast is exact, the density's rounds once.
+        counts = np.concatenate(counts)
+        quotas = np.concatenate(quotas, dtype=np.float32)[:, None]
+        densities = np.concatenate(densities).astype(np.float32)[:, None]
+        dev = np.abs(counts / quotas - densities)
+        over = dev > self.threshold
+        refuted = over.any(axis=1)
+        pick = np.where(refuted, over.argmax(axis=1), dev.argmax(axis=1))
+        picked = dev[np.arange(len(items)), pick].tolist()
+        for (index, *_), deviation in zip(items, picked):
+            self._deviation[index] = deviation
+        for k in np.flatnonzero(refuted):
+            index, V1, V2, S1, S2 = items[k]
+            self._witness[index] = (np.sort(V1[S1[pick[k]]]), np.sort(V2[S2[pick[k]]]))
+
+
 def check_regular_sampled(
     A: np.ndarray,
     V1: Sequence[int],
@@ -211,47 +333,12 @@ def check_regular_sampled(
     trials: int,
     rng: np.random.Generator,
 ) -> RegularityVerdict:
-    """One-sided Monte Carlo refuter: sample qualifying subset pairs of a
-    single size from ``rng``, the caller's own named stream, and report the
-    first deviation beyond eps*p. Never certifies; with no refuting sample the
-    verdict is undetermined.
-
-    ``A`` is the caller's bool adjacency block of the pair, rows V1 and
-    columns V2 in the order given (``graph.submatrix(V1, V2)`` or a block the
-    caller already holds); the refuter reads it and gathers nothing. V1 and
-    V2 only name the witness's vertices.
-
-    Replay contract: ``rng`` draws one (trials, |V1|) array of uniforms, then
-    one (trials, |V2|) array; trial r takes the q1 positions of V1 holding the
-    q1 smallest draws of row r, below or at the q1-th smallest draw of the
-    row read from its sort, and likewise for V2. Each trial's count is
-    the sum over its V2 subset of ``exact_product(S1, A)``, float32 counts of
-    at most q1 ones, summed in float32 over at most q2 terms (one ``einsum``
-    row dot product per trial): exact integers while q1*q2 < 2**24, so no
-    verdict rests on the BLAS or einsum summation order or the thread count.
-    Deviations are float32, and the witness is the first refuting trial's
-    subsets, sorted."""
-    V1 = np.asarray(V1, dtype=np.int64)
-    V2 = np.asarray(V2, dtype=np.int64)
-    n1, n2 = len(V1), len(V2)
-    if A.shape != (n1, n2):
-        raise ValueError(f"block of shape {A.shape} is not the ({n1}, {n2}) block of the pair")
-    if trials <= 0:
-        return RegularityVerdict("undetermined", 0.0, "sampled")
-    q1 = min(n1, max(math.ceil(SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
-    q2 = min(n2, max(math.ceil(SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
-    d = float(np.count_nonzero(A)) / (n1 * n2)
-
-    S1 = _smallest(rng.random((trials, n1)), q1)
-    S2 = _smallest(rng.random((trials, n2)), q2)
-    counts = np.einsum("ij,ij->i", exact_product(S1, A), S2)
-    dev = np.abs(counts / (q1 * q2) - d)
-    worst = int(np.argmax(dev))
-    if dev[worst] > eps * p + TOL:
-        first = int(np.nonzero(dev > eps * p + TOL)[0][0])
-        witness = (np.sort(V1[S1[first]]), np.sort(V2[S2[first]]))
-        return RegularityVerdict("refuted", float(dev[first]), "sampled", witness)
-    return RegularityVerdict("undetermined", float(dev[worst]), "sampled")
+    """The sampled refuter's verdict on one pair, a stack of one: ``rng``,
+    the caller's own named stream, draws one (trials, |V1|) array of uniforms,
+    then one (trials, |V2|) array (see ``SampledRefuter``)."""
+    refuter = SampledRefuter(eps, p, trials, rng)
+    refuter.add(A, V1, V2)
+    return refuter.verdict(0)
 
 
 @dataclass

@@ -7,16 +7,19 @@ densities of the view rather than nominal model densities: that removes
 generator variance from verdicts, and the multiplicative tolerance windows
 absorb exactly the remaining per-vertex fluctuation. Regularity sub-checks use
 the sampled refuter with a fixed trial budget; "regular" here always means
-"not refuted within budget". Each sub-check draws from its own named stream
-of the audit seed: tags 37 (vertex), 67 (clique copy) and 71 (tuple pair).
+"not refuted within budget". Each level of the ledger hands all of its pairs
+to one ``SampledRefuter`` drawing from one stream of the audit seed, tags 37
+(vertices), 67 (clique copies) and 71 (the tuple): every pair sees
+independent uniform subsets, and the pairs of one level and width share
+them.
 
 All counts and copies are read from windows of the view's ``window_cliques``
 in graph_core; nothing in this module counts cliques on its own. Every
 neighbourhood is read from the view's cached part blocks: a vertex's is a
 row of a block, a middle copy's is an AND of block rows, built and
 size-checked for many copies at once. A neighbourhood pair that reaches its
-density test is gathered once, and the sampled refuter reads that block;
-the tuple-level checks hand it the view's blocks.
+density test is gathered once, and the sampled refuter holds that block
+until it counts it; the tuple-level checks hand it the view's blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .graph_core import (
     window_cliques,
 )
 from .models import stream
-from .regularity import check_regular_sampled
+from .regularity import SampledRefuter
 
 __all__ = [
     "TypicalityParams",
@@ -46,8 +49,8 @@ __all__ = [
 # Slack added to every window and count threshold.
 TOL = 1e-9
 # Cells of each outer part's neighbourhood array, copies by part size, that
-# the ledger builds at a time for the middle copies (1 MB of bools).
-_COPY_CELLS = 1 << 20
+# the ledger builds at a time for the middle copies (256 KB of bools).
+_COPY_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,11 @@ def _within(value: float, center: float, rel: float) -> bool:
     return (1 - rel) * center - TOL <= value <= (1 + rel) * center + TOL
 
 
-def _pair_ok(
-    graph, ids_a, ids_b, eps: float, params: TypicalityParams, center: float, path: tuple
-) -> bool:
-    """Sampled check, drawn from stream(*path), that a neighbourhood pair is
-    unrefuted at (eps, p) and has density within (1 +/- eps) of the given
-    centre. The pair's block is gathered once: its edges are counted from it,
-    and the refuter reads it."""
+def _pair_ok(graph, ids_a, ids_b, eps: float, center: float, refuter: SampledRefuter) -> bool:
+    """Whether a neighbourhood pair has density within (1 +/- eps) of the
+    given centre; a nonempty pair inside the window is handed, as the block
+    gathered for its density, to ``refuter``, whose verdict decides whether
+    it is also unrefuted."""
     if len(ids_a) == 0 or len(ids_b) == 0:
         # Degenerate pair: density 0; acceptable only when nothing is expected.
         return _within(0.0, center, eps)
@@ -120,27 +121,35 @@ def _pair_ok(
     d = float(np.count_nonzero(block)) / (len(ids_a) * len(ids_b))
     if not _within(d, center, eps):
         return False
-    verdict = check_regular_sampled(
-        block, ids_a, ids_b, eps, params.p, trials=params.trials, rng=stream(*path)
-    )
-    return not verdict.refuted
+    refuter.add(block, ids_a, ids_b)
+    return True
+
+
+def _unrefuted(refuter: SampledRefuter, spans: list) -> list:
+    """For each (start, stop) span of the pairs added to ``refuter``, whether
+    none of them is refuted."""
+    refuted = np.concatenate(([0], np.cumsum(refuter.refuted())))
+    starts, stops = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    return (refuted[starts] == refuted[stops]).tolist()
 
 
 def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> list:
     """Per-part arrays of vertices that are typical at epsilon: every
     neighbourhood in another part has size within (1 +/- eps) of its measured
     mean, and every pair of those neighbourhoods is an unrefuted pair of
-    density within the (1 +/- eps) window."""
+    density within the (1 +/- eps) window. The pairs are refuted against
+    subset tables drawn from stream(seed, 37)."""
     if view.t < 3:
         raise ValueError(f"typical vertices need at least 3 parts, got {view.t}")
     graph = view.graph
     eps = params.epsilon
     t = view.t
+    refuter = SampledRefuter(eps, params.p, params.trials, stream(seed, 37))
     # counts[i][j] = |N(v, V_j)| for each v in part i, vectorized per pair.
     counts = {
         (i, j): view.block(i, j).sum(axis=1) for i in range(t) for j in range(t) if i != j
     }
-    out = []
+    candidates, spans = [], []
     for i in range(t):
         others = [j for j in range(t) if j != i]
         size_ok = np.ones(view.sizes[i], dtype=bool)
@@ -148,27 +157,29 @@ def typical_vertices(view: TupleView, params: TypicalityParams, seed: int) -> li
             center = float(view.density(i, j)) * view.sizes[j]
             col = counts[(i, j)]
             size_ok &= (col >= (1 - eps) * center - TOL) & (col <= (1 + eps) * center + TOL)
-        good = []
         for local in np.nonzero(size_ok)[0]:
-            v = int(view.parts[i][local])
             nbrs = {j: view.parts[j][view.block(i, j)[local]] for j in others}
+            start = len(refuter)
             if all(
-                _pair_ok(
-                    graph, nbrs[j], nbrs[l], eps, params, float(view.density(j, l)), (seed, 37, v, j, l)
-                )
+                _pair_ok(graph, nbrs[j], nbrs[l], eps, float(view.density(j, l)), refuter)
                 for j, l in itertools.combinations(others, 2)
             ):
-                good.append(v)
-        out.append(np.asarray(good, dtype=np.int64))
-    return out
+                candidates.append((i, int(view.parts[i][local])))
+                spans.append((start, len(refuter)))
+    good = [[] for _ in range(t)]
+    for (i, v), ok in zip(candidates, _unrefuted(refuter, spans)):
+        if ok:
+            good[i].append(v)
+    return [np.asarray(vertices, dtype=np.int64) for vertices in good]
 
 
 def _typical_copy_count(view: TupleView, params: TypicalityParams, seed: int) -> int:
     """Number of canonical copies of K_{t-2} on the middle parts that are
     delta-typical toward the outer parts 0 and t-1: both common
     neighbourhoods hit their measured size windows and span an unrefuted
-    pair of density within the window. Copy c's pair draws from
-    stream(seed, 67, *c), and only copies inside both windows reach it.
+    pair of density within the window. Only copies inside both windows reach
+    the density test, and the pairs inside it are refuted against subset
+    tables drawn from stream(seed, 67).
 
     The neighbourhoods of a block of copies in an outer part are one AND of
     the rows of the middle parts' blocks against it at the copies'
@@ -183,9 +194,10 @@ def _typical_copy_count(view: TupleView, params: TypicalityParams, seed: int) ->
             expected *= float(view.density(j, a))
         windows.append(((1 - delta) * expected - TOL, (1 + delta) * expected + TOL))
     center = float(view.density(0, t - 1))
+    refuter = SampledRefuter(delta, params.p, params.trials, stream(seed, 67))
     positions = np.nonzero(window_cliques(view, 1, t - 2))
     step = max(1, _COPY_CELLS // max(view.sizes[a] for a in outer))
-    n_typ = 0
+    spans = []
     for lo in range(0, len(positions[0]), step):
         at = [pos[lo : lo + step] for pos in positions]
         inside = np.ones(len(at[0]), dtype=bool)
@@ -197,13 +209,13 @@ def _typical_copy_count(view: TupleView, params: TypicalityParams, seed: int) ->
             size = np.count_nonzero(nbr, axis=1)
             inside &= (size >= low) & (size <= high)
             nbrs.append(nbr)
-        copies = np.stack([view.parts[j][at[j - 1]] for j in range(1, t - 1)], axis=1)
         for c in np.flatnonzero(inside):
             ids_a = view.parts[0][nbrs[0][c]]
             ids_b = view.parts[t - 1][nbrs[1][c]]
-            path = (seed, 67, *copies[c].tolist())
-            n_typ += _pair_ok(view.graph, ids_a, ids_b, delta, params, center, path)
-    return n_typ
+            start = len(refuter)
+            if _pair_ok(view.graph, ids_a, ids_b, delta, center, refuter):
+                spans.append((start, len(refuter)))
+    return sum(_unrefuted(refuter, spans))
 
 
 def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) -> TypicalityReport:
@@ -211,8 +223,10 @@ def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) ->
     K_{t-2} count and both K_{t-1} counts within (1 +/- delta) of their
     measured expectations, at least a (1 - delta) fraction of the middle
     copies delta-typical toward the outer parts, and the tuple itself typical
-    at epsilon. For t = 3 the middle window has order 1 and its copies are
-    the vertices of the middle part."""
+    at epsilon: typical fractions of at least 1 - epsilon, and every pair of
+    parts unrefuted against subset tables drawn from stream(seed, 71). For
+    t = 3 the middle window has order 1 and its copies are the vertices of
+    the middle part."""
     t = view.t
     if t < 3:
         raise ValueError(f"super-typicality needs at least 3 parts, got {t}")
@@ -244,22 +258,10 @@ def check_super_typical(view: TupleView, params: TypicalityParams, seed: int) ->
     fractions = [len(typ_vertices[i]) / view.sizes[i] for i in range(t)]
     tuple_ok = all(f >= 1 - params.epsilon - TOL for f in fractions)
     if tuple_ok:
-        for i in range(t):
-            for j in range(i + 1, t):
-                verdict = check_regular_sampled(
-                    view.block(i, j),
-                    view.parts[i],
-                    view.parts[j],
-                    params.epsilon,
-                    params.p,
-                    trials=params.trials,
-                    rng=stream(seed, 71, i, j),
-                )
-                if verdict.refuted:
-                    tuple_ok = False
-                    break
-            if not tuple_ok:
-                break
+        refuter = SampledRefuter(params.epsilon, params.p, params.trials, stream(seed, 71))
+        for i, j in itertools.combinations(range(t), 2):
+            refuter.add(view.block(i, j), view.parts[i], view.parts[j])
+        tuple_ok = not refuter.refuted().any()
     verdicts["tuple_typical"] = tuple_ok
     verdicts["super_typical"] = all(verdicts.values())
 

@@ -117,15 +117,15 @@ GOLDEN = {
         "typicality-audit",
         {"t": 3, "n": 12, "p": 0.7, "epsilon": 0.4, "delta": 0.4, "trials": 20},
         [0, 1],
-        {True: 2},
-        "c4f5c827339bf5f730b0c76e62cc21236af883a2e2eef47293d9b10b062247e8",
+        {False: 1, True: 1},
+        "be94ad17e85870beea8d6af0f4a1af9f4b0a6c887e2df5745abb97989c8367e2",
     ),
     "typicality-four-parts": (
         "typicality-audit",
         {"t": 4, "n": 10, "p": 0.7, "epsilon": 0.4, "delta": 0.4, "trials": 20},
         [0, 1],
         {False: 2},
-        "e69a45f06d28e6a6226ac9ad9d328d22b7ccac6fb47f39ef1e7f4f230636865d",
+        "19cf9b31fa3d27024df22b34b89afcb21e0426600af7184a5de5b4338066db50",
     ),
 }
 

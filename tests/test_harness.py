@@ -182,6 +182,23 @@ class TestConfig:
         # runner's dataclass refused the value only inside the trial.
         refused_before_any_trial(kind, params, key)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("count-audit", {"mode": "blowup", "t": 3, "n": 10, "delta": 0.3}),
+            ("count-audit", {"mode": "gnp-sets", "N": 60, "t": 3, "set_size": 10, "eps": 0.3}),
+            ("regularity-audit", {"mode": "inheritance", "n": 40, "q": 10, "eps_prime": 0.3}),
+            ("expansion-audit", {"mode": "main", "k": 2, "n": 12, "delta": 0.02}),
+            ("expansion-audit", {"mode": "halving", "k": 2, "n": 12, "delta": 0.02}),
+        ],
+        ids=["count-blowup", "count-gnp-sets", "inheritance", "expansion-main", "expansion-halving"],
+    )
+    @pytest.mark.parametrize("p", [1.5, -0.1, "0.5"])
+    def test_host_p_refused_before_any_trial(self, refused_before_any_trial, kind, params, p):
+        # p = 1.5 used to build, then run every trial as an error record from
+        # the generator: these modes have no parameter dataclass taking p.
+        refused_before_any_trial(kind, {**params, "p": p}, "p")
+
     def test_typicality_boundary_values_accepted(self):
         base = {"t": 3, "n": 12, "epsilon": 0.4, "delta": 0.4}
         ExperimentConfig(kind="typicality-audit", params={**base, "p": 1.0, "trials": 0}, seeds=[0])
@@ -421,7 +438,7 @@ class TestReplay:
     def test_other_schema_raises(self):
         cfg, records = self._config_and_records()
         stale = {**records[0], "schema": "powercycle/trial-v1"}
-        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v3"):
+        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v4"):
             replay(cfg, stale)
 
 

@@ -363,15 +363,14 @@ class TestStreams:
     @staticmethod
     def _table():
         """Tag -> the number of path entries after it that its table row
-        gives, None for a ``*`` (variable-length) path."""
+        gives."""
         table = {}
         for line in models.__doc__.splitlines():
             if not re.match(r"\s+\d+  ", line):
                 continue
             for tag, name in re.findall(r"(?<!\S)(\d+)  +([a-z](?:\S| (?! ))*)", line):
                 path = re.search(r"\(([^)]*)\)$", name)
-                entries = path.group(1).split(", ") if path else []
-                table[int(tag)] = None if any("*" in e for e in entries) else len(entries)
+                table[int(tag)] = len(path.group(1).split(", ")) if path else 0
         return table
 
     def test_every_literal_tag_is_in_the_table(self):
@@ -392,9 +391,9 @@ class TestStreams:
 
     def test_every_runtime_tag_is_in_the_table(self, monkeypatch):
         # The embedder's extend and closing tags reach ``stream`` through a
-        # labels tuple and typicality's through a path tuple, out of sight of
-        # the literal check above, so record every tag actually drawn from
-        # by a toy embed that closes its cycle and a small typicality audit.
+        # labels tuple, out of sight of the literal check above, so record
+        # every tag actually drawn from by a toy embed that closes its cycle
+        # and a small typicality audit.
         from powercycle.embedder import EmbedParams, PowerCycle, build_reduced
         from powercycle.embedder import embed_power_cycle, find_cluster_power_cycle
         from powercycle.regularity import RegularityParams, build_nice_partition
@@ -423,13 +422,13 @@ class TestStreams:
         # Paths that differ only by trailing zeros alias, so each tag is drawn
         # at exactly the path length its row gives.
         table = self._table()
-        assert (table[19], table[43], table[47], table[67]) == (3, 2, 1, None)
+        assert (table[19], table[43], table[47], table[67]) == (3, 2, 1, 0)
         lengths = {}
         for tag, length in seen:
             lengths.setdefault(tag, set()).add(length)
         assert sorted(set(lengths) - table.keys()) == []
         assert {37, 41, 43, 47, 67, 71} <= lengths.keys()
-        assert {tag: got for tag, got in lengths.items() if table[tag] is not None and got != {table[tag]}} == {}
+        assert {tag: got for tag, got in lengths.items() if got != {table[tag]}} == {}
 
     @staticmethod
     def _list_stream(seed, *path):

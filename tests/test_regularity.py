@@ -139,6 +139,112 @@ class TestSampled:
         assert verdict.deviation == pytest.approx(float(dev))
 
 
+def per_pair_refuter(A, V1, V2, eps, p, trials, rng):
+    """The sampled refuter as it ran one pair at a time, each pair drawing
+    its own two arrays: the reference a stack of one must reproduce."""
+    V1, V2 = np.asarray(V1, dtype=np.int64), np.asarray(V2, dtype=np.int64)
+    n1, n2 = len(V1), len(V2)
+    q1 = min(n1, max(math.ceil(regularity.SUBSET_FRACTION * n1), math.ceil(eps * n1), 1))
+    q2 = min(n2, max(math.ceil(regularity.SUBSET_FRACTION * n2), math.ceil(eps * n2), 1))
+    d = float(np.count_nonzero(A)) / (n1 * n2)
+    S1 = regularity._smallest(rng.random((trials, n1)), q1)
+    S2 = regularity._smallest(rng.random((trials, n2)), q2)
+    counts = np.einsum("ij,ij->i", np.matmul(S1, A, dtype=np.float32), S2)
+    dev = np.abs(counts / (q1 * q2) - d)
+    worst = int(np.argmax(dev))
+    if dev[worst] > eps * p + regularity.TOL:
+        first = int(np.nonzero(dev > eps * p + regularity.TOL)[0][0])
+        witness = (np.sort(V1[S1[first]]), np.sort(V2[S2[first]]))
+        return RegularityVerdict("refuted", float(dev[first]), "sampled", witness)
+    return RegularityVerdict("undetermined", float(dev[worst]), "sampled")
+
+
+def verdict_key(v):
+    return v.status, repr(v.deviation), None if v.witness is None else tuple(w.tolist() for w in v.witness)
+
+
+class TestStack:
+    def test_stack_of_one_is_the_per_pair_refuter(self):
+        # Same verdict, deviation and witness, and the same draws: both
+        # streams stand at the same place afterwards.
+        rng = stream(59)
+        tally = Counter()
+        for case in range(60):
+            n1, n2 = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            g, V1, V2 = planted_pair(n1, n2, 7000 + case)
+            A = g.submatrix(V1, V2)
+            eps, p, trials = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.05, 0.5)), int(rng.integers(1, 120))
+            ours, theirs = stream(case, 7), stream(case, 7)
+            got = check_regular_sampled(A, V1, V2, eps, p, trials=trials, rng=ours)
+            assert verdict_key(got) == verdict_key(per_pair_refuter(A, V1, V2, eps, p, trials, theirs))
+            assert np.array_equal(ours.random(4), theirs.random(4))
+            tally[got.status] += 1
+        assert tally["refuted"] > 5 and tally["undetermined"] > 5
+
+    def test_stack_of_one_is_the_per_pair_refuter_on_tied_draws(self):
+        class TiedDraws:
+            def random(self, shape):
+                return np.tile(np.array([0, 0, 0, 1, 1, 1, 2, 2], dtype=float), (shape[0], 1))
+
+        g, V1, V2 = half_dense_pair(8)
+        A = g.submatrix(V1, V2)
+        got = check_regular_sampled(A, V1, V2, 0.4, 0.5, trials=3, rng=TiedDraws())
+        assert got.refuted
+        assert verdict_key(got) == verdict_key(per_pair_refuter(A, V1, V2, 0.4, 0.5, 3, TiedDraws()))
+
+    @staticmethod
+    def _mixed_stack():
+        """Blocks of many shapes, some sharing a width: a complete or empty
+        block (deviation 0 in every subset pair) or one with a planted dense
+        quarter at shuffled positions, which a trial refutes with
+        probability about 0.07 at n = 8."""
+        rng = stream(61)
+        blocks, planted = [], []
+        for k in range(40):
+            n1, n2 = int(rng.integers(6, 11)), int(rng.integers(6, 11))
+            kind = int(rng.integers(0, 3))
+            A = np.full((n1, n2), kind == 1)
+            if kind == 2:
+                A[: n1 // 2, : n2 // 2] = True
+                A = A[rng.permutation(n1)][:, rng.permutation(n2)]
+            blocks.append((A, np.arange(n1), np.arange(100, 100 + n2)))
+            planted.append(kind == 2)
+        return blocks, planted
+
+    def _refute(self, blocks):
+        refuter = regularity.SampledRefuter(0.4, 0.5, 200, stream(3, 7))
+        for A, V1, V2 in blocks:
+            refuter.add(A, V1, V2)
+        return refuter
+
+    def test_mixed_stack_refutes_exactly_the_planted_pairs(self, monkeypatch):
+        blocks, planted = self._mixed_stack()
+        assert 5 < sum(planted) < len(planted) - 5
+        refuter = self._refute(blocks)
+        assert refuter.refuted().tolist() == planted
+        verdicts = [refuter.verdict(k) for k in range(len(blocks))]
+        for (A, V1, V2), verdict in zip(blocks, verdicts):
+            if not verdict.refuted:
+                assert verdict.deviation == 0.0
+                continue
+            # The witness is a violating subset pair of the sizes drawn.
+            rows, cols = (np.isin(V, w) for V, w in zip((V1, V2), verdict.witness))
+            assert rows.sum() == max(math.ceil(0.5 * len(V1)), math.ceil(0.4 * len(V1)))
+            assert cols.sum() == max(math.ceil(0.5 * len(V2)), math.ceil(0.4 * len(V2)))
+            dev = abs(A[rows][:, cols].mean() - A.mean())
+            assert dev > 0.4 * 0.5 and verdict.deviation == pytest.approx(dev, abs=1e-6)
+        # Counting each pair on its own moves no verdict.
+        monkeypatch.setattr(regularity, "_STACK_CELLS", 1)
+        alone = self._refute(blocks)
+        assert [verdict_key(alone.verdict(k)) for k in range(len(blocks))] == list(map(verdict_key, verdicts))
+
+    def test_empty_side_refused(self):
+        refuter = regularity.SampledRefuter(0.4, 0.5, 10, stream(0, 7))
+        with pytest.raises(ValueError, match="no subset"):
+            refuter.add(np.zeros((0, 3), dtype=bool), [], [1, 2, 3])
+        assert len(refuter) == 0
+
+
 def planted_pair(n1, n2, seed):
     """G(n1+n2, 0.3) with a complete block planted between the first thirds
     of the two sides; each side is handed over in shuffled order."""

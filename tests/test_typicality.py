@@ -11,7 +11,7 @@ from powercycle.graph_core import (
     count_canonical_cliques,
     empty_graph,
 )
-from powercycle import typicality
+from powercycle import regularity, typicality
 from powercycle.models import ModelParams, gen_blowup, gen_gnp, stream
 from powercycle.oracles import naive_canonical_cliques
 from powercycle.typicality import (
@@ -150,24 +150,26 @@ class TestSuperTypical:
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert "super_typical" in blob
 
-    def test_every_sampled_check_has_its_own_stream(self, monkeypatch):
-        # Two consecutive audit seeds must never hand two regularity checks
-        # the same stream: record each check's entropy path and Philox key.
+    def test_one_stream_per_ledger_level(self, monkeypatch):
+        # The vertex, copy and tuple levels each build one stream, whose
+        # subset tables all of the level's pairs share; two consecutive
+        # audit seeds share none of them.
         paths, keys = [], []
-        original = typicality.check_regular_sampled
+        real = typicality.stream
 
-        def recording(*args, rng, **kwargs):
-            paths.append(tuple(rng.bit_generator.seed_seq.entropy))
+        def spy(seed, *path):
+            rng = real(seed, *path)
+            paths.append((seed, *path))
             keys.append(tuple(rng.bit_generator.state["state"]["key"]))
-            return original(*args, rng=rng, **kwargs)
+            return rng
 
-        monkeypatch.setattr(typicality, "check_regular_sampled", recording)
+        monkeypatch.setattr(typicality, "stream", spy)
         for seed in (0, 1):
             _, view = gen_blowup(complete_graph(4), 40, 0.5, seed)
-            check_super_typical(view, params(), seed=seed)
-        assert len(paths) > 1000
-        assert len(set(paths)) == len(paths)
-        assert len(set(keys)) == len(keys)
+            report = check_super_typical(view, params(eps=0.4, delta=0.4), seed=seed)
+            assert report.verdicts["tuple_typical"]
+        assert sorted(paths) == [(0, 37), (0, 67), (0, 71), (1, 37), (1, 67), (1, 71)]
+        assert len(set(keys)) == 6
 
 
 class TestCountUpperCheck:
@@ -213,25 +215,33 @@ class TestLedgerPinned:
     @pytest.mark.parametrize(
         "t, n, p, tol, trials, seed, digest",
         [
-            (4, 100, 0.5, 0.3, 200, 0, "1082475240cc2e7cdae2f069fc31e722518fcc80cd2755e9dd716393b65f17ff"),
-            (4, 100, 0.5, 0.3, 200, 1, "6b4431d944ad8a144e4327d2e1e63d73508a739a25adddf13fb4ca47d283e8c5"),
+            (4, 100, 0.5, 0.3, 200, 0, "f91cf9a1fd74ab0d121ceec1a84169ecc337062f98df44dd2a0b949671190341"),
+            (4, 100, 0.5, 0.3, 200, 1, "cbd6ba843b68783267b9f7aaababa346b3b3ded19e1c676fc7f8dc94f0282509"),
             (3, 30, 0.6, 0.3, 60, 0, "da9e36ae27db351cc36c89233a2c04802ceaf66be5ad76da78cc968e8e326f2e"),
-            (3, 30, 0.6, 0.3, 60, 1, "278ec7a2596fcd91f220cc2ec0e9b5669b446ee3142780dbb503e502258869ba"),
-            # Seed 0 fails typical_cliques only, seed 1 as well; both keep
-            # tuple_typical, so the tuple-level refuter runs.
-            (5, 20, 0.7, 0.4, 40, 0, "c626fa574f9bd41261a24c58f73355f21e05322e782ceb1ea6daaa29686ab778"),
-            (5, 20, 0.7, 0.4, 40, 1, "3c70b67412566b9ac47b6330232b1679e49a67dd3b90de2711db495a64a9d728"),
+            (3, 30, 0.6, 0.3, 60, 1, "afff4b0f5a94ddc121587293e314611e5e567bebeb8da6c2754000467aa16e2c"),
+            # Seed 0 passes every check, seed 1 fails typical_cliques only;
+            # both keep tuple_typical, so the tuple-level refuter runs.
+            (5, 20, 0.7, 0.4, 40, 0, "68dc8310731cbe13ddfb5a117d784b89680dcc47603ad5ddb2242c80a6dba1a8"),
+            (5, 20, 0.7, 0.4, 40, 1, "f61ac7141981c21e5d83a64b41f3b0e6cb2967f999eb7d4aceded5b0edc2c226"),
         ],
         ids=["t4-workload-0", "t4-workload-1", "t3-0", "t3-1", "t5-0", "t5-1"],
     )
     def test_report_is_pinned(self, t, n, p, tol, trials, seed, digest):
         assert ledger_sha256(t, n, p, tol, tol, trials, seed) == digest
 
+    @pytest.mark.parametrize("cells", [1, 1001])
+    def test_refuter_stacks_do_not_move_the_report(self, monkeypatch, cells):
+        # Every pair counted alone, and about three pairs a stack: the t=5
+        # report stays the pinned one.
+        monkeypatch.setattr(regularity, "_STACK_CELLS", cells)
+        digest = "68dc8310731cbe13ddfb5a117d784b89680dcc47603ad5ddb2242c80a6dba1a8"
+        assert ledger_sha256(5, 20, 0.7, 0.4, 0.4, 40, 0) == digest
+
     def test_copy_blocks_do_not_move_the_report(self, monkeypatch):
         # Seven copies a block, a size that divides no copy count here, so
         # the last block is ragged: the t=5 report stays the pinned one.
         monkeypatch.setattr(typicality, "_COPY_CELLS", 7 * 20)
-        digest = "c626fa574f9bd41261a24c58f73355f21e05322e782ceb1ea6daaa29686ab778"
+        digest = "68dc8310731cbe13ddfb5a117d784b89680dcc47603ad5ddb2242c80a6dba1a8"
         assert ledger_sha256(5, 20, 0.7, 0.4, 0.4, 40, 0) == digest
 
 

@@ -280,6 +280,8 @@ def embed_power_cycle(
 ) -> Union[PowerCycle, EmbedFailure]:
     """Run the full induction and return a verified PowerCycle on at least
     (1 - eps) N vertices, or an EmbedFailure naming the first failing stage.
+    A layout whose closed cycle would be shorter is refused at ``layout``
+    before any draw.
     """
     k = params.k
     pools = _layout_windows(partition, cycle)
@@ -296,6 +298,13 @@ def embed_power_cycle(
     if s_final < 1:
         return EmbedFailure(
             "layout", None, f"window size {n_prime} cannot host targets of size {n_tilde}"
+        )
+    # A closed cycle has s_final rounds of t vertices, then t + k through the
+    # closing tuple and t - k back along the anchor's backward reach.
+    length = (s_final + 2) * t
+    if length < (1 - params.eps) * graph.n:
+        return EmbedFailure(
+            "layout", None, f"a closed cycle has {length} of {graph.n} vertices, below (1-eps)N"
         )
 
     # Live induction state: per-window reserve sets and live targets (one
@@ -448,8 +457,6 @@ def embed_power_cycle(
     ok, violation = verify_power_cycle(graph, cycle_out)
     if not ok:
         return EmbedFailure("verify", s_final, f"violating pair {violation}")
-    if len(cycle_out) < (1 - params.eps) * graph.n:
-        return EmbedFailure(
-            "length", s_final, f"cycle on {len(cycle_out)} of {graph.n} vertices misses (1-eps)N"
-        )
+    if len(cycle_out) != length:
+        raise RuntimeError(f"closed a cycle on {len(cycle_out)} vertices, the layout gives {length}")
     return cycle_out

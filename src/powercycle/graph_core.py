@@ -11,10 +11,11 @@ The constructor checks symmetry exactly, comparing each 256-square tile with
 its mirror tile, and ``mirror_upper`` builds a symmetric matrix in place tile
 by tile: neither transposes the whole matrix, whose strided reads miss the
 cache at the acceptance size. A graph never changes, so ``degrees()`` is
-summed once and shared read-only. ``edge_positions`` scans the upper triangle
-in row blocks of 64K cells straight into its result, which is int32 whenever
-n * n fits (it does below n = 46341), so the edge order of a random adversary
-costs 4 bytes an edge and no wider transient.
+summed once and shared read-only. ``edge_positions`` copies the rows in
+blocks of 64K cells into one buffer, clears the cells on and below the
+diagonal there, and writes the positions it finds straight into its result,
+which is int32 whenever n * n fits (it does below n = 46341), so the edge
+order of a random adversary costs 4 bytes an edge and no wider transient.
 
 A canonical clique is a plain tuple ``(v_1, ..., v_k)`` with ``v_j`` drawn
 from the j-th part of its window. A set of them has one form: a dense bool
@@ -81,8 +82,8 @@ def mask_of(ids: Iterable[int]) -> int:
 _TILE = 256
 
 # Matrix cells per block of rows of Graph.edge_positions' scan of the upper
-# triangle (64 KB of bools): the block's triangle mask and the positions found
-# in it stay a small fraction of the result, at any n.
+# triangle (64 KB of bools): the block's buffer and the positions found in it
+# stay a small fraction of the result, at any n.
 _EDGE_CELLS = 1 << 16
 
 
@@ -196,16 +197,22 @@ class Graph:
     def edge_positions(self) -> np.ndarray:
         """Flat positions ``u * n + v`` of the edges u < v as an ascending
         array, which is their lexicographic order: int32 when every position
-        fits, that is when n * n <= 2**31, int64 otherwise. The strict upper
-        triangle is scanned in blocks of _EDGE_CELLS // n rows (at least one)
-        into the preallocated result, so besides the result no array is
+        fits, that is when n * n <= 2**31, int64 otherwise. The rows are
+        scanned in blocks of _EDGE_CELLS // n (at least one), each copied
+        into one preallocated buffer whose row prefixes up to and including
+        the diagonal are cleared in place, so besides the result no array is
         larger than a block."""
         n = self.n
         out = np.empty(self.edge_count(), dtype=np.int32 if n * n <= 1 << 31 else np.int64)
         rows = max(1, _EDGE_CELLS // max(n, 1))
+        buf = np.empty((min(rows, n), n), dtype=bool)
         at = 0
         for r in range(0, n, rows):
-            flat = np.flatnonzero(np.triu(self.adj[r : r + rows], r + 1))
+            block = buf[: min(rows, n - r)]
+            np.copyto(block, self.adj[r : r + rows])
+            for i, row in enumerate(block):
+                row[: r + i + 1] = False
+            flat = np.flatnonzero(block)
             np.add(flat, r * n, out=out[at : at + flat.size])
             at += flat.size
         return out
@@ -442,9 +449,10 @@ def _int_pair(tokens: list, where: str) -> tuple:
 
 
 def load_graph(path) -> Graph:
-    """Read a file written by ``save_graph``. Raises ValueError naming the line
-    for a malformed header or edge line, a duplicate edge, or an edge count
-    that differs from the header's."""
+    """Read a file written by ``save_graph``. Raises ValueError naming the file
+    and line for a malformed header or edge line, a self loop, an edge out of
+    range, a duplicate edge, or an edge count that differs from the
+    header's."""
     with open(path) as fh:
         lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
     if not lines:
@@ -460,6 +468,10 @@ def load_graph(path) -> Graph:
         if len(edges) == m:
             raise ValueError(f"{path} line {no}: more edge lines than the header's m={m}")
         u, v = _int_pair(tokens, f"{path} line {no}")
+        if u == v:
+            raise ValueError(f"{path} line {no}: self loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{path} line {no}: edge ({u},{v}) out of range for n={n}")
         key = (min(u, v), max(u, v))
         if key in seen:
             raise ValueError(f"{path} line {no}: duplicate edge {key}")
@@ -479,10 +491,16 @@ def save_parts(view: TupleView, path) -> None:
 
 
 def load_parts(graph: Graph, path) -> TupleView:
+    """Read a file written by ``save_parts``; a token that is not an integer
+    is a ValueError naming the file and line."""
     parts = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                parts.append([int(tok) for tok in line.split()])
+        for no, line in enumerate(fh, 1):
+            tokens = line.split()
+            try:
+                ids = [int(tok) for tok in tokens]
+            except ValueError:
+                raise ValueError(f"{path} line {no}: expected vertex ids, got {' '.join(tokens)!r}") from None
+            if ids:
+                parts.append(ids)
     return TupleView(graph, parts)

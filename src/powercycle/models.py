@@ -35,6 +35,7 @@ deletion budget was respected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,53 +102,89 @@ class AdversaryReport:
             return None
         return bool(np.all(self.per_vertex_deleted <= self.budget))
 
+    @property
+    def cycle_bound(self) -> Optional[int]:
+        """The most vertices a k-th power of a cycle can have in the thinned
+        graph when it holds planted parts, the k+1 independent sets of the
+        partite adversary, else None. Any k+1 consecutive cycle vertices are
+        a clique, so they lie in distinct parts, and the cycle meets the
+        parts in turn with period k+1: its length is a multiple of k+1 and at
+        most (k+1) times the smallest part."""
+        if self.parts is None:
+            return None
+        return len(self.parts) * min(len(p) for p in self.parts)
+
     def to_dict(self) -> dict:
-        return {
+        out = {
             "deleted_edges": int(self.deleted_edges),
             "min_degree_after": int(self.min_degree_after),
             "max_vertex_deleted": int(self.per_vertex_deleted.max(initial=0)),
             "budget_respected": self.budget_respected(),
         }
+        if self.parts is not None:
+            out["cycle_bound"] = self.cycle_bound
+        return out
 
 
-# Doubles per row block of gen_gnp's draw (512 KB). The block is the only
+# Words per row block of gen_gnp's draw (512 KB). The block is the only
 # buffer besides the matrix, 6% of it at N = 3000 (an 8 MB block was 90%),
-# and each of the 143 draws there still fills 63,000 doubles, so the calls
+# and each of the 143 draws there still fills 63,000 words, so the calls
 # cost nothing measurable.
 _DRAW_BLOCK = 1 << 16
 
 
+def _coin_flips(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill the bool array ``out`` with ``rng.random(out.shape) < p`` and
+    return it, without the doubles. Philox's ``random()`` is ``(w >> 11) *
+    2**-53`` of its next 64-bit word w, so it falls below p exactly when
+    ``w >> 11`` falls below ceil(p * 2**53), an exact integer bound (2**53
+    at p = 1, 0 at p = 0). The raw words are shifted in place and compared
+    with it, so the stream moves on by the same words."""
+    words = rng.bit_generator.random_raw(out.size)
+    np.right_shift(words, np.uint64(11), out=words)
+    return np.less(words.reshape(out.shape), np.uint64(math.ceil(p * 2**53)), out=out)
+
+
 def gen_gnp(params: ModelParams) -> Graph:
     """Binomial random graph: each unordered pair is an edge independently
-    with probability p. Identical seed, identical graph."""
+    with probability p. Identical seed, identical graph.
+
+    The graph is the upper triangle of one (N, N) draw of ``random() < p``
+    from stream(seed, 0), mirrored: the pair u < v is an edge when the top
+    53 bits of its word (row u, column v) fall below ceil(p * 2**53)."""
     rng = stream(params.seed, 0)
     n = params.N
-    # The doubles of an (n, n) draw, drawn _DRAW_BLOCK // n rows at a time:
+    # The words of an (n, n) draw, drawn _DRAW_BLOCK // n rows at a time:
     # the generator hands them out in the same order whatever the block, so
-    # the graph is the one a single draw gives, without holding n*n doubles
-    # at once. The pair u < v is an edge when draw (u, v) falls below p; the
-    # comparisons on and below the diagonal are overwritten by the mirror
-    # image.
+    # the graph is the one a single draw gives, without holding n*n words at
+    # once. The comparisons on and below the diagonal are overwritten by the
+    # mirror image.
     adj = np.empty((n, n), dtype=bool)
     rows = max(1, _DRAW_BLOCK // n)
     for r in range(0, n, rows):
-        np.less(rng.random((min(rows, n - r), n)), params.p, out=adj[r : r + rows])
+        _coin_flips(rng, params.p, adj[r : r + rows])
     return Graph._adopt(mirror_upper(adj))
 
 
 def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
     """Blow-up of a pattern graph: one part of size n per pattern vertex, and
     an independent p-random bipartite graph on every pattern edge. Non-edges
-    of the pattern carry no edges; parts are internally empty."""
+    of the pattern carry no edges; parts are internally empty.
+
+    Each pattern edge (i, j), in ``pattern.edges()`` order, takes one (n, n)
+    draw of ``random() < p`` from stream(seed, 1), decided on the raw words
+    as in ``gen_gnp``: entry (a, b) is the pair of vertex a of part i and
+    vertex b of part j."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
     t = pattern.n
     rng = stream(seed, 1)
     N = t * n
     adj = np.zeros((N, N), dtype=bool)
+    block = np.empty((n, n), dtype=bool)
     # Fixed pattern-edge order makes the draw order part of the contract.
     for i, j in pattern.edges().tolist():
-        block = rng.random((n, n)) < p
+        _coin_flips(rng, p, block)
         adj[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
         adj[j * n : (j + 1) * n, i * n : (i + 1) * n] = block.T
     graph = Graph._adopt(adj)

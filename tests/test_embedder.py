@@ -339,7 +339,7 @@ class TestEmbed:
         params = EmbedParams(k=2, xi=0.34, delta=0.02, eps=0.15, seed=1)
         result = embed_power_cycle(g, part, cyc, params)
         assert isinstance(result, EmbedFailure)
-        assert result.stage in ("layout", "anchor", "extend", "closing", "length")
+        assert result.stage in ("layout", "anchor", "extend", "closing")
         assert len(exact_longest_power_cycle(g, 2)) < (1 - 0.15) * 12
 
     def test_acceptance_size_cycle_is_pinned(self, monkeypatch):

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from powercycle import harness
+from powercycle import embedder, harness
+from powercycle.embedder import PowerCycle, embed_power_cycle
 from powercycle.graph_core import complete_graph, count_canonical_cliques, enumerate_canonical_cliques
 from powercycle.harness import ExperimentConfig, TrialRecord, _path_power_pattern, run_experiment
 from powercycle.models import gen_blowup
@@ -40,8 +41,8 @@ GOLDEN = {
         "embed",
         {**TOY, "N": 180, "p": 0.7},
         [0, 1, 2, 3],
-        {"length": 4},
-        "8e46ce6a2efb19d6c21571670cf414fdcfe2f764e96c51c0eae8b5130c6b2215",
+        {"layout": 4},
+        "54c87f3a39a5850c71dc1ed28ec9b7607764fedf210e4b8959d9ac503a058c7c",
     ),
     "embed-anchor-extend": (
         "embed",
@@ -146,6 +147,29 @@ def test_records_match_golden_hash(name):
     assert tally == outcomes
     blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
     assert hashlib.sha256(blob).hexdigest() == expected
+
+
+def test_layout_length_is_every_ok_cycle_length(monkeypatch):
+    # A closed cycle has (s_final + 2) * t vertices, the length the layout
+    # check compares with (1 - eps) N before any draw.
+    seen = []
+
+    def capture(graph, partition, cycle, params):
+        result = embed_power_cycle(graph, partition, cycle, params)
+        seen.append((partition, params, result))
+        return result
+
+    monkeypatch.setattr(embedder, "embed_power_cycle", capture)
+    for kind, params, seeds, _, _ in GOLDEN.values():
+        for seed in seeds if kind == "embed" else ():
+            harness._run_embed(params, seed)
+    ok = [(part, params, len(res)) for part, params, res in seen if isinstance(res, PowerCycle)]
+    assert len(ok) == 3
+    for part, params, length in ok:
+        t, n_prime = len(part.classes), len(part.classes[0])
+        n_tilde = max(params.k, int(params.xi * n_prime))
+        s_final = min(int((1 - 2 * params.xi) * n_prime), n_prime - 3 * n_tilde)
+        assert length == (s_final + 2) * t
 
 
 @pytest.mark.parametrize("kind, extra", [("embed", {}), ("resilience-sweep", {"r_grid": [0.1]})])

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,8 @@ def random_multipartite(rng, t, sizes, p):
 # edge_positions scans _EDGE_CELLS // n rows a block, so this is the largest
 # graph it scans in one block, and one vertex more takes two.
 _ONE_BLOCK = math.isqrt(graph_core._EDGE_CELLS)
+# The smallest graph whose scan ends on a block of one row.
+_ONE_ROW_TAIL = next(n for n in range(2, _ONE_BLOCK**2) if n % (graph_core._EDGE_CELLS // n) == 1)
 
 
 class TestGraph:
@@ -100,7 +103,7 @@ class TestGraph:
         expected = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u, v]]
         assert [tuple(e) for e in edges.tolist()] == expected
 
-    @pytest.mark.parametrize("n", [0, 1, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1, 549])
+    @pytest.mark.parametrize("n", [0, 1, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1, 549, _ONE_ROW_TAIL])
     @pytest.mark.parametrize("kind", ["empty", "complete", "gnp"])
     def test_edge_positions_equal_the_whole_matrix_scan(self, n, kind):
         if kind == "gnp" and n:
@@ -458,6 +461,8 @@ class TestSerialization:
             ("4 1\n0 1\n1 2\n", 3, "more edge lines"),
             ("4 2\n0 1\n1 2 3\n", 3, "two integers"),
             ("4 2\n0 1\n1 0\n", 3, "duplicate edge"),
+            ("3 2\n0 1\n\n0 5\n", 4, "out of range for n=3"),
+            ("3 2\n0 1\n2 2\n", 3, "self loop at vertex 2"),
         ],
         ids=[
             "header-one-field",
@@ -467,10 +472,19 @@ class TestSerialization:
             "too-many-edges",
             "edge-not-two-ints",
             "duplicate-edge",
+            "edge-out-of-range",
+            "self-loop",
         ],
     )
     def test_malformed_file_names_line(self, tmp_path, text, line, reason):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match=f"line {line}\\b.*{reason}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}\\b.*{reason}"):
             load_graph(path)
+
+    def test_parts_token_not_an_integer_names_file_and_line(self, tmp_path):
+        path = tmp_path / "parts.txt"
+        path.write_text("0 1\n\n2 x\n")
+        with pytest.raises(ValueError) as err:
+            load_parts(complete_graph(3), path)
+        assert str(err.value) == f"{path} line 3: expected vertex ids, got '2 x'"

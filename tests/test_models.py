@@ -4,6 +4,7 @@ import importlib
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from powercycle.models import (
     stream,
 )
 
+from powercycle.embedder import exact_longest_power_cycle, verify_power_cycle
 from powercycle.oracles import sequential_random_adversary, triangles_at
+
+
+# The path 0 - 1 - 2, a blow-up pattern with two edges and a non-edge.
+_PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 class TestParams:
@@ -62,6 +68,54 @@ class TestGnp:
         monkeypatch.setattr(models, "_DRAW_BLOCK", block)
         once = np.triu(stream(11, 0).random((N, N)) < 0.4, 1)
         assert gen_gnp(ModelParams(N=N, p=0.4, seed=11)) == Graph(once | once.T)
+
+    @staticmethod
+    def _double_graphs(seed: int, N: int, p: float) -> tuple:
+        """The graphs of ``random() < p``: gen_gnp's from one (N, N) draw of
+        stream(seed, 0), and gen_blowup's of _PATH3 with parts of N from one
+        (N, N) draw of stream(seed, 1) per pattern edge."""
+        once = np.triu(stream(seed, 0).random((N, N)) < p, 1)
+        rng = stream(seed, 1)
+        adj = np.zeros((3 * N, 3 * N), dtype=bool)
+        for i, j in _PATH3.edges().tolist():
+            block = rng.random((N, N)) < p
+            adj[i * N : (i + 1) * N, j * N : (j + 1) * N] = block
+            adj[j * N : (j + 1) * N, i * N : (i + 1) * N] = block.T
+        return Graph(once | once.T), Graph(adj)
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.25, 0.5, 1 - 2.0**-53, 1.0])
+    def test_word_test_is_the_double_test(self, p):
+        # gen_gnp and gen_blowup compare raw words with ceil(p * 2**53); the
+        # graphs are those of random() < p on the same streams.
+        gnp, blowup = self._double_graphs(5, 24, p)
+        assert gen_gnp(ModelParams(N=24, p=p, seed=5)) == gnp
+        assert gen_blowup(_PATH3, 24, p, seed=5)[0] == blowup
+
+    @pytest.mark.parametrize("up", [False, True], ids=["drawn", "next-up"])
+    def test_word_test_at_a_drawn_double(self, up):
+        # At p equal to the double drawn for a pair that pair is no edge, and
+        # at the next double up it is one, as random() < p decides. Both
+        # doubles (0.056 and 0.077) lie below 1/4, where the next double up
+        # is less than 2**-53 away, so only the ceiling of p * 2**53 gives
+        # the edge.
+        N, seed, (u, v) = 24, 5, (1, 11)
+        draws = (stream(seed, 0).random((N, N))[u, v], stream(seed, 1).random((N, N))[u, v])
+        p_gnp, p_blowup = (float(np.nextafter(d, 1.0)) if up else float(d) for d in draws)
+        host = gen_gnp(ModelParams(N=N, p=p_gnp, seed=seed))
+        assert host.adj[u, v] == up and host == self._double_graphs(seed, N, p_gnp)[0]
+        # The first pattern edge (0, 1) reads the first block: vertex u of
+        # part 0 against vertex v of part 1.
+        blown, _ = gen_blowup(_PATH3, N, p_blowup, seed)
+        assert blown.adj[u, N + v] == up and blown == self._double_graphs(seed, N, p_blowup)[1]
+
+    @pytest.mark.parametrize(
+        "p, flips", [(0.0, [0, 0]), (2.0**-53, [1, 0]), (1 - 2.0**-53, [1, 0]), (1.0, [1, 1])]
+    )
+    def test_coin_flips_at_the_extreme_words(self, p, flips):
+        # The smallest and largest words, whose doubles are 0 and 1 - 2**-53.
+        words = np.array([0, 2**64 - 1], dtype=np.uint64)
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda count: words.copy()))
+        assert models._coin_flips(rng, p, np.empty(2, dtype=bool)).tolist() == [bool(f) for f in flips]
 
     def test_draw_buffer_is_block_sized(self, traced_peak):
         # Besides the matrix it returns, the draw holds one block of doubles
@@ -154,6 +208,34 @@ class TestAdversaryPartite:
         thinned, report = adversary_partite(complete_graph(11), 1, 0.0, seed=4)
         largest = max(len(p) for p in report.parts)
         assert min_degree(thinned) == 11 - largest
+
+    def test_cycle_bound_is_recorded_for_planted_parts_only(self):
+        _, report = adversary_partite(complete_graph(10), 2, 0.0, seed=1)
+        assert report.cycle_bound == 9 and report.to_dict()["cycle_bound"] == 9
+        _, report = adversary_random(complete_graph(10), 0.2, seed=1)
+        assert report.cycle_bound is None and "cycle_bound" not in report.to_dict()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("N", [10, 12])
+    def test_power_cycles_meet_the_cycle_bound(self, k, N):
+        # The parts are independent, so a longest k-th power of a cycle
+        # repeats them with period k+1: its length is a multiple of k+1 and
+        # at most the bound, at any p and skew.
+        rng = np.random.default_rng([N, k])
+        for seed in range(4):
+            host = gen_gnp(ModelParams(N=N, p=float(rng.uniform(0.5, 1.0)), seed=seed))
+            thinned, report = adversary_partite(host, k, 0.2 * (seed % 2), seed)
+            cycle = exact_longest_power_cycle(thinned, k)
+            if len(cycle):
+                assert verify_power_cycle(thinned, cycle)[0]
+            assert len(cycle) <= report.cycle_bound and len(cycle) % (k + 1) == 0
+
+    @pytest.mark.parametrize("k, N, skew", [(1, 10, 0.0), (1, 11, 0.2), (2, 10, 0.0), (2, 12, 0.2)])
+    def test_complete_host_reaches_the_cycle_bound(self, k, N, skew):
+        thinned, report = adversary_partite(complete_graph(N), k, skew, seed=N)
+        cycle = exact_longest_power_cycle(thinned, k)
+        assert verify_power_cycle(thinned, cycle)[0]
+        assert len(cycle) == report.cycle_bound
 
 
 class TestTriangleKiller:

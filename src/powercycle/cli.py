@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .harness import KINDS, ExperimentConfig, load_records, replay, run_experiment, run_settings
@@ -20,13 +21,13 @@ def _parse_seeds(spec: str) -> list:
         token = token.strip()
         if not token:
             continue
-        if ":" in token:
-            lo, hi = token.split(":")
-            seeds.extend(range(int(lo), int(hi)))
-        else:
-            seeds.append(int(token))
+        match = re.fullmatch(r"(\d+)(?::(\d+))?", token)
+        if not match:
+            raise ValueError(f"--seeds: bad token {token!r}; expected N or START:STOP")
+        lo, hi = match.groups()
+        seeds.extend(range(int(lo), int(hi) if hi else int(lo) + 1))
     if not seeds:
-        raise ValueError(f"no seeds in {spec!r}")
+        raise ValueError(f"--seeds: no seeds in {spec!r}")
     return seeds
 
 
@@ -67,13 +68,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args, args.command)
-    except ValueError as err:  # a malformed config or seed list is a usage error
+        if args.command != "replay":
+            run_settings(config, None)
+        elif args.limit < 0:
+            raise ValueError(f"--limit: must be a non-negative integer (0 replays every record), got {args.limit}")
+        else:
+            records = load_records(args.records)[: args.limit or None]
+    except ValueError as err:  # a bad config, seed list, limit, records file or environment: usage error
         parser.error(str(err))
 
     if args.command == "replay":
-        records = load_records(args.records)
-        if args.limit:
-            records = records[: args.limit]
         mismatches = 0
         for record in records:
             match, _ = replay(config, record)
@@ -81,10 +85,6 @@ def main(argv=None) -> int:
         print(f"replayed {len(records)} records, {mismatches} mismatches")
         return 1 if mismatches else 0
 
-    try:
-        run_settings(config, None)
-    except ValueError as err:  # so is a malformed POWERCYCLE_WORKERS
-        parser.error(str(err))
     summary = run_experiment(config)
     print(
         json.dumps(

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import graph_core, models, oracles, regularity, typicality, expansion, embedder
+from . import graph_core, models, regularity, typicality, expansion, embedder
 
 TRIAL_SCHEMA = "powercycle/trial-v4"
 SUMMARY_SCHEMA = "powercycle/summary-v1"
@@ -45,10 +45,6 @@ TRIALS = 200  # sampled-refuter trials of a check whose config sets none
 PARTITION_MU = 0.5  # mu of the regularity-audit partition mode
 CERT_EPSILON = CERT_DELTA = 0.45  # the one-step expansion audit's typicality certificate
 REG_EPSILON = 0.25  # epsilon of the partition an embed trial builds
-# oracle-compare's random blow-ups at density ORACLE_P: up to ORACLE_MAX_PARTS
-# parts of up to ORACLE_MAX_SIZE vertices, or ORACLE_K + 1 parts of up to
-# ORACLE_EXPANSION_MAX_SIZE in expansion mode.
-ORACLE_MAX_PARTS, ORACLE_MAX_SIZE, ORACLE_EXPANSION_MAX_SIZE, ORACLE_P, ORACLE_K = 5, 8, 6, 0.5, 2
 
 __all__ = [
     "ExperimentConfig",
@@ -510,42 +506,6 @@ def _run_resilience_point(params: dict, seed: int) -> tuple:
     return measured, ok
 
 
-def _oracle_compare(check, params: dict, seed: int) -> tuple:
-    """Tally ``check(rng)`` over ``instances`` draws from stream(seed, 61); a
-    check returns whether the fast count matched its oracle, or None when its
-    instance holds nothing to compare."""
-    rng = models.stream(seed, 61)
-    checks = [c for c in (check(rng) for _ in range(params.get("instances", 5))) if c is not None]
-    mismatches = checks.count(False)
-    return {"checks": len(checks), "mismatches": mismatches}, mismatches == 0
-
-
-def _enumeration_check(rng) -> bool:
-    t = int(rng.integers(2, ORACLE_MAX_PARTS + 1))
-    sizes = [int(rng.integers(2, ORACLE_MAX_SIZE + 1)) for _ in range(t)]
-    _, view = models.gen_blowup(
-        graph_core.complete_graph(t), max(sizes), ORACLE_P, int(rng.integers(0, 2**31))
-    )
-    view = graph_core.TupleView(view.graph, [view.parts[i][: sizes[i]] for i in range(t)])
-    return graph_core.count_canonical_cliques(view, 0, t) == len(oracles.naive_canonical_cliques(view, 0, t))
-
-
-def _expansion_check(rng) -> Optional[bool]:
-    n = int(rng.integers(2, ORACLE_EXPANSION_MAX_SIZE + 1))
-    _, view = models.gen_blowup(
-        graph_core.complete_graph(ORACLE_K + 1), n, ORACLE_P, int(rng.integers(0, 2**31))
-    )
-    full = graph_core.window_cliques(view, 0, ORACLE_K)
-    positions = np.nonzero(full)
-    size = len(positions[0])
-    if not size:
-        return None
-    picks = rng.choice(size, size=max(1, size // 2), replace=False)
-    start = graph_core.pick_frontier(full.shape, positions, picks)
-    reach = expansion.expand_through(start, view, 1).frontier
-    return frozenset(graph_core.frontier_members(view, reach, 1)) == oracles.naive_expand_step(view, start)
-
-
 # Experiment kind -> mode -> (trial runner, required params keys, optional
 # params keys). A kind's first mode is its default, and a kind of one mode
 # names it None; "mode" itself is allowed for every kind.
@@ -566,10 +526,6 @@ _EXPERIMENTS = {
     },
     "embed": {None: (_run_embed, "N p k d eps clusters", "adversary xi delta")},
     "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "xi delta")},
-    "oracle-compare": {
-        "enumeration": (partial(_oracle_compare, _enumeration_check), "", "instances"),
-        "expansion": (partial(_oracle_compare, _expansion_check), "", "instances"),
-    },
 }
 
 # Trial runner -> the parameter builders it shares with
@@ -796,12 +752,15 @@ def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path
 
 
 def load_records(path) -> list:
+    """The trial records of a JSONL file; a line that is not JSON is a ValueError naming it."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for no, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    records.append(json.loads(line))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path} line {no}: not a JSON record ({err.msg} at column {err.colno})") from None
     return records
 
 

@@ -8,7 +8,7 @@ keeps parallel trials bit-identical to serial ones.
 
 Every draw of the package comes from ``stream(seed, tag, ...)`` with one tag
 per call site and no arithmetic on seeds. A row's parentheses give the path
-entries after its tag (none without them):
+entries after its tag (none without them); a retired tag is never reused:
 
     0  gen_gnp                      37  typical vertex pair tables
     1  gen_blowup                   41  embedder reserves, targets
@@ -16,7 +16,7 @@ entries after its tag (none without them):
     3  adversary_random             47  embedder closing draws (attempt)
    11  build_nice_partition         53  count-audit vertex sets
    17  inheritance_stats samples    59  expansion-audit start sets
-   19  dense-pair survey (0, i, j)  61  oracle-compare instances
+   19  dense-pair survey (0, i, j)  61  [retired]
    23  one-step audit start         67  typical copy pair tables
    29  halving audit splits         71  super-typical tuple tables
    31  inheritance_stats check (s)

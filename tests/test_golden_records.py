@@ -51,6 +51,20 @@ GOLDEN = {
         {"anchor": 3, "extend": 1},
         "6b8b3662939519e9a3e9a284e40f8ac9a79bc507b7db47170ccdc52b82109e13",
     ),
+    "resilience-sweep": (
+        "resilience-sweep",
+        {**TOY, "r_grid": [0.0, 1.0]},
+        [0],
+        {"ok": 1, "cluster-cycle": 1},
+        "0a570add312d9ac698f66d2096b63ec2afa34b513722c450a32d3966747006d8",
+    ),
+    "expansion-one-step": (
+        "expansion-audit",
+        {"mode": "one-step", "k": 2, "n": 20, "p": 0.6, "kappa": 0.5, "delta": 0.02},
+        [0, 1],
+        {True: 2},
+        "30a52ce25efaac70337c3ca9480ad9f67143b2db65512a9f4edc12e65310015b",
+    ),
     "expansion-main-below-bound": (
         "expansion-audit",
         {"mode": "main", "k": 2, "n": 12, "p": 0.6, "delta": 0.02},
@@ -71,20 +85,6 @@ GOLDEN = {
         [0, 1],
         {True: 2},
         "dab4451d5dd22ec4a014e2404b71c0330c9c8e7f323ca8bf570af31a52d27b2a",
-    ),
-    "oracle-enumeration": (
-        "oracle-compare",
-        {"mode": "enumeration", "instances": 4},
-        [0, 1],
-        {True: 2},
-        "95cb1fce850792f6f42553be929d9c4c0bd274438249e8d2bcb49be53965de7b",
-    ),
-    "oracle-expansion": (
-        "oracle-compare",
-        {"mode": "expansion", "instances": 4},
-        [0, 1],
-        {True: 2},
-        "014e8d2170004686fb44c40e7f60946633e850d099b5c69d21ee9fab2f38f098",
     ),
     "count-blowup": (
         "count-audit",
@@ -129,6 +129,14 @@ GOLDEN = {
         "19cf9b31fa3d27024df22b34b89afcb21e0426600af7184a5de5b4338066db50",
     ),
 }
+
+
+def test_every_kind_and_mode_has_a_golden():
+    modes = {(kind, mode) for kind, table in harness._EXPERIMENTS.items() for mode in table}
+    covered = {
+        (kind, params.get("mode", next(iter(harness._EXPERIMENTS[kind])))) for kind, params, *_ in GOLDEN.values()
+    }
+    assert covered == modes
 
 
 def _outcome(record: dict):
@@ -202,7 +210,7 @@ def _declared(entry: tuple, *always: str) -> set:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_runners_read_only_declared_keys(name):
+def test_runners_read_only_declared_keys(name, monkeypatch):
     # A key a runner reads but the table does not declare could never be
     # set: the config check refuses it as unknown.
     kind, params, seeds, _, _ = GOLDEN[name]
@@ -210,9 +218,21 @@ def test_runners_read_only_declared_keys(name):
     spec = _ReadKeys(params.get("adversary", {}))
     if "adversary" in params:
         watched["adversary"] = spec
+    # A sweep hands each grid point's copy of its params to _run_embed, with
+    # the point's own random adversary, so those reads are watched there.
+    points = []
+    run_embed = harness._run_embed
+
+    def watch_point(point, seed):
+        points.append(_ReadKeys(point))
+        return run_embed(points[-1], seed)
+
+    monkeypatch.setattr(harness, "_run_embed", watch_point)
     summary = run_experiment(ExperimentConfig(kind=kind, params=watched, seeds=seeds))
     assert not any("error" in r["measured"] for r in summary.records)
-    assert watched.read and watched.read <= _declared(harness._entry(kind, params), "mode")
+    assert len(points) == (len(summary.records) if kind == "resilience-sweep" else 0)
+    read = watched.read.union(*(point.read - {"adversary"} for point in points))
+    assert watched.read and read <= _declared(harness._entry(kind, params), "mode")
     if spec:
         assert spec.read <= _declared(harness._ADVERSARIES[spec["kind"]], "kind")
 

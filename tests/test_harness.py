@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,10 @@ def tiny_embed_params(**overrides):
 SWEEP_PARAMS = {key: value for key, value in tiny_embed_params().items() if key != "adversary"}
 PARTITION_PARAMS = {"mode": "partition", "N": 80, "p": 0.5, "epsilon": 0.2, "d": 0.5, "m": 4}
 ONE_STEP_PARAMS = {"mode": "one-step", "k": 2, "n": 40, "p": 0.6, "kappa": 0.3, "delta": 0.1}
+# The cheapest kind, for tests of a config's other fields, its hash, the run
+# settings and the CLI. Its params are complete, because a config's params are
+# checked before its assertions.
+BLOWUP_PARAMS = {"mode": "blowup", "t": 3, "n": 8, "p": 0.5, "delta": 0.9}
 
 
 @pytest.fixture
@@ -70,25 +75,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="kind"):
             ExperimentConfig(kind="nope", params={}, seeds=[1])
 
+    def test_oracle_compare_is_not_a_kind(self):
+        # The tests compare the fast kernels with the oracles; no trial does.
+        with pytest.raises(ValueError, match="^kind: unknown 'oracle-compare'; choose from"):
+            ExperimentConfig(kind="oracle-compare", params={}, seeds=[0])
+
     def test_empty_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
-            ExperimentConfig(kind="oracle-compare", params={}, seeds=[])
+            ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[])
 
     @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
     def test_bad_seed_names_seeds(self, seed):
         # 1.5 would replay seed 1's trial under another label, -1 would crash
         # the trial instead of the config, and True is the seed 1 in disguise.
         with pytest.raises(ValueError, match="^seeds: "):
-            ExperimentConfig(kind="oracle-compare", params={}, seeds=[0, seed])
+            ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0, seed])
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_bad_workers_names_workers(self, workers):
         with pytest.raises(ValueError, match="^workers: "):
-            ExperimentConfig(kind="oracle-compare", params={}, seeds=[0], workers=workers)
+            ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0], workers=workers)
 
     def test_bad_workers_in_file_names_workers(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"kind": "oracle-compare", "params": {}, "seeds": [0], "workers": 0}))
+        path.write_text(json.dumps({"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], "workers": 0}))
         with pytest.raises(ValueError, match="^workers: "):
             ExperimentConfig.from_file(path)
 
@@ -240,13 +250,13 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [("seeds", 5), ("assertions", None)])
     def test_non_list_names_the_field(self, field, value):
         # Each of these used to raise a TypeError instead.
-        data = {"kind": "oracle-compare", "params": {}, "seeds": [0], field: value}
+        data = {"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], field: value}
         with pytest.raises(ValueError, match=f"^{field}: "):
             ExperimentConfig.from_dict(data)
 
     def test_non_path_out_dir_refused_before_any_trial(self, monkeypatch):
         # Such an out_dir used to reach Path() only after every trial had run.
-        data = {"kind": "oracle-compare", "params": {"instances": 1}, "seeds": [0], "out_dir": 5}
+        data = {"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], "out_dir": 5}
         with pytest.raises(ValueError, match="^out_dir: "):
             ExperimentConfig.from_dict(data)
 
@@ -254,20 +264,20 @@ class TestConfig:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(harness, "_run_trial", refuse)
-        cfg = ExperimentConfig(kind="oracle-compare", params={"instances": 1}, seeds=[0])
+        cfg = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0])
         with pytest.raises(ValueError, match="^out_dir: "):
             run_experiment(cfg, out_dir=5)
 
     def test_unknown_top_level_key_refused(self):
         # "assertion" (singular) used to drop every assertion silently.
-        data = {"kind": "oracle-compare", "params": {}, "seeds": [0], "assertion": [{"min_ok_fraction": 1.0}]}
+        data = {"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], "assertion": [{"min_ok_fraction": 1.0}]}
         with pytest.raises(ValueError, match="^assertion: "):
             ExperimentConfig.from_dict(data)
 
     def test_hash_depends_on_params_only(self):
-        a = ExperimentConfig(kind="oracle-compare", params={"instances": 3}, seeds=[1])
-        b = ExperimentConfig(kind="oracle-compare", params={"instances": 3}, seeds=[5, 6])
-        c = ExperimentConfig(kind="oracle-compare", params={"instances": 4}, seeds=[1])
+        a = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[1])
+        b = ExperimentConfig(kind="count-audit", params=dict(BLOWUP_PARAMS), seeds=[5, 6])
+        c = ExperimentConfig(kind="count-audit", params={**BLOWUP_PARAMS, "n": 9}, seeds=[1])
         assert a.hash == b.hash != c.hash
 
     def test_roundtrip_through_file(self, tmp_path):
@@ -380,7 +390,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
     def test_bad_env_workers_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("POWERCYCLE_WORKERS", value)
-        cfg = ExperimentConfig(kind="oracle-compare", params={"instances": 1}, seeds=[0])
+        cfg = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0])
         with pytest.raises(ValueError, match="^POWERCYCLE_WORKERS: "):
             run_experiment(cfg)
 
@@ -434,6 +444,12 @@ class TestReplay:
         )
         with pytest.raises(ValueError, match="hash"):
             replay(drifted, records[0])
+
+    def test_malformed_record_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"seed": 0}\n\n[1,\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3: not a JSON record \("):
+            load_records(path)
 
     def test_other_schema_raises(self):
         cfg, records = self._config_and_records()
@@ -491,19 +507,9 @@ class TestCli:
 
     def test_seed_range_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "kind": "oracle-compare",
-                    "params": {"mode": "enumeration", "instances": 2},
-                    "seeds": [0],
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps({"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0]}))
         out = tmp_path / "out"
-        code = cli_main(
-            ["oracle-compare", "--config", str(cfg_path), "--seeds", "0:4", "--out", str(out)]
-        )
+        code = cli_main(["count-audit", "--config", str(cfg_path), "--seeds", "0:4", "--out", str(out)])
         assert code == 0
         jsonl = next(p for p in out.iterdir() if p.suffix == ".jsonl")
         assert len(load_records(jsonl)) == 4
@@ -512,33 +518,66 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         params = {key: value for key, value in tiny_embed_params().items() if key != "N"}
         cfg_path.write_text(json.dumps({"params": params, "seeds": [0]}))
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["embed", "--config", str(cfg_path)])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith("error: params.N: required")
+        err = usage_error(capsys, ["embed", "--config", str(cfg_path)])
+        assert err.endswith("error: params.N: required")
+
+    @pytest.mark.parametrize("token", ["0:4:2", "x"])
+    def test_bad_seeds_token_is_a_usage_error(self, tmp_path, capsys, token):
+        # These used to print "too many values to unpack" and "invalid
+        # literal for int()", naming neither the flag nor the token.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": BLOWUP_PARAMS, "seeds": [0]}))
+        err = usage_error(capsys, ["count-audit", "--config", str(cfg_path), "--seeds", f"1,{token}"])
+        assert err.endswith(f"error: --seeds: bad token '{token}'; expected N or START:STOP")
 
     def test_bad_env_workers_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"params": {"instances": 1}, "seeds": [0]}))
+        cfg_path.write_text(json.dumps({"params": BLOWUP_PARAMS, "seeds": [0]}))
         monkeypatch.setenv("POWERCYCLE_WORKERS", "0")
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main(["oracle-compare", "--config", str(cfg_path)])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err.splitlines()[-1]
+        err = usage_error(capsys, ["count-audit", "--config", str(cfg_path)])
         assert err.endswith("error: POWERCYCLE_WORKERS: must be a positive integer, got '0'")
 
-    def test_replay_subcommand(self, tmp_path):
-        cfg = {
-            "kind": "count-audit",
-            "params": {"mode": "blowup", "t": 3, "n": 25, "p": 0.5, "delta": 0.2},
-            "seeds": [0, 1, 2],
-        }
+    def test_oracle_compare_is_not_a_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps({"params": {}, "seeds": [0]}))
+        assert "invalid choice: 'oracle-compare'" in usage_error(capsys, ["oracle-compare", "--config", str(cfg_path)])
+
+    def _stored_run(self, tmp_path, seeds):
+        """(config path, JSONL records path) of a count-audit run over ``seeds``."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": seeds}))
         out = tmp_path / "out"
         assert cli_main(["count-audit", "--config", str(cfg_path), "--out", str(out)]) == 0
-        jsonl = next(p for p in out.iterdir() if p.suffix == ".jsonl")
+        return cfg_path, next(p for p in out.iterdir() if p.suffix == ".jsonl")
+
+    def test_replay_subcommand(self, tmp_path, capsys):
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1, 2])
+        capsys.readouterr()
         assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl)]) == 0
+        assert capsys.readouterr().out == "replayed 3 records, 0 mismatches\n"
+        assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl), "--limit", "2"]) == 0
+        assert capsys.readouterr().out == "replayed 2 records, 0 mismatches\n"
+
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys):
+        # --limit -1 used to replay all but the last record and exit 0.
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1, 2])
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(jsonl), "--limit", "-1"])
+        assert "error: --limit: " in err and "got -1" in err
+
+    def test_malformed_records_file_is_a_usage_error(self, tmp_path, capsys):
+        # Such a file used to end replay in a JSONDecodeError traceback.
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1])
+        jsonl.write_text(jsonl.read_text() + "\n{truncated\n")
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(jsonl)])
+        assert f"error: {jsonl} line 4: not a JSON record" in err
+
+
+def usage_error(capsys, argv: list) -> str:
+    """The last line the CLI writes to stderr for ``argv``, which must exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
 
 
 class TestCanonicalForms:

@@ -1,6 +1,7 @@
 """Every name the package, its tests and its demos import is used. A name a
 module lists in its own ``__all__`` is a re-export and counts as used; the
-package ``__init__`` re-exports its API that way."""
+package ``__init__`` re-exports its API that way. No pipeline module imports
+``oracles``: the reference implementations serve the tests only."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,25 @@ def test_no_unused_import():
         str(path.relative_to(ROOT)): unused for path in SOURCES if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def imports_oracles(source: str) -> bool:
+    """Whether ``source`` imports the ``oracles`` module or a name from it."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return any("oracles" in path.split(".") for path in paths)
+
+
+def test_scan_finds_an_oracles_import():
+    for source in ("from . import models, oracles\n", "from .oracles import naive_density\n", "import powercycle.oracles\n"):
+        assert imports_oracles(source)
+    assert not imports_oracles("from . import models\nfrom .models import stream\n")
+
+
+def test_no_pipeline_module_imports_the_oracles():
+    package = sorted((ROOT / "src/powercycle").glob("*.py"))
+    assert [path.name for path in package if path.name != "oracles.py" and imports_oracles(path.read_text())] == []

@@ -3,11 +3,12 @@ persistence, and exact replay.
 
 A config names one experiment kind, its parameter dict, and a seed list. One
 table, ``_EXPERIMENTS``, gives each kind's modes (the first is the default)
-and each mode's trial runner, required and optional params keys, and
-``_ADVERSARIES`` gives each adversary's spec keys. A config is checked against
-them when it is built, so a missing or unknown key, mode or adversary, or a
-parameter its mode's dataclasses refuse (``_PARAMS``), is a ValueError naming
-it before any trial runs; values no config sets are module constants. The
+and each mode's trial runner, params keys and parameter builders;
+``_ADVERSARIES`` gives each adversary's spec keys, and ``_VALUES`` each key's
+type and bound. A config is checked against them when it is built, so a
+missing or unknown key, mode or adversary, a malformed value, a parameter its
+builders refuse, or parts larger than the host is a ValueError naming it
+before any trial runs; values no config sets are module constants. The
 config hash covers params as given, never their defaults.
 
 Each (kind, params, seed) trial is a pure function of its arguments - all
@@ -85,11 +86,22 @@ def _is_fraction(value) -> bool:
     return _is_number(value) and 0 <= value <= 1
 
 
-def _check_numbers(params: dict, keys: tuple) -> None:
-    """Refuse a value of a params key in ``keys`` that is not a number."""
-    for key in keys:
-        if key in params and not _is_number(params[key]):
-            raise ValueError(f"params.{key}: must be a number, got {params[key]!r}")
+# Params, adversary-spec and assertion key -> (test of its value, what the
+# test asks for). ``_check_keys`` applies it to every key it admits; ranges
+# and bounds between keys are left to the builders and to validate.
+_VALUES = {
+    "clusters": (lambda v: _is_count(v, 3), "an integer of at least 3"),
+    **dict.fromkeys("N n t k m q set_size".split(), (lambda v: _is_count(v, 1), "an integer of at least 1")),
+    **dict.fromkeys("trials samples n_splits".split(), (lambda v: _is_count(v, 0), "a non-negative integer")),
+    **dict.fromkeys("p r kappa min_ok_fraction max_ok_fraction".split(), (_is_fraction, "a fraction in [0,1]")),
+    **dict.fromkeys("delta eps eps_prime epsilon d xi min_fraction start_fraction skew".split(),
+                    (_is_number, "a number")),
+    "r_grid": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_fraction, v)) and 0 < len(set(v)) == len(v),
+        "a nonempty list of distinct fractions in [0,1]",
+    ),
+    "victims": (lambda v: isinstance(v, (list, tuple)) and all(_is_count(x, 0) for x in v), "a list of vertex ids"),
+}
 
 
 def _named_params(cls, **fields):
@@ -132,27 +144,22 @@ class ExperimentConfig:
         _check_out_dir(self.out_dir)
         if not isinstance(self.params, dict):
             raise ValueError("params: must be a mapping")
-        runner, required, optional = _entry(self.kind, self.params)
+        _, required, optional, builders = _entry(self.kind, self.params)
         _check_keys("params.", self.params, required, optional + " mode")
         if "adversary" in self.params:
             spec = self.params["adversary"]
             adversary = spec.get("kind") if isinstance(spec, dict) else None
             _, spec_required, spec_optional = _lookup(_ADVERSARIES, "params.adversary.kind", adversary)
             _check_keys("params.adversary.", spec, spec_required, spec_optional + " kind")
-        for build in _PARAMS.get(runner, ()):
+        for build in builders:
             build(self.params)
-        if "r_grid" in self.params:
-            grid = self.params["r_grid"]
-            distinct = isinstance(grid, (list, tuple)) and all(map(_is_fraction, grid)) and len(set(grid)) == len(grid)
-            if not grid or not distinct:
-                raise ValueError("params.r_grid: must be a nonempty list of distinct fractions in [0,1]")
+        for key, need, size in _host_demands(self.params):
+            if need > self.params[size]:
+                raise ValueError(f"params.{key}: needs {need} host vertices; params.{size} is {self.params[size]}")
         if not isinstance(self.assertions, (list, tuple)):
             raise ValueError("assertions: must be a list of rules")
         for rule in self.assertions:
             _check_keys("assertions.", rule, "", "min_ok_fraction max_ok_fraction r")
-            for key in ("min_ok_fraction", "max_ok_fraction"):
-                if key in rule and not _is_fraction(rule[key]):
-                    raise ValueError(f"assertions.{key}: must be a fraction in [0,1], got {rule[key]!r}")
             if "r" in rule and rule["r"] not in self.params.get("r_grid", ()):
                 raise ValueError(f"assertions.r: {rule['r']!r} is not in a resilience-sweep's params.r_grid")
 
@@ -226,15 +233,6 @@ class TrialRecord:
 # params[key] and gives each optional key its default where it reads it.
 
 
-def _host_params(params: dict) -> None:
-    """Refuse a host-model p that the trial's generator would refuse in
-    every trial: a non-number or a value outside [0, 1] is a ValueError
-    naming params.p."""
-    _check_numbers(params, ("p",))
-    if not 0 <= params["p"] <= 1:
-        raise ValueError(f"params.p: must lie in [0,1], got {params['p']!r}")
-
-
 def _count_blowup(params: dict, seed: int) -> tuple:
     t, n, p, delta = params["t"], params["n"], params["p"], params["delta"]
     pattern = graph_core.complete_graph(t)
@@ -259,23 +257,13 @@ def _count_gnp_sets(params: dict, seed: int) -> tuple:
     return {"count": count, "bound": bound}, ok
 
 
-def _trials(params: dict) -> int:
-    """A config's sampled-refuter trials, TRIALS where it sets none; a
-    non-integer is a ValueError naming params.trials."""
-    trials = params.get("trials", TRIALS)
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise ValueError(f"params.trials: must be an integer, got {trials!r}")
-    return trials
-
-
 def _regularity_params(params: dict) -> regularity.RegularityParams:
     """The RegularityParams of a regularity-audit partition config, at mu =
-    PARTITION_MU; a non-number or a value RegularityParams refuses is a
-    ValueError naming its params key."""
-    _check_numbers(params, ("epsilon", "p", "d"))
+    PARTITION_MU and TRIALS sampled trials where it sets none; a value
+    RegularityParams refuses is a ValueError naming its params key."""
     return _named_params(
         regularity.RegularityParams,
-        epsilon=params["epsilon"], p=params["p"], d=params["d"], mu=PARTITION_MU, trials=_trials(params),
+        epsilon=params["epsilon"], p=params["p"], d=params["d"], mu=PARTITION_MU, trials=params.get("trials", TRIALS),
     )
 
 
@@ -314,16 +302,13 @@ def _regularity_inheritance(params: dict, seed: int) -> tuple:
 
 def _typicality_params(params: dict) -> typicality.TypicalityParams:
     """The TypicalityParams of a typicality-audit config, with TRIALS sampled
-    trials where it sets none. A part count t below 3, a part size n below 1,
-    a non-number, a non-integer trials or a value TypicalityParams refuses is
-    a ValueError naming its params key."""
-    for key, least in (("t", 3), ("n", 1)):
-        if not _is_count(params[key], least):
-            raise ValueError(f"params.{key}: must be an integer of at least {least}, got {params[key]!r}")
-    _check_numbers(params, ("epsilon", "delta", "p"))
+    trials where it sets none. A part count t below 3 or a value
+    TypicalityParams refuses is a ValueError naming its params key."""
+    if params["t"] < 3:
+        raise ValueError(f"params.t: must be at least 3, got {params['t']!r}")
     return _named_params(
         typicality.TypicalityParams,
-        epsilon=params["epsilon"], delta=params["delta"], p=params["p"], trials=_trials(params),
+        epsilon=params["epsilon"], delta=params["delta"], p=params["p"], trials=params.get("trials", TRIALS),
     )
 
 
@@ -352,17 +337,15 @@ def _sample_start(view, k: int, fraction: float, least: int, seed: int) -> np.nd
 
 
 def _expansion_params(params: dict) -> expansion.ExpansionParams:
-    """The ExpansionParams of an expansion-audit config; a non-number or a
-    value ExpansionParams refuses is a ValueError naming its params key."""
-    _check_numbers(params, ("k", "delta"))
+    """The ExpansionParams of an expansion-audit config; a value
+    ExpansionParams refuses is a ValueError naming its params key."""
     return _named_params(expansion.ExpansionParams, k=params["k"], delta=params["delta"])
 
 
 def _certificate_params(params: dict) -> typicality.TypicalityParams:
     """The typicality certificate of a one-step expansion audit: CERT_EPSILON,
-    CERT_DELTA and TRIALS at the config's p; a non-number p or one
-    TypicalityParams refuses is a ValueError naming params.p."""
-    _check_numbers(params, ("p",))
+    CERT_DELTA and TRIALS at the config's p; a p TypicalityParams refuses is
+    a ValueError naming params.p."""
     return _named_params(
         typicality.TypicalityParams, epsilon=CERT_EPSILON, delta=CERT_DELTA, p=params["p"], trials=TRIALS
     )
@@ -427,9 +410,8 @@ _ADVERSARIES = {
 
 def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
     """The EmbedParams of an embed or resilience-sweep config, with xi = eps/4
-    and delta = 0.0225 where it sets none; a non-number or a value
-    EmbedParams refuses is a ValueError naming its params key."""
-    _check_numbers(params, ("k", "eps", "xi", "delta"))
+    and delta = 0.0225 where it sets none; a value EmbedParams refuses is a
+    ValueError naming its params key."""
     return _named_params(
         embedder.EmbedParams,
         k=params["k"],
@@ -442,10 +424,8 @@ def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
 
 def _partition_params(params: dict) -> regularity.RegularityParams:
     """The RegularityParams of the partition an embed trial builds: epsilon
-    REG_EPSILON, mu = k/(k+1) and TRIALS at the config's p and d; a
-    non-number or a value RegularityParams refuses is a ValueError naming its
-    params key. Read after ``_embed_params`` has checked k."""
-    _check_numbers(params, ("p", "d"))
+    REG_EPSILON, mu = k/(k+1) and TRIALS at the config's p and d; a value
+    RegularityParams refuses is a ValueError naming its params key."""
     k = params["k"]
     return _named_params(
         regularity.RegularityParams, epsilon=REG_EPSILON, p=params["p"], d=params["d"], mu=k / (k + 1), trials=TRIALS
@@ -507,43 +487,28 @@ def _run_resilience_point(params: dict, seed: int) -> tuple:
 
 
 # Experiment kind -> mode -> (trial runner, required params keys, optional
-# params keys). A kind's first mode is its default, and a kind of one mode
-# names it None; "mode" itself is allowed for every kind.
+# params keys, the parameter builders the runner shares with
+# ExperimentConfig.validate, so a value their dataclasses refuse is refused
+# before any trial). A kind's first mode is its default, and a kind of one
+# mode names it None; "mode" itself is allowed for every kind.
+_EMBED_PARAMS = (partial(_embed_params, seed=0), _partition_params)
 _EXPERIMENTS = {
     "count-audit": {
-        "blowup": (_count_blowup, "t n p delta", ""),
-        "gnp-sets": (_count_gnp_sets, "N p t set_size eps", ""),
+        "blowup": (_count_blowup, "t n p delta", "", ()),
+        "gnp-sets": (_count_gnp_sets, "N p t set_size eps", "", ()),
     },
     "regularity-audit": {
-        "partition": (_regularity_partition, "N p epsilon d m", "trials"),
-        "inheritance": (_regularity_inheritance, "n p q eps_prime", "samples min_fraction"),
+        "partition": (_regularity_partition, "N p epsilon d m", "trials", (_regularity_params,)),
+        "inheritance": (_regularity_inheritance, "n p q eps_prime", "samples min_fraction", ()),
     },
-    "typicality-audit": {None: (_run_typicality_audit, "t n p epsilon delta", "trials")},
+    "typicality-audit": {None: (_run_typicality_audit, "t n p epsilon delta", "trials", (_typicality_params,))},
     "expansion-audit": {
-        "one-step": (_expansion_one_step, "k n p delta kappa", ""),
-        "main": (_expansion_main, "k n p delta", ""),
-        "halving": (_expansion_halving, "k n p delta", "start_fraction n_splits"),
+        "one-step": (_expansion_one_step, "k n p delta kappa", "", (_expansion_params, _certificate_params)),
+        "main": (_expansion_main, "k n p delta", "", (_expansion_params,)),
+        "halving": (_expansion_halving, "k n p delta", "start_fraction n_splits", (_expansion_params,)),
     },
-    "embed": {None: (_run_embed, "N p k d eps clusters", "adversary xi delta")},
-    "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "xi delta")},
-}
-
-# Trial runner -> the parameter builders it shares with
-# ExperimentConfig.validate, so a value its dataclasses refuse is refused
-# before any trial, and the host-model p check of the runners whose
-# generator is handed p with no dataclass of theirs in front of it.
-_EMBED_PARAMS = (partial(_embed_params, seed=0), _partition_params)
-_PARAMS = {
-    _run_embed: _EMBED_PARAMS,
-    _run_resilience_point: _EMBED_PARAMS,
-    _count_blowup: (_host_params,),
-    _count_gnp_sets: (_host_params,),
-    _regularity_partition: (_regularity_params,),
-    _regularity_inheritance: (_host_params,),
-    _run_typicality_audit: (_typicality_params,),
-    _expansion_one_step: (_expansion_params, _certificate_params),
-    _expansion_main: (_expansion_params, _host_params),
-    _expansion_halving: (_expansion_params, _host_params),
+    "embed": {None: (_run_embed, "N p k d eps clusters", "adversary xi delta", _EMBED_PARAMS)},
+    "resilience-sweep": {None: (_run_resilience_point, "N p k d eps clusters r_grid", "xi delta", _EMBED_PARAMS)},
 }
 
 KINDS = tuple(_EXPERIMENTS)
@@ -557,13 +522,14 @@ def _lookup(table: dict, path: str, name):
 
 
 def _entry(kind: str, params: dict) -> tuple:
-    """(runner, required keys, optional keys) of a config's kind and mode."""
+    """(runner, required keys, optional keys, builders) of a config's kind and mode."""
     return _lookup(_EXPERIMENTS[kind], "params.mode", params.get("mode", next(iter(_EXPERIMENTS[kind]))))
 
 
 def _check_keys(path: str, given, required: str, optional: str) -> None:
-    """Refuse a ``given`` mapping that lacks a required key or holds a key
-    that is neither required nor optional; errors name ``path + key``."""
+    """Refuse a ``given`` mapping that lacks a required key, holds a key that
+    is neither required nor optional, or holds a value its ``_VALUES`` rule
+    refuses; errors name ``path + key``."""
     if not isinstance(given, dict):
         raise ValueError(f"{path.rstrip('.') or 'config'}: must be a mapping")
     for key in required.split():
@@ -573,6 +539,23 @@ def _check_keys(path: str, given, required: str, optional: str) -> None:
     for key in given:
         if key not in allowed:
             raise ValueError(f"{path}{key}: unknown key; allowed: {', '.join(allowed)}")
+        if key in _VALUES and not _VALUES[key][0](given[key]):
+            raise ValueError(f"{path}{key}: must be {_VALUES[key][1]}, got {given[key]!r}")
+
+
+def _host_demands(params: dict):
+    """(key, host vertices its value asks for, params key of the host size) of
+    each key of a checked params whose parts or victims the host must hold."""
+    for key, size in (("m", "N"), ("clusters", "N"), ("q", "n")):
+        if key in params:
+            yield key, params[key], size
+    if "set_size" in params:
+        yield "set_size", params["t"] * params["set_size"], "N"
+    spec = params["adversary"] if "adversary" in params else {}
+    if "k" in spec:
+        yield "adversary.k", spec["k"] + 1, "N"
+    if "victims" in spec:
+        yield "adversary.victims", max(spec["victims"], default=-1) + 1, "N"
 
 
 def _run_trial(args: tuple) -> dict:
@@ -752,16 +735,21 @@ def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path
 
 
 def load_records(path) -> list:
-    """The trial records of a JSONL file; a line that is not JSON is a ValueError naming it."""
-    records = []
+    """The trial records of a JSONL file. The first line that is not JSON,
+    else the first that is not an object with a config_hash and a seed, is a
+    ValueError naming it."""
+    lines = []
     with open(path) as fh:
         for no, line in enumerate(fh, 1):
             try:
                 if line.strip():
-                    records.append(json.loads(line))
+                    lines.append((no, json.loads(line)))
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path} line {no}: not a JSON record ({err.msg} at column {err.colno})") from None
-    return records
+    for no, record in lines:
+        if not isinstance(record, dict) or not {"config_hash", "seed"} <= record.keys():
+            raise ValueError(f"{path} line {no}: not a trial record (an object with a config_hash and a seed)")
+    return [record for _, record in lines]
 
 
 def replay(config: ExperimentConfig, record: dict) -> tuple:

@@ -209,6 +209,78 @@ class TestConfig:
         # the generator: these modes have no parameter dataclass taking p.
         refused_before_any_trial(kind, {**params, "p": p}, "p")
 
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("embed", tiny_embed_params(N="120"), "N"),
+            ("embed", tiny_embed_params(N=0), "N"),
+            ("embed", tiny_embed_params(clusters=2.5), "clusters"),
+            ("embed", tiny_embed_params(clusters=0), "clusters"),
+            ("embed", tiny_embed_params(k=2.5, delta=0.01), "k"),
+            ("count-audit", {**BLOWUP_PARAMS, "n": 0}, "n"),
+            ("regularity-audit", {**PARTITION_PARAMS, "m": 0}, "m"),
+            ("expansion-audit", {"mode": "halving", "k": 2, "n": 12, "p": 0.6, "delta": 0.02, "n_splits": 2.5},
+             "n_splits"),
+            ("embed", tiny_embed_params(adversary={"kind": "random", "r": 1.5}), "adversary.r"),
+            ("embed", tiny_embed_params(adversary={"kind": "random", "r": "0.1"}), "adversary.r"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 0}), "adversary.k"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": "x"}), "adversary.skew"),
+            ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": 3}), "adversary.victims"),
+        ],
+        ids=[
+            "embed-N-str", "embed-N-0", "embed-clusters-2.5", "embed-clusters-0", "embed-k-2.5", "blowup-n-0",
+            "partition-m-0", "halving-n_splits-2.5", "random-r-1.5", "random-r-str", "partite-k-0",
+            "partite-skew-str", "triangle-killer-victims-int",
+        ],
+    )
+    def test_malformed_value_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
+        # Each of these used to build, then run every trial as an error record.
+        refused_before_any_trial(kind, params, key)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("count-audit", {"mode": "gnp-sets", "N": 50, "p": 0.5, "t": 3, "set_size": 20, "eps": 0.3}, "set_size"),
+            ("regularity-audit", {"mode": "inheritance", "n": 10, "p": 0.5, "q": 11, "eps_prime": 0.3}, "q"),
+            ("regularity-audit", {**PARTITION_PARAMS, "m": 81}, "m"),
+            ("embed", tiny_embed_params(clusters=121), "clusters"),
+            ("resilience-sweep", {**SWEEP_PARAMS, "clusters": 121, "r_grid": [0.1]}, "clusters"),
+            ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 120]}),
+             "adversary.victims"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 120}), "adversary.k"),
+        ],
+        ids=[
+            "gnp-sets-t-set_size", "inheritance-q", "partition-m", "embed-clusters", "sweep-clusters", "victims",
+            "partite-k",
+        ],
+    )
+    def test_parts_larger_than_the_host_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
+        # The gnp-sets config used to run with a short last set and a bound
+        # that assumed a full one; the others ran every trial as an error
+        # (a partite adversary needs k + 1 nonempty parts).
+        refused_before_any_trial(kind, params, key)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("count-audit", {"mode": "gnp-sets", "N": 60, "p": 0.5, "t": 3, "set_size": 20, "eps": 0.3}),
+            ("regularity-audit", {"mode": "inheritance", "n": 10, "p": 0.5, "q": 10, "eps_prime": 0.3}),
+            ("regularity-audit", {**PARTITION_PARAMS, "m": 80}),
+            ("embed", tiny_embed_params(clusters=120)),
+            ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 119]})),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 119})),
+        ],
+        ids=["gnp-sets", "inheritance", "partition", "embed-clusters", "victims", "partite-k"],
+    )
+    def test_parts_that_fill_the_host_accepted(self, kind, params):
+        ExperimentConfig(kind=kind, params=params, seeds=[0])
+
+    def test_every_params_and_spec_key_has_a_value_rule(self):
+        entries = [entry for modes in harness._EXPERIMENTS.values() for entry in modes.values()]
+        entries += harness._ADVERSARIES.values()
+        keys = {key for entry in entries for key in f"{entry[1]} {entry[2]}".split()}
+        assert keys - {"adversary"} <= set(harness._VALUES)
+
     def test_typicality_boundary_values_accepted(self):
         base = {"t": 3, "n": 12, "epsilon": 0.4, "delta": 0.4}
         ExperimentConfig(kind="typicality-audit", params={**base, "p": 1.0, "trials": 0}, seeds=[0])
@@ -299,12 +371,12 @@ class TestRunExperiment:
         assert summary.n_trials == 3 and summary.ok_fraction == 1.0
         assert "ratio" in summary.metrics
 
-    def test_trial_error_recorded_not_fatal(self):
-        cfg = ExperimentConfig(
-            kind="count-audit",
-            params={"mode": "blowup", "t": 3, "n": -5, "p": 0.5, "delta": 0.2},
-            seeds=[0],
-        )
+    def test_trial_error_recorded_not_fatal(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("generator failed")
+
+        monkeypatch.setattr(harness.models, "gen_blowup", fail)
+        cfg = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0])
         summary = run_experiment(cfg)
         assert summary.ok_fraction == 0.0
         assert "error" in summary.records[0]["measured"]
@@ -451,6 +523,13 @@ class TestReplay:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3: not a JSON record \("):
             load_records(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '{"seed": 0}', '{"config_hash": "0"}'])
+    def test_non_record_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"config_hash": "0", "seed": 0}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3: not a trial record \("):
+            load_records(path)
+
     def test_other_schema_raises(self):
         cfg, records = self._config_and_records()
         stale = {**records[0], "schema": "powercycle/trial-v1"}
@@ -570,6 +649,14 @@ class TestCli:
         jsonl.write_text(jsonl.read_text() + "\n{truncated\n")
         err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(jsonl)])
         assert f"error: {jsonl} line 4: not a JSON record" in err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"config_hash": "0"}'])
+    def test_non_record_line_is_a_usage_error(self, tmp_path, capsys, line):
+        # Each of these used to end replay in a traceback (exit 1).
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1])
+        jsonl.write_text(jsonl.read_text() + line + "\n")
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(jsonl)])
+        assert f"error: {jsonl} line 3: not a trial record" in err
 
 
 def usage_error(capsys, argv: list) -> str:

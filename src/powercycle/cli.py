@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .harness import KINDS, ExperimentConfig, load_records, replay, run_experiment, run_settings
+from .harness import KINDS, ExperimentConfig, check_replayable, load_records, replay, run_experiment, run_settings
 
 
 def _parse_seeds(spec: str) -> list:
@@ -73,7 +73,10 @@ def main(argv=None) -> int:
         elif args.limit < 0:
             raise ValueError(f"--limit: must be a non-negative integer (0 replays every record), got {args.limit}")
         else:
-            records = load_records(args.records)[: args.limit or None]
+            records = load_records(args.records)
+            for record in records:  # every record, before the first replay
+                check_replayable(config, record)
+            records = records[: args.limit or None]
     except ValueError as err:  # a bad config, seed list, limit, records file or environment: usage error
         parser.error(str(err))
 

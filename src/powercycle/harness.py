@@ -7,9 +7,10 @@ and each mode's trial runner, params keys and parameter builders;
 ``_ADVERSARIES`` gives each adversary's spec keys, and ``_VALUES`` each key's
 type and bound. A config is checked against them when it is built, so a
 missing or unknown key, mode or adversary, a malformed value, a parameter its
-builders refuse, or parts larger than the host is a ValueError naming it
-before any trial runs; values no config sets are module constants. The
-config hash covers params as given, never their defaults.
+builders refuse, or parts larger than the host (a partite skew included) is
+a ValueError naming it before any trial runs; values no config sets are
+module constants. The config hash covers params as given, never their
+defaults.
 
 Each (kind, params, seed) trial is a pure function of its arguments - all
 randomness is drawn from counter-based streams keyed by the trial seed - so
@@ -55,6 +56,7 @@ __all__ = [
     "run_settings",
     "resilience_sweep",
     "replay",
+    "check_replayable",
     "canonical_json",
     "config_hash",
     "summarize_records",
@@ -156,6 +158,12 @@ class ExperimentConfig:
         for key, need, size in _host_demands(self.params):
             if need > self.params[size]:
                 raise ValueError(f"params.{key}: needs {need} host vertices; params.{size} is {self.params[size]}")
+        spec = self.params["adversary"] if "adversary" in self.params else {}
+        if spec.get("kind") == "partite":
+            try:
+                models.partite_large_part(self.params["N"], spec["k"], spec.get("skew", 0.0))
+            except ValueError as err:
+                raise ValueError(f"params.adversary.skew: {err}") from None
         if not isinstance(self.assertions, (list, tuple)):
             raise ValueError("assertions: must be a list of rules")
         for rule in self.assertions:
@@ -752,19 +760,26 @@ def load_records(path) -> list:
     return [record for _, record in lines]
 
 
-def replay(config: ExperimentConfig, record: dict) -> tuple:
-    """Re-run one stored trial and compare everything but timing, bit-exactly.
-    Raises on a record of another trial schema (its draws are not this code's)
-    and on a config-hash mismatch (the stored record belongs to another
-    config)."""
+def check_replayable(config: ExperimentConfig, record: dict) -> None:
+    """Raise a ValueError naming the record's seed unless it is of this
+    code's trial schema (else its draws are not this code's) and of the
+    config's hash (else it belongs to another config)."""
     if record.get("schema") != TRIAL_SCHEMA:
         raise ValueError(
-            f"trial schema mismatch: record {record.get('schema')!r} vs this code's {TRIAL_SCHEMA!r}"
+            f"record of seed {record['seed']}: trial schema mismatch: "
+            f"record {record.get('schema')!r} vs this code's {TRIAL_SCHEMA!r}"
         )
     if record["config_hash"] != config.hash:
         raise ValueError(
-            f"config hash mismatch: record {record['config_hash']} vs config {config.hash}"
+            f"record of seed {record['seed']}: config hash mismatch: "
+            f"record {record['config_hash']} vs config {config.hash}"
         )
+
+
+def replay(config: ExperimentConfig, record: dict) -> tuple:
+    """Re-run one stored trial and compare everything but timing, bit-exactly.
+    A record ``check_replayable`` refuses is its ValueError."""
+    check_replayable(config, record)
     params = config.params
     if config.kind == "resilience-sweep":
         params = {**config.params, "r": record["measured"]["r"]}

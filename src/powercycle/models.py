@@ -15,10 +15,11 @@ entries after its tag (none without them); a retired tag is never reused:
     2  adversary_partite            43  embedder extend draws (s, attempt)
     3  adversary_random             47  embedder closing draws (attempt)
    11  build_nice_partition         53  count-audit vertex sets
-   17  inheritance_stats samples    59  expansion-audit start sets
-   19  dense-pair survey (0, i, j)  61  [retired]
-   23  one-step audit start         67  typical copy pair tables
-   29  halving audit splits         71  super-typical tuple tables
+   13  [retired]                    59  expansion-audit start sets
+   17  inheritance_stats samples    61  [retired]
+   19  dense-pair survey (0, i, j)  67  typical copy pair tables
+   23  one-step audit start         71  super-typical tuple tables
+   29  halving audit splits
    31  inheritance_stats check (s)
 
 Paths that differ only by trailing zeros name the same stream (the entropy is
@@ -52,6 +53,7 @@ __all__ = [
     "adversary_partite",
     "adversary_triangle_killer",
     "adversary_random",
+    "partite_large_part",
     "partite_blocker_sizes",
     "extremal_blocker",
 ]
@@ -128,21 +130,46 @@ class AdversaryReport:
 
 # Words per row block of gen_gnp's draw (512 KB). The block is the only
 # buffer besides the matrix, 6% of it at N = 3000 (an 8 MB block was 90%),
-# and each of the 143 draws there still fills 63,000 words, so the calls
-# cost nothing measurable.
+# and each block draw there still fills 63,000 words, so the calls cost
+# nothing measurable.
 _DRAW_BLOCK = 1 << 16
+
+# Lower-triangle gap, in words, from which gen_gnp skips a row's unread words
+# instead of drawing them: a short gap costs more to skip than to draw. Median
+# host draw at N = 3000 on a shared 2-vCPU x86-64 VM (numpy 2.4.6): 79 ms at
+# 1024, 79-80 ms from 512 to 1536, 84 ms skipping every gap, 93 ms with none.
+_SKIP_WORDS = 1024
 
 
 def _coin_flips(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
     """Fill the bool array ``out`` with ``rng.random(out.shape) < p`` and
     return it, without the doubles. Philox's ``random()`` is ``(w >> 11) *
     2**-53`` of its next 64-bit word w, so it falls below p exactly when
-    ``w >> 11`` falls below ceil(p * 2**53), an exact integer bound (2**53
-    at p = 1, 0 at p = 0). The raw words are shifted in place and compared
-    with it, so the stream moves on by the same words."""
-    words = rng.bit_generator.random_raw(out.size)
-    np.right_shift(words, np.uint64(11), out=words)
-    return np.less(words.reshape(out.shape), np.uint64(math.ceil(p * 2**53)), out=out)
+    ``w >> 11`` falls below c = ceil(p * 2**53), an exact integer bound (2**53
+    at p = 1, 0 at p = 0), that is when w <= c * 2**11 - 1. Each word is
+    tested with that one compare (all False when c = 0), so the stream moves
+    on by the same words."""
+    words = rng.bit_generator.random_raw(out.size).reshape(out.shape)
+    cut = math.ceil(p * 2**53)
+    if cut == 0:
+        out.fill(False)
+        return out
+    return np.less_equal(words, np.uint64((cut << 11) - 1), out=out)
+
+
+def _skip_to(bit_generator, pos: int, start: int) -> int:
+    """Move a Philox bit generator that has handed out ``pos`` words towards
+    word ``start`` >= pos of its stream, and return the index of the word it
+    hands out next, at most 3 words before start. Philox makes its words four
+    at a time, one counter block each, so the words up to the next multiple of
+    4 are already made: when start is among them, the stream stays at pos.
+    Otherwise ``advance`` drops the made words and skips the whole blocks
+    before start's, so the next word is the first of start's block."""
+    made = -(-pos // 4) * 4
+    if start < made:
+        return pos
+    bit_generator.advance((start - made) // 4)
+    return start - start % 4
 
 
 def gen_gnp(params: ModelParams) -> Graph:
@@ -151,18 +178,28 @@ def gen_gnp(params: ModelParams) -> Graph:
 
     The graph is the upper triangle of one (N, N) draw of ``random() < p``
     from stream(seed, 0), mirrored: the pair u < v is an edge when the top
-    53 bits of its word (row u, column v) fall below ceil(p * 2**53)."""
+    53 bits of its word u * N + v fall below ceil(p * 2**53). Only the top
+    rows, whose lower-triangle gap of u + 1 words is below _SKIP_WORDS, are
+    drawn whole. Each later row skips (``_skip_to``) to within 3 words of its
+    first upper-triangle word and is drawn from there on, so most words of
+    the lower triangle are never made."""
     rng = stream(params.seed, 0)
     n = params.N
-    # The words of an (n, n) draw, drawn _DRAW_BLOCK // n rows at a time:
-    # the generator hands them out in the same order whatever the block, so
-    # the graph is the one a single draw gives, without holding n*n words at
-    # once. The comparisons on and below the diagonal are overwritten by the
-    # mirror image.
+    # Every word drawn is tested into its own cell of the flat matrix. The
+    # top rows are drawn _DRAW_BLOCK // n rows at a time: the generator hands
+    # the words out in the same order whatever the block, so the graph is the
+    # one a single draw gives, without holding n*n words at once. The cells
+    # on and below the diagonal, tested or never written, are overwritten by
+    # the mirror image.
     adj = np.empty((n, n), dtype=bool)
+    flat = adj.reshape(-1)
+    top = min(n, _SKIP_WORDS - 1)
     rows = max(1, _DRAW_BLOCK // n)
-    for r in range(0, n, rows):
-        _coin_flips(rng, params.p, adj[r : r + rows])
+    for r in range(0, top, rows):
+        _coin_flips(rng, params.p, adj[r : min(r + rows, top)])
+    for u in range(top, n - 1):
+        pos = _skip_to(rng.bit_generator, u * n, u * n + u + 1)
+        _coin_flips(rng, params.p, flat[pos : (u + 1) * n])
     return Graph._adopt(mirror_upper(adj))
 
 
@@ -206,6 +243,16 @@ def _report(before: Graph, after_adj: np.ndarray, budget=None) -> tuple:
     )
 
 
+def partite_large_part(N: int, k: int, skew: float) -> int:
+    """Size round((1+skew) N/(k+1)) of ``adversary_partite``'s large part
+    before it absorbs rounding; a ValueError unless it leaves room for k
+    nonempty small parts of the N vertices."""
+    size = (1.0 + skew) * N / (k + 1)
+    if not math.isfinite(size) or not 1 <= round(size) <= N - k:
+        raise ValueError(f"skew {skew} leaves no room for {k} nonempty small parts of N={N}")
+    return round(size)
+
+
 def adversary_partite(graph: Graph, k: int, skew: float, seed: int) -> tuple:
     """Delete every edge inside the k+1 parts of a random partition with one
     part of size about (1+skew) N/(k+1) and k equal smaller parts (the large
@@ -213,9 +260,7 @@ def adversary_partite(graph: Graph, k: int, skew: float, seed: int) -> tuple:
     N = graph.n
     if k + 1 > N:
         raise ValueError(f"need k+1 <= N, got k={k}, N={N}")
-    large = int(round((1.0 + skew) * N / (k + 1)))
-    if large > N - k or large < 1:
-        raise ValueError(f"skew {skew} leaves no room for {k} nonempty small parts")
+    large = partite_large_part(N, k, skew)
     small = (N - large) // k
     if small < 1:
         raise ValueError(f"skew {skew} makes the small parts empty")

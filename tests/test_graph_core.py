@@ -76,11 +76,12 @@ class TestGraph:
         with pytest.raises(ValueError, match="adjacency must be symmetric"):
             Graph(adj)
 
-    @pytest.mark.parametrize("n", [0, 1, 2 * 256 + 37])
+    @pytest.mark.parametrize("n", [0, 1, 2 * 256 + 37, 1100])
     def test_degrees_are_read_only_row_sums(self, n):
+        # degrees() sums in int32 and widens; the values are the int64 sums.
         g = Graph(np.zeros((0, 0), dtype=bool)) if n == 0 else gen_gnp(ModelParams(N=n, p=0.3, seed=2))
         degrees = g.degrees()
-        assert degrees.dtype == np.int64 and np.array_equal(degrees, g.adj.sum(axis=1))
+        assert degrees.dtype == np.int64 and np.array_equal(degrees, g.adj.sum(axis=1, dtype=np.int64))
         assert g.degrees() is degrees
         with pytest.raises(ValueError, match="read-only"):
             degrees[...] = 0

@@ -248,16 +248,20 @@ class TestConfig:
             ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 120]}),
              "adversary.victims"),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 120}), "adversary.k"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": 5.0}), "adversary.skew"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": 2.0}), "adversary.skew"),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": -0.99}), "adversary.skew"),
         ],
         ids=[
             "gnp-sets-t-set_size", "inheritance-q", "partition-m", "embed-clusters", "sweep-clusters", "victims",
-            "partite-k",
+            "partite-k", "partite-skew-5", "partite-skew-2", "partite-skew--0.99",
         ],
     )
     def test_parts_larger_than_the_host_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
         # The gnp-sets config used to run with a short last set and a bound
         # that assumed a full one; the others ran every trial as an error
-        # (a partite adversary needs k + 1 nonempty parts).
+        # (a partite adversary needs k + 1 nonempty parts: at N = 120 and
+        # k = 2 a large part of round((1 + skew) * 40) must lie in [1, 118]).
         refused_before_any_trial(kind, params, key)
 
     @pytest.mark.parametrize(
@@ -269,11 +273,20 @@ class TestConfig:
             ("embed", tiny_embed_params(clusters=120)),
             ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 119]})),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 119})),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": 1.95})),
+            ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": -0.98})),
         ],
-        ids=["gnp-sets", "inheritance", "partition", "embed-clusters", "victims", "partite-k"],
+        ids=[
+            "gnp-sets", "inheritance", "partition", "embed-clusters", "victims", "partite-k", "partite-skew-1.95",
+            "partite-skew--0.98",
+        ],
     )
     def test_parts_that_fill_the_host_accepted(self, kind, params):
+        # Each partite skew here runs (large parts of 118 and 1 at N = 120).
         ExperimentConfig(kind=kind, params=params, seeds=[0])
+        spec = params.get("adversary", {})
+        if "skew" in spec:
+            adversary_partite(gen_gnp(ModelParams(N=120, p=1.0, seed=0)), spec["k"], spec["skew"], seed=0)
 
     def test_every_params_and_spec_key_has_a_value_rule(self):
         entries = [entry for modes in harness._EXPERIMENTS.values() for entry in modes.values()]
@@ -657,6 +670,21 @@ class TestCli:
         jsonl.write_text(jsonl.read_text() + line + "\n")
         err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(jsonl)])
         assert f"error: {jsonl} line 3: not a trial record" in err
+
+    @pytest.mark.parametrize("field", ["schema", "config_hash"])
+    def test_record_of_another_schema_or_config_is_a_usage_error(self, tmp_path, capsys, field):
+        # Such a record used to end replay in a ValueError traceback (exit 1)
+        # once reached; it is refused before the first replay, even past
+        # --limit.
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1])
+        records = load_records(jsonl)
+        records[1][field] = {"schema": "powercycle/trial-v3", "config_hash": "0" * 16}[field]
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(record) + "\n" for record in records))
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(other), "--limit", "1"])
+        assert "error: record of seed 1: " + {"schema": "trial schema", "config_hash": "config hash"}[field] in err
+        assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl)]) == 0
+        assert capsys.readouterr().out == "replayed 2 records, 0 mismatches\n"
 
 
 def usage_error(capsys, argv: list) -> str:

@@ -70,6 +70,58 @@ class TestGnp:
         assert gen_gnp(ModelParams(N=N, p=0.4, seed=11)) == Graph(once | once.T)
 
     @staticmethod
+    def _single_draw_graph(N: int, p: float) -> Graph:
+        """The graph of one (N, N) draw of ``random() < p`` from stream(11, 0)."""
+        once = np.triu(stream(11, 0).random((N, N)) < p, 1)
+        return Graph(once | once.T)
+
+    # A threshold of 1 draws every row on its own; 1 and 2 reach a start in
+    # the block already made (row 1 of N = 37 and 549, where N % 4 = 1), and
+    # together the thresholds skip to every start % 4.
+    @pytest.mark.parametrize("skip", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("N", [1, 2, 7, 37, 80, 549])
+    def test_skipped_gaps_give_the_single_draw_graph(self, monkeypatch, N, skip):
+        monkeypatch.setattr(models, "_SKIP_WORDS", skip)
+        for p in (0.0, 2.0**-53, 0.4, 1 - 2.0**-53, 1.0):
+            assert gen_gnp(ModelParams(N=N, p=p, seed=11)) == self._single_draw_graph(N, p)
+
+    def test_skip_cases_reach_every_branch(self, monkeypatch):
+        # The cases above run the in-block branch (the stream stays where it
+        # is) and the advance branch at each start % 4.
+        seen = set()
+        skip_to = models._skip_to
+
+        def spy(bit_generator, pos, start):
+            # The words up to the next multiple of 4 after pos are made.
+            seen.add("in-block" if start < -(-pos // 4) * 4 else start % 4)
+            return skip_to(bit_generator, pos, start)
+
+        monkeypatch.setattr(models, "_skip_to", spy)
+        for skip in (1, 2, 3, 4, 5, 8):
+            monkeypatch.setattr(models, "_SKIP_WORDS", skip)
+            for N in (1, 2, 7, 37, 80, 549):
+                gen_gnp(ModelParams(N=N, p=0.4, seed=11))
+        assert seen == {"in-block", 0, 1, 2, 3}
+
+    def test_default_skip_gives_the_single_draw_graph(self):
+        # At N = 1100 the rows from _SKIP_WORDS - 1 on skip their gaps.
+        assert models._SKIP_WORDS - 1 < 1100 - 1
+        assert gen_gnp(ModelParams(N=1100, p=0.4, seed=11)) == self._single_draw_graph(1100, 0.4)
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("pos", [0, 1, 2, 3, 4, 5, 9])
+    def test_philox_advance_skips_whole_blocks(self, pos, d):
+        # _skip_to relies on Philox making its words four at a time: after
+        # pos words, advance(d) drops the rest of the block made and skips d
+        # blocks. A numpy that changes the counter or the buffer fails here
+        # rather than silently moving every host.
+        plain = stream(11, 0).bit_generator.random_raw(64)
+        bit_generator = stream(11, 0).bit_generator
+        bit_generator.random_raw(pos)
+        bit_generator.advance(d)
+        assert bit_generator.random_raw(1)[0] == plain[4 * (-(-pos // 4) + d)]
+
+    @staticmethod
     def _double_graphs(seed: int, N: int, p: float) -> tuple:
         """The graphs of ``random() < p``: gen_gnp's from one (N, N) draw of
         stream(seed, 0), and gen_blowup's of _PATH3 with parts of N from one

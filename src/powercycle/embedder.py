@@ -14,17 +14,18 @@ dense array the search returned. A reserve tuple drawn at the start is spent
 at the end to close the path into a cycle through an anchor clique that was
 chosen, back at step one, to expand well both forward and backward. The anchor
 scans the first window's ``window_cliques`` and the closing the last frontier,
-both as one-hot frontiers in C order, which is lexicographic. The closing
-meets each reach with the anchor's backward reach as one AND of dense arrays:
-both end on the first k reserves, the backward one with its axes in reverse
-order.
+in C order, which is lexicographic. The closing meets each reach with the
+anchor's backward reach as one AND of dense arrays: both end on the first k
+reserves, the backward one with its axes in reverse order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
-their target tuples, and the anchor and closing share one test of a single
-clique's reach against the success fraction of the reference count. Each draw
-takes every window's set at once from one stream, window by window in turn:
-the reserves and first targets from stream(seed, 41), each extend attempt's
-tuple from stream(seed, 43, s, attempt) and each closing attempt's from
+their target tuples. The anchor (both ways), every extend round and the
+closing test single cliques with one scan, ``expansion.scan_copies``: a
+clique passes when its reach is at least the success fraction of the
+reference count, and never when that count is 0. Each draw takes every
+window's set at once from one stream, window by window in turn: the reserves
+and first targets from stream(seed, 41), each extend attempt's tuple from
+stream(seed, 43, s, attempt) and each closing attempt's from
 stream(seed, 47, attempt).
 
 Failures (an expander coming up empty after redraws, pools running dry) are
@@ -43,13 +44,7 @@ import numpy as np
 from .graph_core import Graph, TupleView, bit_indices, mask_of, window_cliques
 from .models import stream
 from .regularity import RegularPartition
-from .expansion import (
-    ExpansionParams,
-    expand_through,
-    find_expander,
-    reconstruct_path,
-    reference_count,
-)
+from .expansion import ExpansionParams, find_expander, reconstruct_path, scan_copies
 
 __all__ = [
     "EmbedParams",
@@ -248,15 +243,6 @@ def _draw_rows(rng, pool_grid: np.ndarray, taken: np.ndarray, count: int) -> Opt
     return np.sort(rng.permuted(free, axis=1)[:, :count], axis=1)
 
 
-def _one_hots(frontier: np.ndarray):
-    """(position, one-hot frontier) for each copy of a dense frontier, in C
-    order."""
-    for pos in np.argwhere(frontier):
-        one_hot = np.zeros(frontier.shape, dtype=bool)
-        one_hot[tuple(pos)] = True
-        yield pos, one_hot
-
-
 def _layout_windows(partition: RegularPartition, cycle: PowerCycle) -> list:
     """Window pools along the cluster cycle: one pool per cluster, the
     partition's classes in cycle order."""
@@ -320,14 +306,6 @@ def embed_power_cycle(
     used = [set() for _ in range(t)]
     path: list = []
 
-    def expands_well(start, view: TupleView, to_window: int):
-        """The trace of a one-hot ``start`` expanded to ``to_window`` when its
-        reach there is at least the success fraction of the reference count,
-        else None."""
-        trace = expand_through(start, view, to_window)
-        x_ref = reference_count(view, to_window, k)
-        return trace if trace.counts[-1] >= threshold * x_ref else None
-
     def target_draws(labels: tuple, tail: list):
         """Up to RETRIES + 1 fresh target tuples, each drawn for every window
         at once from stream(seed, *labels, attempt) outside the reserve, path
@@ -343,14 +321,15 @@ def embed_power_cycle(
 
     # Anchor: one clique expanding forward to the last target block and
     # backward through the reserve tuple. The backward view opens on the first
-    # k targets in reverse order, so its start has the axes reversed.
+    # k targets in reverse order, so the clique's positions there are reversed.
     fwd_view = TupleView(graph, targets)
     bwd_view = TupleView(graph, [*targets[k - 1 :: -1], *reserve[::-1]])
-    for _, one_hot in _one_hots(window_cliques(fwd_view, 0, k)):
-        fwd = expands_well(one_hot, fwd_view, t - k)
+    anchors = np.nonzero(window_cliques(fwd_view, 0, k))
+    for i, fwd in scan_copies(anchors, fwd_view, t - k, threshold, range(len(anchors[0]))):
         if fwd is None:
             continue
-        bwd = expands_well(one_hot.transpose(), bwd_view, t)
+        reversed_clique = tuple(p[i : i + 1] for p in anchors[::-1])
+        _, bwd = next(scan_copies(reversed_clique, bwd_view, t, threshold, range(1)))
         if bwd is not None:
             break
     else:
@@ -422,11 +401,11 @@ def embed_power_cycle(
     # positions scan the frontier's copies in lexicographic order.
     audit(s_final)
     closing = None
+    copies = np.nonzero(last.frontier)
     for fresh, view in target_draws((47,), reserve[:k]):
         if fresh is None:
             return EmbedFailure("closing", s_final, "window pool exhausted")
-        for pos, one_hot in _one_hots(last.frontier):
-            trace = expands_well(one_hot, view, t + k)
+        for i, trace in scan_copies(copies, view, t + k, threshold, range(len(copies[0]))):
             if trace is None:
                 continue
             # The closing trace ends on reserve[0..k-1] and the backward trace
@@ -436,16 +415,16 @@ def embed_power_cycle(
             # copy in both reaches.
             meet = np.argwhere(trace.frontier & bwd.frontier.transpose())
             if len(meet):
-                closing = (pos, meet[0], trace, view)
+                closing = (i, meet[0], trace, view)
                 break
         if closing is not None:
             break
     if closing is None:
         return EmbedFailure("closing", s_final, "no frontier clique reaches the anchor's backward set")
 
-    pos, meet, trace, view = closing
-    chosen = tuple(int(view.parts[a][i]) for a, i in enumerate(pos))
-    q = tuple(int(view.parts[t + k + a][i]) for a, i in enumerate(meet))
+    i, meet, trace, view = closing
+    chosen = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(copies))
+    q = tuple(int(view.parts[t + k + a][j]) for a, j in enumerate(meet))
     append_round(chosen, 0 if s_final == 1 else k)
     close_verts = reconstruct_path(trace.back_pointers, q)
     path.extend(close_verts[k:])  # one vertex per fresh window, then q itself

@@ -33,9 +33,12 @@ embedder carries the reach from one round to the next;
 ``graph_core.frontier_members`` makes tuples of it only when read.
 
 Reach fractions are reported against the reference count of a window block:
-the product of the window sizes and the measured pair densities. A trace
-computes its fractions when they are first read; its per-window counts are
-recorded as it goes.
+the product of the window sizes and the measured pair densities, read
+through ``reach_fraction``, which is 0.0 when that count is 0, so no
+threshold is met vacuously. ``scan_copies`` is the one test of single
+cliques, run by ``find_expander``'s scan and the embedder's anchor and
+closing. A trace computes its fractions when they are first read; its
+per-window counts are recorded as it goes.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ __all__ = [
     "find_expander",
     "one_step_expansion_audit",
     "halving_audit",
+    "reach_fraction",
     "reference_count",
     "reconstruct_path",
+    "scan_copies",
 ]
 
 
@@ -120,6 +125,12 @@ def reference_count(view: TupleView, window_start: int, k: int) -> float:
     """Reference count for the K_k block at a window: the window sizes times
     the measured pair densities."""
     return expected_clique_count(view, range(window_start, window_start + k))
+
+
+def reach_fraction(count: int, x: float) -> float:
+    """``count`` as a fraction of the reference count ``x``; 0.0 when ``x`` is
+    not positive, so no threshold is met against an empty block."""
+    return count / x if x > 0 else 0.0
 
 
 def _positions(parts, ids: np.ndarray) -> tuple:
@@ -200,7 +211,7 @@ class ExpansionTrace:
     def fractions(self) -> list:
         k = self.frontier.ndim
         refs = (reference_count(self.view, m, k) for m in range(len(self.counts)))
-        return [c / x if x > 0 else 0.0 for c, x in zip(self.counts, refs)]
+        return [reach_fraction(c, x) for c, x in zip(self.counts, refs)]
 
     @property
     def final_fraction(self) -> float:
@@ -248,6 +259,19 @@ def reconstruct_path(back_pointers: list, final_clique: tuple) -> list:
     return heads_out[::-1] + list(final_clique)
 
 
+def scan_copies(positions: tuple, view: TupleView, to_window: int, fraction: float, order):
+    """For each index i in ``order`` of the copies at ``positions`` (per-axis
+    arrays in C order, which is lexicographic, as ``np.nonzero`` of a dense
+    frontier on the view's first parts gives them), yield (i, trace) when the
+    one-hot frontier of copy i, expanded to ``to_window``, reaches at least
+    ``fraction`` of the reference count there, and (i, None) otherwise."""
+    k = len(positions)
+    x_ref = reference_count(view, to_window, k)
+    for i in order:
+        trace = expand_through(pick_frontier(view.sizes[:k], positions, slice(i, i + 1)), view, to_window)
+        yield i, trace if reach_fraction(trace.counts[-1], x_ref) >= fraction else None
+
+
 @dataclass(eq=False)
 class ExpanderResult:
     """Outcome of ``find_expander``. A found result keeps the winner's
@@ -275,10 +299,9 @@ def find_expander(
     Strategy: repeated halving - keep the half whose reach one block ahead is
     at least (1/2 - 5 k delta), preferring the lexicographically first half
     when both qualify - until the candidate set is a singleton or no window
-    room remains, then scan candidates by exhaustive per-clique reach,
-    starting with the survivors. Each candidate is scanned as a one-hot
-    dense frontier, and only the winner is turned into a vertex tuple.
-    ``start`` is a dense bool frontier anchored at window 0, such as the
+    room remains, then scan candidates with ``scan_copies``, starting with
+    the survivors. Only the winner is turned into a vertex tuple. ``start``
+    is a dense bool frontier anchored at window 0, such as the
     ``trace.frontier`` of an earlier result.
     """
     k = params.k
@@ -292,15 +315,15 @@ def find_expander(
     positions = np.nonzero(_frontier_of(view, start, k))
     size = len(positions[0])
     x_start = reference_count(view, 0, k)
-    if size < params.delta * x_start:
+    if reach_fraction(size, x_start) < params.delta:
         raise ValueError(
             f"start set of {size} copies is below delta * x = {params.delta * x_start:.1f}"
         )
-    final_window = ell - k
-    x_final = reference_count(view, final_window, k)
 
-    def frontier_of_range(lo: int, hi: int) -> np.ndarray:
-        return pick_frontier(view.sizes[:k], positions, slice(lo, hi))
+    def reaches_half(lo: int, hi: int, block: int) -> bool:
+        frontier = pick_frontier(view.sizes[:k], positions, slice(lo, hi))
+        count = _reach_count(view, frontier, block * k, k)
+        return reach_fraction(count, reference_count(view, block * k, k)) >= params.half_fraction
 
     lo, hi = 0, size
     rounds = 0
@@ -308,32 +331,25 @@ def find_expander(
     block = 1
     while hi - lo > 1 and block <= max_block:
         mid = lo + (hi - lo + 1) // 2
-        x_block = reference_count(view, block * k, k)
-        need = params.half_fraction * x_block
-        if _reach_count(view, frontier_of_range(lo, mid), block * k, k) >= need:
+        if reaches_half(lo, mid, block):
             hi = mid
-        elif _reach_count(view, frontier_of_range(mid, hi), block * k, k) >= need:
+        elif reaches_half(mid, hi, block):
             lo = mid
         else:
             break
         rounds += 1
         block += 1
 
-    scanned = 0
-    for i in chain(range(lo, hi), range(lo), range(hi, size)):
+    order = chain(range(lo, hi), range(lo), range(hi, size))
+    scanned, clique, trace = 0, None, None
+    for i, trace in scan_copies(positions, view, ell - k, params.success_fraction, order):
         scanned += 1
-        trace = expand_through(frontier_of_range(i, i + 1), view, final_window)
-        fraction = trace.counts[-1] / x_final if x_final > 0 else 0.0
-        if fraction >= params.success_fraction:
+        if trace is not None:
             clique = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(positions))
-            return ExpanderResult(
-                found=True,
-                clique=clique,
-                bisection_rounds=rounds,
-                scanned=scanned,
-                trace=trace,
-            )
-    return ExpanderResult(found=False, clique=None, bisection_rounds=rounds, scanned=scanned)
+            break
+    return ExpanderResult(
+        found=trace is not None, clique=clique, bisection_rounds=rounds, scanned=scanned, trace=trace
+    )
 
 
 def one_step_expansion_audit(
@@ -350,14 +366,14 @@ def one_step_expansion_audit(
     k = params.k
     if view.t != k + 1:
         raise ValueError(f"audit needs a (k+1)-tuple, got {view.t} parts for k={k}")
+    if not (0.0 <= start_fraction <= 1.0):
+        raise ValueError(f"start fraction must lie in [0,1], got {start_fraction}")
     report = check_super_typical(view, typ_params, seed=seed)
     if not report.super_typical:
         raise PreconditionError(
             f"tuple is not super-typical; failing conditions: {report.failing_conditions()}",
             report.failing_conditions(),
         )
-    if not (0.0 <= start_fraction <= 1.0):
-        raise ValueError(f"start fraction must lie in [0,1], got {start_fraction}")
     # The C-order positions of the window's cliques are their lexicographic order.
     all_start = window_cliques(view, 0, k)
     positions = np.nonzero(all_start)
@@ -368,7 +384,7 @@ def one_step_expansion_audit(
     rng = stream(seed, 23)
     picks = rng.choice(len(positions[0]), size=m, replace=False)
     reached = _reach_count(view, pick_frontier(all_start.shape, positions, picks), 1, k)
-    return reached / target_count if target_count else 0.0
+    return reach_fraction(reached, target_count)
 
 
 def halving_audit(
@@ -390,15 +406,14 @@ def halving_audit(
     frontier = _frontier_of(view, start, k)
     positions = np.nonzero(frontier)
     size = len(positions[0])
-    full = _reach_count(view, frontier, k, k)
-    qualifies = full >= (1 - 10 * k * params.delta) * x_target
+    start_fraction = reach_fraction(_reach_count(view, frontier, k, k), x_target)
     rng = stream(seed, 29)
     splits = []
     for s in range(n_splits):
         perm = rng.permutation(size)
         half = (size + 1) // 2
         fr1, fr2 = (
-            _reach_count(view, pick_frontier(frontier.shape, positions, picks), k, k) / x_target
+            reach_fraction(_reach_count(view, pick_frontier(frontier.shape, positions, picks), k, k), x_target)
             for picks in (perm[:half], perm[half:])
         )
         splits.append(
@@ -408,8 +423,8 @@ def halving_audit(
             }
         )
     return {
-        "start_qualifies": bool(qualifies),
-        "start_fraction": full / x_target if x_target else 0.0,
+        "start_qualifies": start_fraction >= 1 - 10 * k * params.delta,
+        "start_fraction": start_fraction,
         "splits": splits,
         "all_ok": all(s["ok"] for s in splits),
     }

@@ -170,6 +170,12 @@ class ExperimentConfig:
             _check_keys("assertions.", rule, "", "min_ok_fraction max_ok_fraction r")
             if "r" in rule and rule["r"] not in self.params.get("r_grid", ()):
                 raise ValueError(f"assertions.r: {rule['r']!r} is not in a resilience-sweep's params.r_grid")
+            # A rule with no bound always passes, and one whose bounds cross
+            # never does.
+            if not {"min_ok_fraction", "max_ok_fraction"} & rule.keys():
+                raise ValueError("assertions.min_ok_fraction: required when a rule has no max_ok_fraction")
+            if rule.get("min_ok_fraction", 0) > rule.get("max_ok_fraction", 1):
+                raise ValueError(f"assertions.min_ok_fraction: {rule['min_ok_fraction']!r} exceeds max_ok_fraction")
 
     @property
     def hash(self) -> str:
@@ -190,11 +196,6 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         _check_keys("", data, "kind params seeds", "schema out_dir workers assertions")
         return cls(**{key: value for key, value in data.items() if key != "schema"})
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass

@@ -360,6 +360,44 @@ class TestEmbed:
         digest = hashlib.sha256(repr(results[0].vertices).encode()).hexdigest()
         assert digest == "3f842f9ed0beac3596b1e5594ea8231a2c94114afe66edf1409efc329ad8eb65"
 
+    # The edges between classes 0 (vertices 0..19) and 1 (20..39) of the host
+    # below, a bipartite graph once drawn at density 0.03.
+    SPARSE_PAIR = [(0, 23), (0, 31), (1, 20), (4, 32), (5, 31), (5, 33),
+                   (7, 30), (9, 36), (13, 29), (16, 33), (17, 20), (18, 25)]
+
+    def test_anchor_reaching_an_edgeless_block_fails_at_anchor(self):
+        # Six classes of 20: classes at cyclic distance at most 2 are joined
+        # completely, except that 4-5 share no edge and 0-1 only SPARSE_PAIR.
+        # Every anchor's forward reach ends on the block 4-5, whose reference
+        # count is 0. A reach of 0 against that count used to pass (and so
+        # did the backward one against the reserves' edgeless pair 1-0), and
+        # the trial ended in its first extend round.
+        n, t = 20, 6
+        classes = [np.arange(c * n, (c + 1) * n) for c in range(t)]
+        adj = np.zeros((n * t, n * t), dtype=bool)
+        for a in range(t):
+            for b in range(a + 1, t):
+                if min(b - a, t - b + a) <= 2 and (a, b) not in ((0, 1), (4, 5)):
+                    adj[np.ix_(classes[a], classes[b])] = True
+        for u, v in self.SPARSE_PAIR:
+            adj[u, v] = True
+        g = Graph(adj | adj.T)
+        from powercycle.regularity import RegularPartition
+
+        part = RegularPartition(exceptional=np.array([], dtype=np.int64), classes=classes)
+        params = EmbedParams(k=2, xi=0.2, delta=0.02, eps=0.5, seed=0)
+        # The reserves and the first targets, drawn as the embedder draws
+        # them: the targets' pair 0-1 holds an edge, so there are anchor
+        # candidates, and the reserves' pair holds none.
+        rng, grid, taken = stream(0, 41), np.stack(classes), np.zeros(n * t, dtype=bool)
+        reserve = _draw_rows(rng, grid, taken, 4)
+        taken[reserve] = True
+        targets = _draw_rows(rng, grid, taken, 4)
+        assert g.adj[np.ix_(targets[0], targets[1])].any()
+        assert not g.adj[np.ix_(reserve[0], reserve[1])].any()
+        result = embed_power_cycle(g, part, PowerCycle(tuple(range(t)), 2), params)
+        assert result == EmbedFailure("anchor", None, "no clique expands both ways")
+
     def test_overlapping_window_pools_rejected(self):
         # One vertex-indexed mask serves every window's draw only because the
         # pools are disjoint; a partition whose classes overlap is refused.

@@ -16,6 +16,7 @@ from powercycle.graph_core import (
 )
 from powercycle.models import gen_blowup, stream
 from powercycle.typicality import TypicalityParams
+from powercycle import expansion
 from powercycle.expansion import (
     ExpansionParams,
     PreconditionError,
@@ -439,6 +440,23 @@ class TestOneStepAudit:
                 damaged, 0.5, ExpansionParams(k=2, delta=0.1), self._typ(1.0), seed=1
             )
         assert err.value.failing
+
+    def test_start_fraction_checked_before_certifying(self, monkeypatch):
+        # On a tuple that is not super-typical, a start fraction of 2.0 used
+        # to run the whole ledger and then raise PreconditionError.
+        g, view = complete_multipartite([6, 6, 6])
+        adj = g.adj.copy()
+        adj[np.ix_(view.parts[0], view.parts[1])] = False
+        adj[np.ix_(view.parts[1], view.parts[0])] = False
+        damaged = TupleView(Graph(adj), view.parts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ledger ran")
+
+        monkeypatch.setattr(expansion, "check_super_typical", refuse)
+        with pytest.raises(ValueError, match=r"^start fraction must lie in \[0,1\]") as err:
+            one_step_expansion_audit(damaged, 2.0, ExpansionParams(k=2, delta=0.1), self._typ(1.0), seed=1)
+        assert type(err.value) is ValueError
 
     def test_wrong_tuple_size(self):
         _, view = complete_multipartite([4, 4, 4, 4])

@@ -48,24 +48,26 @@ BLOWUP_PARAMS = {"mode": "blowup", "t": 3, "n": 8, "p": 0.5, "delta": 0.9}
 
 @pytest.fixture
 def refused_before_any_trial(monkeypatch, tmp_path, capsys):
-    """A check that a (kind, params) config is refused before any trial runs:
-    a ValueError naming params.<key> when built, and exit 2 with that message
-    in the CLI."""
+    """A check that a (kind, params, assertions) config is refused before any
+    trial runs: a ValueError naming params.<key> (assertions.<key> when the
+    config holds assertion rules) when built, and exit 2 with that message in
+    the CLI."""
 
     def refuse(task):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(harness, "_run_trial", refuse)
 
-    def check(kind: str, params: dict, key: str) -> None:
-        with pytest.raises(ValueError, match=rf"^params\.{key}: "):
-            ExperimentConfig(kind=kind, params=params, seeds=[0, 1])
+    def check(kind: str, params: dict, key: str, assertions: list = ()) -> None:
+        name = f"assertions.{key}" if assertions else f"params.{key}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}: "):
+            ExperimentConfig(kind=kind, params=params, seeds=[0, 1], assertions=list(assertions))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1]}))
+        cfg_path.write_text(json.dumps({"params": params, "seeds": [0, 1], "assertions": list(assertions)}))
         with pytest.raises(SystemExit) as exit_info:
             cli_main([kind, "--config", str(cfg_path)])
         assert exit_info.value.code == 2
-        assert f"error: params.{key}: " in capsys.readouterr().err.splitlines()[-1]
+        assert f"error: {name}: " in capsys.readouterr().err.splitlines()[-1]
 
     return check
 
@@ -96,11 +98,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="^workers: "):
             ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0], workers=workers)
 
-    def test_bad_workers_in_file_names_workers(self, tmp_path):
+    def test_bad_workers_in_file_names_workers(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], "workers": 0}))
-        with pytest.raises(ValueError, match="^workers: "):
-            ExperimentConfig.from_file(path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["count-audit", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert "error: workers: " in capsys.readouterr().err.splitlines()[-1]
 
     def test_missing_field_names_path(self):
         with pytest.raises(ValueError, match="params.N"):
@@ -326,9 +330,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^assertions\.{key}: "):
             ExperimentConfig(kind="embed", params=tiny_embed_params(), seeds=[0], assertions=[rule])
 
+    @pytest.mark.parametrize(
+        "rule",
+        [{}, {"r": 0.5}, {"min_ok_fraction": 0.9, "max_ok_fraction": 0.1}],
+        ids=["no-bound", "r-only", "crossed-bounds"],
+    )
+    def test_meaningless_assertion_refused_before_any_trial(self, refused_before_any_trial, rule):
+        # A rule with no bound always passed; one whose bounds cross ran
+        # every trial and then always failed.
+        params = {**SWEEP_PARAMS, "r_grid": [0.0, 0.5]}
+        refused_before_any_trial("resilience-sweep", params, "min_ok_fraction", [rule])
+
+    def test_equal_bounds_accepted(self):
+        rule = {"min_ok_fraction": 0.5, "max_ok_fraction": 0.5}
+        ExperimentConfig(kind="embed", params=tiny_embed_params(), seeds=[0], assertions=[rule])
+
     def test_r_rule_only_for_a_grid_point(self):
         params = {**SWEEP_PARAMS, "r_grid": [0.0, 0.5]}
-        ExperimentConfig(kind="resilience-sweep", params=params, seeds=[0], assertions=[{"r": 0.5}])
+        rule = {"r": 0.5, "min_ok_fraction": 0.5}
+        ExperimentConfig(kind="resilience-sweep", params=params, seeds=[0], assertions=[rule])
         with pytest.raises(ValueError, match=r"^assertions\.r: "):
             ExperimentConfig(kind="resilience-sweep", params=params, seeds=[0], assertions=[{"r": 0.25}])
 
@@ -369,7 +389,7 @@ class TestConfig:
         cfg = ExperimentConfig(kind="count-audit", params={"t": 3, "n": 20, "p": 0.5, "delta": 0.2}, seeds=[0, 1])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        back = ExperimentConfig.from_file(path)
+        back = ExperimentConfig.from_dict(json.loads(path.read_text()))
         assert back.hash == cfg.hash and back.seeds == cfg.seeds
 
 
@@ -394,6 +414,19 @@ class TestRunExperiment:
         assert summary.ok_fraction == 0.0
         assert "error" in summary.records[0]["measured"]
         assert summary.to_dict()["errors"] == 1 and summary.to_dict()["stages"] == {}
+
+    def test_halving_audit_on_an_edgeless_blowup_is_a_record(self):
+        # With no edges the reference count is 0; the audit used to divide by
+        # it and record a ZeroDivisionError.
+        params = {"mode": "halving", "k": 2, "n": 6, "p": 0, "delta": 0.02}
+        record = run_experiment(ExperimentConfig(kind="expansion-audit", params=params, seeds=[0])).records[0]
+        assert record["measured"] == {
+            "start_qualifies": False,
+            "start_fraction": 0.0,
+            "splits_ok": False,
+            "best_half_fractions": [0.0, 0.0, 0.0],
+        }
+        assert record["ok"]
 
     def test_summary_tallies_stages_and_errors(self):
         records = [

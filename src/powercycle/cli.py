@@ -11,7 +11,7 @@ import json
 import re
 import sys
 
-from .harness import KINDS, ExperimentConfig, check_replayable, load_records, replay, run_experiment, run_settings
+from .harness import KINDS, ExperimentConfig, check_replayable, load_records, replay, run_experiment
 
 
 def _parse_seeds(spec: str) -> list:
@@ -68,16 +68,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args, args.command)
-        if args.command != "replay":
-            run_settings(config, None)
-        elif args.limit < 0:
-            raise ValueError(f"--limit: must be a non-negative integer (0 replays every record), got {args.limit}")
-        else:
+        if args.command == "replay":
+            if args.limit < 0:
+                raise ValueError(f"--limit: must be a non-negative integer (0 replays every record), got {args.limit}")
             records = load_records(args.records)
             for record in records:  # every record, before the first replay
                 check_replayable(config, record)
             records = records[: args.limit or None]
-    except ValueError as err:  # a bad config, seed list, limit, records file or environment: usage error
+    except ValueError as err:  # a bad config, seed list, limit or records file: usage error
         parser.error(str(err))
 
     if args.command == "replay":

@@ -318,6 +318,8 @@ def find_expander(
     if reach_fraction(size, x_start) < params.delta:
         raise ValueError(
             f"start set of {size} copies is below delta * x = {params.delta * x_start:.1f}"
+            if x_start > 0
+            else f"the first block's reference count is {x_start}, so no start set reaches delta of it"
         )
 
     def reaches_half(lo: int, hi: int, block: int) -> bool:

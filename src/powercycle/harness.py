@@ -12,10 +12,18 @@ a ValueError naming it before any trial runs; values no config sets are
 module constants. The config hash covers params as given, never their
 defaults.
 
-Each (kind, params, seed) trial is a pure function of its arguments - all
-randomness is drawn from counter-based streams keyed by the trial seed - so
-parallel and serial sweeps produce identical records and any stored record
-can be replayed bit-exactly. Timings are recorded but never compared.
+Every kind runs through one path. A resilience sweep runs one trial per
+(grid point r, seed) and any other kind one per seed; ``_point`` gives a
+trial's params at its point, and every sweep record names its r, a crashed
+trial's included, so its point is counted and replayed. Each (kind, params,
+seed) trial is a pure function of its arguments - all randomness is drawn
+from counter-based streams keyed by the trial seed - so parallel and serial
+sweeps produce identical records and any stored record can be replayed
+bit-exactly. Timings are recorded but never compared.
+
+A run has two settings, each from one source: its worker count, the config's
+``workers``, and its output directory, ``run_experiment``'s ``out_dir``, else
+the config's (the CLI's ``--workers`` and ``--out`` set the config's).
 
 Outputs: one TrialRecord per line (JSONL), a per-metric summary (CSV), and
 for sweeps a plot-ready TSV of success fraction against the swept parameter.
@@ -53,7 +61,6 @@ __all__ = [
     "TrialRecord",
     "ExperimentSummary",
     "run_experiment",
-    "run_settings",
     "resilience_sweep",
     "replay",
     "check_replayable",
@@ -486,13 +493,7 @@ def _run_embed(params: dict, seed: int) -> tuple:
 
 
 def _run_resilience_point(params: dict, seed: int) -> tuple:
-    inner = dict(params)
-    inner.pop("r_grid", None)
-    r = inner.pop("r")
-    inner["adversary"] = {"kind": "random", "r": r}
-    measured, ok = _run_embed(inner, seed)
-    measured["r"] = r
-    return measured, ok
+    return _run_embed({**params, "adversary": {"kind": "random", "r": params["r"]}}, seed)
 
 
 # Experiment kind -> mode -> (trial runner, required params keys, optional
@@ -567,6 +568,11 @@ def _host_demands(params: dict):
         yield "adversary.victims", max(spec["victims"], default=-1) + 1, "N"
 
 
+def _point(params: dict, r) -> dict:
+    """A trial's params at sweep grid point ``r``; ``params`` when r is None."""
+    return params if r is None else {**params, "r": r}
+
+
 def _run_trial(args: tuple) -> dict:
     kind, params, seed, chash = args
     start = time.perf_counter()
@@ -574,6 +580,8 @@ def _run_trial(args: tuple) -> dict:
         measured, ok = _entry(kind, params)[0](params, seed)
     except Exception as err:  # trial-level failure: recorded, not fatal
         measured, ok = {"error": f"{type(err).__name__}: {err}"}, False
+    if "r_grid" in params:  # a sweep record names its point, crashed or not
+        measured["r"] = params["r"]
     elapsed = time.perf_counter() - start
     return TrialRecord(
         config_hash=chash, kind=kind, seed=seed, measured=measured, ok=ok, elapsed=elapsed
@@ -627,8 +635,7 @@ def summarize_records(records: list) -> dict:
     """Per-metric mean/min/max, the ok fraction, the tally of embed stages
     (``measured["stage"]``) and the number of crashed trials (records with an
     ``error``), recomputable from any JSONL stream of trial records."""
-    n = len(records)
-    ok_fraction = sum(1 for r in records if r["ok"]) / n if n else 0.0
+    ok_fraction, n = _ok_tally(records, None)
     stages = Counter(r["measured"]["stage"] for r in records if "stage" in r["measured"])
     return {
         "n_trials": n,
@@ -639,14 +646,18 @@ def summarize_records(records: list) -> dict:
     }
 
 
+def _ok_tally(records: list, r) -> tuple:
+    """(ok fraction, trials) of the records, or of those at sweep grid point
+    ``r`` unless it is None; the fraction is 0.0 when there are none."""
+    subset = records if r is None else [rec for rec in records if rec["measured"].get("r") == r]
+    return (sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0), len(subset)
+
+
 def _check_assertions(config: ExperimentConfig, records: list) -> bool:
     for rule in config.assertions:
-        subset = records
-        if "r" in rule:
-            subset = [r for r in records if r["measured"].get("r") == rule["r"]]
-        if not subset:
+        frac, n = _ok_tally(records, rule.get("r"))
+        if not n:
             return False
-        frac = sum(1 for r in subset if r["ok"]) / len(subset)
         if "min_ok_fraction" in rule and frac < rule["min_ok_fraction"]:
             return False
         if "max_ok_fraction" in rule and frac > rule["max_ok_fraction"]:
@@ -654,39 +665,20 @@ def _check_assertions(config: ExperimentConfig, records: list) -> bool:
     return True
 
 
-def run_settings(config: ExperimentConfig, out_dir) -> tuple:
-    """(output directory, worker count) of a run of ``config``: ``out_dir``,
-    else the config's, else POWERCYCLE_OUT (None: nothing is written), and
-    POWERCYCLE_WORKERS, else the config's workers. A malformed value is a
-    ValueError naming it."""
-    out_dir = out_dir or config.out_dir or os.environ.get("POWERCYCLE_OUT")
-    _check_out_dir(out_dir)
-    env_workers = os.environ.get("POWERCYCLE_WORKERS")
-    if env_workers is None:
-        return out_dir, config.workers
-    if not env_workers.strip().isdecimal() or int(env_workers) < 1:
-        raise ValueError(f"POWERCYCLE_WORKERS: must be a positive integer, got {env_workers!r}")
-    return out_dir, int(env_workers)
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
-    """Execute one trial per seed (per grid point for sweeps), persist JSONL
-    records plus a CSV summary, and evaluate the configured assertions. The
-    run's settings (``run_settings``) are checked before the first trial."""
-    out_dir, workers = run_settings(config, out_dir)
+    """Execute one trial per seed at each grid point (a kind with no r_grid
+    has the one point None) on ``config.workers`` processes, persist JSONL
+    records plus a CSV summary to ``out_dir``, else the config's (None:
+    nothing is written), and evaluate the configured assertions. A malformed
+    ``out_dir`` is a ValueError before the first trial."""
+    out_dir = out_dir or config.out_dir
+    _check_out_dir(out_dir)
     chash = config.hash
+    grid = config.params["r_grid"] if "r_grid" in config.params else [None]
+    tasks = [(config.kind, _point(config.params, r), seed, chash) for r in grid for seed in config.seeds]
 
-    if config.kind == "resilience-sweep":
-        tasks = [
-            (config.kind, {**config.params, "r": r}, seed, chash)
-            for r in config.params["r_grid"]
-            for seed in config.seeds
-        ]
-    else:
-        tasks = [(config.kind, config.params, seed, chash) for seed in config.seeds]
-
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
+    if config.workers > 1:
+        with get_context("fork").Pool(config.workers) as pool:
             records = pool.map(_run_trial, tasks)
     else:
         records = [_run_trial(task) for task in tasks]
@@ -708,18 +700,8 @@ def resilience_sweep(config: ExperimentConfig, out_dir=None) -> dict:
     if config.kind != "resilience-sweep":
         raise ValueError(f"kind: expected resilience-sweep, got {config.kind!r}")
     summary = run_experiment(config, out_dir=out_dir)
-    curve = {r: frac for r, frac, _ in _ok_curve(config, summary.records)}
+    curve = {r: _ok_tally(summary.records, r)[0] for r in config.params["r_grid"]}
     return {"curve": curve, "summary": summary}
-
-
-def _ok_curve(config: ExperimentConfig, records: list) -> list:
-    """(r, ok fraction, trials) for each r of a sweep's grid, in grid order."""
-    curve = []
-    for r in config.params["r_grid"]:
-        subset = [rec for rec in records if rec["measured"].get("r") == r]
-        frac = sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0
-        curve.append((r, frac, len(subset)))
-    return curve
 
 
 def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path) -> None:
@@ -736,10 +718,11 @@ def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path
             writer.writerow([name, repr(stats["mean"]), repr(stats["min"]), repr(stats["max"])])
     with open(out_dir / f"{stem}.json", "w") as fh:
         fh.write(canonical_json({**summary.to_dict(), "config": config.to_dict()}) + "\n")
-    if config.kind == "resilience-sweep":
+    if "r_grid" in config.params:
         with open(out_dir / f"{stem}.curve.tsv", "w") as fh:
             fh.write("r\tok_fraction\tn\n")
-            for r, frac, n in _ok_curve(config, summary.records):
+            for r in config.params["r_grid"]:
+                frac, n = _ok_tally(summary.records, r)
                 fh.write(f"{r}\t{frac}\t{n}\n")
 
 
@@ -763,8 +746,9 @@ def load_records(path) -> list:
 
 def check_replayable(config: ExperimentConfig, record: dict) -> None:
     """Raise a ValueError naming the record's seed unless it is of this
-    code's trial schema (else its draws are not this code's) and of the
-    config's hash (else it belongs to another config)."""
+    code's trial schema (else its draws are not this code's), of the
+    config's hash (else it belongs to another config) and, for a sweep, at a
+    point of the config's r_grid (else replay cannot rebuild its params)."""
     if record.get("schema") != TRIAL_SCHEMA:
         raise ValueError(
             f"record of seed {record['seed']}: trial schema mismatch: "
@@ -775,15 +759,21 @@ def check_replayable(config: ExperimentConfig, record: dict) -> None:
             f"record of seed {record['seed']}: config hash mismatch: "
             f"record {record['config_hash']} vs config {config.hash}"
         )
+    measured = record["measured"]
+    if "r_grid" in config.params and measured.get("r") not in config.params["r_grid"]:
+        got = f"r = {measured['r']!r}" if "r" in measured else "no r"
+        raise ValueError(
+            f"record of seed {record['seed']}: grid point: expected an r of params.r_grid "
+            f"{config.params['r_grid']}, got {got}"
+        )
 
 
 def replay(config: ExperimentConfig, record: dict) -> tuple:
-    """Re-run one stored trial and compare everything but timing, bit-exactly.
-    A record ``check_replayable`` refuses is its ValueError."""
+    """Re-run one stored trial at its grid point (a sweep record's r) and
+    compare everything but timing, bit-exactly. A record ``check_replayable``
+    refuses is its ValueError."""
     check_replayable(config, record)
-    params = config.params
-    if config.kind == "resilience-sweep":
-        params = {**config.params, "r": record["measured"]["r"]}
+    params = _point(config.params, record["measured"].get("r"))
     fresh = _run_trial((config.kind, params, record["seed"], config.hash))
     old = TrialRecord.from_dict(record).measured_bytes()
     new = TrialRecord.from_dict(fresh).measured_bytes()

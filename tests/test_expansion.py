@@ -286,6 +286,22 @@ class TestFindExpander:
         assert not res.found
         assert res.clique is None and res.trace is None
 
+    def test_start_refusal_names_a_zero_reference_count(self):
+        # With the first block edgeless the refusal used to read "start set
+        # of 0 copies is below delta * x = 0.0".
+        g, view = complete_multipartite([3] * 6)
+        params = ExpansionParams(k=2, delta=0.02)
+        empty = np.zeros_like(window_cliques(view, 0, 2))
+        with pytest.raises(ValueError, match=r"^start set of 0 copies is below delta \* x = 0\.2$"):
+            find_expander(empty, view, 6, params)
+        adj = g.adj.copy()
+        adj[np.ix_(view.parts[0], view.parts[1])] = False
+        adj[np.ix_(view.parts[1], view.parts[0])] = False
+        severed = TupleView(Graph(adj), view.parts)
+        assert reference_count(severed, 0, 2) == 0
+        with pytest.raises(ValueError, match=r"^the first block's reference count is 0\.0, so no start set"):
+            find_expander(window_cliques(severed, 0, 2), severed, 6, params)
+
     def test_blowup_run_at_logarithmic_window_count(self):
         # windows = ceil(3 k^2 log N) solves to 100 for n = 40 per window,
         # which is the regime where the halving search bottoms out to a

@@ -485,32 +485,13 @@ class TestRunExperiment:
             assert float(rows[name]["max"]) == st["max"]
 
     def test_parallel_equals_serial(self):
-        params = tiny_embed_params()
-        serial = run_experiment(ExperimentConfig(kind="embed", params=params, seeds=[0, 1, 2]))
-        parallel = run_experiment(
-            ExperimentConfig(kind="embed", params=params, seeds=[0, 1, 2], workers=3)
-        )
-        for a, b in zip(serial.records, parallel.records):
-            assert TrialRecord.from_dict(a).measured_bytes() == TrialRecord.from_dict(b).measured_bytes()
-
-    def test_env_overrides_out_dir_and_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POWERCYCLE_OUT", str(tmp_path / "envout"))
-        monkeypatch.setenv("POWERCYCLE_WORKERS", "2")
-        cfg = ExperimentConfig(
-            kind="count-audit",
-            params={"mode": "blowup", "t": 3, "n": 20, "p": 0.5, "delta": 0.2},
-            seeds=[0, 1],
-        )
-        summary = run_experiment(cfg)
-        assert summary.ok_fraction == 1.0
-        assert any((tmp_path / "envout").glob("*.jsonl"))
-
-    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
-    def test_bad_env_workers_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("POWERCYCLE_WORKERS", value)
-        cfg = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0])
-        with pytest.raises(ValueError, match="^POWERCYCLE_WORKERS: "):
-            run_experiment(cfg)
+        sweep_params = {**SWEEP_PARAMS, "r_grid": [0.0, 0.3]}
+        for kind, params in [("embed", tiny_embed_params()), ("resilience-sweep", sweep_params)]:
+            serial = run_experiment(ExperimentConfig(kind=kind, params=params, seeds=[0, 1, 2]))
+            parallel = run_experiment(ExperimentConfig(kind=kind, params=params, seeds=[0, 1, 2], workers=3))
+            assert len(serial.records) == len(parallel.records) == 3 * len(params.get("r_grid", [None]))
+            for a, b in zip(serial.records, parallel.records):
+                assert TrialRecord.from_dict(a).measured_bytes() == TrialRecord.from_dict(b).measured_bytes()
 
 
 class TestAdversaries:
@@ -610,6 +591,46 @@ class TestResilienceSweep:
         assert lines[0] == "r\tok_fraction\tn"
         assert lines[1].startswith("0.0\t")
 
+    def test_point_record_is_the_embed_record_at_its_r(self):
+        grid, seeds = [0.0, 0.3, 0.6], [0, 1]
+        sweep = run_experiment(
+            ExperimentConfig(kind="resilience-sweep", params={**SWEEP_PARAMS, "r_grid": grid}, seeds=seeds)
+        )
+        assert [(rec["measured"]["r"], rec["seed"]) for rec in sweep.records] == [(r, s) for r in grid for s in seeds]
+        for r in grid:
+            params = {**SWEEP_PARAMS, "adversary": {"kind": "random", "r": r}}
+            embed = run_experiment(ExperimentConfig(kind="embed", params=params, seeds=seeds))
+            points = [rec for rec in sweep.records if rec["measured"]["r"] == r]
+            for point, rec in zip(points, embed.records):
+                assert {key: value for key, value in point["measured"].items() if key != "r"} == rec["measured"]
+                assert point["ok"] == rec["ok"] and point["seed"] == rec["seed"]
+
+    def test_crashed_trials_keep_their_point(self, tmp_path, monkeypatch):
+        # A crashed sweep trial used to lose its r: the curve counted no
+        # trials at its point, an assertion on that point failed, and replay
+        # raised KeyError: 'r'.
+        def crash(*args):
+            raise RuntimeError("embedder crashed")
+
+        monkeypatch.setattr(harness.embedder, "embed_power_cycle", crash)
+        cfg = ExperimentConfig(
+            kind="resilience-sweep",
+            params={**SWEEP_PARAMS, "r_grid": [0.0, 0.5]},
+            seeds=[0, 1],
+            out_dir=str(tmp_path),
+            assertions=[{"r": 0.0, "max_ok_fraction": 0.0}],
+        )
+        out = resilience_sweep(cfg)
+        records = out["summary"].records
+        assert [rec["measured"]["r"] for rec in records] == [0.0, 0.0, 0.5, 0.5]
+        assert all("error" in rec["measured"] for rec in records[:2])
+        tsv = next(p for p in tmp_path.iterdir() if p.suffix == ".tsv")
+        assert [line.split("\t")[2] for line in tsv.read_text().strip().splitlines()[1:]] == ["2", "2"]
+        assert out["curve"] == {0.0: 0.0, 0.5: 0.0}
+        assert out["summary"].assertions_passed
+        match, fresh = replay(cfg, records[0])
+        assert match and fresh["measured"] == records[0]["measured"]
+
 
 class TestCli:
     def test_run_and_exit_status(self, tmp_path, capsys):
@@ -654,13 +675,6 @@ class TestCli:
         cfg_path.write_text(json.dumps({"params": BLOWUP_PARAMS, "seeds": [0]}))
         err = usage_error(capsys, ["count-audit", "--config", str(cfg_path), "--seeds", f"1,{token}"])
         assert err.endswith(f"error: --seeds: bad token '{token}'; expected N or START:STOP")
-
-    def test_bad_env_workers_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"params": BLOWUP_PARAMS, "seeds": [0]}))
-        monkeypatch.setenv("POWERCYCLE_WORKERS", "0")
-        err = usage_error(capsys, ["count-audit", "--config", str(cfg_path)])
-        assert err.endswith("error: POWERCYCLE_WORKERS: must be a positive integer, got '0'")
 
     def test_oracle_compare_is_not_a_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -718,6 +732,29 @@ class TestCli:
         assert "error: record of seed 1: " + {"schema": "trial schema", "config_hash": "config hash"}[field] in err
         assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl)]) == 0
         assert capsys.readouterr().out == "replayed 2 records, 0 mismatches\n"
+
+    @pytest.mark.parametrize("r, got", [(None, "no r"), (0.25, "r = 0.25")])
+    def test_sweep_record_off_the_grid_is_a_usage_error(self, tmp_path, capsys, r, got):
+        # A record with no r (a crashed trial's, before crashed records kept
+        # their point) used to end replay in a KeyError traceback, and one
+        # with an r off the grid was replayed at that r.
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(
+            json.dumps({"kind": "resilience-sweep", "params": {**SWEEP_PARAMS, "r_grid": [0.0]}, "seeds": [0, 1]})
+        )
+        out = tmp_path / "out"
+        assert cli_main(["resilience-sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        jsonl = next(p for p in out.iterdir() if p.suffix == ".jsonl")
+        records = load_records(jsonl)
+        del records[1]["measured"]["r"]
+        if r is not None:
+            records[1]["measured"]["r"] = r
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(record) + "\n" for record in records))
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(other), "--limit", "1"])
+        assert err.endswith(f"error: record of seed 1: grid point: expected an r of params.r_grid [0.0], got {got}")
+        assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl)]) == 0
+        assert capsys.readouterr().out.endswith("replayed 2 records, 0 mismatches\n")
 
 
 def usage_error(capsys, argv: list) -> str:

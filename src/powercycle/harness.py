@@ -747,8 +747,9 @@ def load_records(path) -> list:
 def check_replayable(config: ExperimentConfig, record: dict) -> None:
     """Raise a ValueError naming the record's seed unless it is of this
     code's trial schema (else its draws are not this code's), of the
-    config's hash (else it belongs to another config) and, for a sweep, at a
-    point of the config's r_grid (else replay cannot rebuild its params)."""
+    config's hash (else it belongs to another config), with a measured
+    object (else there is nothing to compare) and, for a sweep, at a point
+    of the config's r_grid (else replay cannot rebuild its params)."""
     if record.get("schema") != TRIAL_SCHEMA:
         raise ValueError(
             f"record of seed {record['seed']}: trial schema mismatch: "
@@ -759,7 +760,10 @@ def check_replayable(config: ExperimentConfig, record: dict) -> None:
             f"record of seed {record['seed']}: config hash mismatch: "
             f"record {record['config_hash']} vs config {config.hash}"
         )
-    measured = record["measured"]
+    measured = record.get("measured")
+    if not isinstance(measured, dict):
+        got = json.dumps(measured) if "measured" in record else "no measured"
+        raise ValueError(f"record of seed {record['seed']}: measured: expected an object, got {got}")
     if "r_grid" in config.params and measured.get("r") not in config.params["r_grid"]:
         got = f"r = {measured['r']!r}" if "r" in measured else "no r"
         raise ValueError(

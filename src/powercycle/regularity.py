@@ -14,9 +14,11 @@ dense pair's refuter reads the same block.
 The sampled refuter reads the block its caller gathered and gathers
 nothing itself, so every caller pays one gather per pair it tests. It
 takes a stack of pairs that share subset tables, one per side and side
-width, drawn from one stream, and counts the pairs of one side-1 width with
-one product; ``check_regular_sampled`` is a stack of one, whose two tables
-are the two arrays a pair has always drawn from its own stream.
+width, drawn from one stream, and holds the pairs of each side-1 width apart:
+a width is counted with one product when its own held cells reach
+_STACK_CELLS, and every width when a verdict is read.
+``check_regular_sampled`` is a stack of one, whose two tables are the two
+arrays a pair has always drawn from its own stream.
 
 All densities are exact rationals; floats appear only at decision thresholds,
 always with an explicit tolerance.
@@ -55,9 +57,11 @@ SUBSET_FRACTION = 0.5
 TOL = 1e-12
 # Trial budget of the sampled check on each inheritance sample.
 INHERITANCE_TRIALS = 60
-# Cells of held pair blocks and of their float32 products (trials by side-2
-# width) at which the sampled refuter counts them; no verdict depends on it.
-_STACK_CELLS = 1 << 18
+# Cells of the held pair blocks of one side-1 width and of their float32
+# product (trials by side-2 width) at which the sampled refuter counts that
+# width; no verdict depends on it. Held cells stay below the number of
+# distinct side-1 widths times this, plus one pair per width.
+_STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -226,20 +230,24 @@ class SampledRefuter:
     (trials, n) array of uniforms whose row r takes the positions of its q
     smallest draws, below or at the q-th smallest read from its sort. So
     each pair sees ``trials`` independent uniform subset pairs, and a stack
-    of one draws a (trials, |V1|) array, then a (trials, |V2|) array. Held
-    pairs are counted once their blocks and products pass _STACK_CELLS cells
-    and when a verdict is read, with one ``exact_product`` per side-1 width:
-    a pair's count in trial r sums row r of its product columns over its V2
-    subset, float32 counts of at most q1 ones over at most q2 terms, exact
-    while q1*q2 < 2**24, so no verdict rests on the summation order, the
-    BLAS thread count or the stacking. Deviations are float32, and the
-    witness is the first refuting trial's subsets, sorted."""
+    of one draws a (trials, |V1|) array, then a (trials, |V2|) array.
+
+    Held pairs are kept per side-1 width, and a width's pairs are counted
+    with one ``exact_product`` once their blocks and product pass
+    _STACK_CELLS cells; every width is counted when a verdict is read. So
+    the held cells are at most the number of distinct side-1 widths times
+    _STACK_CELLS, plus one pair per width. A pair's count in trial r sums
+    row r of its product columns over its V2 subset, float32 counts of at
+    most q1 ones over at most q2 terms, exact while q1*q2 < 2**24, so no
+    verdict rests on the summation order, the BLAS thread count or the
+    stacking. Deviations are float32, and the witness is the first refuting
+    trial's subsets, sorted."""
 
     def __init__(self, eps: float, p: float, trials: int, rng: np.random.Generator):
         self.eps, self.threshold, self.trials, self.rng = eps, eps * p + TOL, trials, rng
         self._tables = {}  # (side, width) -> (q, (trials, width) bool subset table)
-        self._held = []  # (index, block, V1, V2) of each pair not yet counted
-        self._cells = 0
+        self._held = {}  # side-1 width -> (index, block, V1, V2) of each pair not yet counted
+        self._cells = {}  # side-1 width -> cells of its held blocks and product
         # Each added pair's deviation and, when it is refuted, its witness.
         self._deviation = []
         self._witness = []
@@ -267,61 +275,53 @@ class SampledRefuter:
             return
         self._table(1, n1)
         self._table(2, n2)
-        self._held.append((len(self) - 1, A, V1, V2))
-        self._cells += A.size + self.trials * n2
-        if self._cells >= _STACK_CELLS:
-            self._count()
+        self._held.setdefault(n1, []).append((len(self) - 1, A, V1, V2))
+        self._cells[n1] = self._cells.get(n1, 0) + A.size + self.trials * n2
+        if self._cells[n1] >= _STACK_CELLS:
+            self._count([n1])
 
     def refuted(self) -> np.ndarray:
         """Bool array: whether each added pair is refuted, in the order added."""
-        self._count()
+        self._count(list(self._held))
         return np.array([w is not None for w in self._witness], dtype=bool)
 
     def verdict(self, k: int) -> RegularityVerdict:
         """The verdict of the k-th added pair."""
-        self._count()
+        self._count(list(self._held))
         if self._witness[k] is None:
             return RegularityVerdict("undetermined", self._deviation[k], "sampled")
         return RegularityVerdict("refuted", self._deviation[k], "sampled", self._witness[k])
 
-    def _count(self) -> None:
-        """Count every held pair, one product per side-1 width, and record
-        its deviation and witness."""
-        groups = {}
-        for item in self._held:
-            groups.setdefault(item[1].shape[0], []).append(item)
-        self._held, self._cells = [], 0
-        if not groups:
-            return
-        items, counts, quotas, densities = [], [], [], []
-        for n1, group in groups.items():
+    def _count(self, widths: list) -> None:
+        """Count the held pairs of each side-1 width in ``widths`` with one
+        product, and record each pair's deviation and witness."""
+        for n1 in widths:
+            group = self._held.pop(n1)
+            del self._cells[n1]
             q1, S1 = self._tables[1, n1]
-            widths = np.array([A.shape[1] for _, A, _, _ in group])
-            starts = np.cumsum(widths) - widths
+            tables = [self._tables[2, A.shape[1]] for _, A, _, _ in group]
+            n2 = np.array([A.shape[1] for _, A, _, _ in group])
+            starts = np.cumsum(n2) - n2
             blocks = np.concatenate([A for _, A, _, _ in group], axis=1)
-            S2 = np.concatenate([self._tables[2, n2][1] for n2 in widths.tolist()], axis=1)
             # Trial r's count of pair k sums row r of its columns of the
             # product over the pair's V2 subset of trial r.
             product = exact_product(S1, blocks)
-            counts.append(np.add.reduceat(np.multiply(product, S2, out=product), starts, axis=1).T)
-            densities.append(np.add.reduceat(np.count_nonzero(blocks, axis=0), starts) / (n1 * widths))
-            quotas.append([q1 * self._tables[2, n2][0] for n2 in widths.tolist()])
-            items += [(index, V1, V2, S1, self._tables[2, len(V2)][1]) for index, _, V1, V2 in group]
-        # float32 throughout, as a float32 count over an int less a float
-        # density gives: the quota cast is exact, the density's rounds once.
-        counts = np.concatenate(counts)
-        quotas = np.concatenate(quotas, dtype=np.float32)[:, None]
-        densities = np.concatenate(densities).astype(np.float32)[:, None]
-        dev = np.abs(counts / quotas - densities)
-        over = dev > self.threshold
-        refuted = over.any(axis=1)
-        pick = np.where(refuted, over.argmax(axis=1), dev.argmax(axis=1))
-        picked = dev[np.arange(len(items)), pick].tolist()
-        for (index, *_), deviation in zip(items, picked):
-            self._deviation[index] = deviation
-        for k in np.flatnonzero(refuted):
-            index, V1, V2, S1, S2 = items[k]
-            self._witness[index] = (np.sort(V1[S1[pick[k]]]), np.sort(V2[S2[pick[k]]]))
+            S2 = np.concatenate([S2 for _, S2 in tables], axis=1)
+            counts = np.add.reduceat(np.multiply(product, S2, out=product), starts, axis=1).T
+            # float32 throughout, as a float32 count over an int less a float
+            # density gives: the quota cast is exact, the density's rounds once.
+            quotas = np.array([q1 * q2 for q2, _ in tables], dtype=np.float32)[:, None]
+            densities = np.add.reduceat(np.count_nonzero(blocks, axis=0), starts) / (n1 * n2)
+            dev = np.abs(counts / quotas - densities.astype(np.float32)[:, None])
+            over = dev > self.threshold
+            refuted = over.any(axis=1)
+            pick = np.where(refuted, over.argmax(axis=1), dev.argmax(axis=1))
+            picked = dev[np.arange(len(group)), pick].tolist()
+            for (index, *_), deviation in zip(group, picked):
+                self._deviation[index] = deviation
+            for k in np.flatnonzero(refuted):
+                index, _, V1, V2 = group[k]
+                self._witness[index] = (np.sort(V1[S1[pick[k]]]), np.sort(V2[tables[k][1][pick[k]]]))
 
 
 def check_regular_sampled(

@@ -733,6 +733,22 @@ class TestCli:
         assert cli_main(["replay", "--config", str(cfg_path), "--records", str(jsonl)]) == 0
         assert capsys.readouterr().out == "replayed 2 records, 0 mismatches\n"
 
+    @pytest.mark.parametrize("measured, got", [(None, "no measured"), ([1, 2], "[1, 2]")], ids=["missing", "list"])
+    def test_record_without_a_measured_object_is_a_usage_error(self, tmp_path, capsys, measured, got):
+        # load_records accepts a line with only a config_hash and a seed; such
+        # a record, or one whose measured is not an object, used to end replay
+        # in a KeyError or AttributeError traceback (exit 1) once reached. It
+        # is refused before the first replay, even past --limit.
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1])
+        records = load_records(jsonl)
+        records[1] = {key: records[1][key] for key in ("schema", "config_hash", "seed")}
+        if measured is not None:
+            records[1]["measured"] = measured
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(record) + "\n" for record in records))
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(other), "--limit", "1"])
+        assert err.endswith(f"error: record of seed 1: measured: expected an object, got {got}")
+
     @pytest.mark.parametrize("r, got", [(None, "no r"), (0.25, "r = 0.25")])
     def test_sweep_record_off_the_grid_is_a_usage_error(self, tmp_path, capsys, r, got):
         # A record with no r (a crashed trial's, before crashed records kept

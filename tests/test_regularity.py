@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from powercycle.graph_core import Graph, TupleView, complete_graph, complete_multipartite, empty_graph
+from powercycle.graph_core import Graph, TupleView, complete_graph, complete_multipartite, empty_graph, exact_product
 from powercycle import regularity
 from powercycle.models import ModelParams, adversary_partite, adversary_random, gen_blowup, gen_gnp, stream
 from powercycle.regularity import (
@@ -234,6 +234,38 @@ class TestStack:
             dev = abs(A[rows][:, cols].mean() - A.mean())
             assert dev > 0.4 * 0.5 and verdict.deviation == pytest.approx(dev, abs=1e-6)
         # Counting each pair on its own moves no verdict.
+        monkeypatch.setattr(regularity, "_STACK_CELLS", 1)
+        alone = self._refute(blocks)
+        assert [verdict_key(alone.verdict(k)) for k in range(len(blocks))] == list(map(verdict_key, verdicts))
+
+    def test_each_side1_width_fills_its_own_stack(self, monkeypatch):
+        # Pairs of side-1 widths 6 and 9, interleaved, with the stack size
+        # set so that each width's held cells reach it once, at that width's
+        # last pair: one product per width, both before a verdict is read.
+        rng = stream(62)
+        blocks = []
+        for k, (n1, n2) in enumerate(zip([6, 9] * 4, [5, 7, 7, 5, 8, 6, 6, 8])):
+            A = np.full((n1, n2), k == 4)
+            if k % 4 in (1, 2):
+                A[: n1 // 2, : n2 // 2] = True
+                A = A[rng.permutation(n1)][:, rng.permutation(n2)]
+            blocks.append((A, np.arange(n1), np.arange(100, 100 + n2)))
+        cells = Counter()
+        for A, _, _ in blocks:
+            cells[A.shape[0]] += A.size + 200 * A.shape[1]
+        monkeypatch.setattr(regularity, "_STACK_CELLS", min(cells.values()))
+        products = []
+
+        def spy(a, b):
+            products.append(a.shape)
+            return exact_product(a, b)
+
+        monkeypatch.setattr(regularity, "exact_product", spy)
+        refuter = self._refute(blocks)
+        assert sorted(products) == [(200, 6), (200, 9)]
+        verdicts = [refuter.verdict(k) for k in range(len(blocks))]
+        assert len(products) == 2
+        assert [v.refuted for v in verdicts] == [k % 4 in (1, 2) for k in range(len(blocks))]
         monkeypatch.setattr(regularity, "_STACK_CELLS", 1)
         alone = self._refute(blocks)
         assert [verdict_key(alone.verdict(k)) for k in range(len(blocks))] == list(map(verdict_key, verdicts))

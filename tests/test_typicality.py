@@ -229,10 +229,11 @@ class TestLedgerPinned:
     def test_report_is_pinned(self, t, n, p, tol, trials, seed, digest):
         assert ledger_sha256(t, n, p, tol, tol, trials, seed) == digest
 
-    @pytest.mark.parametrize("cells", [1, 1001])
+    @pytest.mark.parametrize("cells", [1, 1001, 5000])
     def test_refuter_stacks_do_not_move_the_report(self, monkeypatch, cells):
-        # Every pair counted alone, and about three pairs a stack: the t=5
-        # report stays the pinned one.
+        # Every pair counted alone, about three pairs a stack, and about
+        # twelve, where the stacks of 15 side-1 widths fill and are counted
+        # while other widths are held: the t=5 report stays the pinned one.
         monkeypatch.setattr(regularity, "_STACK_CELLS", cells)
         digest = "68dc8310731cbe13ddfb5a117d784b89680dcc47603ad5ddb2242c80a6dba1a8"
         assert ledger_sha256(5, 20, 0.7, 0.4, 0.4, 40, 0) == digest

@@ -21,6 +21,14 @@ from counter-based streams keyed by the trial seed - so parallel and serial
 sweeps produce identical records and any stored record can be replayed
 bit-exactly. Timings are recorded but never compared.
 
+Every trial, serial, in a forked pool worker or replayed, runs with the
+OpenBLAS that numpy loaded set to one thread (``_run_trial``), and the
+process's thread count is restored after it. The sampled refuter's stacked
+products are large enough for OpenBLAS to split over two threads, which on a
+small host costs time and CPU; every count they produce is an exact integer
+below 2^24, so no record depends on the thread count. Where no OpenBLAS
+thread setter is found (no /proc, another BLAS) trials run as they are.
+
 A run has two settings, each from one source: its worker count, the config's
 ``workers``, and its output directory, ``run_experiment``'s ``out_dir``, else
 the config's (the CLI's ``--workers`` and ``--out`` set the config's).
@@ -32,14 +40,16 @@ for sweeps a plot-ready TSV of success fraction against the swept parameter.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import os
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -573,11 +583,58 @@ def _point(params: dict, r) -> dict:
     return params if r is None else {**params, "r": r}
 
 
+# The (set, get) thread-count symbols of an OpenBLAS build: the one numpy's
+# wheels bundle, a 64-bit-integer build, and a plain one.
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@cache
+def _blas_threads():
+    """(set, get) of the thread count of the OpenBLAS this process loaded,
+    found through /proc/self/maps on first use, or None when there is none
+    (no /proc, or numpy built on another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [line.split(None, 5) for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return None
+    for path in sorted({parts[5].strip() for parts in maps if len(parts) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_SYMBOLS:
+            setter, getter = (getattr(lib, symbol.format(verb), None) for verb in ("set", "get"))
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the count after it."""
+    found = _blas_threads()
+    if found is None:
+        yield
+        return
+    set_threads, get_threads = found
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def _run_trial(args: tuple) -> dict:
+    """The record of one (kind, params, seed) trial, run on one BLAS thread;
+    every trial, serial, pooled or replayed, runs through here."""
     kind, params, seed, chash = args
     start = time.perf_counter()
     try:
-        measured, ok = _entry(kind, params)[0](params, seed)
+        with _one_blas_thread():
+            measured, ok = _entry(kind, params)[0](params, seed)
     except Exception as err:  # trial-level failure: recorded, not fatal
         measured, ok = {"error": f"{type(err).__name__}: {err}"}, False
     if "r_grid" in params:  # a sweep record names its point, crashed or not
@@ -744,12 +801,24 @@ def load_records(path) -> list:
     return [record for _, record in lines]
 
 
+# Record field past its schema and config hash that replay reads -> (test of
+# its value, what the test asks for); measured first, the field compared.
+_RECORD_FIELDS = {
+    "measured": (lambda v: isinstance(v, dict), "an object"),
+    "seed": (lambda v: _is_count(v, 0), "a non-negative integer"),
+    "kind": (lambda v: isinstance(v, str), "a string"),
+    "ok": (lambda v: isinstance(v, bool), "a bool"),
+    "elapsed": (_is_number, "a number"),
+}
+
+
 def check_replayable(config: ExperimentConfig, record: dict) -> None:
     """Raise a ValueError naming the record's seed unless it is of this
     code's trial schema (else its draws are not this code's), of the
-    config's hash (else it belongs to another config), with a measured
-    object (else there is nothing to compare) and, for a sweep, at a point
-    of the config's r_grid (else replay cannot rebuild its params)."""
+    config's hash (else it belongs to another config), with every field
+    ``TrialRecord.from_dict`` reads, each of its type (``_RECORD_FIELDS``;
+    else there is no record to compare) and, for a sweep, at a point of the
+    config's r_grid (else replay cannot rebuild its params)."""
     if record.get("schema") != TRIAL_SCHEMA:
         raise ValueError(
             f"record of seed {record['seed']}: trial schema mismatch: "
@@ -760,10 +829,11 @@ def check_replayable(config: ExperimentConfig, record: dict) -> None:
             f"record of seed {record['seed']}: config hash mismatch: "
             f"record {record['config_hash']} vs config {config.hash}"
         )
-    measured = record.get("measured")
-    if not isinstance(measured, dict):
-        got = json.dumps(measured) if "measured" in record else "no measured"
-        raise ValueError(f"record of seed {record['seed']}: measured: expected an object, got {got}")
+    for key, (test, wanted) in _RECORD_FIELDS.items():
+        if not test(record.get(key)):
+            got = json.dumps(record[key]) if key in record else f"no {key}"
+            raise ValueError(f"record of seed {record['seed']}: {key}: expected {wanted}, got {got}")
+    measured = record["measured"]
     if "r_grid" in config.params and measured.get("r") not in config.params["r_grid"]:
         got = f"r = {measured['r']!r}" if "r" in measured else "no r"
         raise ValueError(

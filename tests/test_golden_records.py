@@ -239,13 +239,19 @@ def test_runners_read_only_declared_keys(name, monkeypatch):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints the records' sha256 of each (kind, params, seeds) config in argv[1].
+# Prints the records' sha256 of each (kind, params, seeds) config in argv[1],
+# calling each trial runner directly: ``_run_trial`` runs every trial on one
+# BLAS thread, and the thread count of the environment must reach the products.
 HASH_SCRIPT = """
 import hashlib, json, sys
-from powercycle.harness import ExperimentConfig, TrialRecord, run_experiment
+from powercycle import harness
 for kind, params, seeds in json.loads(sys.argv[1]):
-    summary = run_experiment(ExperimentConfig(kind=kind, params=params, seeds=seeds))
-    blob = b"".join(TrialRecord.from_dict(r).measured_bytes() for r in summary.records)
+    config = harness.ExperimentConfig(kind=kind, params=params, seeds=seeds)
+    runner = harness._entry(kind, config.params)[0]
+    blob = b"".join(
+        harness.TrialRecord(config.hash, kind, seed, *runner(config.params, seed), 0.0).measured_bytes()
+        for seed in seeds
+    )
     print(hashlib.sha256(blob).hexdigest())
 """
 

@@ -494,6 +494,63 @@ class TestRunExperiment:
                 assert TrialRecord.from_dict(a).measured_bytes() == TrialRecord.from_dict(b).measured_bytes()
 
 
+@pytest.fixture
+def two_blas_threads():
+    """The loaded OpenBLAS set to two threads, and its thread-count getter;
+    the count is restored after the test, which is skipped where the harness
+    finds no OpenBLAS thread setter."""
+    found = harness._blas_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    set_threads, get_threads = found
+    threads = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(threads)
+
+
+class TestOneBlasThread:
+    def _config(self, monkeypatch, runner, workers):
+        """A count-audit config over four seeds whose trials run ``runner``."""
+        entry = harness._EXPERIMENTS["count-audit"]["blowup"]
+        monkeypatch.setitem(harness._EXPERIMENTS["count-audit"], "blowup", (runner, *entry[1:]))
+        return ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0, 1, 2, 3], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_trial_reads_one_thread(self, monkeypatch, two_blas_threads, workers):
+        # Serial, in a fork pool whose workers inherit the parent's two
+        # threads, and replayed.
+        cfg = self._config(monkeypatch, lambda params, seed: ({"threads": two_blas_threads()}, True), workers)
+        records = run_experiment(cfg).records
+        assert [record["measured"] for record in records] == [{"threads": 1}] * 4
+        match, fresh = replay(cfg, records[0])
+        assert match and fresh["measured"] == {"threads": 1}
+
+    def test_the_count_is_restored_after_a_run(self, monkeypatch, two_blas_threads):
+        def crash(params, seed):
+            raise RuntimeError("trial failed")
+
+        assert run_experiment(self._config(monkeypatch, crash, 1)).stats["errors"] == 4
+        assert two_blas_threads() == 2
+
+        def interrupt(params, seed):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(self._config(monkeypatch, interrupt, 1))
+        assert two_blas_threads() == 2
+
+    def test_a_trial_runs_where_no_blas_setter_is_found(self, monkeypatch):
+        cfg = ExperimentConfig(kind="regularity-audit", params=PARTITION_PARAMS, seeds=[0, 1])
+        pinned = run_experiment(cfg).records
+        monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+        unpinned = run_experiment(cfg).records
+        assert [TrialRecord.from_dict(r).measured_bytes() for r in unpinned] == [
+            TrialRecord.from_dict(r).measured_bytes() for r in pinned
+        ]
+        assert not any("error" in r["measured"] for r in unpinned)
+
+
 class TestAdversaries:
     @pytest.mark.parametrize(
         "spec, direct",
@@ -748,6 +805,34 @@ class TestCli:
         other.write_text("".join(json.dumps(record) + "\n" for record in records))
         err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(other), "--limit", "1"])
         assert err.endswith(f"error: record of seed 1: measured: expected an object, got {got}")
+
+    @pytest.mark.parametrize(
+        "field, value, got",
+        [
+            ("kind", None, "no kind"),
+            ("ok", None, "no ok"),
+            ("elapsed", None, "no elapsed"),
+            ("kind", 3, "3"),
+            ("ok", "yes", '"yes"'),
+            ("elapsed", True, "true"),
+            ("seed", [1], "[1]"),
+        ],
+        ids=["no-kind", "no-ok", "no-elapsed", "kind-int", "ok-string", "elapsed-bool", "seed-list"],
+    )
+    def test_record_with_a_field_missing_or_mistyped_is_a_usage_error(self, tmp_path, capsys, field, value, got):
+        # A record without its kind, ok or elapsed used to end replay in a
+        # KeyError traceback (exit 1) once TrialRecord.from_dict read it, and
+        # a seed that is not an integer in a TypeError one.
+        cfg_path, jsonl = self._stored_run(tmp_path, [0, 1])
+        records = load_records(jsonl)
+        del records[1][field]
+        if value is not None:
+            records[1][field] = value
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(record) + "\n" for record in records))
+        err = usage_error(capsys, ["replay", "--config", str(cfg_path), "--records", str(other), "--limit", "1"])
+        wanted = {"kind": "a string", "ok": "a bool", "elapsed": "a number", "seed": "a non-negative integer"}[field]
+        assert err.endswith(f"error: record of seed {records[1]['seed']}: {field}: expected {wanted}, got {got}")
 
     @pytest.mark.parametrize("r, got", [(None, "no r"), (0.25, "r = 0.25")])
     def test_sweep_record_off_the_grid_is_a_usage_error(self, tmp_path, capsys, r, got):

@@ -1,7 +1,9 @@
 """Every name the package, its tests and its demos import is used. A name a
 module lists in its own ``__all__`` is a re-export and counts as used; the
 package ``__init__`` re-exports its API that way. No pipeline module imports
-``oracles``: the reference implementations serve the tests only."""
+``oracles``: the reference implementations serve the tests only. Only
+``harness`` imports ``ctypes``, for its one call into foreign code, the BLAS
+thread pin."""
 
 import ast
 from pathlib import Path
@@ -43,23 +45,31 @@ def test_no_unused_import():
     assert found == {}
 
 
-def imports_oracles(source: str) -> bool:
-    """Whether ``source`` imports the ``oracles`` module or a name from it."""
+def imports_module(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or a name from it."""
     paths = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             paths += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             paths += [f"{node.module or ''}.{alias.name}" for alias in node.names]
-    return any("oracles" in path.split(".") for path in paths)
+    return any(module in path.split(".") for path in paths)
 
 
 def test_scan_finds_an_oracles_import():
     for source in ("from . import models, oracles\n", "from .oracles import naive_density\n", "import powercycle.oracles\n"):
-        assert imports_oracles(source)
-    assert not imports_oracles("from . import models\nfrom .models import stream\n")
+        assert imports_module(source, "oracles")
+    assert not imports_module("from . import models\nfrom .models import stream\n", "oracles")
+    for source in ("import ctypes\n", "from ctypes import CDLL\n", "import ctypes.util\n"):
+        assert imports_module(source, "ctypes")
+
+
+PACKAGE = sorted((ROOT / "src/powercycle").glob("*.py"))
 
 
 def test_no_pipeline_module_imports_the_oracles():
-    package = sorted((ROOT / "src/powercycle").glob("*.py"))
-    assert [path.name for path in package if path.name != "oracles.py" and imports_oracles(path.read_text())] == []
+    assert [path.name for path in PACKAGE if path.name != "oracles.py" and imports_module(path.read_text(), "oracles")] == []
+
+
+def test_only_the_harness_imports_ctypes():
+    assert [path.name for path in PACKAGE if imports_module(path.read_text(), "ctypes")] == ["harness.py"]

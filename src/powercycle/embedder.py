@@ -28,6 +28,15 @@ and first targets from stream(seed, 41), each extend attempt's tuple from
 stream(seed, 43, s, attempt) and each closing attempt's from
 stream(seed, 47, attempt).
 
+Every view the embedder builds holds only its own draws: sorted, read-only
+int64 rows of the window pools, drawn outside the vertices the ``taken`` mask
+marks. It builds them with ``TupleView._trusted``, which checks nothing, so
+the checks live here: ``_layout_windows`` refuses overlapping pools, and
+``audit``, run before the anchor and after every round, is the per-round
+check that the reserve, the live targets and the path are pairwise disjoint;
+each fresh draw avoids all three through ``taken``, so the parts of every
+view are disjoint.
+
 Failures (an expander coming up empty after redraws, pools running dry) are
 reported as data, not exceptions: an EmbedFailure names the first failing
 stage, its step and what went wrong. Broken invariants of the induction
@@ -226,11 +235,12 @@ def _longest_power_cycle(graph: Graph, k: int) -> PowerCycle:
 
 def _draw_rows(rng, pool_grid: np.ndarray, taken: np.ndarray, count: int) -> Optional[np.ndarray]:
     """Seeded draw of ``count`` vertices per window, one sorted row per row of
-    the window pool grid, from the vertices the vertex-indexed mask ``taken``
-    leaves free, in pool order. Each row is a permutation of its free
-    vertices drawn in turn from the one ``rng``; None when a row has fewer
-    than ``count`` free. The free vertices are read as one grid, so every
-    window must have as many free as the first."""
+    the int64 window pool grid, from the vertices the vertex-indexed mask
+    ``taken`` leaves free, in pool order; the result is a read-only int64
+    array, so the views built on its rows share it unchecked. Each row is a
+    permutation of its free vertices drawn in turn from the one ``rng``;
+    None when a row has fewer than ``count`` free. The free vertices are
+    read as one grid, so every window must have as many free as the first."""
     free_mask = ~taken[pool_grid]
     sizes = np.count_nonzero(free_mask, axis=1)
     unequal = np.flatnonzero(sizes != sizes[0])
@@ -240,7 +250,9 @@ def _draw_rows(rng, pool_grid: np.ndarray, taken: np.ndarray, count: int) -> Opt
     if sizes[0] < count:
         return None
     free = pool_grid[free_mask].reshape(len(pool_grid), -1)
-    return np.sort(rng.permuted(free, axis=1)[:, :count], axis=1)
+    rows = np.sort(rng.permuted(free, axis=1)[:, :count], axis=1)
+    rows.setflags(write=False)
+    return rows
 
 
 def _layout_windows(partition: RegularPartition, cycle: PowerCycle) -> list:
@@ -298,7 +310,7 @@ def embed_power_cycle(
     # reserve, path and live target vertices. The window pools are disjoint,
     # so one vertex-indexed mask serves every window's draw.
     taken = np.zeros(graph.n, dtype=bool)
-    pool_grid = np.stack(pools)
+    pool_grid = np.stack(pools).astype(np.int64, copy=False)
     reserve = _draw_rows(rng, pool_grid, taken, n_tilde)
     taken[reserve] = True
     targets = _draw_rows(rng, pool_grid, taken, n_tilde)
@@ -317,13 +329,38 @@ def embed_power_cycle(
             if fresh is None:
                 yield None, None
                 return
-            yield fresh, TupleView(graph, [*targets[t - k :], *fresh, *tail])
+            yield fresh, TupleView._trusted(graph, [*targets[t - k :], *fresh, *tail])
+
+    def audit(step: int) -> None:
+        # Run before the anchor and after every round, so before any view is
+        # built on the reserve, the live targets or a fresh draw beside them.
+        # Reserve, targets and path lie in the window's pool, so ``taken``
+        # marks exactly their total there. Fewer marks mean two of them
+        # overlap (or a mark is missing), more mean a stale mark; an overlap
+        # and a stale mark in the same window cancel out.
+        marked = np.count_nonzero(taken[pool_grid], axis=1)
+        for m in range(t):
+            expected = len(reserve[m]) + len(targets[m]) + len(used[m])
+            if marked[m] < expected:
+                raise RuntimeError(
+                    f"window {m}: reserve/targets/path overlap at step {step} "
+                    f"({marked[m]} taken marks for {expected} vertices)"
+                )
+            if marked[m] > expected:
+                raise RuntimeError(
+                    f"window {m}: stale taken mark at step {step} "
+                    f"({marked[m]} taken marks for {expected} vertices)"
+                )
+            if len(used[m]) != step - 1:
+                raise RuntimeError(f"window {m}: {len(used[m])} path vertices at step {step}")
+
+    audit(1)
 
     # Anchor: one clique expanding forward to the last target block and
     # backward through the reserve tuple. The backward view opens on the first
     # k targets in reverse order, so the clique's positions there are reversed.
-    fwd_view = TupleView(graph, targets)
-    bwd_view = TupleView(graph, [*targets[k - 1 :: -1], *reserve[::-1]])
+    fwd_view = TupleView._trusted(graph, targets)
+    bwd_view = TupleView._trusted(graph, [*targets[k - 1 :: -1], *reserve[::-1]])
     anchors = np.nonzero(window_cliques(fwd_view, 0, k))
     for i, fwd in scan_copies(anchors, fwd_view, t - k, threshold, range(len(anchors[0]))):
         if fwd is None:
@@ -355,29 +392,7 @@ def embed_power_cycle(
             taken[v] = True
         path.extend(new)
 
-    def audit(step: int) -> None:
-        # Reserve, targets and path lie in the window's pool, so ``taken``
-        # marks exactly their total there. Fewer marks mean two of them
-        # overlap (or a mark is missing), more mean a stale mark; an overlap
-        # and a stale mark in the same window cancel out.
-        marked = np.count_nonzero(taken[pool_grid], axis=1)
-        for m in range(t):
-            expected = len(reserve[m]) + len(targets[m]) + len(used[m])
-            if marked[m] < expected:
-                raise RuntimeError(
-                    f"window {m}: reserve/targets/path overlap at step {step} "
-                    f"({marked[m]} taken marks for {expected} vertices)"
-                )
-            if marked[m] > expected:
-                raise RuntimeError(
-                    f"window {m}: stale taken mark at step {step} "
-                    f"({marked[m]} taken marks for {expected} vertices)"
-                )
-            if len(used[m]) != step - 1:
-                raise RuntimeError(f"window {m}: {len(used[m])} path vertices at step {step}")
-
     for s in range(1, s_final):
-        audit(s)
         for fresh, view in target_draws((43, s), []):
             if fresh is None:
                 return EmbedFailure("extend", s, "window pool exhausted")
@@ -394,12 +409,12 @@ def embed_power_cycle(
         targets = fresh
         taken[targets] = True
         last = res.trace
+        audit(s + 1)
 
     # Closing: connect the frontier through a fresh tuple into the reserves
     # and splice with the anchor's backward reach. The closing view opens on
     # the last k targets, where the last frontier lives, so its C-order
     # positions scan the frontier's copies in lexicographic order.
-    audit(s_final)
     closing = None
     copies = np.nonzero(last.frontier)
     for fresh, view in target_draws((47,), reserve[:k]):

@@ -17,6 +17,14 @@ diagonal there, and writes the positions it finds straight into its result,
 which is int32 whenever n * n fits (it does below n = 46341), so the edge
 order of a random adversary costs 4 bytes an edge and no wider transient.
 
+A ``TupleView`` has two construction paths, as a ``Graph`` does. The public
+constructor checks its parts (nonempty 1-D integer ids in range, no duplicate,
+pairwise disjoint) and keeps sorted int64 copies. ``TupleView._trusted`` keeps
+the parts as given and checks nothing. It assumes sorted, nonempty, in-range,
+pairwise-disjoint int64 arrays built inside the package, and only the embedder
+calls it, on the rows it draws itself each round; a test of the imports keeps
+it that way.
+
 A canonical clique is a plain tuple ``(v_1, ..., v_k)`` with ``v_j`` drawn
 from the j-th part of its window. A set of them has one form: a dense bool
 array over the window's sorted parts, True at the positions of its members.
@@ -270,35 +278,68 @@ def complete_multipartite(part_sizes: Sequence[int]) -> tuple:
     return graph, TupleView(graph, parts)
 
 
+def _checked_part(graph: Graph, part) -> np.ndarray:
+    """``part`` as a fresh sorted int64 array, once it is a nonempty 1-D
+    array of integers without duplicates, each a vertex of ``graph``."""
+    arr = np.asarray(part)
+    if arr.size == 0:
+        raise ValueError("parts must be nonempty")
+    if arr.ndim != 1:
+        raise ValueError(f"a part must be 1-D, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"a part must hold integer vertex ids, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
+    arr.sort()
+    if (arr[1:] == arr[:-1]).any():
+        raise ValueError("part contains duplicate vertex ids")
+    if arr[0] < 0 or arr[-1] >= graph.n:
+        raise ValueError("part contains vertex ids outside the graph")
+    return arr
+
+
 class TupleView:
     """An ordered list of pairwise-disjoint vertex sets inside a graph.
 
     Pair densities are exact rationals, computed lazily and cached. Parts are
-    stored as sorted id arrays so iteration order is deterministic.
-    """
+    stored as sorted int64 id arrays so iteration order is deterministic.
+
+    ``TupleView(graph, parts)`` checks its parts and keeps sorted int64
+    copies; every view of outside input is built this way.
+    ``TupleView._trusted(graph, parts)`` keeps the arrays it is given and
+    checks nothing; only the embedder calls it, on its own draws."""
 
     __slots__ = ("graph", "parts", "sizes", "_blocks", "_density_cache")
 
     def __init__(self, graph: Graph, parts: Sequence):
-        arrays = []
-        for part in parts:
-            arr = np.sort(np.asarray(part, dtype=np.int64), axis=None)
-            if arr.size == 0:
-                raise ValueError("parts must be nonempty")
-            if (arr[1:] == arr[:-1]).any():
-                raise ValueError("part contains duplicate vertex ids")
-            if arr[0] < 0 or arr[-1] >= graph.n:
-                raise ValueError("part contains vertex ids outside the graph")
-            arrays.append(arr)
+        arrays = [_checked_part(graph, part) for part in parts]
+        if not arrays:
+            raise ValueError("a view needs at least one part")
         # Each part is duplicate-free, so the parts are pairwise disjoint
         # exactly when marking all of them marks as many vertices as they hold.
         seen = np.zeros(graph.n, dtype=bool)
         seen[np.concatenate(arrays)] = True
         if np.count_nonzero(seen) != sum(a.size for a in arrays):
             raise ValueError("parts must be pairwise disjoint")
+        self._hold(graph, tuple(arrays))
+
+    @classmethod
+    def _trusted(cls, graph: Graph, parts: Sequence) -> "TupleView":
+        """A view that keeps ``parts`` as given: no sort, no copy, no check.
+        Each part must be a 1-D int64 array built inside the package, sorted
+        ascending, nonempty, with ids in range, and the parts pairwise
+        disjoint. The embedder's draws are: ``_draw_rows`` sorts every row,
+        at least k ids long, and hands it out read-only, its ids come from
+        the partition's classes, and the ``taken`` mask, the embedder's
+        per-round ``audit`` and ``_layout_windows``' disjoint-pools check
+        keep the reserve, the live targets and each fresh draw apart."""
+        view = cls.__new__(cls)
+        view._hold(graph, tuple(parts))
+        return view
+
+    def _hold(self, graph: Graph, parts: tuple) -> None:
         self.graph = graph
-        self.parts = tuple(arrays)
-        self.sizes = tuple(int(a.size) for a in arrays)
+        self.parts = parts
+        self.sizes = tuple(map(len, parts))
         self._blocks: dict = {}
         self._density_cache: dict = {}
 
@@ -415,13 +456,16 @@ def expected_clique_count(view: TupleView, indices: Sequence[int]) -> float:
     """Canonical-clique count on the parts ``indices`` that the measured
     densities predict: the product of the part sizes, then of the pair
     densities for a < b. Callers compare these floats bit for bit, so the
-    multiplication order is fixed."""
+    multiplication order is fixed. Each density is the int quotient of the
+    pair's edge count by its size product, which Python rounds correctly, so
+    it is the float of the exact ``density`` without building the Fraction."""
     expected = 1.0
     for i in indices:
         expected *= view.sizes[i]
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
-            expected *= float(view.density(indices[a], indices[b]))
+            i, j = sorted((indices[a], indices[b]))
+            expected *= view.cross_edges(i, j) / (view.sizes[i] * view.sizes[j])
     return expected
 
 
@@ -496,7 +540,8 @@ def save_parts(view: TupleView, path) -> None:
 
 def load_parts(graph: Graph, path) -> TupleView:
     """Read a file written by ``save_parts``; a token that is not an integer
-    is a ValueError naming the file and line."""
+    is a ValueError naming the file and line, and a file without a part one
+    naming the file."""
     parts = []
     with open(path) as fh:
         for no, line in enumerate(fh, 1):
@@ -507,4 +552,6 @@ def load_parts(graph: Graph, path) -> TupleView:
                 raise ValueError(f"{path} line {no}: expected vertex ids, got {' '.join(tokens)!r}") from None
             if ids:
                 parts.append(ids)
+    if not parts:
+        raise ValueError(f"{path}: no part, expected one line of vertex ids per part")
     return TupleView(graph, parts)

@@ -407,16 +407,22 @@ def _expansion_main(params: dict, seed: int) -> tuple:
 def _expansion_halving(params: dict, seed: int) -> tuple:
     k, delta = params["k"], params["delta"]
     _, view = models.gen_blowup(_path_power_pattern(2 * k, k), params["n"], params["p"], seed)
-    start = _sample_start(view, k, params.get("start_fraction", delta), 2, seed)
+    least = 2
+    start = _sample_start(view, k, params.get("start_fraction", delta), least, seed)
     exp = _expansion_params(params)
     audit = expansion.halving_audit(start, view, exp, params.get("n_splits", 3), seed)
-    ok = (not audit["start_qualifies"]) or audit["all_ok"]
-    return {
+    measured = {
         "start_qualifies": audit["start_qualifies"],
         "start_fraction": audit["start_fraction"],
         "splits_ok": audit["all_ok"],
         "best_half_fractions": [s["best_half_fraction"] for s in audit["splits"]],
-    }, ok
+    }
+    # A start that does not qualify, or has fewer than two copies to halve,
+    # tests nothing: the trial fails as its own outcome.
+    if not audit["start_qualifies"] or np.count_nonzero(start) < least:
+        measured["stage"] = "vacuous"
+        return measured, False
+    return measured, audit["all_ok"]
 
 
 def _path_power_pattern(length: int, k: int) -> graph_core.Graph:
@@ -689,9 +695,10 @@ def _numeric_metrics(records: list) -> dict:
 
 
 def summarize_records(records: list) -> dict:
-    """Per-metric mean/min/max, the ok fraction, the tally of embed stages
-    (``measured["stage"]``) and the number of crashed trials (records with an
-    ``error``), recomputable from any JSONL stream of trial records."""
+    """Per-metric mean/min/max, the ok fraction, the tally of stages
+    (``measured["stage"]``: an embed trial's, or a vacuous halving audit's)
+    and the number of crashed trials (records with an ``error``),
+    recomputable from any JSONL stream of trial records."""
     ok_fraction, n = _ok_tally(records, None)
     stages = Counter(r["measured"]["stage"] for r in records if "stage" in r["measured"])
     return {

@@ -510,6 +510,18 @@ class TestDraw:
                 assert got.dtype == pool_grid.dtype and np.array_equal(got, ref)
         assert outcomes == {True, False}
 
+    def test_rows_are_sorted_read_only_int64(self):
+        # The embedder's views keep these rows unchecked, so none may be
+        # unsorted or writable.
+        rng = stream(79)
+        for trial in range(20):
+            pool_grid, taken = _balanced_grid(rng, 12)
+            rows = _draw_rows(stream(trial, 43, 1), pool_grid, taken, int(rng.integers(1, 13)))
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+            assert (np.diff(rows, axis=1) > 0).all()
+            with pytest.raises(ValueError):
+                rows[0, 0] = -1
+
     def test_unequal_free_counts_refused(self):
         # Six, three and no free vertices in windows 0, 1 and 2 total nine,
         # which divides by t = 3: reshaping would move vertices across pools.
@@ -519,6 +531,58 @@ class TestDraw:
         taken[12:] = True
         with pytest.raises(RuntimeError, match="window 1 has 3 free vertices, window 0 has 6"):
             _draw_rows(stream(0, 41), pool_grid, taken, 2)
+
+
+# The embed goldens whose trials reach the embedder ("embed-ok" and
+# "embed-anchor-extend" in test_golden_records.py), with their seeds, and the
+# acceptance-size trial of test_acceptance_size_cycle_is_pinned.
+TOY = {"N": 120, "p": 1.0, "k": 2, "d": 2 / 3, "eps": 0.5, "clusters": 6, "xi": 0.2}
+EMBEDDING_GOLDENS = [
+    ({**TOY, "adversary": {"kind": "random", "r": 0.05}}, [0, 1, 2]),
+    ({**TOY, "N": 300, "p": 0.5, "xi": 0.1, "eps": 0.3, "delta": 0.02}, [0, 1, 2, 3]),
+]
+ACCEPTANCE = {"N": 3000, "p": 0.35, "k": 2, "d": 2 / 3, "eps": 0.15, "clusters": 6,
+              "xi": 0.045, "delta": 0.0225, "adversary": {"kind": "none"}}
+
+
+@pytest.fixture
+def checked_views(monkeypatch):
+    """Make ``TupleView._trusted`` also build the checked view of the same
+    parts and compare the two part by part: each trusted part must be a
+    read-only int64 array equal to the checked one. Returns the list of the
+    trusted views built."""
+    trusted = TupleView._trusted.__func__
+    built = []
+
+    def compared(cls, graph, parts):
+        view = trusted(cls, graph, parts)
+        checked = TupleView(graph, parts)
+        for m, (a, b) in enumerate(zip(view.parts, checked.parts, strict=True)):
+            if a.dtype != np.int64 or a.flags.writeable or not np.array_equal(a, b):
+                raise AssertionError(f"part {m}: trusted {a} ({a.dtype}), checked {b}")
+        built.append(view)
+        return view
+
+    monkeypatch.setattr(TupleView, "_trusted", classmethod(compared))
+    return built
+
+
+class TestTrustedViews:
+    @pytest.mark.parametrize(
+        "params, seed", [(params, seed) for params, seeds in EMBEDDING_GOLDENS for seed in seeds]
+    )
+    def test_golden_trials_build_views_equal_to_checked_ones(self, checked_views, params, seed):
+        measured, _ = harness._run_embed(params, seed)
+        assert measured["stage"] in ("ok", "anchor", "extend")
+        # The anchor's forward and backward views come first.
+        assert len(checked_views) >= 2
+
+    def test_acceptance_size_trial_builds_views_equal_to_checked_ones(self, checked_views):
+        measured, ok = harness._run_embed(ACCEPTANCE, 0)
+        assert ok and measured["cycle_length"] == 2616
+        # Two anchor views, at least one per extend round and one for the
+        # closing: at least s_final + 2 = cycle_length / t views.
+        assert len(checked_views) >= 2616 // 6
 
 
 class TestBlockerGeometry:

@@ -17,6 +17,7 @@ from powercycle.graph_core import (
     empty_graph,
     enumerate_canonical_cliques,
     exact_product,
+    expected_clique_count,
     load_graph,
     load_parts,
     min_degree,
@@ -210,6 +211,22 @@ class TestDensity:
             )
             assert shuffled.density(0, 1) == view.density(0, 1)
 
+    def test_expected_count_is_the_float_product_of_the_exact_densities(self):
+        # The quotient of counts rounds as the float of the Fraction does, in
+        # any index order, including pairs given high part first.
+        rng = stream(19)
+        for _ in range(30):
+            sizes = [int(s) for s in rng.integers(1, 40, size=4)]
+            view = random_multipartite(rng, 4, sizes, float(rng.uniform(0.05, 0.95)))
+            indices = [int(i) for i in rng.permutation(4)[: int(rng.integers(2, 5))]]
+            want = 1.0
+            for i in indices:
+                want *= view.sizes[i]
+            for a in range(len(indices)):
+                for b in range(a + 1, len(indices)):
+                    want *= float(view.density(indices[a], indices[b]))
+            assert expected_clique_count(view, indices) == want
+
     def test_invalid_index(self):
         _, view = complete_multipartite([2, 2])
         with pytest.raises(IndexError):
@@ -248,6 +265,37 @@ class TestTupleView:
         g = complete_graph(6)
         with pytest.raises(ValueError, match="pairwise disjoint"):
             TupleView(g, [[0, 1], [2, 3], [4, 1]])
+
+    @pytest.mark.parametrize(
+        "parts, reason",
+        [
+            ([[0.5, 1]], "integer vertex ids, got dtype float64"),
+            ([[0, 1], [True, False]], "integer vertex ids, got dtype bool"),
+            ([[[0, 1], [2, 3]]], "must be 1-D, got shape \\(2, 2\\)"),
+            ([], "at least one part"),
+        ],
+        ids=["float-part", "bool-part", "2d-part", "no-part"],
+    )
+    def test_refuses_input_it_used_to_coerce(self, parts, reason):
+        # A float part was truncated, a bool part read as ids 1 and 0, a 2-D
+        # part flattened and an empty list ended in numpy's concatenate error.
+        with pytest.raises(ValueError, match=reason):
+            TupleView(complete_graph(5), parts)
+
+    def test_public_constructor_keeps_a_sorted_int64_copy(self):
+        g = complete_graph(8)
+        ids = np.array([5, 1, 3], dtype=np.int32)
+        view = TupleView(g, [ids, range(6, 8)])
+        assert [part.tolist() for part in view.parts] == [[1, 3, 5], [6, 7]]
+        assert all(part.dtype == np.int64 for part in view.parts)
+        assert ids.tolist() == [5, 1, 3]
+
+    def test_trusted_view_keeps_its_parts_as_given(self):
+        g = complete_graph(8)
+        parts = [np.array([1, 3, 5]), np.array([0, 7])]
+        view = TupleView._trusted(g, parts)
+        assert all(a is b for a, b in zip(view.parts, parts))
+        assert view.sizes == (3, 2) and view.density(0, 1) == 1
 
     def test_unsorted_input_comes_back_sorted(self):
         g = complete_graph(8)
@@ -489,3 +537,10 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_parts(complete_graph(3), path)
         assert str(err.value) == f"{path} line 3: expected vertex ids, got '2 x'"
+
+    def test_parts_file_without_a_part_names_the_file(self, tmp_path):
+        path = tmp_path / "parts.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError) as err:
+            load_parts(complete_graph(3), path)
+        assert str(err.value) == f"{path}: no part, expected one line of vertex ids per part"

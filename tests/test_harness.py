@@ -2,6 +2,7 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from powercycle.harness import (
@@ -417,16 +418,36 @@ class TestRunExperiment:
 
     def test_halving_audit_on_an_edgeless_blowup_is_a_record(self):
         # With no edges the reference count is 0; the audit used to divide by
-        # it and record a ZeroDivisionError.
+        # it and record a ZeroDivisionError, then to pass while testing
+        # nothing. A start that does not qualify is its own failing outcome.
         params = {"mode": "halving", "k": 2, "n": 6, "p": 0, "delta": 0.02}
-        record = run_experiment(ExperimentConfig(kind="expansion-audit", params=params, seeds=[0])).records[0]
+        summary = run_experiment(ExperimentConfig(kind="expansion-audit", params=params, seeds=[0]))
+        record = summary.records[0]
         assert record["measured"] == {
             "start_qualifies": False,
             "start_fraction": 0.0,
             "splits_ok": False,
             "best_half_fractions": [0.0, 0.0, 0.0],
+            "stage": "vacuous",
         }
-        assert record["ok"]
+        assert not record["ok"]
+        assert summary.to_dict()["stages"] == {"vacuous": 1}
+
+    def test_halving_audit_with_one_start_copy_is_vacuous(self, monkeypatch):
+        # On a complete blow-up one copy reaches the whole block ahead, so the
+        # start qualifies, but a single copy has no two halves to compare.
+        sample = harness._sample_start
+
+        def one_copy(view, k, fraction, least, seed):
+            start = sample(view, k, fraction, least, seed)
+            single = np.zeros_like(start)
+            single[tuple(p[:1] for p in np.nonzero(start))] = True
+            return single
+
+        monkeypatch.setattr(harness, "_sample_start", one_copy)
+        params = {"mode": "halving", "k": 2, "n": 6, "p": 1.0, "delta": 0.02}
+        measured, ok = harness._expansion_halving(params, 0)
+        assert measured["start_qualifies"] and measured["stage"] == "vacuous" and not ok
 
     def test_summary_tallies_stages_and_errors(self):
         records = [

@@ -3,7 +3,8 @@ module lists in its own ``__all__`` is a re-export and counts as used; the
 package ``__init__`` re-exports its API that way. No pipeline module imports
 ``oracles``: the reference implementations serve the tests only. Only
 ``harness`` imports ``ctypes``, for its one call into foreign code, the BLAS
-thread pin."""
+thread pin. Only ``embedder`` reaches ``TupleView._trusted``, the view
+constructor that checks nothing, and only on rows it draws itself."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,24 @@ def test_no_pipeline_module_imports_the_oracles():
 
 def test_only_the_harness_imports_ctypes():
     assert [path.name for path in PACKAGE if imports_module(path.read_text(), "ctypes")] == ["harness.py"]
+
+
+def reads_trusted(source: str) -> bool:
+    """Whether ``source`` reads an attribute named ``_trusted``: a call of
+    ``TupleView._trusted`` through any name, or an alias of it."""
+    return any(isinstance(node, ast.Attribute) and node.attr == "_trusted" for node in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_a_trusted_view():
+    for source in (
+        "TupleView._trusted(g, parts)\n",
+        "graph_core.TupleView._trusted(g, parts)\n",
+        "make = TupleView._trusted\nmake(g, parts)\n",
+    ):
+        assert reads_trusted(source)
+    for source in ("TupleView(g, parts)\n", "def _trusted(cls, g, parts):\n    pass\n", "'TupleView._trusted'\n"):
+        assert not reads_trusted(source)
+
+
+def test_only_the_embedder_builds_trusted_views():
+    assert [path.name for path in PACKAGE if reads_trusted(path.read_text())] == ["embedder.py"]

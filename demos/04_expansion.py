@@ -58,7 +58,8 @@ res = find_expander(start, long_view, windows, exp)
 print(f"halving search over {windows} windows: found={res.found} after "
       f"{res.bisection_rounds} halvings and {res.scanned} scans")
 if res.found:
-    print(f"clique {res.clique} reaches {res.trace.final_fraction:.3f} of the far block")
+    clique = tuple(int(long_view.parts[a][q]) for a, q in enumerate(res.position))
+    print(f"clique {clique} reaches {res.trace.final_fraction:.3f} of the far block")
 
 print()
 _, tuple_view = gen_blowup(complete_graph(k + 1), 60, 0.6, seed=11)

@@ -15,17 +15,19 @@ from .harness import KINDS, ExperimentConfig, check_replayable, load_records, re
 
 
 def _parse_seeds(spec: str) -> list:
-    """Seed list syntax: comma-separated values and start:stop ranges."""
+    """Seed list syntax: comma-separated values and nonempty start:stop ranges."""
     seeds = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         match = re.fullmatch(r"(\d+)(?::(\d+))?", token)
-        if not match:
-            raise ValueError(f"--seeds: bad token {token!r}; expected N or START:STOP")
-        lo, hi = match.groups()
-        seeds.extend(range(int(lo), int(hi) if hi else int(lo) + 1))
+        if match:
+            lo = int(match[1])
+            hi = int(match[2]) if match[2] else lo + 1
+        if not match or hi <= lo:
+            raise ValueError(f"--seeds: bad token {token!r}; expected N or START:STOP with STOP above START")
+        seeds.extend(range(lo, hi))
     if not seeds:
         raise ValueError(f"--seeds: no seeds in {spec!r}")
     return seeds

@@ -4,19 +4,20 @@ plus the exact small-instance oracles that keep it honest.
 The pipeline: build a reduced graph on partition classes (edges for unrefuted
 pairs of density at least d*p), find a power-cycle ordering of the classes
 with the exact search of the longest-cycle oracle and check it with the
-verifier of the host cycle, lay the classes out as t cyclic windows,
-then grow a k-path one window-round at a time. Each round draws fresh target
-sets, asks the expansion engine for one clique of the current frontier that
-expands well into them, and realizes one new vertex per window from the stored
-predecessor layers. A round ends on the last k fresh target sets, which open
-the next round's view, so the frontier is carried from round to round as the
-dense array the search returned. A reserve tuple drawn at the start is spent
-at the end to close the path into a cycle through an anchor clique that was
-chosen, back at step one, to expand well both forward and backward. The anchor
-scans the first window's ``window_cliques`` and the closing the last frontier,
-in C order, which is lexicographic. The closing meets each reach with the
-anchor's backward reach as one AND of dense arrays: both end on the first k
-reserves, the backward one with its axes in reverse order.
+verifier of the host cycle, lay the classes out as t cyclic windows, then grow
+a k-path one window-round at a time. Each round draws fresh target sets, asks
+the expansion engine for one clique of the current frontier that expands well
+into them, and realizes one new vertex per window by walking that clique's
+positions back through the stored frontiers. A round ends on the last k fresh
+target sets, which open the next round's view, so the frontier is carried from
+round to round as the dense array the search returned. A reserve tuple drawn
+at the start is spent at the end to close the path into a cycle through an
+anchor clique that was chosen, back at step one, to expand well both forward
+and backward. The anchor scans the first window's ``window_cliques`` and the
+closing the last frontier, in C order, which is lexicographic. The closing
+meets each reach with the anchor's backward reach as one AND of dense arrays:
+both end on the first k reserves, the backward one with its axes in reverse
+order.
 
 The extend rounds and the closing share one seeded draw-with-redraws loop for
 their target tuples. The anchor (both ways), every extend round and the
@@ -377,11 +378,11 @@ def embed_power_cycle(
     # From here on ``last`` is the trace the next round starts from.
     last = fwd
 
-    def append_round(chosen: tuple, skip: int) -> None:
-        """Realize the round ending at ``chosen`` from the last trace's
-        predecessor layers; the first ``skip`` reconstructed vertices are
+    def append_round(position: tuple, skip: int) -> None:
+        """Realize the round ending at the copy at ``position`` of the last
+        trace's final frontier; the first ``skip`` reconstructed vertices are
         already on the path."""
-        verts = reconstruct_path(last.back_pointers, chosen)
+        verts = reconstruct_path(last, position)
         new = verts[skip:]
         if len(new) != t:
             raise RuntimeError(f"round realized {len(new)} vertices, expected {t}")
@@ -405,7 +406,7 @@ def embed_power_cycle(
         else:
             return EmbedFailure("extend", s, f"no expander after {RETRIES + 1} target draws")
         taken[targets] = False
-        append_round(res.clique, 0 if s == 1 else k)
+        append_round(res.position, 0 if s == 1 else k)
         targets = fresh
         taken[targets] = True
         last = res.trace
@@ -430,20 +431,18 @@ def embed_power_cycle(
             # copy in both reaches.
             meet = np.argwhere(trace.frontier & bwd.frontier.transpose())
             if len(meet):
-                closing = (i, meet[0], trace, view)
+                closing = (i, meet[0], trace)
                 break
         if closing is not None:
             break
     if closing is None:
         return EmbedFailure("closing", s_final, "no frontier clique reaches the anchor's backward set")
 
-    i, meet, trace, view = closing
-    chosen = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(copies))
-    q = tuple(int(view.parts[t + k + a][j]) for a, j in enumerate(meet))
-    append_round(chosen, 0 if s_final == 1 else k)
-    close_verts = reconstruct_path(trace.back_pointers, q)
-    path.extend(close_verts[k:])  # one vertex per fresh window, then q itself
-    back_verts = reconstruct_path(bwd.back_pointers, q[::-1])
+    i, meet, trace = closing
+    append_round(tuple(p[i] for p in copies), 0 if s_final == 1 else k)
+    close_verts = reconstruct_path(trace, meet)
+    path.extend(close_verts[k:])  # one vertex per fresh window, then the meeting copy
+    back_verts = reconstruct_path(bwd, meet[::-1])
     tail = back_verts[k : k + (t - k)]
     path.extend(reversed(tail))
 

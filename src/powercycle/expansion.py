@@ -14,22 +14,24 @@ at most |V_w| < 2**24 ones, and float32 holds every integer up to 2**24, so
 count and platform. Then ``and_part_blocks`` ANDs in the broadcast block of
 each suffix part against j. Suffix adjacency is inherited from the frontier,
 not rechecked. One frontier-advance loop serves ``expand_through``, which
-records per-window counts, and the bisection rounds of ``find_expander`` and
-the audits, which need only the reach count at one window.
+keeps every frontier, and the bisection rounds of ``find_expander`` and the
+audits, which need only the reach count at one window.
 
-Each step yields one predecessor layer, and ``expand_through`` keeps them
-all, for reconstructing a single connecting k-path on demand. A layer holds
-references, not copies: the parts of windows w..w+k, the frontier before the
-step, the head block and the reach. Frontiers are read-only, so a caller
-holding one cannot change a path reconstructed later. ``reconstruct_path``
-finds one copy's lowest valid head from them when asked, one layer at a time.
+A trace keeps the dense frontier at each window and its view, which
+caches the head blocks, so a single connecting k-path is reconstructed on
+demand from them alone. Frontiers are read-only, so a caller holding one
+cannot change a path reconstructed later. ``reconstruct_path`` takes one
+copy of the final frontier by its positions, one per axis, and walks back to
+its lowest valid head one window at a time; the view's parts turn positions
+into vertex ids only for the path it returns.
 
 Every start is a dense bool frontier anchored at window 0, its order the
 number of its axes. The bisection halves and one-hot candidates of
 ``find_expander``, and the audits' random picks, are frontiers built with
 ``graph_core.pick_frontier`` from the start's C-order positions, which are
-its lexicographic order. The final frontier is handed back dense, so the
-embedder carries the reach from one round to the next;
+its lexicographic order. The winner of a search is named by its positions
+in the start, and the final frontier is handed back dense, so the embedder
+carries the reach from one round to the next;
 ``graph_core.frontier_members`` makes tuples of it only when read.
 
 Reach fractions are reported against the reference count of a window block:
@@ -37,8 +39,8 @@ the product of the window sizes and the measured pair densities, read
 through ``reach_fraction``, which is 0.0 when that count is 0, so no
 threshold is met vacuously. ``scan_copies`` is the one test of single
 cliques, run by ``find_expander``'s scan and the embedder's anchor and
-closing. A trace computes its fractions when they are first read; its
-per-window counts are recorded as it goes.
+closing. A trace computes its counts and fractions when they are first
+read.
 """
 
 from __future__ import annotations
@@ -133,19 +135,6 @@ def reach_fraction(count: int, x: float) -> float:
     return count / x if x > 0 else 0.0
 
 
-def _positions(parts, ids: np.ndarray) -> tuple:
-    """Per-axis positions of the vertices in ``ids`` (one row per copy, one
-    column per part) in the sorted ``parts``. A vertex outside its part is an
-    IndexError, like a window outside the view."""
-    pos = []
-    for a, (part, col) in enumerate(zip(parts, ids.T)):
-        idx = np.searchsorted(part, col)
-        if (part[np.minimum(idx, len(part) - 1)] != col).any():
-            raise IndexError(f"clique vertex outside its part (axis {a} of the window)")
-        pos.append(idx)
-    return tuple(pos)
-
-
 def _frontier_of(view: TupleView, start: np.ndarray, k: int) -> np.ndarray:
     """Read-only view of a dense start, checked for order k, for dtype and for
     the shape of the view's first k parts, and used without a copy."""
@@ -169,48 +158,52 @@ def _frontier_size(frontier: np.ndarray) -> int:
 
 def _advance(view: TupleView, frontier: np.ndarray, to_window: int, k: int):
     """Step a frontier anchored at window 0 one window at a time up to
-    ``to_window``, yielding one predecessor layer (parts of windows w..w+k,
-    frontier before the step, head block, reach) per step. A suffix reaches a
-    vertex of part w+k when its count of adjacent frontier heads, an exact
-    float32 product (``exact_product``), is positive. Layers share their
-    frontiers with the caller, so each reach is made read-only."""
+    ``to_window``, yielding the reach of each step. A suffix reaches a vertex
+    of part w+k when its count of adjacent frontier heads, an exact float32
+    product (``exact_product``) with the head block ``view.block(w, w+k)``,
+    is positive. Traces share their frontiers with the caller, so each reach
+    is made read-only."""
     for w in range(to_window):
         j = w + k
         flat = frontier.reshape(frontier.shape[0], -1)
-        head_block = view.block(w, j)
-        reach = (exact_product(flat.T, head_block) > 0).reshape(
+        reach = (exact_product(flat.T, view.block(w, j)) > 0).reshape(
             frontier.shape[1:] + (view.sizes[j],)
         )
         and_part_blocks(view, reach, w + 1)
         reach.flags.writeable = False
-        yield view.parts[w : j + 1], frontier, head_block, reach
+        yield reach
         frontier = reach
 
 
 def _reach_count(view: TupleView, frontier: np.ndarray, to_window: int, k: int) -> int:
-    """Size of a frontier's reach at ``to_window``, keeping no layers."""
-    for *_, frontier in _advance(view, frontier, to_window, k):
+    """Size of a frontier's reach at ``to_window``, keeping no frontiers."""
+    for frontier in _advance(view, frontier, to_window, k):
         pass
     return _frontier_size(frontier)
 
 
 @dataclass(eq=False)
 class ExpansionTrace:
-    """Reach counts window by window. ``counts[m]`` is the frontier size at
-    window m, ``frontier`` the dense frontier at the last window, and
-    ``back_pointers`` the predecessor layers, one per step (none for a
-    zero-step trace). The fractions normalize each count by the reference
-    count of its window block and are computed when first read."""
+    """The dense frontier at each window of an expansion and its view:
+    ``frontiers[m]`` is the frontier at window m, the start at m = 0. Its
+    per-window counts and its fractions, each count normalized by the
+    reference count of its window block, are computed when first read."""
 
-    counts: list
-    frontier: np.ndarray
+    frontiers: list
     view: TupleView
-    back_pointers: list
+
+    @property
+    def frontier(self) -> np.ndarray:
+        return self.frontiers[-1]
+
+    @cached_property
+    def counts(self) -> list:
+        return [_frontier_size(f) for f in self.frontiers]
 
     @cached_property
     def fractions(self) -> list:
         k = self.frontier.ndim
-        refs = (reference_count(self.view, m, k) for m in range(len(self.counts)))
+        refs = (reference_count(self.view, m, k) for m in range(len(self.frontiers)))
         return [reach_fraction(c, x) for c, x in zip(self.counts, refs)]
 
     @property
@@ -220,43 +213,37 @@ class ExpansionTrace:
 
 def expand_through(start: np.ndarray, view: TupleView, to_window: int) -> ExpansionTrace:
     """Step the dense frontier ``start``, anchored at window 0, one window at a
-    time until it is anchored at ``to_window``, recording per-window counts and
-    keeping every predecessor layer."""
+    time until it is anchored at ``to_window``, keeping every frontier."""
     k = start.ndim
     if to_window < 0:
         raise IndexError(f"target window {to_window} precedes start window 0")
     if to_window + k > view.t:
         raise IndexError(f"target window {to_window} overflows view of {view.t} parts")
     first = _frontier_of(view, start, k)
-    layers = list(_advance(view, first, to_window, k))
-    frontiers = [first] + [reach for *_, reach in layers]
-    return ExpansionTrace(
-        counts=[_frontier_size(f) for f in frontiers],
-        frontier=frontiers[-1],
-        view=view,
-        back_pointers=layers,
-    )
+    return ExpansionTrace([first, *_advance(view, first, to_window, k)], view)
 
 
-def reconstruct_path(back_pointers: list, final_clique: tuple) -> list:
-    """Vertex sequence of one canonical k-path ending in ``final_clique``,
-    walked back through the predecessor layers to their start window; with
-    no layers it is the clique itself. At each layer the head is the lowest
-    position in the frontier before the step that extends the current copy;
-    a copy the layer did not reach is a KeyError."""
-    # Consecutive layers share their windows, so the head's position and the
-    # copy's first k-1 positions index the next layer back directly.
-    heads_out = []
-    if back_pointers:
-        ids = np.array([final_clique], dtype=np.int64)
-        pos = tuple(int(p[0]) for p in _positions(back_pointers[-1][0][1:], ids))
-    for parts, before, head_block, reach in reversed(back_pointers):
-        if not reach[pos]:
-            raise KeyError(f"{tuple(final_clique)} has no predecessor chain in these layers")
-        head = int(np.argmax(before[(slice(None),) + pos[:-1]] & head_block[:, pos[-1]]))
-        heads_out.append(int(parts[0][head]))
-        pos = (head,) + pos[:-1]
-    return heads_out[::-1] + list(final_clique)
+def reconstruct_path(trace: ExpansionTrace, final: tuple) -> list:
+    """Vertex sequence of one canonical k-path ending in the copy at
+    positions ``final``, one per axis, of the trace's final frontier, walked
+    back to the start window (a zero-step trace gives the copy itself). Each
+    head is the lowest position in the frontier before its step that extends
+    the current copy. A wrong arity or a position outside its part is an
+    IndexError, a copy the final frontier does not hold a KeyError."""
+    frontiers, view, shape = trace.frontiers, trace.view, trace.frontier.shape
+    k, walk = len(shape), [int(p) for p in final]
+    if len(walk) != k or not all(0 <= p < n for p, n in zip(walk, shape)):
+        raise IndexError(f"positions {walk} name no copy of a frontier of shape {shape}")
+    if not trace.frontier[tuple(walk)]:
+        raise KeyError(f"positions {walk} name no copy of the final frontier")
+    # Each head lies in the frontier before its step, so the check above
+    # covers the whole walk; the head and the copy's first k-1 positions
+    # index the frontier one window back.
+    for w in range(len(frontiers) - 2, -1, -1):
+        pos = walk[:k]
+        head = np.argmax(frontiers[w][(slice(None), *pos[:-1])] & view.block(w, w + k)[:, pos[-1]])
+        walk.insert(0, int(head))
+    return [int(view.parts[m][p]) for m, p in enumerate(walk)]
 
 
 def scan_copies(positions: tuple, view: TupleView, to_window: int, fraction: float, order):
@@ -269,21 +256,24 @@ def scan_copies(positions: tuple, view: TupleView, to_window: int, fraction: flo
     x_ref = reference_count(view, to_window, k)
     for i in order:
         trace = expand_through(pick_frontier(view.sizes[:k], positions, slice(i, i + 1)), view, to_window)
-        yield i, trace if reach_fraction(trace.counts[-1], x_ref) >= fraction else None
+        yield i, trace if reach_fraction(_frontier_size(trace.frontier), x_ref) >= fraction else None
 
 
 @dataclass(eq=False)
 class ExpanderResult:
     """Outcome of ``find_expander``. A found result keeps the winner's
-    trace, whose ``frontier`` is its dense reach at the final window, whose
-    ``final_fraction`` is its reach fraction and whose ``back_pointers`` are
-    its predecessor layers; a not-found result has none."""
+    positions in the start's parts and its trace, whose ``frontier`` is its
+    dense reach at the final window and whose ``final_fraction`` is its reach
+    fraction; a not-found result has neither."""
 
-    found: bool
-    clique: Optional[tuple]
+    position: Optional[tuple]
     bisection_rounds: int
     scanned: int
-    trace: Optional[ExpansionTrace] = None
+    trace: Optional[ExpansionTrace]
+
+    @property
+    def found(self) -> bool:
+        return self.trace is not None
 
 
 def find_expander(
@@ -300,8 +290,8 @@ def find_expander(
     at least (1/2 - 5 k delta), preferring the lexicographically first half
     when both qualify - until the candidate set is a singleton or no window
     room remains, then scan candidates with ``scan_copies``, starting with
-    the survivors. Only the winner is turned into a vertex tuple. ``start``
-    is a dense bool frontier anchored at window 0, such as the
+    the survivors. The winner is named by its positions in the start.
+    ``start`` is a dense bool frontier anchored at window 0, such as the
     ``trace.frontier`` of an earlier result.
     """
     k = params.k
@@ -343,15 +333,13 @@ def find_expander(
         block += 1
 
     order = chain(range(lo, hi), range(lo), range(hi, size))
-    scanned, clique, trace = 0, None, None
+    scanned, position, trace = 0, None, None
     for i, trace in scan_copies(positions, view, ell - k, params.success_fraction, order):
         scanned += 1
         if trace is not None:
-            clique = tuple(int(view.parts[a][p[i]]) for a, p in enumerate(positions))
+            position = tuple(int(p[i]) for p in positions)
             break
-    return ExpanderResult(
-        found=trace is not None, clique=clique, bisection_rounds=rounds, scanned=scanned, trace=trace
-    )
+    return ExpanderResult(position=position, bisection_rounds=rounds, scanned=scanned, trace=trace)
 
 
 def one_step_expansion_audit(

@@ -31,7 +31,9 @@ array over the window's sorted parts, True at the positions of its members.
 ``window_cliques`` builds a window's cliques in this form, with the expansion
 kernel's broadcast AND (``and_part_blocks``); ``pick_frontier`` builds a
 subset from C-order positions; ``frontier_members`` reads tuples from such an
-array in C order, which is lexicographic.
+array in C order, which is lexicographic. The expansion search names a
+single copy by its positions, one per part, so tuples of ids come only from
+``frontier_members`` and from ``expansion.reconstruct_path``.
 
 Two primitives serve every hot caller: ``Graph.submatrix``, the one gather of
 an adjacency block (rows, then columns), and ``exact_product``, the one

@@ -158,6 +158,8 @@ class ExperimentConfig:
         for seed in self.seeds:
             if not _is_count(seed, 0):
                 raise ValueError(f"seeds: every seed must be a non-negative integer, got {seed!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds: a seed is repeated in {list(self.seeds)}, so its trial would run twice")
         if not _is_count(self.workers, 1):
             raise ValueError(f"workers: must be a positive integer, got {self.workers!r}")
         _check_out_dir(self.out_dir)
@@ -456,9 +458,14 @@ def _embed_params(params: dict, seed: int) -> embedder.EmbedParams:
 
 def _partition_params(params: dict) -> regularity.RegularityParams:
     """The RegularityParams of the partition an embed trial builds: epsilon
-    REG_EPSILON, mu = k/(k+1) and TRIALS at the config's p and d; a value
-    RegularityParams refuses is a ValueError naming its params key."""
-    k = params["k"]
+    REG_EPSILON, mu = k/(k+1) and TRIALS at the config's p and d. A value they
+    refuse, or a cluster count no ordering search can order (above
+    CLUSTER_SEARCH_CAP or below k+2), is a ValueError naming its params key."""
+    k, clusters = params["k"], params["clusters"]
+    if clusters > embedder.CLUSTER_SEARCH_CAP:
+        raise ValueError(f"params.clusters: {clusters} exceed the exact-search cap {embedder.CLUSTER_SEARCH_CAP}")
+    if clusters < k + 2:
+        raise ValueError(f"params.clusters: a k-power cycle ordering needs at least k+2={k + 2}, got {clusters}")
     return _named_params(
         regularity.RegularityParams, epsilon=REG_EPSILON, p=params["p"], d=params["d"], mu=k / (k + 1), trials=TRIALS
     )
@@ -481,11 +488,7 @@ def _run_embed(params: dict, seed: int) -> tuple:
     measured["partner_ok"] = bool(part.partner_ok)
     red = embedder.build_reduced(part)
     measured["reduced_edges"] = red.edge_count()
-    try:
-        cyc = embedder.find_cluster_power_cycle(red, k)
-    except ValueError as err:
-        measured.update({"success": False, "stage": "cluster-cycle", "detail": str(err)})
-        return measured, False
+    cyc = embedder.find_cluster_power_cycle(red, k)
     if cyc is None:
         measured.update({"success": False, "stage": "cluster-cycle"})
         return measured, False
@@ -759,11 +762,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     return summary
 
 
-def resilience_sweep(config: ExperimentConfig, out_dir=None) -> dict:
+def resilience_sweep(config: ExperimentConfig) -> dict:
     """Success-fraction curve over the r grid of a resilience-sweep config."""
     if config.kind != "resilience-sweep":
         raise ValueError(f"kind: expected resilience-sweep, got {config.kind!r}")
-    summary = run_experiment(config, out_dir=out_dir)
+    summary = run_experiment(config)
     curve = {r: _ok_tally(summary.records, r)[0] for r in config.params["r_grid"]}
     return {"curve": curve, "summary": summary}
 

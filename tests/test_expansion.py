@@ -123,17 +123,19 @@ class TestExpandStep:
         with pytest.raises(IndexError):
             expand_through(start, view, 1)
 
-    @pytest.mark.parametrize("bad", [(4, 6), (0, 12), (-1, 3)])
+    @pytest.mark.parametrize("bad", [(3, 0), (0, 3), (-1, 0), (0, -1), (0,), (0, 0, 0)])
     def test_member_outside_its_part_raises(self, bad):
-        # The one-step trace ends on parts {0,1,2}, {3,4,5}: each bad member
-        # has a vertex outside its part there (another part, or no part at
-        # all), so the final copy has no positions to walk back from.
+        # The one-step trace ends on parts {0,1,2}, {3,4,5}, a frontier of
+        # shape (3, 3): each bad copy has a position past the end of its part
+        # on one axis, a negative one (which numpy would read from the end),
+        # or the wrong number of axes.
         g, view = complete_multipartite([3] * 4)
         shifted = TupleView(g, [view.parts[3], view.parts[0], view.parts[1]])
         trace = expand_through(window_cliques(shifted, 0, 2), shifted, 1)
-        assert reconstruct_path(trace.back_pointers, (0, 3)) == [9, 0, 3]
+        assert reconstruct_path(trace, (0, 0)) == [9, 0, 3]
+        assert reconstruct_path(trace, (2, 2)) == [9, 2, 5]
         with pytest.raises(IndexError):
-            reconstruct_path(trace.back_pointers, bad)
+            reconstruct_path(trace, bad)
 
 
 class TestDenseKernelAgainstBitsetStep:
@@ -181,8 +183,10 @@ class TestDenseKernelAgainstBitsetStep:
             # members: that is why both exist.
             if kind != "non-clique":
                 assert reached == naive_expand_step(view, start)
-            for c in reached:
-                path = reconstruct_path(trace.back_pointers, c)
+            members = frontier_members(view, trace.frontier, 1)
+            for position, c in zip(np.argwhere(trace.frontier), members):
+                path = reconstruct_path(trace, position)
+                assert tuple(path[1:]) == c
                 assert tuple(path[:k]) == predecessor[c]
 
 
@@ -192,10 +196,17 @@ class TestExpandThrough:
         start = window_cliques(view, 0, 2)
         trace = expand_through(start, view, 0)
         assert np.array_equal(trace.frontier, start)
+        assert len(trace.frontiers) == 1
         assert trace.counts == [np.count_nonzero(start)]
-        assert trace.back_pointers == []
         first = enumerate_canonical_cliques(view, 0, 2)[0]
-        assert reconstruct_path(trace.back_pointers, first) == list(first)
+        assert reconstruct_path(trace, (0, 0)) == list(first)
+        assert reconstruct_path(trace, (2, 1)) == [2, 4]
+        # With no step to walk back, the copy is returned only when the
+        # start holds it.
+        only = expand_through(pick_frontier(start.shape, np.nonzero(start), slice(1)), view, 0)
+        assert reconstruct_path(only, (0, 0)) == list(first)
+        with pytest.raises(KeyError):
+            reconstruct_path(only, (2, 1))
 
     def test_complete_multipartite_full_reach(self):
         _, view = complete_multipartite([3] * 6)
@@ -217,23 +228,27 @@ class TestExpandThrough:
             hits += trace.final_fraction >= 1 - 10 * delta
         assert hits >= 9
 
-    def test_back_pointers_give_valid_power_path(self):
-        k = 3
-        g, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
-        start = random_start(view, k, 10, seed=9)
-        trace = expand_through(start, view, k)
-        members = frontier_members(view, trace.frontier, k)
-        assert members
-        final = members[0]
-        path = reconstruct_path(trace.back_pointers, final)
-        assert len(path) == 2 * k
-        assert tuple(path[:k]) in frontier_members(view, start, 0)
-        assert tuple(path[-k:]) == final
-        for i in range(len(path) - k):
-            chunk = path[i : i + k + 1]
-            for a in range(len(chunk)):
-                for b in range(a + 1, len(chunk)):
-                    assert g.has_edge(chunk[a], chunk[b])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reconstructed_paths_are_power_paths(self, k):
+        # Every reached copy, on a few seeds: its path is a k-th power of a
+        # path that starts in the start set and ends on the copy.
+        for seed in (7, 8, 9):
+            g, view = path_power_blowup(2 * k, k, 12, 0.8, seed=seed)
+            start = random_start(view, k, 10, seed=seed)
+            trace = expand_through(start, view, k)
+            starts = set(frontier_members(view, start, 0))
+            members = frontier_members(view, trace.frontier, k)
+            assert members
+            for position, final in zip(np.argwhere(trace.frontier), members):
+                path = reconstruct_path(trace, position)
+                assert len(path) == 2 * k
+                assert tuple(path[:k]) in starts
+                assert tuple(path[-k:]) == final
+                for i in range(len(path) - k):
+                    chunk = path[i : i + k + 1]
+                    for a in range(len(chunk)):
+                        for b in range(a + 1, len(chunk)):
+                            assert g.has_edge(chunk[a], chunk[b])
 
     def test_unreached_final_clique_raises_key_error(self):
         # A copy of the final window that is a clique but that the start set
@@ -246,17 +261,16 @@ class TestExpandThrough:
         start[0, 0] = True  # the copy (0, 2)
         one = expand_through(start, cut, 1)
         assert frontier_members(cut, one.frontier, 1) == [(2, 5)]
+        assert reconstruct_path(one, (0, 1)) == [0, 2, 5]
         with pytest.raises(KeyError):
-            reconstruct_path(one.back_pointers, (3, 5))
+            reconstruct_path(one, (1, 1))  # the clique (3, 5)
         k = 3
         _, view = path_power_blowup(2 * k, k, 12, 0.8, seed=9)
         trace = expand_through(random_start(view, k, 10, seed=9), view, k)
-        missed = set(enumerate_canonical_cliques(view, k, k)) - set(
-            frontier_members(view, trace.frontier, k)
-        )
-        assert missed
+        missed = np.argwhere(window_cliques(view, k, k) & ~trace.frontier)
+        assert len(missed)
         with pytest.raises(KeyError):
-            reconstruct_path(trace.back_pointers, min(missed))
+            reconstruct_path(trace, missed[0])
 
 
 class TestFindExpander:
@@ -264,14 +278,14 @@ class TestFindExpander:
         _, view = complete_multipartite([4] * 6)
         res = find_expander(window_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02))
         assert res.found and res.trace.final_fraction == 1.0
-        assert res.clique == enumerate_canonical_cliques(view, 0, 2)[0]
+        assert res.position == (0, 0)
 
     def test_singleton_start_returns_it(self):
         _, view = complete_multipartite([3] * 4)
         full = window_cliques(view, 0, 2)
         only = pick_frontier(full.shape, np.nonzero(full), slice(1))
         res = find_expander(only, view, 4, ExpansionParams(k=2, delta=0.02))
-        assert res.found and res.clique == enumerate_canonical_cliques(view, 0, 2)[0]
+        assert res.found and res.position == (0, 0)
 
     def test_not_found_keeps_no_trace(self):
         # Sever the last window: nothing can reach it.
@@ -284,7 +298,7 @@ class TestFindExpander:
         start = window_cliques(dead, 0, 2)
         res = find_expander(start, dead, 4, ExpansionParams(k=2, delta=0.02))
         assert not res.found
-        assert res.clique is None and res.trace is None
+        assert res.position is None and res.trace is None
 
     def test_start_refusal_names_a_zero_reference_count(self):
         # With the first block edgeless the refusal used to read "start set
@@ -318,7 +332,7 @@ class TestFindExpander:
             hits += res.found and res.trace.final_fraction >= 1 - 20 * k * delta
         assert hits == 3
 
-    # (windows, k, n, p, delta, seed) -> (clique, scanned, bisection_rounds,
+    # (windows, k, n, p, delta, seed) -> (winner's vertex ids, scanned, bisection_rounds,
     # trace.final_fraction, sha256 of the repr of the final frontier's members
     # in lexicographic order, reconstructed path of the first reach member);
     # a not-found case pins only the first three.
@@ -345,14 +359,15 @@ class TestFindExpander:
         _, view = path_power_blowup(windows, k, n, p, seed)
         params = ExpansionParams(k=k, delta=delta)
         res = find_expander(window_cliques(view, 0, k), view, windows, params)
-        assert (res.clique, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
+        ids = None if res.position is None else tuple(int(view.parts[a][p]) for a, p in enumerate(res.position))
+        assert (ids, res.scanned, res.bisection_rounds) == (clique, scanned, rounds)
         if clique is None:
             assert not res.found and res.trace is None
             return
         assert res.found and res.trace.final_fraction == fraction
         members = frontier_members(view, res.trace.frontier, windows - k)
         assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
-        assert reconstruct_path(res.trace.back_pointers, members[0]) == path
+        assert reconstruct_path(res.trace, np.argwhere(res.trace.frontier)[0]) == path
 
     def test_dense_start_checks_order_dtype_and_shape(self):
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
@@ -375,12 +390,14 @@ class TestFindExpander:
             expand_through(dense[:, :3], view, 2)
 
     def test_frontiers_are_read_only(self):
-        # A found result's frontier is also its last predecessor layer's
-        # reach and the next round's start, so writing to it must fail
-        # rather than change a path reconstructed later.
+        # A found result's frontier is also the last of the frontiers its
+        # paths are walked back through and the next round's start, so
+        # writing to any of them must fail rather than change a path
+        # reconstructed later.
         _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
         res = find_expander(window_cliques(view, 0, 2), view, 6, ExpansionParams(k=2, delta=0.02))
-        assert res.trace.frontier is res.trace.back_pointers[-1][3]
+        assert res.trace.frontier is res.trace.frontiers[-1]
+        assert not any(f.flags.writeable for f in res.trace.frontiers)
         with pytest.raises(ValueError, match="read-only"):
             res.trace.frontier[0, 0] = False
         dense = np.ones(view.sizes[:2], dtype=bool)

@@ -94,6 +94,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="^seeds: "):
             ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0, seed])
 
+    def test_repeated_seed_names_seeds(self):
+        # [0, 0] used to run seed 0's trial twice and count it twice in
+        # ok_fraction and the assertions.
+        with pytest.raises(ValueError, match=r"^seeds: a seed is repeated in \[0, 1, 0\]"):
+            ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0, 1, 0])
+
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_bad_workers_names_workers(self, workers):
         with pytest.raises(ValueError, match="^workers: "):
@@ -142,12 +148,20 @@ class TestConfig:
             # k = 3 with the default delta 0.0225, which is not below 1/60.
             ({"k": 3}, "delta"),
             ({"eps": "0.5"}, "eps"),
+            ({"clusters": 17}, "clusters"),
+            ({"k": 5, "delta": 0.005, "clusters": 6}, "clusters"),
+            ({"clusters": 3}, "clusters"),
         ],
-        ids=["xi-0", "eps-1", "delta-0.1", "delta-0", "k-0", "k-3-default-delta", "eps-str"],
+        ids=[
+            "xi-0", "eps-1", "delta-0.1", "delta-0", "k-0", "k-3-default-delta", "eps-str", "clusters-17",
+            "k-5-clusters-6", "k-2-clusters-3",
+        ],
     )
     def test_embed_params_refused_before_any_trial(self, refused_before_any_trial, kind, overrides, key):
         # Such a config used to run every trial: xi = 0 or a string eps as
-        # error records, a delta of 1/(20k) or more as extend refusals.
+        # error records, a delta of 1/(20k) or more as extend refusals, and a
+        # cluster count above the ordering search's cap of 16 or below k + 2
+        # as cluster-cycle refusals after the host, adversary and partition.
         params = {**(SWEEP_PARAMS if kind == "resilience-sweep" else tiny_embed_params()), **overrides}
         if kind == "resilience-sweep":
             params["r_grid"] = [0.1]
@@ -248,8 +262,8 @@ class TestConfig:
             ("count-audit", {"mode": "gnp-sets", "N": 50, "p": 0.5, "t": 3, "set_size": 20, "eps": 0.3}, "set_size"),
             ("regularity-audit", {"mode": "inheritance", "n": 10, "p": 0.5, "q": 11, "eps_prime": 0.3}, "q"),
             ("regularity-audit", {**PARTITION_PARAMS, "m": 81}, "m"),
-            ("embed", tiny_embed_params(clusters=121), "clusters"),
-            ("resilience-sweep", {**SWEEP_PARAMS, "clusters": 121, "r_grid": [0.1]}, "clusters"),
+            ("embed", tiny_embed_params(N=15, clusters=16), "clusters"),
+            ("resilience-sweep", {**SWEEP_PARAMS, "N": 15, "clusters": 16, "r_grid": [0.1]}, "clusters"),
             ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 120]}),
              "adversary.victims"),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 120}), "adversary.k"),
@@ -275,7 +289,7 @@ class TestConfig:
             ("count-audit", {"mode": "gnp-sets", "N": 60, "p": 0.5, "t": 3, "set_size": 20, "eps": 0.3}),
             ("regularity-audit", {"mode": "inheritance", "n": 10, "p": 0.5, "q": 10, "eps_prime": 0.3}),
             ("regularity-audit", {**PARTITION_PARAMS, "m": 80}),
-            ("embed", tiny_embed_params(clusters=120)),
+            ("embed", tiny_embed_params(N=16, clusters=16)),
             ("embed", tiny_embed_params(adversary={"kind": "triangle-killer", "victims": [0, 119]})),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 119})),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 2, "skew": 1.95})),
@@ -745,14 +759,15 @@ class TestCli:
         err = usage_error(capsys, ["embed", "--config", str(cfg_path)])
         assert err.endswith("error: params.N: required")
 
-    @pytest.mark.parametrize("token", ["0:4:2", "x"])
+    @pytest.mark.parametrize("token", ["0:4:2", "x", "5:3", "0:0"])
     def test_bad_seeds_token_is_a_usage_error(self, tmp_path, capsys, token):
-        # These used to print "too many values to unpack" and "invalid
-        # literal for int()", naming neither the flag nor the token.
+        # The first two used to print "too many values to unpack" and
+        # "invalid literal for int()", naming neither the flag nor the token;
+        # the empty ranges were dropped, so "1,5:3" ran seed 1 alone.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"params": BLOWUP_PARAMS, "seeds": [0]}))
         err = usage_error(capsys, ["count-audit", "--config", str(cfg_path), "--seeds", f"1,{token}"])
-        assert err.endswith(f"error: --seeds: bad token '{token}'; expected N or START:STOP")
+        assert err.endswith(f"error: --seeds: bad token '{token}'; expected N or START:STOP with STOP above START")
 
     def test_oracle_compare_is_not_a_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

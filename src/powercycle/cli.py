@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--seeds", help="override seeds, e.g. 0:100 or 1,2,5")
         sp.add_argument("--workers", type=int, help="worker processes")
-        sp.add_argument("--out", help="output directory for JSONL/CSV")
+        sp.add_argument("--out", help="output directory for the JSONL records and JSON summary")
     rp = sub.add_parser("replay", help="re-run stored trial records and compare bit-exactly")
     rp.add_argument("--config", required=True)
     rp.add_argument("--records", required=True, help="JSONL file of trial records")
@@ -77,7 +77,9 @@ def main(argv=None) -> int:
             for record in records:  # every record, before the first replay
                 check_replayable(config, record)
             records = records[: args.limit or None]
-    except ValueError as err:  # a bad config, seed list, limit or records file: usage error
+        else:
+            summary = run_experiment(config)
+    except ValueError as err:  # a bad config, seed list, limit, records file or out_dir: usage error
         parser.error(str(err))
 
     if args.command == "replay":
@@ -88,11 +90,10 @@ def main(argv=None) -> int:
         print(f"replayed {len(records)} records, {mismatches} mismatches")
         return 1 if mismatches else 0
 
-    summary = run_experiment(config)
     print(
         json.dumps(
             {
-                "kind": summary.kind,
+                "kind": config.kind,
                 "trials": summary.n_trials,
                 "ok_fraction": summary.ok_fraction,
                 "stages": summary.stats["stages"],

@@ -388,7 +388,10 @@ def halving_audit(
     dense bool frontier anchored at window 0, reaches at least
     (1 - 10 k delta) of the block k windows ahead, every tested equipartition
     must have a half reaching (1/2 - 5 k delta). Returns the observed
-    fractions per split."""
+    fractions per split; fewer than one split is a ValueError, since zero
+    splits test nothing."""
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be at least 1, got {n_splits}")
     k = params.k
     params.require_search_regime()
     x_target = reference_count(view, k, k)

@@ -1,4 +1,4 @@
-"""Experiment harness: declarative configs, seeded trial sweeps, JSONL/CSV
+"""Experiment harness: declarative configs, seeded trial sweeps, JSONL/JSON
 persistence, and exact replay.
 
 A config names one experiment kind, its parameter dict, and a seed list. One
@@ -33,13 +33,13 @@ A run has two settings, each from one source: its worker count, the config's
 ``workers``, and its output directory, ``run_experiment``'s ``out_dir``, else
 the config's (the CLI's ``--workers`` and ``--out`` set the config's).
 
-Outputs: one TrialRecord per line (JSONL), a per-metric summary (CSV), and
-for sweeps a plot-ready TSV of success fraction against the swept parameter.
+Outputs: one TrialRecord per line (JSONL) and one JSON summary: the config
+and every tally of its records, pooled and, for a sweep, per grid point
+(``points``), all recomputable from the JSONL.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import hashlib
 import json
@@ -49,7 +49,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Optional
@@ -58,8 +58,9 @@ import numpy as np
 
 from . import graph_core, models, regularity, typicality, expansion, embedder
 
+CONFIG_SCHEMA = "powercycle/config-v1"
 TRIAL_SCHEMA = "powercycle/trial-v4"
-SUMMARY_SCHEMA = "powercycle/summary-v1"
+SUMMARY_SCHEMA = "powercycle/summary-v2"
 
 TRIALS = 200  # sampled-refuter trials of a check whose config sets none
 PARTITION_MU = 0.5  # mu of the regularity-audit partition mode
@@ -110,8 +111,9 @@ def _is_fraction(value) -> bool:
 # and bounds between keys are left to the builders and to validate.
 _VALUES = {
     "clusters": (lambda v: _is_count(v, 3), "an integer of at least 3"),
-    **dict.fromkeys("N n t k m q set_size".split(), (lambda v: _is_count(v, 1), "an integer of at least 1")),
-    **dict.fromkeys("trials samples n_splits".split(), (lambda v: _is_count(v, 0), "a non-negative integer")),
+    **dict.fromkeys("N n t k m q set_size samples n_splits".split(),
+                    (lambda v: _is_count(v, 1), "an integer of at least 1")),
+    "trials": (lambda v: _is_count(v, 0), "a non-negative integer"),
     **dict.fromkeys("p r kappa min_ok_fraction max_ok_fraction".split(), (_is_fraction, "a fraction in [0,1]")),
     **dict.fromkeys("delta eps eps_prime epsilon d xi min_fraction start_fraction skew".split(),
                     (_is_number, "a number")),
@@ -202,7 +204,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "powercycle/config-v1",
+            "schema": CONFIG_SCHEMA,
             "kind": self.kind,
             "params": self.params,
             "seeds": list(self.seeds),
@@ -214,6 +216,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         _check_keys("", data, "kind params seeds", "schema out_dir workers assertions")
+        if data.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
+            raise ValueError(f"schema: expected {CONFIG_SCHEMA!r}, got {data['schema']!r}")
         return cls(**{key: value for key, value in data.items() if key != "schema"})
 
 
@@ -379,8 +383,16 @@ def _certificate_params(params: dict) -> typicality.TypicalityParams:
     )
 
 
+def _one_step_kappa(params: dict) -> float:
+    """The one-step audit's start fraction; 0, an empty start that tests
+    nothing, is a ValueError naming params.kappa."""
+    if params["kappa"] == 0:
+        raise ValueError("params.kappa: must be in (0, 1], got 0: an empty start set tests nothing")
+    return params["kappa"]
+
+
 def _expansion_one_step(params: dict, seed: int) -> tuple:
-    k, n, p, delta, kappa = params["k"], params["n"], params["p"], params["delta"], params["kappa"]
+    k, n, p, delta, kappa = params["k"], params["n"], params["p"], params["delta"], _one_step_kappa(params)
     typ = _certificate_params(params)
     _, view = models.gen_blowup(graph_core.complete_graph(k + 1), n, p, seed)
     exp = _expansion_params(params)
@@ -532,7 +544,9 @@ _EXPERIMENTS = {
     },
     "typicality-audit": {None: (_run_typicality_audit, "t n p epsilon delta", "trials", (_typicality_params,))},
     "expansion-audit": {
-        "one-step": (_expansion_one_step, "k n p delta kappa", "", (_expansion_params, _certificate_params)),
+        "one-step": (
+            _expansion_one_step, "k n p delta kappa", "", (_expansion_params, _certificate_params, _one_step_kappa)
+        ),
         "main": (_expansion_main, "k n p delta", "", (_expansion_params,)),
         "halving": (_expansion_halving, "k n p delta", "start_fraction n_splits", (_expansion_params,)),
     },
@@ -654,13 +668,21 @@ def _run_trial(args: tuple) -> dict:
     ).to_dict()
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentSummary:
-    config_hash: str
-    kind: str
-    stats: dict  # summarize_records(records)
-    assertions_passed: bool
+    """A run's config and its records. Every tally is computed from the
+    records once, when first read."""
+
+    config: ExperimentConfig
     records: list
+
+    @cached_property
+    def stats(self) -> dict:
+        return summarize_records(self.records)
+
+    @cached_property
+    def assertions_passed(self) -> bool:
+        return _check_assertions(self.config, self.stats)
 
     @property
     def n_trials(self) -> int:
@@ -677,10 +699,11 @@ class ExperimentSummary:
     def to_dict(self) -> dict:
         return {
             "schema": SUMMARY_SCHEMA,
-            "config_hash": self.config_hash,
-            "kind": self.kind,
+            "config_hash": self.config.hash,
+            "kind": self.config.kind,
             **self.stats,
             "assertions_passed": self.assertions_passed,
+            "config": self.config.to_dict(),
         }
 
 
@@ -697,49 +720,58 @@ def _numeric_metrics(records: list) -> dict:
     }
 
 
-def summarize_records(records: list) -> dict:
-    """Per-metric mean/min/max, the ok fraction, the tally of stages
-    (``measured["stage"]``: an embed trial's, or a vacuous halving audit's)
-    and the number of crashed trials (records with an ``error``),
-    recomputable from any JSONL stream of trial records."""
-    ok_fraction, n = _ok_tally(records, None)
-    stages = Counter(r["measured"]["stage"] for r in records if "stage" in r["measured"])
+def _tally(records: list) -> dict:
+    """The trial count, the ok fraction (0.0 with no trials), the tally of
+    stages (``measured["stage"]``: an embed trial's, or a vacuous halving
+    audit's) and the number of crashed trials (records with an ``error``)."""
+    stages = Counter(rec["measured"]["stage"] for rec in records if "stage" in rec["measured"])
     return {
-        "n_trials": n,
-        "ok_fraction": ok_fraction,
-        "metrics": _numeric_metrics(records),
+        "n_trials": len(records),
+        "ok_fraction": sum(1 for rec in records if rec["ok"]) / len(records) if records else 0.0,
         "stages": dict(sorted(stages.items())),
-        "errors": sum(1 for r in records if "error" in r["measured"]),
+        "errors": sum(1 for rec in records if "error" in rec["measured"]),
     }
 
 
-def _ok_tally(records: list, r) -> tuple:
-    """(ok fraction, trials) of the records, or of those at sweep grid point
-    ``r`` unless it is None; the fraction is 0.0 when there are none."""
-    subset = records if r is None else [rec for rec in records if rec["measured"].get("r") == r]
-    return (sum(1 for rec in subset if rec["ok"]) / len(subset) if subset else 0.0), len(subset)
+def summarize_records(records: list) -> dict:
+    """The pooled ``_tally`` and per-metric mean/min/max of any stream of
+    trial records; records that name their grid point (``measured["r"]``)
+    add ``points``, one ``{"r", **_tally}`` per r in first-seen order."""
+    stats = {**_tally(records), "metrics": _numeric_metrics(records)}
+    points: dict = {}
+    for rec in records:
+        if "r" in rec["measured"]:
+            points.setdefault(rec["measured"]["r"], []).append(rec)
+    if points:
+        stats["points"] = [{"r": r, **_tally(subset)} for r, subset in points.items()]
+    return stats
 
 
-def _check_assertions(config: ExperimentConfig, records: list) -> bool:
+def _check_assertions(config: ExperimentConfig, stats: dict) -> bool:
+    """Every rule holds for the pooled tally, or for its r's point."""
+    points = {point["r"]: point for point in stats.get("points", ())}
     for rule in config.assertions:
-        frac, n = _ok_tally(records, rule.get("r"))
-        if not n:
+        tally = points.get(rule["r"], {}) if "r" in rule else stats
+        if not tally.get("n_trials"):
             return False
-        if "min_ok_fraction" in rule and frac < rule["min_ok_fraction"]:
-            return False
-        if "max_ok_fraction" in rule and frac > rule["max_ok_fraction"]:
+        if not rule.get("min_ok_fraction", 0) <= tally["ok_fraction"] <= rule.get("max_ok_fraction", 1):
             return False
     return True
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     """Execute one trial per seed at each grid point (a kind with no r_grid
-    has the one point None) on ``config.workers`` processes, persist JSONL
-    records plus a CSV summary to ``out_dir``, else the config's (None:
-    nothing is written), and evaluate the configured assertions. A malformed
-    ``out_dir`` is a ValueError before the first trial."""
+    has the one point None) on ``config.workers`` processes and persist the
+    JSONL records and the JSON summary to ``out_dir``, else the config's
+    (None: nothing is written). An ``out_dir`` that is not a path, or that
+    cannot be made, is a ValueError before the first trial."""
     out_dir = out_dir or config.out_dir
     _check_out_dir(out_dir)
+    if out_dir is not None:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ValueError(f"out_dir: cannot make {str(out_dir)!r}: {err.strerror or err}") from None
     chash = config.hash
     grid = config.params["r_grid"] if "r_grid" in config.params else [None]
     tasks = [(config.kind, _point(config.params, r), seed, chash) for r in grid for seed in config.seeds]
@@ -750,13 +782,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentSummary:
     else:
         records = [_run_trial(task) for task in tasks]
 
-    summary = ExperimentSummary(
-        config_hash=chash,
-        kind=config.kind,
-        stats=summarize_records(records),
-        assertions_passed=_check_assertions(config, records),
-        records=records,
-    )
+    summary = ExperimentSummary(config=config, records=records)
     if out_dir is not None:
         _persist(config, summary, Path(out_dir))
     return summary
@@ -767,30 +793,17 @@ def resilience_sweep(config: ExperimentConfig) -> dict:
     if config.kind != "resilience-sweep":
         raise ValueError(f"kind: expected resilience-sweep, got {config.kind!r}")
     summary = run_experiment(config)
-    curve = {r: _ok_tally(summary.records, r)[0] for r in config.params["r_grid"]}
+    curve = {point["r"]: point["ok_fraction"] for point in summary.stats["points"]}
     return {"curve": curve, "summary": summary}
 
 
 def _persist(config: ExperimentConfig, summary: ExperimentSummary, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{config.kind}-{summary.config_hash}"
+    stem = f"{config.kind}-{config.hash}"
     with open(out_dir / f"{stem}.jsonl", "w") as fh:
         for rec in summary.records:
             fh.write(canonical_json(rec) + "\n")
-    with open(out_dir / f"{stem}.summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "min", "max"])
-        writer.writerow(["ok_fraction", repr(summary.ok_fraction), "", ""])
-        for name, stats in summary.metrics.items():
-            writer.writerow([name, repr(stats["mean"]), repr(stats["min"]), repr(stats["max"])])
     with open(out_dir / f"{stem}.json", "w") as fh:
-        fh.write(canonical_json({**summary.to_dict(), "config": config.to_dict()}) + "\n")
-    if "r_grid" in config.params:
-        with open(out_dir / f"{stem}.curve.tsv", "w") as fh:
-            fh.write("r\tok_fraction\tn\n")
-            for r in config.params["r_grid"]:
-                frac, n = _ok_tally(summary.records, r)
-                fh.write(f"{r}\t{frac}\t{n}\n")
+        fh.write(canonical_json(summary.to_dict()) + "\n")
 
 
 def load_records(path) -> list:

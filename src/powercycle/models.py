@@ -262,8 +262,6 @@ def adversary_partite(graph: Graph, k: int, skew: float, seed: int) -> tuple:
         raise ValueError(f"need k+1 <= N, got k={k}, N={N}")
     large = partite_large_part(N, k, skew)
     small = (N - large) // k
-    if small < 1:
-        raise ValueError(f"skew {skew} makes the small parts empty")
     large = N - k * small
     rng = stream(seed, 2)
     perm = rng.permutation(N)

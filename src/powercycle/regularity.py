@@ -433,7 +433,10 @@ def inheritance_stats(
 ) -> float:
     """Fraction of random (Q1, Q2) with |Qi| = qi that inherit regularity:
     unrefuted at eps' and of density within (1 +/- eps') of the parent pair.
-    Samples come from stream(seed, 17), the check of sample s from stream(seed, 31, s)."""
+    Samples come from stream(seed, 17), the check of sample s from stream(seed, 31, s).
+    Fewer than one sample is a ValueError, since zero samples test nothing."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     V1 = np.asarray(V1, dtype=np.int64)
     V2 = np.asarray(V2, dtype=np.int64)
     if q1 > len(V1) or q2 > len(V2):
@@ -455,4 +458,4 @@ def inheritance_stats(
         )
         if not verdict.refuted:
             good += 1
-    return good / samples if samples else 1.0
+    return good / samples

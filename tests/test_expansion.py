@@ -435,6 +435,13 @@ class TestHalving:
                 assert audit["all_ok"]
         assert qualifying >= 10
 
+    def test_no_split_refused(self):
+        # n_splits = 0 used to return no splits with all_ok true: a pass
+        # that tested nothing.
+        _, view = complete_multipartite([3, 4, 3, 4, 3, 4])
+        with pytest.raises(ValueError, match="^n_splits must be at least 1, got 0"):
+            halving_audit(window_cliques(view, 0, 2), view, ExpansionParams(k=2, delta=0.02), n_splits=0, seed=0)
+
 
 class TestOneStepAudit:
     def _typ(self, p):

@@ -1,4 +1,4 @@
-import csv
+import dataclasses
 import json
 import re
 
@@ -7,6 +7,7 @@ import pytest
 
 from powercycle.harness import (
     ExperimentConfig,
+    ExperimentSummary,
     TrialRecord,
     canonical_json,
     config_hash,
@@ -195,6 +196,8 @@ class TestConfig:
             ("regularity-audit", {**PARTITION_PARAMS, "d": "0.5"}, "d"),
             ("expansion-audit", {**ONE_STEP_PARAMS, "p": 1.5}, "p"),
             ("expansion-audit", {**ONE_STEP_PARAMS, "delta": 1.0}, "delta"),
+            ("expansion-audit", {**ONE_STEP_PARAMS, "kappa": 0}, "kappa"),
+            ("expansion-audit", {**ONE_STEP_PARAMS, "kappa": 0.0}, "kappa"),
             ("expansion-audit", {"mode": "halving", "k": 0, "n": 12, "p": 0.6, "delta": 0.02}, "k"),
             ("expansion-audit", {"mode": "main", "k": 2, "n": 12, "p": 0.6, "delta": 2}, "delta"),
             ("embed", tiny_embed_params(d=2), "d"),
@@ -202,13 +205,16 @@ class TestConfig:
         ],
         ids=[
             "partition-epsilon-2", "partition-trials-neg", "partition-d-str", "one-step-p-1.5",
-            "one-step-delta-1", "halving-k-0", "main-delta-2", "embed-d-2", "sweep-p-0",
+            "one-step-delta-1", "one-step-kappa-0", "one-step-kappa-0.0", "halving-k-0", "main-delta-2", "embed-d-2",
+            "sweep-p-0",
         ],
     )
     def test_runner_params_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
         # Each of these used to build, then run every trial as an error record
-        # (the main audit's delta = 2 as a pass against a bound of -19): the
-        # runner's dataclass refused the value only inside the trial.
+        # (the main audit's delta = 2 as a pass against a bound of -19, and a
+        # one-step kappa of 0 as a pass of its empty start against a negative
+        # bound): the runner refused the value only inside the trial, or not
+        # at all.
         refused_before_any_trial(kind, params, key)
 
     @pytest.mark.parametrize(
@@ -240,6 +246,10 @@ class TestConfig:
             ("regularity-audit", {**PARTITION_PARAMS, "m": 0}, "m"),
             ("expansion-audit", {"mode": "halving", "k": 2, "n": 12, "p": 0.6, "delta": 0.02, "n_splits": 2.5},
              "n_splits"),
+            ("expansion-audit", {"mode": "halving", "k": 2, "n": 12, "p": 0.6, "delta": 0.02, "n_splits": 0},
+             "n_splits"),
+            ("regularity-audit", {"mode": "inheritance", "n": 40, "p": 0.5, "q": 10, "eps_prime": 0.3, "samples": 0},
+             "samples"),
             ("embed", tiny_embed_params(adversary={"kind": "random", "r": 1.5}), "adversary.r"),
             ("embed", tiny_embed_params(adversary={"kind": "random", "r": "0.1"}), "adversary.r"),
             ("embed", tiny_embed_params(adversary={"kind": "partite", "k": 0}), "adversary.k"),
@@ -248,12 +258,13 @@ class TestConfig:
         ],
         ids=[
             "embed-N-str", "embed-N-0", "embed-clusters-2.5", "embed-clusters-0", "embed-k-2.5", "blowup-n-0",
-            "partition-m-0", "halving-n_splits-2.5", "random-r-1.5", "random-r-str", "partite-k-0",
+            "partition-m-0", "halving-n_splits-2.5", "halving-n_splits-0", "inheritance-samples-0", "random-r-1.5", "random-r-str", "partite-k-0",
             "partite-skew-str", "triangle-killer-victims-int",
         ],
     )
     def test_malformed_value_refused_before_any_trial(self, refused_before_any_trial, kind, params, key):
-        # Each of these used to build, then run every trial as an error record.
+        # Each of these used to build, then run every trial as an error record
+        # (no split or no sample: as a pass that tested nothing).
         refused_before_any_trial(kind, params, key)
 
     @pytest.mark.parametrize(
@@ -388,6 +399,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="^out_dir: "):
             run_experiment(cfg, out_dir=5)
 
+    @pytest.mark.parametrize("schema", ["powercycle/config-v9", 42, None])
+    def test_other_config_schema_refused(self, tmp_path, capsys, schema):
+        # Each of these used to load as if it were config-v1.
+        data = {"schema": schema, "kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0]}
+        with pytest.raises(ValueError, match="^schema: expected 'powercycle/config-v1', got "):
+            ExperimentConfig.from_dict(data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert "error: schema: " in usage_error(capsys, ["count-audit", "--config", str(cfg_path)])
+        ExperimentConfig.from_dict({**data, "schema": "powercycle/config-v1"})
+
+    def test_out_dir_that_cannot_be_made_refused_before_any_trial(self, monkeypatch, tmp_path, capsys):
+        # Such an out_dir used to fail in _persist with NotADirectoryError,
+        # after every trial had run and with every result lost.
+        def refuse(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = ExperimentConfig(kind="count-audit", params=BLOWUP_PARAMS, seeds=[0, 1, 2])
+        with pytest.raises(ValueError, match="^out_dir: cannot make "):
+            run_experiment(cfg, out_dir=str(blocker / "sub"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        err = usage_error(capsys, ["count-audit", "--config", str(cfg_path), "--out", str(blocker / "sub")])
+        assert "error: out_dir: cannot make " in err
+
     def test_unknown_top_level_key_refused(self):
         # "assertion" (singular) used to drop every assertion silently.
         data = {"kind": "count-audit", "params": BLOWUP_PARAMS, "seeds": [0], "assertion": [{"min_ok_fraction": 1.0}]}
@@ -506,18 +545,24 @@ class TestRunExperiment:
             out_dir=str(tmp_path),
         )
         summary = run_experiment(cfg)
-        jsonl = next(p for p in tmp_path.iterdir() if p.suffix == ".jsonl")
-        records = load_records(jsonl)
-        stats = summarize_records(records)
-        assert stats["ok_fraction"] == summary.ok_fraction
-        csv_path = next(p for p in tmp_path.iterdir() if p.name.endswith(".summary.csv"))
-        with open(csv_path) as fh:
-            rows = {row["metric"]: row for row in csv.DictReader(fh)}
-        assert float(rows["ok_fraction"]["mean"]) == summary.ok_fraction
-        for name, st in stats["metrics"].items():
-            assert float(rows[name]["mean"]) == st["mean"]
-            assert float(rows[name]["min"]) == st["min"]
-            assert float(rows[name]["max"]) == st["max"]
+        stem = f"count-audit-{cfg.hash}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.json", f"{stem}.jsonl"]
+        stats = summarize_records(load_records(tmp_path / f"{stem}.jsonl"))
+        assert stats == summary.stats and stats["ok_fraction"] == summary.ok_fraction
+        written = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert written == {
+            "schema": "powercycle/summary-v2",
+            "config_hash": cfg.hash,
+            "kind": "count-audit",
+            **stats,
+            "assertions_passed": True,
+            "config": cfg.to_dict(),
+        }
+
+    def test_summary_holds_only_its_config_and_records(self):
+        # Every tally is derived from the records, so none can disagree with
+        # them.
+        assert [f.name for f in dataclasses.fields(ExperimentSummary)] == ["config", "records"]
 
     def test_parallel_equals_serial(self):
         sweep_params = {**SWEEP_PARAMS, "r_grid": [0.0, 0.3]}
@@ -670,18 +715,24 @@ class TestResilienceSweep:
         assert out["curve"][0.0] == base.ok_fraction == 1.0
         assert out["curve"][1.0] == 0.0
 
-    def test_curve_tsv_written(self, tmp_path):
+    def test_summary_json_holds_each_points_tally(self, tmp_path):
+        # The pooled ok fraction of r = 0.0 and 1.0 is 0.5; each point's is
+        # its own.
         sweep_cfg = ExperimentConfig(
             kind="resilience-sweep",
-            params={**SWEEP_PARAMS, "r_grid": [0.0]},
-            seeds=[0],
+            params={**SWEEP_PARAMS, "r_grid": [0.0, 1.0]},
+            seeds=[0, 1],
             out_dir=str(tmp_path),
+            assertions=[{"r": 1.0, "max_ok_fraction": 0.0}],
         )
-        resilience_sweep(sweep_cfg)
-        tsv = next(p for p in tmp_path.iterdir() if p.suffix == ".tsv")
-        lines = tsv.read_text().strip().splitlines()
-        assert lines[0] == "r\tok_fraction\tn"
-        assert lines[1].startswith("0.0\t")
+        out = resilience_sweep(sweep_cfg)
+        stem = f"resilience-sweep-{sweep_cfg.hash}"
+        written = json.loads((tmp_path / f"{stem}.json").read_text())
+        points = written["points"]
+        assert points == summarize_records(load_records(tmp_path / f"{stem}.jsonl"))["points"]
+        assert [(p["r"], p["n_trials"], p["ok_fraction"]) for p in points] == [(0.0, 2, 1.0), (1.0, 2, 0.0)]
+        assert points[0]["stages"] == {"ok": 2} and written["ok_fraction"] == 0.5
+        assert out["curve"] == {0.0: 1.0, 1.0: 0.0} and written["assertions_passed"]
 
     def test_point_record_is_the_embed_record_at_its_r(self):
         grid, seeds = [0.0, 0.3, 0.6], [0, 1]
@@ -716,8 +767,9 @@ class TestResilienceSweep:
         records = out["summary"].records
         assert [rec["measured"]["r"] for rec in records] == [0.0, 0.0, 0.5, 0.5]
         assert all("error" in rec["measured"] for rec in records[:2])
-        tsv = next(p for p in tmp_path.iterdir() if p.suffix == ".tsv")
-        assert [line.split("\t")[2] for line in tsv.read_text().strip().splitlines()[1:]] == ["2", "2"]
+        points = json.loads(next(p for p in tmp_path.iterdir() if p.suffix == ".json").read_text())["points"]
+        assert [point["n_trials"] for point in points] == [2, 2]
+        assert [point["errors"] for point in points] == [2, 0]
         assert out["curve"] == {0.0: 0.0, 0.5: 0.0}
         assert out["summary"].assertions_passed
         match, fresh = replay(cfg, records[0])

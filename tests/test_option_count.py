@@ -9,7 +9,7 @@ from pathlib import Path
 
 import powercycle
 
-OPTION_BUDGET = 70
+OPTION_BUDGET = 67
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -523,6 +523,13 @@ class TestInheritanceStats:
         frac = inheritance_stats(g, range(20), range(20, 40), 8, 8, 0.3, 1.0, samples=50, seed=1)
         assert frac == 1.0
 
+    def test_no_sample_refused(self):
+        # samples = 0 used to return a fraction of 1.0: a pass that tested
+        # nothing.
+        g, view = complete_multipartite([30, 30])
+        with pytest.raises(ValueError, match="^samples must be at least 1, got 0"):
+            inheritance_stats(g, view.parts[0], view.parts[1], 10, 10, 0.3, 1.0, samples=0, seed=1)
+
     def test_dense_random_parent_mostly_inherits(self):
         g, view = gen_blowup(complete_graph(2), 200, 0.5, seed=11)
         frac = inheritance_stats(

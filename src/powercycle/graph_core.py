@@ -10,12 +10,14 @@ in this module is deterministic and trials are replayable.
 The constructor checks symmetry exactly, comparing each 256-square tile with
 its mirror tile, and ``mirror_upper`` builds a symmetric matrix in place tile
 by tile: neither transposes the whole matrix, whose strided reads miss the
-cache at the acceptance size. A graph never changes, so ``degrees()`` is
-summed once and shared read-only. ``edge_positions`` copies the rows in
+cache at the acceptance size. ``Graph._trusted`` skips the check for the
+matrices ``models`` builds symmetric itself; a test of the imports keeps it
+to ``models``. A graph never changes, so ``degrees()`` is summed once and
+shared read-only. ``edge_positions`` copies the rows in
 blocks of 64K cells into one buffer, clears the cells on and below the
 diagonal there, and writes the positions it finds straight into its result,
-which is int32 whenever n * n fits (it does below n = 46341), so the edge
-order of a random adversary costs 4 bytes an edge and no wider transient.
+which is int32 whenever n * n fits (it does below n = 46341). The random
+adversary scans the positions into its own key buffer the same way.
 
 A ``TupleView`` has two construction paths, as a ``Graph`` does. The public
 constructor checks its parts (nonempty 1-D integer ids in range, no duplicate,
@@ -139,7 +141,10 @@ class Graph:
     caller's array stays its own. ``Graph._adopt(adj)``, for a bool matrix
     built inside the package and written by no one afterwards, runs the same
     checks and keeps ``adj`` itself, marked read-only: a generator or an
-    adversary hands over its matrix without a second N x N copy."""
+    adversary hands over its matrix without a second N x N copy.
+    ``Graph._trusted(adj)`` keeps ``adj`` as ``_adopt`` does but checks
+    nothing; only ``models`` calls it, on matrices symmetric and irreflexive
+    by construction."""
 
     __slots__ = ("n", "adj", "_rows", "_degrees")
 
@@ -150,6 +155,17 @@ class Graph:
     def _adopt(cls, adj: np.ndarray) -> "Graph":
         graph = cls.__new__(cls)
         graph._hold(_checked_adjacency(adj))
+        return graph
+
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "Graph":
+        """A graph that keeps ``adj`` without a check: it must be a square
+        bool matrix built inside the package, symmetric, irreflexive and
+        written by no one afterwards. ``gen_gnp``'s ``mirror_upper`` output
+        is, and so is each adversary's thinned copy of a checked graph, whose
+        deletions are cleared in both triangles."""
+        graph = cls.__new__(cls)
+        graph._hold(adj)
         return graph
 
     def _hold(self, adj: np.ndarray) -> None:
@@ -209,13 +225,19 @@ class Graph:
     def edge_positions(self) -> np.ndarray:
         """Flat positions ``u * n + v`` of the edges u < v as an ascending
         array, which is their lexicographic order: int32 when every position
-        fits, that is when n * n <= 2**31, int64 otherwise. The rows are
-        scanned in blocks of _EDGE_CELLS // n (at least one), each copied
-        into one preallocated buffer whose row prefixes up to and including
-        the diagonal are cleared in place, so besides the result no array is
-        larger than a block."""
+        fits, that is when n * n <= 2**31, int64 otherwise."""
         n = self.n
         out = np.empty(self.edge_count(), dtype=np.int32 if n * n <= 1 << 31 else np.int64)
+        return self._scan_positions(out)
+
+    def _scan_positions(self, out: np.ndarray) -> np.ndarray:
+        """Write ``edge_positions()`` into ``out``, an integer array of
+        ``edge_count()`` entries wide enough for n * n - 1, and return it.
+        The rows are scanned in blocks of _EDGE_CELLS // n (at least one),
+        each copied into one preallocated buffer whose row prefixes up to and
+        including the diagonal are cleared in place, so besides ``out`` no
+        array is larger than a block."""
+        n = self.n
         rows = max(1, _EDGE_CELLS // max(n, 1))
         buf = np.empty((min(rows, n), n), dtype=bool)
         at = 0

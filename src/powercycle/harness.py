@@ -59,7 +59,7 @@ import numpy as np
 from . import graph_core, models, regularity, typicality, expansion, embedder
 
 CONFIG_SCHEMA = "powercycle/config-v1"
-TRIAL_SCHEMA = "powercycle/trial-v4"
+TRIAL_SCHEMA = "powercycle/trial-v5"
 SUMMARY_SCHEMA = "powercycle/summary-v2"
 
 TRIALS = 200  # sampled-refuter trials of a check whose config sets none

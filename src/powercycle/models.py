@@ -4,7 +4,11 @@ All randomness flows through Philox, a counter-based generator with a fixed,
 documented algorithm, so a (seed, path) pair identifies the same stream on
 every platform and regardless of thread schedule. Sub-streams are derived by
 extending the entropy path rather than by drawing from a parent stream, which
-keeps parallel trials bit-identical to serial ones.
+keeps parallel trials bit-identical to serial ones. The hosts of
+``gen_gnp`` and ``gen_blowup`` and the random adversary's order are decided
+on Philox's raw words alone (``bit_generator.random_raw``); the other draws
+still go through numpy's ``Generator`` samplers, whose algorithms numpy
+does not freeze across versions, and a test lists every such call.
 
 Every draw of the package comes from ``stream(seed, tag, ...)`` with one tag
 per call site and no arithmetic on seeds. A row's parentheses give the path
@@ -200,7 +204,7 @@ def gen_gnp(params: ModelParams) -> Graph:
     for u in range(top, n - 1):
         pos = _skip_to(rng.bit_generator, u * n, u * n + u + 1)
         _coin_flips(rng, params.p, flat[pos : (u + 1) * n])
-    return Graph._adopt(mirror_upper(adj))
+    return Graph._trusted(mirror_upper(adj))
 
 
 def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
@@ -230,9 +234,11 @@ def gen_blowup(pattern: Graph, n: int, p: float, seed: int) -> tuple:
 
 
 def _report(before: Graph, after_adj: np.ndarray, budget=None) -> tuple:
-    """The thinned graph, adopting ``after_adj`` (a fresh matrix of the
-    adversary's own), and its report against ``before``."""
-    after = Graph._adopt(after_adj)
+    """The thinned graph, adopting ``after_adj`` (the adversary's own copy
+    of ``before``'s matrix with each deletion cleared in both triangles, so
+    symmetric and irreflexive without a check), and its report against
+    ``before``."""
+    after = Graph._trusted(after_adj)
     per_vertex = before.degrees() - after.degrees()
     deleted = int(per_vertex.sum()) // 2
     return after, AdversaryReport(
@@ -245,8 +251,10 @@ def _report(before: Graph, after_adj: np.ndarray, budget=None) -> tuple:
 
 def partite_large_part(N: int, k: int, skew: float) -> int:
     """Size round((1+skew) N/(k+1)) of ``adversary_partite``'s large part
-    before it absorbs rounding; a ValueError unless it leaves room for k
-    nonempty small parts of the N vertices."""
+    before it absorbs rounding; a ValueError unless k >= 1 and it leaves
+    room for k nonempty small parts of the N vertices."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     size = (1.0 + skew) * N / (k + 1)
     if not math.isfinite(size) or not 1 <= round(size) <= N - k:
         raise ValueError(f"skew {skew} leaves no room for {k} nonempty small parts of N={N}")
@@ -290,7 +298,7 @@ def adversary_triangle_killer(graph: Graph, victims: Sequence[int]) -> tuple:
 # Segments at or below this many live edges are settled by the sequential rule.
 _LEAF_EDGES = 256
 
-# Positions of the shuffled order per block of adversary_random's walk.
+# Positions of the random order per block of adversary_random's walk.
 _SETTLE_BLOCK = 1 << 16
 
 
@@ -307,31 +315,85 @@ def adversary_random(graph: Graph, r: float, seed: int) -> tuple:
     out there, so a live edge with two safe endpoints is deleted whatever the
     order. ``oracles.sequential_random_adversary`` is the edge-by-edge rule.
 
-    The random order is the edges' flat positions (``Graph.edge_positions``,
-    already int32 when n * n fits, so nothing is narrowed here) shuffled in
-    place and walked in consecutive blocks of _SETTLE_BLOCK positions.
-    ``_settle`` gives the sequential outcome on any segment from the counts
-    of every edge before it, and consecutive blocks taken in order are such
-    segments, so the walk is exact. A block is short enough for vertices to
-    be safe in it, where the first levels of a whole-order segment only build
-    masks that decide nothing. Each block is split into int64 endpoints, so
-    no endpoint array is longer than a block, and deleted edges are cleared
-    straight in one copy of the adjacency, which the thinned graph adopts."""
+    The random order (``_rank_edges``) ranks one raw Philox word of
+    stream(seed, 3) per edge, and is walked in consecutive blocks of
+    _SETTLE_BLOCK flat positions. ``_settle`` gives the sequential outcome on
+    any segment from the counts of every edge before it, and consecutive
+    blocks taken in order are such segments, so the walk is exact. A block is
+    short enough for vertices to be safe in it, where the first levels of a
+    whole-order segment only build masks that decide nothing. Each block is
+    split into int64 endpoints, so no endpoint array is longer than a block.
+
+    One uint64 buffer of max(8m, n*n + 4m) bytes (n*n + 8m when n * n >
+    2**31, where the order is the int64 keys) holds the whole transient:
+    ``_rank_edges`` sorts the keys in its tail and leaves the order in its
+    last 4m bytes, the adjacency is copied into its first n*n bytes and
+    thinned there, and the buffer, shrunk to those bytes, is the thinned
+    graph's matrix. So the adversary maps and returns one block of memory
+    and frees nothing larger than an N x N matrix, which leaves glibc's
+    dynamic mmap threshold where the host's matrix put it. Two other layouts
+    raised the benchmark's peak RSS: an m-entry key array freed after the
+    sort lifted the threshold and pushed later N x N matrices onto the heap
+    (embed-accept 68 -> 78-80 MB), and a key buffer shrunk to the order
+    beside a heap copy of the adjacency was mapped on top of heap memory
+    glibc had kept from the previous trial in about half the runs
+    (embed-knee 66 -> 72 MB)."""
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0,1], got {r}")
-    rng = stream(seed, 3)
-    n = graph.n
+    n, m = graph.n, graph.edge_count()
     budget = np.floor(r * graph.degrees()).astype(np.int64)
-    # An in-place shuffle makes the draws of permutation(m), whatever the
-    # dtype, and moves each position where that permutation would.
-    order = graph.edge_positions()
-    rng.shuffle(order)
-    adj = graph.adj.copy()
+    tail = m if n * n > 1 << 31 else -(-m // 2)
+    buf = np.empty(max(m, -(-(n * n) // 8) + tail), dtype=np.uint64)
+    order = _rank_edges(graph, stream(seed, 3), buf)
+    adj = buf.view(bool)[: n * n].reshape(n, n)
+    np.copyto(adj, graph.adj)
     cnt = np.zeros(n, dtype=np.int64)
-    for lo in range(0, order.size, _SETTLE_BLOCK):
+    for lo in range(0, m, _SETTLE_BLOCK):
         us, vs = np.divmod(order[lo : lo + _SETTLE_BLOCK].astype(np.int64), n)
         _settle(us, vs, cnt, budget, adj)
-    return _report(graph, adj, budget)
+    # No view of the buffer is left; a reference check would also count the
+    # ones a debugger or a profiler holds on this frame.
+    del order, adj
+    buf.resize(-(-(n * n) // 8), refcheck=False)
+    return _report(graph, buf.view(bool)[: n * n].reshape(n, n), budget)
+
+
+def _rank_edges(graph: Graph, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """The flat positions u * n + v of the edges u < v in the random
+    adversary's order, as the int32 view of the last 4m bytes of ``buf``, a
+    uint64 array of at least m entries (the int64 view of its last m entries
+    when n * n > 2**31), drawing exactly one raw word of ``rng`` per edge.
+    Edge i in lexicographic order takes word i, and its key is that word
+    with its low ``bits = (n*n - 1).bit_length()`` bits replaced by its
+    position; the edges go by ascending key, that is by (word >> bits,
+    position). Keys are distinct, so any sort gives this one order, on every
+    platform, from Philox's words alone (numpy does not freeze ``shuffle``
+    across versions).
+
+    The keys are the last m entries of ``buf``: the positions are scanned
+    into them (``Graph._scan_positions``), the masked words are ORed in
+    _DRAW_BLOCK at a time, and they are sorted in place and masked back to
+    positions, which are then compacted as int32 into the last 4m bytes."""
+    n, m = graph.n, graph.edge_count()
+    low = np.uint64((1 << (n * n - 1).bit_length()) - 1)
+    keys = buf[buf.size - m :]
+    graph._scan_positions(keys.view(np.int64))
+    for lo in range(0, m, _DRAW_BLOCK):
+        words = rng.bit_generator.random_raw(min(_DRAW_BLOCK, m - lo))
+        words &= ~low
+        keys[lo : lo + words.size] |= words
+    keys.sort()
+    keys &= low
+    if n * n > 1 << 31:
+        return keys.view(np.int64)
+    # Position i goes to the int32 slot over keys[(m + i) // 2], at or past
+    # keys[i], so copied back to front, a chunk overwrites only keys already
+    # copied and its own, which numpy reads before it writes.
+    order = buf.view(np.int32)[2 * buf.size - m :]
+    for hi in range(m, 0, -_DRAW_BLOCK):
+        lo = max(0, hi - _DRAW_BLOCK)
+        order[lo:hi] = keys[lo:hi]
+    return order
 
 
 def _settle(us, vs, cnt, budget, adj) -> None:
@@ -378,6 +440,8 @@ def partite_blocker_sizes(N: int, k: int) -> list:
     shifted between parts when the split would be perfectly balanced (a
     balanced complete multipartite graph stops being a blocker exactly when
     k+1 divides N)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if k + 1 > N:
         raise ValueError(f"need k+1 <= N, got k={k}, N={N}")
     base, rem = divmod(N, k + 1)

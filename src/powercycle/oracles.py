@@ -3,7 +3,8 @@
 These deliberately avoid the library's fast paths: enumeration is nested
 loops over part products, expansion is projection of naively enumerated
 (k+1)-cliques, regularity is literal subset-pair enumeration, the random
-adversary is its greedy rule one edge at a time. Keep them dumb.
+adversary is its greedy rule one edge at a time, in an order given by a
+Python sort of its keys. Keep them dumb.
 
 An expansion start is a dense bool frontier anchored at window 0, as the
 library takes it; the oracles read its members as vertex tuples themselves,
@@ -78,18 +79,27 @@ def triangles_at(graph, v):
     return out
 
 
-def sequential_random_adversary(graph, r, seed):
-    """``models.adversary_random`` edge by edge: walk the permuted edge order
-    and delete each edge whose endpoints are both below budget."""
-    rng = stream(seed, 3)
+def literal_edge_order(graph, rng):
+    """The random adversary's edge order by its literal rule: edge i of
+    ``graph.edges()`` takes raw word i of ``rng``, and the edges are sorted
+    by (word >> bits, u * n + v) with ``bits = (n*n - 1).bit_length()``."""
+    n = graph.n
+    bits = (n * n - 1).bit_length()
     edges = graph.edges().tolist()
+    words = rng.bit_generator.random_raw(len(edges)).tolist()
+    ranked = sorted(zip(words, edges), key=lambda pair: (pair[0] >> bits, pair[1][0] * n + pair[1][1]))
+    return [edge for _, edge in ranked]
+
+
+def sequential_random_adversary(graph, r, seed):
+    """``models.adversary_random`` edge by edge: walk the literal edge order
+    of stream(seed, 3) and delete each edge whose endpoints are both below
+    budget."""
     budget = np.floor(r * graph.degrees()).astype(np.int64)
-    order = rng.permutation(len(edges))
     adj = graph.adj.copy()
     bud = budget.tolist()
     cnt = [0] * graph.n
-    for idx in order.tolist():
-        u, v = edges[idx]
+    for u, v in literal_edge_order(graph, stream(seed, 3)):
         if cnt[u] < bud[u] and cnt[v] < bud[v]:
             adj[u, v] = adj[v, u] = False
             cnt[u] += 1

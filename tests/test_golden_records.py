@@ -28,14 +28,14 @@ GOLDEN = {
         {**TOY, "adversary": {"kind": "random", "r": 0.05}},
         [0, 1, 2],
         {"ok": 3},
-        "efc8ac588a699900ace2cad4e3acb4fc6e7bdf9af31f097d07a01455d5d17a8e",
+        "fc0ff6d7383d0a91574ade7e84c04071be458a051fda0f9f2e9831c509f89387",
     ),
     "embed-random-knee": (
         "embed",
         {**TOY, "N": 400, "p": 0.5, "adversary": {"kind": "random", "r": 0.45}},
         [0, 1],
         {"cluster-cycle": 2},
-        "b293bb53cd4c84b12520a729b79b1dcdb6d3e9441fdb153b2f49ec4b96abca6f",
+        "278f333cea6cf9ad63e1485a824fc1cc575051c0e9bf33b3ad97e496c8f38b54",
     ),
     "embed-length": (
         "embed",

@@ -697,7 +697,7 @@ class TestReplay:
     def test_other_schema_raises(self):
         cfg, records = self._config_and_records()
         stale = {**records[0], "schema": "powercycle/trial-v1"}
-        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v4"):
+        with pytest.raises(ValueError, match="powercycle/trial-v1.*powercycle/trial-v5"):
             replay(cfg, stale)
 
 

@@ -4,7 +4,8 @@ package ``__init__`` re-exports its API that way. No pipeline module imports
 ``oracles``: the reference implementations serve the tests only. Only
 ``harness`` imports ``ctypes``, for its one call into foreign code, the BLAS
 thread pin. Only ``embedder`` reaches ``TupleView._trusted``, the view
-constructor that checks nothing, and only on rows it draws itself."""
+constructor that checks nothing, and only on rows it draws itself; only
+``models`` reaches ``Graph._trusted``, on matrices it builds symmetric."""
 
 import ast
 from pathlib import Path
@@ -76,10 +77,21 @@ def test_only_the_harness_imports_ctypes():
     assert [path.name for path in PACKAGE if imports_module(path.read_text(), "ctypes")] == ["harness.py"]
 
 
-def reads_trusted(source: str) -> bool:
-    """Whether ``source`` reads an attribute named ``_trusted``: a call of
-    ``TupleView._trusted`` through any name, or an alias of it."""
-    return any(isinstance(node, ast.Attribute) and node.attr == "_trusted" for node in ast.walk(ast.parse(source)))
+TRUSTING = ("Graph", "TupleView")
+
+
+def reads_trusted(source: str) -> set:
+    """The classes whose ``_trusted`` constructor ``source`` reads: the
+    attribute's owner when it is named ``Graph`` or ``TupleView``, directly
+    or as a module attribute, called or aliased. Any other owner (an alias
+    of a class, ``cls``, ``type(x)``) could be either, so it counts as both."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            found |= {name} if name in TRUSTING else set(TRUSTING)
+    return found
 
 
 def test_scan_finds_a_trusted_view():
@@ -88,10 +100,17 @@ def test_scan_finds_a_trusted_view():
         "graph_core.TupleView._trusted(g, parts)\n",
         "make = TupleView._trusted\nmake(g, parts)\n",
     ):
-        assert reads_trusted(source)
+        assert reads_trusted(source) == {"TupleView"}
+    assert reads_trusted("Graph._trusted(adj)\n") == {"Graph"}
+    for source in ("View = TupleView\nView._trusted(g, parts)\n", "type(v)._trusted(g, parts)\n"):
+        assert reads_trusted(source) == set(TRUSTING)
     for source in ("TupleView(g, parts)\n", "def _trusted(cls, g, parts):\n    pass\n", "'TupleView._trusted'\n"):
-        assert not reads_trusted(source)
+        assert reads_trusted(source) == set()
 
 
 def test_only_the_embedder_builds_trusted_views():
-    assert [path.name for path in PACKAGE if reads_trusted(path.read_text())] == ["embedder.py"]
+    assert [path.name for path in PACKAGE if "TupleView" in reads_trusted(path.read_text())] == ["embedder.py"]
+
+
+def test_only_the_models_adopt_trusted_matrices():
+    assert [path.name for path in PACKAGE if "Graph" in reads_trusted(path.read_text())] == ["models.py"]

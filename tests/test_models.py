@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import math
 import re
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 
 from powercycle.graph_core import (
     Graph,
+    _checked_adjacency,
     complete_graph,
     empty_graph,
     min_degree,
@@ -30,7 +32,7 @@ from powercycle.models import (
 )
 
 from powercycle.embedder import exact_longest_power_cycle, verify_power_cycle
-from powercycle.oracles import sequential_random_adversary, triangles_at
+from powercycle.oracles import literal_edge_order, sequential_random_adversary, triangles_at
 
 
 # The path 0 - 1 - 2, a blow-up pattern with two edges and a non-edge.
@@ -250,6 +252,13 @@ class TestAdversaryPartite:
         with pytest.raises(ValueError):
             adversary_partite(complete_graph(10), 2, 5.0, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_a_value_error(self, k):
+        with pytest.raises(ValueError, match=rf"^need k >= 1, got k={k}$"):
+            adversary_partite(complete_graph(20), k, 0.0, seed=0)
+        with pytest.raises(ValueError, match=rf"^need k >= 1, got k={k}$"):
+            models.partite_large_part(20, k, 0.0)
+
     def test_spanning_subgraph(self):
         g = gen_gnp(ModelParams(N=40, p=0.5, seed=3))
         thinned, _ = adversary_partite(g, 2, 0.0, seed=3)
@@ -403,32 +412,70 @@ class TestAdversaryRandom:
         assert fast == slow
         assert np.array_equal(fast_report.per_vertex_deleted, slow_report.per_vertex_deleted)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 257, 10_000])
-    def test_shuffle_is_the_permutation_gather(self, m):
-        # The adversary's order rests on this numpy contract: an in-place
-        # shuffle of a 1-d array of either width equals its gather by
-        # permutation(len), and leaves the stream where the permutation
-        # leaves it.
-        for dtype in (np.int32, np.int64):
-            x = np.arange(m, dtype=dtype) * 7 + 3
-            rng, twin = stream(5, 3), stream(5, 3)
-            expected = x[twin.permutation(m)]
-            rng.shuffle(x)
-            assert np.array_equal(x, expected)
-            assert rng.integers(2**62) == twin.integers(2**62)
+    @staticmethod
+    def _rank(graph, rng) -> np.ndarray:
+        return models._rank_edges(graph, rng, np.empty(graph.edge_count(), dtype=np.uint64))
+
+    @staticmethod
+    def _literal_positions(graph, rng) -> list:
+        return [u * graph.n + v for u, v in literal_edge_order(graph, rng)]
+
+    # Blocks of 1 and 7 words put draw and compaction boundaries everywhere;
+    # at N=300 the default block draws every word at once.
+    @pytest.mark.parametrize("block", [1, 7, models._DRAW_BLOCK])
+    @pytest.mark.parametrize("N, p, seed", [(2, 1.0, 0), (7, 0.5, 1), (40, 0.5, 2), (300, 0.35, 3)])
+    def test_order_is_the_literal_sort(self, monkeypatch, N, p, seed, block):
+        graph = gen_gnp(ModelParams(N=N, p=p, seed=seed))
+        monkeypatch.setattr(models, "_DRAW_BLOCK", block)
+        order = self._rank(graph, stream(seed, 3))
+        assert order.dtype == np.int32 and order.size == graph.edge_count()
+        assert order.tolist() == self._literal_positions(graph, stream(seed, 3))
+
+    @pytest.mark.parametrize("block", [1, 7, models._DRAW_BLOCK])
+    @pytest.mark.parametrize(
+        "graph",
+        [empty_graph(0), empty_graph(1), empty_graph(5), Graph.from_edges(3, [(0, 2)]), complete_graph(9)],
+        ids=["n0", "n1", "edgeless", "one-edge", "K9"],
+    )
+    def test_order_reads_one_word_an_edge(self, monkeypatch, graph, block):
+        monkeypatch.setattr(models, "_DRAW_BLOCK", block)
+        rng, twin = stream(5, 3), stream(5, 3)
+        order = self._rank(graph, rng)
+        assert order.tolist() == self._literal_positions(graph, twin)
+        assert np.array_equal(rng.bit_generator.random_raw(5), twin.bit_generator.random_raw(5))
+
+    def test_equal_high_bits_go_by_position(self):
+        # K4 has bits = 4. Edges (0, 3) and (1, 2), at positions 3 and 6,
+        # share their words' high bits while their low bits rank them the
+        # other way; (0, 1) and (2, 3) differ in bit 4 alone, the lowest
+        # above the positions; the word with the top bit set comes last.
+        words = [1 << 4, 2 << 4 | 5, 7 << 4 | 15, 7 << 4, 1 << 63 | 1, 0]
+
+        def replay():
+            state = SimpleNamespace(at=0)
+
+            def random_raw(size):
+                state.at += size
+                return np.array(words[state.at - size : state.at], dtype=np.uint64)
+
+            return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+        graph = complete_graph(4)
+        assert self._rank(graph, replay()).tolist() == [11, 1, 2, 3, 6, 7]
+        assert self._literal_positions(graph, replay()) == [11, 1, 2, 3, 6, 7]
 
     # sha256 of the thinned adjacency bytes and of per_vertex_deleted, and the
     # report, at the acceptance size; these pin the deletion order exactly.
     PINNED = {
         0.1: (
-            "0384e5b603f37128b504d851a16c6d85a78cd0f31d7d0c29748cf65d2d5c6f03",
-            "589d97a8cf57ce782c773b701828d8e80d8a26caeca6ebf8f1088c56d0a869e3",
-            {"deleted_edges": 156708, "min_degree_after": 877, "max_vertex_deleted": 113, "budget_respected": True},
+            "1635110a837a0a8955fc195992ee004b8d36d690db671582d53bfa422b915cb9",
+            "d76d60737cc71e890c806b8024b201c054ea5cef2ddf63562d3197e5d0dcdd4c",
+            {"deleted_edges": 156696, "min_degree_after": 877, "max_vertex_deleted": 113, "budget_respected": True},
         ),
         0.45: (
-            "e4cc4731544fc4a495b810059f6dd5c9fff58b722e8ca5cb78e9eafc210fc470",
-            "0e01a872e5f1628ad5e0d8040c3a56104ace69ac593b70287092e5ffc42e3669",
-            {"deleted_edges": 707510, "min_degree_after": 536, "max_vertex_deleted": 511, "budget_respected": True},
+            "05bf2dce3dbd23b6e508b82ce8ffcb06adc5c3dd27965e201b5fed04d1c65ff8",
+            "f904a8970ab8547e68ce51e69c1faa122c6df7b67d046aa07814d33bbff14a8a",
+            {"deleted_edges": 707480, "min_degree_after": 536, "max_vertex_deleted": 511, "budget_respected": True},
         ),
     }
 
@@ -466,9 +513,29 @@ class TestAdversaryRandom:
         # 18.1 / 18.0 MB with the order held as int32 and walked in blocks,
         # deletions cleared straight in the one adjacency copy, which the
         # thinned graph adopts (the peak is the int64 -> int32 conversion);
-        # 17.7 / 17.8 MB with the positions written as int32 straight away.
+        # 17.7 / 17.8 MB with the positions written as int32 straight away;
+        # 17.7 / 17.8 MB with the order ranked from uint64 keys sorted and
+        # compacted to int32 at the end of one buffer whose front takes the
+        # adjacency copy, shrunk to the thinned matrix after the walk.
         _, peak = traced_peak(lambda: adversary_random(acceptance_host, r, seed=0))
         assert peak < 20 * 2**20
+
+
+class TestTrustedMatrices:
+    """``gen_gnp`` and every adversary hand their matrices to
+    ``Graph._trusted``, which checks nothing, so each must pass the check it
+    skips: at one tile, at several and at a ragged last tile."""
+
+    @pytest.mark.parametrize("N", [3, 40, 257, 520])
+    def test_outputs_pass_the_adjacency_check(self, N):
+        host = gen_gnp(ModelParams(N=N, p=0.5, seed=N))
+        outputs = [host, gen_gnp(ModelParams(N=N, p=1.0, seed=1)), gen_gnp(ModelParams(N=N, p=0.0, seed=1))]
+        outputs.append(gen_blowup(complete_graph(3), N, 0.5, seed=N)[0])
+        outputs.append(adversary_partite(host, 2, 0.0, seed=N)[0])
+        outputs.append(adversary_triangle_killer(host, range(0, N, 3))[0])
+        outputs += [adversary_random(host, r, seed=N)[0] for r in (0.1, 0.45, 1.0)]
+        for graph in outputs:
+            assert _checked_adjacency(graph.adj) is graph.adj
 
 
 class TestExtremalBlocker:
@@ -478,6 +545,12 @@ class TestExtremalBlocker:
             assert sum(sizes) == N and len(sizes) == 3
             g, _ = extremal_blocker(N, 2)
             assert min_degree(g) == round(2 * (N - 1) / 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_a_value_error(self, k):
+        for build in (partite_blocker_sizes, extremal_blocker):
+            with pytest.raises(ValueError, match=rf"^need k >= 1, got k={k}$"):
+                build(12, k)
 
     def test_never_balanced_at_divisible_sizes(self):
         for N in (9, 12, 15):
@@ -601,6 +674,42 @@ class TestStreams:
                 stream(1, *path)
             with pytest.raises(ValueError):
                 self._list_stream(1, *path)
+
+    # The first raw words of two streams: a change in Philox or in
+    # SeedSequence moves every record, and fails here first.
+    RAW_PINNED = {
+        (0, 3): [0xF2CCE2804AD0597C, 0x31CA173C105BA1AC, 0x41DABE7B5B475995, 0x36AFC64159415391],
+        (5, 43, 1, 2): [0xDAC96AAFC01D8111, 0xFC940B31534B6982, 0x3C6AB1A939F9737E, 0x63B327DA006A638E],
+    }
+
+    @pytest.mark.parametrize("words", sorted(RAW_PINNED))
+    def test_raw_words_are_pinned(self, words):
+        seed, *path = words
+        assert stream(seed, *path).bit_generator.random_raw(4).tolist() == self.RAW_PINNED[words]
+
+    # Every call of a Generator method left in the package, by module and
+    # method. numpy does not freeze these samplers across versions (NEP 19),
+    # unlike Philox's raw words, so the list may only shrink: a new call
+    # fails here, and a site moved onto raw words leaves it.
+    GENERATOR_CALLS = {
+        ("embedder.py", "permuted"): 1,
+        ("expansion.py", "choice"): 1,
+        ("expansion.py", "permutation"): 1,
+        ("harness.py", "choice"): 1,
+        ("harness.py", "permutation"): 1,
+        ("models.py", "permutation"): 1,
+        ("regularity.py", "permutation"): 3,
+        ("regularity.py", "random"): 1,
+    }
+
+    def test_generator_method_calls_are_listed(self):
+        methods = {name for name in dir(np.random.Generator) if not name.startswith("_")} - {"bit_generator"}
+        found = Counter()
+        for name, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in methods:
+                    found[name, node.func.attr] += 1
+        assert dict(found) == self.GENERATOR_CALLS
 
     def test_no_other_source_of_randomness(self):
         banned = {"default_rng", "RandomState", "seed"}
